@@ -9,12 +9,11 @@
 //! set against `serve_pipelined` it separates the index from the serving
 //! path.
 //!
-//! The issue that defined this workload asked for n = 2^17.  There a
-//! dominated insert copies 131k points and the arenas outgrow the cache,
-//! and on a shared 2-vCPU host those costs swung with other tenants' memory
-//! traffic: across ten seeds `write_p50_us` spread 0.28 to 0.38 and
-//! `probes_per_s` up to 0.27 (quartile distance over median), beyond the
-//! 0.25 bound.
+//! The dataset is kept small on purpose.  At n = 2^17 a dominated insert
+//! copies 131k points and the arenas outgrow the cache, and on a shared
+//! 2-vCPU host those costs swung with other tenants' memory traffic: across
+//! ten seeds `write_p50_us` spread 0.28 to 0.38 and `probes_per_s` up to
+//! 0.27 (quartile distance over median), beyond the 0.25 bound.
 
 use std::time::{Duration, Instant};
 
