@@ -30,7 +30,7 @@ use crate::{
 };
 
 /// Names and units of the per-layer metrics, in `BENCHMARK.json` order.
-pub const PER_LAYER: [(&str, &str); 45] = [
+pub const PER_LAYER: [(&str, &str); 42] = [
     ("skyline.compute_ms", "ms"),
     ("skyline.size", "count"),
     ("geom.slab_pairs", "count"),
@@ -73,9 +73,6 @@ pub const PER_LAYER: [(&str, &str); 45] = [
     ("router.retries", "count"),
     ("router.failovers", "count"),
     ("trace.overhead_frac", "ratio"),
-    ("trace.spans", "count"),
-    ("trace.client_ops", "count"),
-    ("trace.client_failed", "count"),
 ];
 
 /// Per-layer values by metric name.
@@ -162,7 +159,11 @@ pub fn profile(plan: &LayerPlan<'_>, tracer: &mut Tracer) -> Values {
     v.insert("geom.depth", quad.depth().max(cut.depth()) as f64);
 
     // Index probes: the trees' candidate traversal alone (the walk a probe
-    // makes), then the full probe and the count probe on the index.
+    // makes), then the full probe and the count probe on the index.  Each
+    // call is timed in a pass of its own over every box: the first call on
+    // a box warms the cache for the next, so interleaving the three per box
+    // would time call order (3 to 5 us a probe on a 2^10 dataset), not
+    // layer cost, and could make the replay read negative.
     let mut traverse = Vec::new();
     let mut probe = Vec::new();
     let mut count_probe = Vec::new();
@@ -189,6 +190,9 @@ pub fn profile(plan: &LayerPlan<'_>, tracer: &mut Tracer) -> Values {
                 }
             });
             traverse.push(t0.elapsed().as_secs_f64() * 1e6);
+            candidates += hits.len();
+        }
+        for (i, b) in boxes.iter().enumerate() {
             let t0 = Instant::now();
             let r = tracer.span("core.probe", None, i as u64, || {
                 index
@@ -197,6 +201,9 @@ pub fn profile(plan: &LayerPlan<'_>, tracer: &mut Tracer) -> Values {
                     .len()
             });
             probe.push(t0.elapsed().as_secs_f64() * 1e6);
+            results += r;
+        }
+        for (i, b) in boxes.iter().enumerate() {
             let t0 = Instant::now();
             tracer.span("core.count_probe", None, i as u64, || {
                 index
@@ -204,9 +211,9 @@ pub fn profile(plan: &LayerPlan<'_>, tracer: &mut Tracer) -> Values {
                     .expect("valid box")
             });
             count_probe.push(t0.elapsed().as_secs_f64() * 1e6);
-            candidates += hits.len();
-            results += r;
-            if kind == IntersectionIndexKind::Quadtree {
+        }
+        if kind == IntersectionIndexKind::Quadtree {
+            for b in boxes {
                 let ids = index
                     .query_with_scratch(b, &mut scratch)
                     .expect("valid box");
@@ -500,7 +507,8 @@ pub fn replay_overhead(
 }
 
 /// Fills the traced report: every per-layer metric in order (0 for layers
-/// off the workload's path), the span file, and self time per layer.
+/// off the workload's path), the span file with the span and operation
+/// counts, and self time per layer.
 pub fn finish(
     report: &mut Report,
     values: &Values,
@@ -508,10 +516,6 @@ pub fn finish(
     cfg: &RunConfig,
     tally: Tally,
 ) {
-    let mut values = values.clone();
-    values.insert("trace.spans", tracer.spans().len() as f64);
-    values.insert("trace.client_ops", tally.attempted as f64);
-    values.insert("trace.client_failed", tally.failed as f64);
     let mut off_path = Vec::new();
     for (name, unit) in PER_LAYER {
         let value = values.get(name).copied().unwrap_or_else(|| {
@@ -535,6 +539,9 @@ pub fn finish(
         Ok(()) => report.stamp("spans_file", json_string(&path.display().to_string())),
         Err(e) => report.stamp("spans_file_error", json_string(&e.to_string())),
     }
+    report.stamp("spans", tracer.spans().len().to_string());
+    report.stamp("client_ops", tally.attempted.to_string());
+    report.stamp("client_failed", tally.failed.to_string());
 }
 
 /// Where a traced run writes its spans, relative to the working directory.

@@ -20,7 +20,6 @@ pub mod trace;
 pub mod write_evict;
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use eclipse_bench::workloads::DatasetFamily;
 use eclipse_core::weights::WeightRatioBox;
@@ -174,37 +173,6 @@ pub fn json_string(s: &str) -> String {
     format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
 }
 
-/// Latency samples in microseconds.
-#[derive(Clone, Debug, Default)]
-pub struct Samples(Vec<f64>);
-
-impl Samples {
-    /// Records the time since `start`.
-    pub fn record_since(&mut self, start: Instant) {
-        self.0.push(start.elapsed().as_secs_f64() * 1e6);
-    }
-
-    /// Records a value.
-    pub fn push(&mut self, us: f64) {
-        self.0.push(us);
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Whether there are no samples.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// Nearest-rank percentile `p` in `[0, 1]` (0 when empty).
-    pub fn percentile(&self, p: f64) -> f64 {
-        percentile(&self.0, p)
-    }
-}
-
 /// Nearest-rank percentile `p` in `[0, 1]` of unsorted values (0 when
 /// empty).
 pub fn percentile(values: &[f64], p: f64) -> f64 {
@@ -281,22 +249,6 @@ pub fn wire_box(b: &WeightRatioBox) -> WireBox {
     b.ranges().iter().map(|r| (r.lo(), r.hi())).collect()
 }
 
-/// Runs `setup` `reps` times and returns the median wall time in seconds
-/// together with the last set-up's value (earlier ones are dropped, which
-/// tears them down).
-pub fn repeated_setup<T>(reps: usize, mut setup: impl FnMut() -> T) -> (f64, T) {
-    let mut times = Vec::with_capacity(reps);
-    let mut last = None;
-    for _ in 0..reps.max(1) {
-        drop(last.take());
-        let start = Instant::now();
-        let value = setup();
-        times.push(start.elapsed().as_secs_f64());
-        last = Some(value);
-    }
-    (median(&times), last.expect("at least one set-up ran"))
-}
-
 /// Fills the stamp entries every workload shares.
 pub fn stamp_common(report: &mut Report, cfg: &RunConfig) {
     let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
@@ -367,10 +319,10 @@ pub struct EndToEnd {
     pub ops: u64,
     /// Seconds the measured operations took.
     pub elapsed_s: f64,
-    /// Read-call latencies.
-    pub query: Samples,
-    /// Write-ack latencies.
-    pub write: Samples,
+    /// Read-call latencies, microseconds.
+    pub query: Vec<f64>,
+    /// Write-ack latencies, microseconds.
+    pub write: Vec<f64>,
     /// Accounted resident bytes after set-up.
     pub resident_bytes: u64,
     /// Correctness tally.
@@ -394,23 +346,21 @@ impl EndToEnd {
         self.probes += other.probes;
         self.ops += other.ops;
         self.elapsed_s += other.elapsed_s;
-        self.query.0.extend(other.query.0);
-        self.write.0.extend(other.write.0);
+        self.query.extend(other.query);
+        self.write.extend(other.write);
         self.tally.add(other.tally);
     }
 }
 
 /// A report over measurement rounds of equal length.  Correctness counts
-/// every round, but rates and latency percentiles come from the faster half
-/// of the rounds, pooled: other tenants of the host can only slow a round
-/// down (the same loop's speed swings by a third from one second to the
-/// next on a shared host), so the faster half is the least disturbed
-/// sample of the code's own speed.  Rates and read latencies take the half
-/// with the highest operation rate; write latencies take the half with the
-/// lowest 99th-percentile write latency, because writes are few (one
-/// request in 16 or 64) and copy the point set, so a host stall shows in
-/// their tail far more than in the operation rate.  Every round's rate goes
-/// into the stamp.
+/// every round, but every rate and latency percentile comes from one set of
+/// rounds: the faster half by operation rate, pooled.  Other tenants of the
+/// host can only slow a round down (the same loop's speed swings by a third
+/// from one second to the next on a shared host), so the faster half is the
+/// least disturbed sample of the code's own speed.  The price is that a
+/// stall the code itself causes in fewer than half of the rounds is
+/// filtered out with the host's; one that hits most rounds shows in every
+/// figure.  Every round's rate goes into the stamp.
 pub fn rounds_report(setup_s: f64, resident_bytes: u64, mut rounds: Vec<EndToEnd>) -> Report {
     let mut tally = Tally::default();
     for r in &rounds {
@@ -418,21 +368,12 @@ pub fn rounds_report(setup_s: f64, resident_bytes: u64, mut rounds: Vec<EndToEnd
     }
     let rates: Vec<String> = rounds.iter().map(|r| json_number(r.ops_rate())).collect();
     let n_rounds = rounds.len();
-    rounds.sort_by(|a, b| {
-        a.write
-            .percentile(0.99)
-            .total_cmp(&b.write.percentile(0.99))
-    });
-    let mut quiet_writes = Samples::default();
-    for r in rounds.iter().take(n_rounds.div_ceil(2)) {
-        quiet_writes.0.extend_from_slice(&r.write.0);
-    }
+    let kept = n_rounds.div_ceil(2);
     rounds.sort_by(|a, b| b.ops_rate().total_cmp(&a.ops_rate()));
     let mut quiet = EndToEnd::default();
-    for r in rounds.into_iter().take(n_rounds.div_ceil(2)) {
+    for r in rounds.into_iter().take(kept) {
         quiet.absorb(r);
     }
-    quiet.write = quiet_writes;
     let mut report = Report {
         correct: tally.failed == 0,
         attempted: tally.attempted,
@@ -443,10 +384,10 @@ pub fn rounds_report(setup_s: f64, resident_bytes: u64, mut rounds: Vec<EndToEnd
         setup_s,
         quiet.probes as f64 / quiet.elapsed_s,
         quiet.ops_rate(),
-        quiet.query.percentile(0.5),
-        quiet.query.percentile(0.99),
-        quiet.write.percentile(0.5),
-        quiet.write.percentile(0.99),
+        percentile(&quiet.query, 0.5),
+        percentile(&quiet.query, 0.99),
+        percentile(&quiet.write, 0.5),
+        percentile(&quiet.write, 0.99),
         resident_bytes as f64 / 1e6,
         tally.success_rate(),
     ];
@@ -456,8 +397,7 @@ pub fn rounds_report(setup_s: f64, resident_bytes: u64, mut rounds: Vec<EndToEnd
     report.stamp(
         "samples",
         format!(
-            "{{\"rounds\": {n_rounds}, \"rounds_kept\": {}, \"query\": {}, \"write\": {}}}",
-            n_rounds.div_ceil(2),
+            "{{\"rounds\": {n_rounds}, \"rounds_kept\": {kept}, \"query\": {}, \"write\": {}}}",
             quiet.query.len(),
             quiet.write.len()
         ),

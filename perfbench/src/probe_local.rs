@@ -174,7 +174,7 @@ pub fn drive(
         if let (Some(t), Some(id)) = (hook.as_deref_mut(), span) {
             t.end(id);
         }
-        out.query.record_since(t0);
+        out.query.push(t0.elapsed().as_secs_f64() * 1e6);
         out.tally.record(ok);
         out.probes += BATCH as u64;
         out.ops += 1;
@@ -191,7 +191,7 @@ pub fn drive(
             if let (Some(t), Some(id)) = (hook.as_deref_mut(), span) {
                 t.end(id);
             }
-            out.write.record_since(t0);
+            out.write.push(t0.elapsed().as_secs_f64() * 1e6);
             stream.inserts[which as usize] += 1;
             let ok = result.is_ok_and(|s| {
                 s.outcome == MutationOutcome::InsertedDominated

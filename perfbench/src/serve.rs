@@ -33,7 +33,7 @@ use crate::layers::{self, LayerPlan, Values};
 use crate::trace::Tracer;
 use crate::{
     dataset, dominated_by, json_number, median, rounds_report, wire_box, EndToEnd, Report,
-    RunConfig, Samples, Tally, DIM,
+    RunConfig, Tally, DIM,
 };
 
 /// Points in the dataset.
@@ -473,7 +473,7 @@ fn traced(
         drive(client, points, boxes, expected, stream, dur, out, hook)
     });
     values.insert("trace.overhead_frac", overhead.frac);
-    let client_p50 = overhead.plain.query.percentile(0.5);
+    let client_p50 = median(&overhead.plain.query);
     values.insert("serve.client_p50_us", client_p50);
     values.insert(
         "serve.unattributed_us",
@@ -554,7 +554,7 @@ fn router_hop(
         .as_ref()
         .expect("routed deployments have a router");
     values.insert("router.failovers", router.failovers().len() as f64);
-    Ok((routed.query.percentile(0.5), routed.query.len()))
+    Ok((median(&routed.query), routed.query.len()))
 }
 
 /// Median in-process time of what the server executes per request: one
@@ -567,7 +567,7 @@ fn execute_us(points: &[Point], boxes: &[WeightRatioBox], tracer: &mut Tracer) -
         .build_index(IntersectionIndexKind::Quadtree)
         .expect("index builds");
     let opts = QueryOptions::default();
-    let mut times = Samples::default();
+    let mut times = Vec::with_capacity(2048);
     for (i, b) in boxes.iter().take(2048).enumerate() {
         let one = std::slice::from_ref(b);
         let t0 = Instant::now();
@@ -580,9 +580,9 @@ fn execute_us(points: &[Point], boxes: &[WeightRatioBox], tracer: &mut Tracer) -
                 engine.eclipse_count_batch(one, &opts).expect("valid box")
             });
         }
-        times.record_since(t0);
+        times.push(t0.elapsed().as_secs_f64() * 1e6);
     }
-    times.percentile(0.5)
+    median(&times)
 }
 
 /// Residency figures from a server's `Stats`.
@@ -626,7 +626,7 @@ fn oversubscription(
             );
             tally.add(e.tally);
             results[slot].0.push(e.ops as f64 / e.elapsed_s);
-            results[slot].1.push(e.query.percentile(0.5));
+            results[slot].1.push(median(&e.query));
             drop(client);
             drop(deployment);
         }

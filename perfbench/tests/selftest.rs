@@ -178,7 +178,7 @@ fn gate_rejects_a_diverged_mirror() {
     let mut wrong = datasets.clone();
     wrong[0] = dataset(4096, 99);
     let mirror = write_evict::Mirror::build(&wrong);
-    let budget = write_evict::Budget { bytes: 1 << 40 };
+    let budget = 1 << 40;
     let (mut client, server, _dir) =
         write_evict::start(&datasets, budget, "selftest").expect("server starts");
     let mut out = EndToEnd::default();
@@ -187,7 +187,7 @@ fn gate_rejects_a_diverged_mirror() {
         &mirror,
         &probe_ratio_boxes(256, 3, 7),
         budget,
-        &mut write_evict::Stream::new(7),
+        &mut write_evict::Stream::new(7, 0),
         Duration::from_millis(300),
         &mut out,
         None,
