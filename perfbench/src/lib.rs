@@ -352,28 +352,21 @@ impl EndToEnd {
     }
 }
 
-/// A report over measurement rounds of equal length.  Correctness counts
-/// every round, but every rate and latency percentile comes from one set of
-/// rounds: the faster half by operation rate, pooled.  Other tenants of the
-/// host can only slow a round down (the same loop's speed swings by a third
-/// from one second to the next on a shared host), so the faster half is the
-/// least disturbed sample of the code's own speed.  The price is that a
-/// stall the code itself causes in fewer than half of the rounds is
-/// filtered out with the host's; one that hits most rounds shows in every
-/// figure.  Every round's rate goes into the stamp.
-pub fn rounds_report(setup_s: f64, resident_bytes: u64, mut rounds: Vec<EndToEnd>) -> Report {
-    let mut tally = Tally::default();
-    for r in &rounds {
-        tally.add(r.tally);
-    }
+/// A report over measurement rounds of equal length: counts, time and
+/// latency samples of every round are pooled, and each rate and percentile
+/// is taken over the pool.  No round is set aside, so a stall the code
+/// causes in any round shows.  The rounds themselves give steadiness: each
+/// starts on a fresh deployment, so one unlucky thread or memory placement
+/// sets one round's speed, not the run's.  Every round's rate goes into the
+/// stamp.
+pub fn rounds_report(setup_s: f64, resident_bytes: u64, rounds: Vec<EndToEnd>) -> Report {
     let rates: Vec<String> = rounds.iter().map(|r| json_number(r.ops_rate())).collect();
     let n_rounds = rounds.len();
-    let kept = n_rounds.div_ceil(2);
-    rounds.sort_by(|a, b| b.ops_rate().total_cmp(&a.ops_rate()));
-    let mut quiet = EndToEnd::default();
-    for r in rounds.into_iter().take(kept) {
-        quiet.absorb(r);
+    let mut all = EndToEnd::default();
+    for r in rounds {
+        all.absorb(r);
     }
+    let tally = all.tally;
     let mut report = Report {
         correct: tally.failed == 0,
         attempted: tally.attempted,
@@ -382,12 +375,12 @@ pub fn rounds_report(setup_s: f64, resident_bytes: u64, mut rounds: Vec<EndToEnd
     };
     let values = [
         setup_s,
-        quiet.probes as f64 / quiet.elapsed_s,
-        quiet.ops_rate(),
-        percentile(&quiet.query, 0.5),
-        percentile(&quiet.query, 0.99),
-        percentile(&quiet.write, 0.5),
-        percentile(&quiet.write, 0.99),
+        all.probes as f64 / all.elapsed_s,
+        all.ops_rate(),
+        percentile(&all.query, 0.5),
+        percentile(&all.query, 0.99),
+        percentile(&all.write, 0.5),
+        percentile(&all.write, 0.99),
         resident_bytes as f64 / 1e6,
         tally.success_rate(),
     ];
@@ -397,9 +390,9 @@ pub fn rounds_report(setup_s: f64, resident_bytes: u64, mut rounds: Vec<EndToEnd
     report.stamp(
         "samples",
         format!(
-            "{{\"rounds\": {n_rounds}, \"rounds_kept\": {kept}, \"query\": {}, \"write\": {}}}",
-            quiet.query.len(),
-            quiet.write.len()
+            "{{\"rounds\": {n_rounds}, \"query\": {}, \"write\": {}}}",
+            all.query.len(),
+            all.write.len()
         ),
     );
     report.stamp("round_ops_per_s", format!("[{}]", rates.join(", ")));

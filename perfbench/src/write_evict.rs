@@ -18,9 +18,9 @@
 //! from its snapshot; set-up saves the snapshots as registration evicts.
 //!
 //! The run is split into rounds, each on a fresh server, snapshot directory
-//! and mirror: the server's start-up is one set-up sample, and a host stall
-//! that hits one round does not set the level of the whole run (see
-//! [`crate::rounds_report`]).
+//! and mirror: the server's start-up is one set-up sample, and one unlucky
+//! placement of the server's threads or memory sets one round's speed, not
+//! the run's (see [`crate::rounds_report`]).
 //!
 //! Every answer and acknowledgement is checked against an unbounded
 //! in-process mirror engine fed the same mutations, and the accounted
