@@ -3,7 +3,7 @@
 //! and boxes.
 //!
 //! Every traced run reports every per-layer metric.  A metric whose layer
-//! is not on the workload's path (the router on `probe_local`, say) reads
+//! is not on the workload's path (the router on `write_evict`, say) reads
 //! 0, and the stamp lists those under `layers_off_path`.
 
 use std::collections::BTreeMap;
@@ -78,32 +78,20 @@ pub const PER_LAYER: [(&str, &str); 42] = [
 /// Per-layer values by metric name.
 pub type Values = BTreeMap<&'static str, f64>;
 
-/// What to profile.
-pub struct LayerPlan<'a> {
-    /// The workload's dataset.
-    pub points: &'a [Point],
-    /// The workload's boxes.
-    pub boxes: &'a [WeightRatioBox],
-    /// Boxes per call on the workload (batch overhead is measured on
-    /// batches of this size).
-    pub batch: usize,
-    /// Mutation cycles (one of each class per cycle) to time.
-    pub mutation_cycles: usize,
-    /// Whether the workload goes over the wire (profiles the codec).
-    pub codec: bool,
-}
-
 /// Boxes profiled per layer call kind.
 const PROFILE_BOXES: usize = 512;
+/// Boxes per batch call when timing the batch fan-out overhead.
+const BATCH: usize = 64;
+/// Mutation cycles (one of each class per cycle) to time.
+const MUTATION_CYCLES: usize = 8;
 
-/// Profiles the in-process layers: skyline, geometry, index probe and
-/// replay, batch fan-out, mutation maintenance, snapshots, and (for served
-/// workloads) the wire codec.
-pub fn profile(plan: &LayerPlan<'_>, tracer: &mut Tracer) -> Values {
+/// Profiles the layers in process on the workload's dataset and boxes:
+/// skyline, geometry, index probe and replay, batch fan-out, mutation
+/// maintenance, snapshots, and the wire codec.
+pub fn profile(points: &[Point], boxes: &[WeightRatioBox], tracer: &mut Tracer) -> Values {
     let mut v = Values::new();
     let serial = ExecutionContext::serial();
-    let points = plan.points;
-    let boxes = &plan.boxes[..plan.boxes.len().min(PROFILE_BOXES)];
+    let boxes = &boxes[..boxes.len().min(PROFILE_BOXES)];
 
     // Skyline.
     let mut sky_ms = Vec::new();
@@ -243,7 +231,7 @@ pub fn profile(plan: &LayerPlan<'_>, tracer: &mut Tracer) -> Values {
     let opts = QueryOptions::default();
     let mut scratch = ProbeScratch::new();
     let mut overhead = Vec::new();
-    for (i, batch) in boxes.chunks(plan.batch.max(2)).enumerate() {
+    for (i, batch) in boxes.chunks(BATCH).enumerate() {
         let t0 = Instant::now();
         tracer.span("exec.batch", None, i as u64, || {
             engine
@@ -262,11 +250,9 @@ pub fn profile(plan: &LayerPlan<'_>, tracer: &mut Tracer) -> Values {
     v.insert("exec.batch_overhead_us", median(&overhead));
     drop(index);
 
-    mutation_profile(points, plan.mutation_cycles, tracer, &mut v);
+    mutation_profile(points, MUTATION_CYCLES, tracer, &mut v);
     persist_profile(&engine, tracer, &mut v);
-    if plan.codec {
-        codec_profile(boxes, &rows, tracer, &mut v);
-    }
+    codec_profile(boxes, &rows, tracer, &mut v);
     v
 }
 

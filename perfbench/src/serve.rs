@@ -29,7 +29,7 @@ use eclipse_router::{Router, RouterConfig, RouterHandle};
 use eclipse_serve::protocol::{MutationKind, Request, Response, StatsReport};
 use eclipse_serve::{Client, IndexKind, PipelinedClient, Server, ServerConfig, ServerHandle};
 
-use crate::layers::{self, LayerPlan, Values};
+use crate::layers::{self, Values};
 use crate::trace::Tracer;
 use crate::{
     dataset, dominated_by, json_number, median, rounds_report, wire_box, EndToEnd, Report,
@@ -459,14 +459,7 @@ fn traced(
     seconds: Duration,
 ) -> Result<Report, String> {
     let mut tracer = Tracer::new();
-    let plan = LayerPlan {
-        points,
-        boxes,
-        batch: 64,
-        mutation_cycles: 8,
-        codec: true,
-    };
-    let mut values = layers::profile(&plan, &mut tracer);
+    let mut values = layers::profile(points, boxes, &mut tracer);
     values.insert("serve.execute_us", execute_us(points, boxes, &mut tracer));
 
     let overhead = layers::replay_overhead(seconds, &mut tracer, |dur, out, hook| {

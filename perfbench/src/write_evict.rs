@@ -43,7 +43,7 @@ use eclipse_serve::client::ClientResult;
 use eclipse_serve::protocol::{MutationKind, Request, Response, StatsReport};
 use eclipse_serve::{IndexKind, PipelinedClient, Server, ServerConfig, ServerHandle};
 
-use crate::layers::{self, LayerPlan};
+use crate::layers;
 use crate::trace::Tracer;
 use crate::{
     dataset, dominated_by, dominating, median, rounds_report, wire_box, EndToEnd, Report,
@@ -527,14 +527,7 @@ pub fn run(cfg: &RunConfig) -> Result<Report, String> {
         let mut stream = Stream::new(cfg.seed, 0);
         let warm = warm_up(&mut client, &mirror, &boxes, budget, &mut stream);
         let mut tracer = Tracer::new();
-        let plan = LayerPlan {
-            points: &datasets[0],
-            boxes: &boxes,
-            batch: 64,
-            mutation_cycles: 8,
-            codec: true,
-        };
-        let mut values = layers::profile(&plan, &mut tracer);
+        let mut values = layers::profile(&datasets[0], &boxes, &mut tracer);
         let overhead = layers::replay_overhead(seconds, &mut tracer, |dur, out, hook| {
             drive(
                 &mut client,

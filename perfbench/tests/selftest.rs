@@ -7,9 +7,7 @@ use std::time::Duration;
 use eclipse_bench::workloads::probe_ratio_boxes;
 use perfbench::layers::PER_LAYER;
 use perfbench::serve::{self, Topology};
-use perfbench::{
-    dataset, probe_local, run, write_evict, EndToEnd, RunConfig, Workload, END_TO_END,
-};
+use perfbench::{dataset, run, write_evict, EndToEnd, RunConfig, Workload, END_TO_END};
 
 /// `(name, unit)` of every metric listed in one section of `BENCHMARK.json`.
 fn declared(section: &str) -> Vec<(String, String)> {
@@ -147,29 +145,6 @@ fn gate_rejects_a_corrupted_served_answer() {
         assert!(out.tally.attempted > 100);
         assert_eq!(out.tally.failed > 0, should_fail, "{:?}", out.tally);
     }
-}
-
-#[test]
-fn gate_rejects_a_corrupted_local_answer() {
-    let points = dataset(4096, 0);
-    let boxes = probe_ratio_boxes(256, 3, 7);
-    let engines = probe_local::Engines::build(&points);
-    let mut expected = probe_local::reference(&engines, &boxes).expect("engines agree");
-    expected.rows[0].push(usize::MAX);
-    let mut out = EndToEnd::default();
-    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(7);
-    probe_local::drive(
-        &engines,
-        &points,
-        &boxes,
-        &expected,
-        &mut rng,
-        &mut probe_local::Stream::default(),
-        Duration::from_millis(200),
-        &mut out,
-        None,
-    );
-    assert!(out.tally.failed > 0, "{:?}", out.tally);
 }
 
 #[test]
