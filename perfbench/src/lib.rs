@@ -22,6 +22,7 @@
 //! the 0.25 bound.  The traced runs still time the index layers in process
 //! (see [`layers::profile`]).
 
+pub mod affinity;
 pub mod layers;
 pub mod serve;
 pub mod trace;
@@ -31,7 +32,7 @@ use std::fmt::Write as _;
 
 use eclipse_bench::workloads::DatasetFamily;
 use eclipse_core::weights::WeightRatioBox;
-use eclipse_core::Point;
+use eclipse_core::{ExecutionContext, Point};
 use eclipse_serve::protocol::WireBox;
 
 /// Seed of every dataset the workloads load; `--seed` never changes the
@@ -250,9 +251,9 @@ pub fn wire_box(b: &WeightRatioBox) -> WireBox {
     b.ranges().iter().map(|r| (r.lo(), r.hi())).collect()
 }
 
-/// Fills the stamp entries every workload shares.
-pub fn stamp_common(report: &mut Report, cfg: &RunConfig) {
-    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+/// Fills the stamp entries every workload shares: `nproc` is the number of
+/// CPUs the process could use before it pinned itself to `cpu`.
+pub fn stamp_common(report: &mut Report, cfg: &RunConfig, nproc: usize, cpu: usize) {
     report.stamp("workload", json_string(cfg.workload.name()));
     report.stamp("seed", cfg.seed.to_string());
     report.stamp("dataset_seed", DATASET_SEED.to_string());
@@ -260,6 +261,7 @@ pub fn stamp_common(report: &mut Report, cfg: &RunConfig) {
     report.stamp("trace", cfg.trace.to_string());
     report.stamp("git_rev", json_string(&git_rev()));
     report.stamp("nproc", nproc.to_string());
+    report.stamp("pinned_cpu", cpu.to_string());
 }
 
 /// The git revision of the working directory, or `"unknown"` when it is not
@@ -287,11 +289,16 @@ fn git_rev() -> String {
 /// Set-up failures (a socket that cannot bind, a snapshot directory that
 /// cannot be created); wrong answers are reported, not returned as errors.
 pub fn run(cfg: &RunConfig) -> Result<Report, String> {
+    // The global pool takes its size from the CPUs the process may use when
+    // it is first touched: touch it before pinning, so the traced run's
+    // sizing diagnostic sees the host's cores.
+    let _ = ExecutionContext::default();
+    let (cpu, nproc) = affinity::pin()?;
     let mut report = match cfg.workload {
         Workload::ServePipelined => serve::run(cfg)?,
         Workload::WriteEvict => write_evict::run(cfg)?,
     };
-    stamp_common(&mut report, cfg);
+    stamp_common(&mut report, cfg, nproc, cpu);
     Ok(report)
 }
 

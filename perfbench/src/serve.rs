@@ -11,8 +11,8 @@
 //! for the router's hop.
 //!
 //! Every server runs one dispatcher worker on a serial execution context,
-//! so the client, event loop and worker threads fit the host's cores
-//! without oversubscription.
+//! and the run keeps the client, event loop and worker threads on one CPU
+//! (see [`crate::affinity`]).
 
 use std::collections::VecDeque;
 use std::net::SocketAddr;
@@ -29,6 +29,7 @@ use eclipse_router::{Router, RouterConfig, RouterHandle};
 use eclipse_serve::protocol::{MutationKind, Request, Response, StatsReport};
 use eclipse_serve::{Client, IndexKind, PipelinedClient, Server, ServerConfig, ServerHandle};
 
+use crate::affinity;
 use crate::layers::{self, Values};
 use crate::trace::Tracer;
 use crate::{
@@ -495,7 +496,9 @@ fn traced(
         ),
     );
     values.insert("router.hop_us", hop.0 - client_p50);
-    let diag = oversubscription(cfg, points, boxes, expected, &mut tally)?;
+    // The sizing question is about the host's cores, so its servers run
+    // unpinned.
+    let diag = affinity::unpinned(|| oversubscription(cfg, points, boxes, expected, &mut tally))??;
     report.diagnostic("oversubscription", diag);
     layers::finish(&mut report, &values, &tracer, cfg, tally);
     report.stamp(
