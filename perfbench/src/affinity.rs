@@ -5,16 +5,14 @@
 //! handoff to another CPU that has gone idle waits for the hypervisor to
 //! run that CPU again, and that wait follows the load of the host's other
 //! tenants, not the program.  Measured on a 2-vCPU host in a busy period,
-//! with the threads left free to move, six 10 s runs spread
-//! `serve_pipelined`'s p99 latencies 0.41 to 0.47 and `write_evict`'s
-//! `query_p50_us` 0.39 (quartile distance over median); pinned to one CPU,
-//! in runs interleaved with those, 0.12 to 0.17 and 0.14.  On one CPU every handoff is
+//! the threads left free to move spread `serve_pipelined`'s p99 latencies
+//! 0.41 to 0.47 and `write_evict`'s `query_p50_us` 0.39 across six runs
+//! (quartile distance over median); pinned to one CPU, in the same
+//! interleaved runs, 0.12 to 0.17 and 0.14.  On one CPU every handoff is
 //! local, and the CPU stays busy for as long as a request is in flight.
 //!
 //! Threads inherit the affinity of the thread that spawns them, so pinning
-//! the calling thread before any server starts pins the servers too.  The
-//! measurement rounds of a run take the CPUs in turn, so a slow spell on
-//! the physical core under one of them sets part of the run, not all of it.
+//! the calling thread before any server starts pins the servers too.
 //! [`unpinned`] runs a closure on the CPUs the process started with, for
 //! the diagnostic that compares server sizings across the host's cores.
 
@@ -79,12 +77,12 @@ fn apply(set: &CpuSet) -> Result<(), String> {
 /// The CPU set the first call to [`pin`] found.
 static HOST: OnceLock<CpuSet> = OnceLock::new();
 
-/// Pins the calling thread to the `k`-th CPU (modulo their number) of those
-/// the process started with; returns that CPU and their number.
+/// Pins the calling thread to the last CPU it may run on and returns that
+/// CPU and how many it could use before.
 ///
 /// # Errors
 /// The kernel refusing to read or set the mask.
-pub fn pin(k: usize) -> Result<(usize, usize), String> {
+pub fn pin() -> Result<(usize, usize), String> {
     let host = match HOST.get() {
         Some(set) => *set,
         None => {
@@ -93,10 +91,7 @@ pub fn pin(k: usize) -> Result<(usize, usize), String> {
         }
     };
     let cpus = host.cpus();
-    if cpus.is_empty() {
-        return Err("no CPU in the affinity mask".to_string());
-    }
-    let cpu = cpus[k % cpus.len()];
+    let cpu = *cpus.last().ok_or("no CPU in the affinity mask")?;
     apply(&CpuSet::only(cpu))?;
     Ok((cpu, cpus.len()))
 }

@@ -252,8 +252,8 @@ pub fn wire_box(b: &WeightRatioBox) -> WireBox {
 }
 
 /// Fills the stamp entries every workload shares: `nproc` is the number of
-/// CPUs the process could use before it pinned itself.
-pub fn stamp_common(report: &mut Report, cfg: &RunConfig, nproc: usize) {
+/// CPUs the process could use before it pinned itself to `cpu`.
+pub fn stamp_common(report: &mut Report, cfg: &RunConfig, nproc: usize, cpu: usize) {
     report.stamp("workload", json_string(cfg.workload.name()));
     report.stamp("seed", cfg.seed.to_string());
     report.stamp("dataset_seed", DATASET_SEED.to_string());
@@ -261,10 +261,7 @@ pub fn stamp_common(report: &mut Report, cfg: &RunConfig, nproc: usize) {
     report.stamp("trace", cfg.trace.to_string());
     report.stamp("git_rev", json_string(&git_rev()));
     report.stamp("nproc", nproc.to_string());
-    report.stamp(
-        "pinning",
-        json_string("one CPU at a time, the next one each round"),
-    );
+    report.stamp("pinned_cpu", cpu.to_string());
 }
 
 /// The git revision of the working directory, or `"unknown"` when it is not
@@ -296,12 +293,12 @@ pub fn run(cfg: &RunConfig) -> Result<Report, String> {
     // it is first touched: touch it before pinning, so the traced run's
     // sizing diagnostic sees the host's cores.
     let _ = ExecutionContext::default();
-    let (_, nproc) = affinity::pin(0)?;
+    let (cpu, nproc) = affinity::pin()?;
     let mut report = match cfg.workload {
         Workload::ServePipelined => serve::run(cfg)?,
         Workload::WriteEvict => write_evict::run(cfg)?,
     };
-    stamp_common(&mut report, cfg, nproc);
+    stamp_common(&mut report, cfg, nproc, cpu);
     Ok(report)
 }
 

@@ -396,7 +396,6 @@ pub fn run(cfg: &RunConfig) -> Result<Report, String> {
         let mut resident = 0;
         let mut setups = Vec::with_capacity(ROUNDS);
         for round in 0..ROUNDS as u64 {
-            affinity::pin(round as usize)?;
             let t0 = Instant::now();
             let (mut client, _deployment) = connect(Topology::Direct, &points, 1, &serial)?;
             setups.push(t0.elapsed().as_secs_f64());

@@ -43,7 +43,6 @@ use eclipse_serve::client::ClientResult;
 use eclipse_serve::protocol::{MutationKind, Request, Response, StatsReport};
 use eclipse_serve::{IndexKind, PipelinedClient, Server, ServerConfig, ServerHandle};
 
-use crate::affinity;
 use crate::layers;
 use crate::trace::Tracer;
 use crate::{
@@ -572,7 +571,6 @@ pub fn run(cfg: &RunConfig) -> Result<Report, String> {
         let mut resident = 0;
         let (mut evictions, mut reloads) = (0, 0);
         for round in 0..ROUNDS as u64 {
-            affinity::pin(round as usize)?;
             // The mirror is built outside the timed set-up: it is the
             // benchmark's reference, not part of the system under test.
             let mirror = Mirror::build(&datasets);
