@@ -5,11 +5,12 @@
 //! handoff to another CPU that has gone idle waits for the hypervisor to
 //! run that CPU again, and that wait follows the load of the host's other
 //! tenants, not the program.  Measured on a 2-vCPU host in a busy period,
-//! the threads left free to move spread `serve_pipelined`'s p99 latencies
-//! 0.41 to 0.47 and `write_evict`'s `query_p50_us` 0.39 across six runs
-//! (quartile distance over median); pinned to one CPU, in the same
-//! interleaved runs, 0.12 to 0.17 and 0.14.  On one CPU every handoff is
-//! local, and the CPU stays busy for as long as a request is in flight.
+//! with the threads left free to move, six 10 s runs spread
+//! `serve_pipelined`'s p99 latencies 0.41 to 0.47 and `write_evict`'s
+//! `query_p50_us` 0.39 (quartile distance over median); pinned to one CPU,
+//! in runs interleaved with those, 0.12 to 0.17 and 0.14.  On one CPU
+//! every handoff is local, and the CPU stays busy for as long as a request
+//! is in flight.
 //!
 //! Threads inherit the affinity of the thread that spawns them, so pinning
 //! the calling thread before any server starts pins the servers too.
