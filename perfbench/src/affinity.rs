@@ -22,11 +22,11 @@ use std::sync::OnceLock;
 /// A CPU mask as the kernel's `cpu_set_t`: 1024 bits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(transparent)]
-pub struct CpuSet([u64; 16]);
+struct CpuSet([u64; 16]);
 
 impl CpuSet {
     /// The CPUs in the set, in increasing order.
-    pub fn cpus(&self) -> Vec<usize> {
+    fn cpus(&self) -> Vec<usize> {
         (0..self.0.len() * 64)
             .filter(|&c| self.0[c / 64] & (1 << (c % 64)) != 0)
             .collect()

@@ -297,8 +297,10 @@ fn class(kind: MutationKind) -> usize {
     }
 }
 
-/// Runs the loop for `duration` of wall time, checking every answer against
-/// the mirror and the accounted total against the budget (bytes).
+/// Runs the loop for `duration` of wall time, and for at least one cycle of
+/// [`COLD_EVERY`] operations so that every call queries a cold dataset even
+/// when its CPU is contended, checking every answer against the mirror and
+/// the accounted total against the budget (bytes).
 #[allow(clippy::too_many_arguments)]
 pub fn drive(
     client: &mut PipelinedClient,
@@ -312,7 +314,8 @@ pub fn drive(
 ) {
     let opts = QueryOptions::default();
     let start = Instant::now();
-    while start.elapsed() < duration {
+    let first = stream.op;
+    while start.elapsed() < duration || stream.op - first < COLD_EVERY {
         let op = stream.op;
         stream.op += 1;
         let d = if op.is_multiple_of(2) {
