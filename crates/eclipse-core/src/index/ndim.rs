@@ -34,6 +34,8 @@
 //! itself.  [`EclipseIndex::query_batch`] fans locality-sorted probes out
 //! over an [`ExecutionContext`] with one scratch per worker.
 
+use std::sync::Arc;
+
 use eclipse_persist::{enc, Cursor, PersistError, SnapshotReader, SnapshotWriter};
 use serde::{Deserialize, Serialize};
 
@@ -185,7 +187,9 @@ pub struct EclipseIndex {
     /// Pairs of *local* skyline indices, aligned with the hyperplane slab
     /// owned by the backend tree.
     pairs: Vec<(u32, u32)>,
-    backend: Backend,
+    /// The arena, shared by every id-remapped copy of the index (a
+    /// non-skyline delete changes ids, never the arena).
+    backend: Arc<Backend>,
     root_cell: BoundingBox,
     config: IndexConfig,
 }
@@ -351,7 +355,7 @@ impl EclipseIndex {
             skyline_ids,
             skyline_coords,
             pairs,
-            backend,
+            backend: Arc::new(backend),
             root_cell,
             config,
         })
@@ -382,18 +386,29 @@ impl EclipseIndex {
     /// the deleted row is **not** a skyline member — the skyline point-set
     /// (and with it every hyperplane and arena byte) is then unchanged, so
     /// the copy is byte-identical to a fresh build over the mutated dataset.
+    /// The copy shares the arena and copies only the skyline-sized buffers;
+    /// the remapped id list keeps the original's capacity, so the copy's
+    /// [`EclipseIndex::heap_bytes`] equals the original's.
     pub(crate) fn with_deleted_id(&self, deleted: usize) -> Self {
         debug_assert!(
             !self.skyline_ids.contains(&deleted),
             "id remap is only sound for non-skyline deletes"
         );
-        let mut out = self.clone();
-        for id in &mut out.skyline_ids {
-            if *id > deleted {
-                *id -= 1;
-            }
+        let mut skyline_ids = Vec::with_capacity(self.skyline_ids.capacity());
+        skyline_ids.extend(
+            self.skyline_ids
+                .iter()
+                .map(|&id| if id > deleted { id - 1 } else { id }),
+        );
+        EclipseIndex {
+            dim: self.dim,
+            skyline_ids,
+            skyline_coords: self.skyline_coords.clone(),
+            pairs: self.pairs.clone(),
+            backend: Arc::clone(&self.backend),
+            root_cell: self.root_cell.clone(),
+            config: self.config,
         }
-        out
     }
 
     /// The configuration used to build the index.
@@ -403,7 +418,7 @@ impl EclipseIndex {
 
     /// Diagnostic: depth of the underlying spatial structure.
     pub fn backend_depth(&self) -> usize {
-        match &self.backend {
+        match &*self.backend {
             Backend::Quad(t) => t.depth(),
             Backend::Cutting(t) => t.depth(),
         }
@@ -415,7 +430,7 @@ impl EclipseIndex {
     /// capacity are counted at capacity; allocator headers and the inline
     /// struct itself are not included.
     pub fn heap_bytes(&self) -> usize {
-        let backend = match &self.backend {
+        let backend = match &*self.backend {
             Backend::Quad(t) => t.heap_bytes(),
             Backend::Cutting(t) => t.heap_bytes(),
         };
@@ -428,7 +443,7 @@ impl EclipseIndex {
 
     /// Diagnostic: node count of the underlying spatial structure.
     pub fn backend_nodes(&self) -> usize {
-        match &self.backend {
+        match &*self.backend {
             Backend::Quad(t) => t.node_count(),
             Backend::Cutting(t) => t.node_count(),
         }
@@ -436,7 +451,7 @@ impl EclipseIndex {
 
     /// The intersection-hyperplane rows, owned by the backend tree.
     fn slab(&self) -> &HyperplaneSlab {
-        match &self.backend {
+        match &*self.backend {
             Backend::Quad(t) => t.slab(),
             Backend::Cutting(t) => t.slab(),
         }
@@ -638,7 +653,7 @@ impl EclipseIndex {
             .all(|((rl, rh), (ql, qh))| rl <= ql && rh >= qh);
         if contained {
             let mut traversal = TraversalScratch::new();
-            Ok(match &self.backend {
+            Ok(match &*self.backend {
                 Backend::Quad(t) => t.count_in_box(&qlo, &qhi, &mut traversal),
                 Backend::Cutting(t) => t.count_in_box(&qlo, &qhi, &mut traversal),
             })
@@ -696,7 +711,7 @@ impl EclipseIndex {
         writer.section(SECTION_SKYLINE, skyline);
 
         let mut backend = Vec::new();
-        match &self.backend {
+        match &*self.backend {
             Backend::Quad(t) => {
                 enc::put_u8(&mut backend, BACKEND_TAG_QUAD);
                 t.encode_into(&mut backend);
@@ -901,7 +916,7 @@ impl EclipseIndex {
             skyline_ids,
             skyline_coords,
             pairs,
-            backend,
+            backend: Arc::new(backend),
             root_cell,
             config,
         })
@@ -1020,7 +1035,7 @@ impl EclipseIndex {
             .zip(qlo.iter().zip(qhi.iter()))
             .all(|((rl, rh), (ql, qh))| rl <= ql && rh >= qh);
         if contained {
-            match &self.backend {
+            match &*self.backend {
                 Backend::Quad(t) => t.query_into(qlo, qhi, traversal, candidates),
                 Backend::Cutting(t) => t.query_into(qlo, qhi, traversal, candidates),
             }
@@ -1570,5 +1585,28 @@ mod tests {
             assert_eq!(idx.query(&b).unwrap(), eclipse_baseline(&pts, &b).unwrap());
         }
         assert!(idx.backend_nodes() >= 1);
+    }
+
+    #[test]
+    fn id_remap_shares_the_arena_and_keeps_the_accounting() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(77);
+        let pts: Vec<Point> = (0..300)
+            .map(|_| Point::new((0..3).map(|_| rng.gen_range(0.0..1.0)).collect()))
+            .collect();
+        for cfg in both_kinds() {
+            let idx = EclipseIndex::build(&pts, cfg).unwrap();
+            let plain = (0..pts.len())
+                .find(|i| !idx.skyline_ids().contains(i))
+                .unwrap();
+            let remapped = idx.with_deleted_id(plain);
+            assert!(Arc::ptr_eq(&idx.backend, &remapped.backend));
+            assert_eq!(remapped.heap_bytes(), idx.heap_bytes());
+            let shifted: Vec<usize> = idx
+                .skyline_ids()
+                .iter()
+                .map(|&i| if i > plain { i - 1 } else { i })
+                .collect();
+            assert_eq!(remapped.skyline_ids(), shifted.as_slice());
+        }
     }
 }

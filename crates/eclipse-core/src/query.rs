@@ -927,6 +927,9 @@ impl EclipseEngine {
             // Dominated insert: skyline and arenas are unchanged — re-tag the
             // built slots at the new epoch so probes keep hitting them.
             let slots = self.built_slots(version.epoch);
+            // Release this call's handle on the points first, so the push
+            // below appends in place unless a probe still holds them.
+            drop(version);
             let mut dataset = self.dataset.write().expect("dataset lock poisoned");
             Arc::make_mut(&mut dataset.points).push(point);
             dataset.epoch += 1;
@@ -1016,6 +1019,9 @@ impl EclipseEngine {
                     .iter()
                     .map(|&s| if s > id { s - 1 } else { s })
                     .collect();
+                // As for a dominated insert: without this call's handle on
+                // the points, the removal happens in place.
+                drop(version);
                 let mut dataset = self.dataset.write().expect("dataset lock poisoned");
                 Arc::make_mut(&mut dataset.points).remove(id);
                 dataset.epoch += 1;
@@ -1678,6 +1684,39 @@ mod tests {
             rebuilt.eclipse_with(&b, Algorithm::IndexQuadtree).unwrap()
         );
         assert_eq!(e.skyline(), rebuilt.skyline());
+    }
+
+    #[test]
+    fn absorbed_mutations_update_the_points_in_place() {
+        // Spare capacity, so an in-place push keeps the buffer where it is.
+        let mut points = Vec::with_capacity(8);
+        points.extend(paper_points());
+        let e = EclipseEngine::new(points).unwrap();
+        e.build_index(IntersectionIndexKind::Quadtree).unwrap();
+        let buffer = e.points().as_ptr();
+        // A dominated insert and a non-skyline delete leave the skyline
+        // alone and must not copy the point set.
+        let summary = e.insert(p(&[5.0, 5.0])).unwrap();
+        assert_eq!(summary.outcome, MutationOutcome::InsertedDominated);
+        assert_eq!(
+            e.points().as_ptr(),
+            buffer,
+            "dominated insert copied the points"
+        );
+        let summary = e.delete(4).unwrap();
+        assert_eq!(summary.outcome, MutationOutcome::DeletedNonSkyline);
+        assert_eq!(
+            e.points().as_ptr(),
+            buffer,
+            "non-skyline delete copied the points"
+        );
+        // A probe holding the points still forces a copy: it keeps reading
+        // the version it took.
+        let held = e.points();
+        e.insert(p(&[5.0, 5.0])).unwrap();
+        assert_eq!(held.len(), 4);
+        assert_eq!(e.len(), 5);
+        assert_ne!(e.points().as_ptr(), held.as_ptr());
     }
 
     #[test]

@@ -40,9 +40,9 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::approx::EPS;
+use crate::build::{build_levels, median_inplace, ArenaTree, Limits, PlanScratch};
 use crate::hyperplane::{Hyperplane, HyperplaneSlab};
 use crate::point::BoundingBox;
-use crate::quadtree::{crossing_sample, PARALLEL_BUILD_MIN_ENTRIES};
 use crate::traverse::{classify_cell, CellRelation, TraversalScratch};
 
 /// How the cut coordinate of an overfull cell is chosen.
@@ -183,22 +183,25 @@ impl CuttingTree {
         Self::build_from_slab_with(slab, cell, config, None)
     }
 
-    /// Builds the index, optionally spreading per-node entry partitioning
-    /// over `pool`.
+    /// Builds the index, optionally spreading per-node split planning over
+    /// `pool`.
     ///
-    /// Construction is level-synchronous breadth-first, in three phases per
-    /// level: cut *selection* runs serially in frontier order, entry
-    /// *partitioning* — the expensive sign tests — runs in parallel when a
-    /// pool is supplied, and the *stitch* (entry recording, budget checks,
-    /// adjacent child-pair allocation) replays the exact serial frontier
-    /// order.  The arena, and therefore the snapshot encoding, is
-    /// byte-identical for any thread count.
+    /// Construction is the level-synchronous plan/stitch build of the
+    /// private `build` module: nodes are allocated breadth-first and record
+    /// their entries in the arena as they are allocated, so each level's
+    /// frontier is a range of node ids.  Per node, the cut is chosen and
+    /// the entries are partitioned between the two halves — the expensive
+    /// sign tests — into reusable flat scratch (in parallel when a pool is
+    /// supplied), then *stitched* serially in frontier order (budget checks,
+    /// adjacent child-pair allocation, entry recording).  The arena, and
+    /// therefore the snapshot encoding and the buffers' capacities, is
+    /// identical for any thread count.
     ///
     /// Levels are processed in budget-sized *chunks* (each cut allocates
     /// exactly two children, so a chunk never overruns `max_nodes` by more
-    /// than one node's pair): early levels form one chunk — maximal
-    /// parallelism — while the level where a budget fills shrinks its chunks
-    /// so at most one chunk of planning is thrown away.
+    /// than one node's pair) and capped in entries so the planning scratch
+    /// stays small; the level where a budget fills shrinks its chunks so at
+    /// most one chunk of planning is thrown away.
     ///
     /// The random draws of [`CutRule::SampledCrossings`] are a pure function
     /// of `(config.seed, node id)` (`node_rng`): every node streams from
@@ -223,6 +226,7 @@ impl CuttingTree {
     ) -> Self {
         let mut all = Vec::new();
         slab.filter_all_intersecting_into(cell.lo(), cell.hi(), &mut all);
+        let k = cell.dim();
         let mut tree = CuttingTree {
             slab,
             nodes: Vec::new(),
@@ -232,159 +236,20 @@ impl CuttingTree {
             config,
             max_depth_reached: 0,
         };
-        tree.alloc_node(&cell);
-        let mut frontier: Vec<(u32, Vec<u32>)> = vec![(0, all)];
-        let mut depth = 0usize;
-        while !frontier.is_empty() {
-            tree.max_depth_reached = tree.max_depth_reached.max(depth);
-            let depth_open = depth < tree.config.max_depth;
-            let mut next = Vec::new();
-            let mut i = 0usize;
-            while i < frontier.len() {
-                if !depth_open
-                    || tree.nodes.len() >= tree.config.max_nodes
-                    || tree.entries.len() >= tree.config.max_entries
-                {
-                    // No node from here on can split (depth and budget
-                    // exhaustion only ever grow); record the remaining entry
-                    // lists and finish the level without planning them.
-                    for (idx, node_entries) in &frontier[i..] {
-                        tree.record_entries(*idx, node_entries);
-                    }
-                    break;
-                }
-                // Chunk sizing: each cut allocates exactly two children.
-                let node_room = (tree.config.max_nodes - tree.nodes.len()) / 2;
-                let entry_room = tree.config.max_entries - tree.entries.len();
-                let mut end = i;
-                let mut chunk_entries = 0usize;
-                while end < frontier.len()
-                    && end - i < node_room.max(1)
-                    && chunk_entries < entry_room
-                {
-                    chunk_entries += frontier[end].1.len();
-                    end += 1;
-                }
-                // Phase A — cut selection, serial in frontier order; the
-                // [`CutRule::SampledCrossings`] draws come from a per-node
-                // RNG ([`node_rng`]), so neither chunking nor budget state
-                // can shift another node's sample.
-                let cuts: Vec<Option<(usize, f64)>> = frontier[i..end]
-                    .iter()
-                    .map(|(idx, node_entries)| {
-                        if node_entries.len() <= tree.config.max_capacity {
-                            return None;
-                        }
-                        let cell = tree.node_cell(*idx);
-                        match tree.config.cut {
-                            CutRule::SampledCrossings => {
-                                let mut rng = node_rng(tree.config.seed, *idx);
-                                choose_cut(&tree.slab, &cell, node_entries, &tree.config, &mut rng)
-                            }
-                            CutRule::MedianExtents => {
-                                choose_cut_median(&tree.slab, &cell, node_entries)
-                            }
-                        }
-                    })
-                    .collect();
-                // Phase B — partition the entries of every cut node, in
-                // parallel when the chunk carries enough work.
-                let jobs: Vec<CutJob> = frontier[i..end].iter().zip(cuts).collect();
-                let plans: Vec<Option<CutPlan>> = {
-                    let tree = &tree;
-                    let slab = &tree.slab;
-                    let plan_one = |&((idx, node_entries), cut): &CutJob| -> Option<CutPlan> {
-                        let (axis, at) = cut?;
-                        let cell = tree.node_cell(*idx);
-                        let (low_cell, high_cell) = cell.split_at(axis, at);
-                        // Guard against non-progress cuts (degenerate halves).
-                        if low_cell.extent(axis) <= EPS || high_cell.extent(axis) <= EPS {
-                            return None;
-                        }
-                        let mut low_entries = Vec::new();
-                        slab.filter_intersecting_into(
-                            node_entries,
-                            low_cell.lo(),
-                            low_cell.hi(),
-                            &mut low_entries,
-                        );
-                        let mut high_entries = Vec::new();
-                        slab.filter_intersecting_into(
-                            node_entries,
-                            high_cell.lo(),
-                            high_cell.hi(),
-                            &mut high_entries,
-                        );
-                        // If the cut failed to separate anything, stop to
-                        // avoid infinite recursion (every hyperplane crosses
-                        // both halves).
-                        if low_entries.len() == node_entries.len()
-                            && high_entries.len() == node_entries.len()
-                        {
-                            return None;
-                        }
-                        Some(CutPlan {
-                            axis,
-                            at,
-                            low_cell,
-                            high_cell,
-                            low_entries,
-                            high_entries,
-                        })
-                    };
-                    let cut_entries: usize = jobs
-                        .iter()
-                        .filter(|(_, cut)| cut.is_some())
-                        .map(|((_, e), _)| e.len())
-                        .sum();
-                    match pool {
-                        Some(pool)
-                            if pool.threads() > 1 && cut_entries >= PARALLEL_BUILD_MIN_ENTRIES =>
-                        {
-                            pool.par_map(&jobs, plan_one)
-                        }
-                        _ => jobs.iter().map(plan_one).collect(),
-                    }
-                };
-                // Phase C — stitch, serially and in frontier order
-                // (identical to the historical one-node-at-a-time BFS pop
-                // order).  The checks below observe the live arena exactly
-                // as the serial builder did.
-                for (j, plan) in plans.into_iter().enumerate() {
-                    let (idx, node_entries) = &frontier[i + j];
-                    // Every node records its (deduplicated) entry list, so
-                    // queries can report a fully contained subtree straight
-                    // from its root.
-                    tree.record_entries(*idx, node_entries);
-                    if node_entries.len() <= tree.config.max_capacity
-                        || depth >= tree.config.max_depth
-                        || tree.nodes.len() >= tree.config.max_nodes
-                        || tree.entries.len() >= tree.config.max_entries
-                    {
-                        continue;
-                    }
-                    let Some(plan) = plan else { continue };
-                    let low = tree.nodes.len() as u32;
-                    tree.alloc_node(&plan.low_cell);
-                    tree.alloc_node(&plan.high_cell);
-                    let node = &mut tree.nodes[*idx as usize];
-                    node.axis = plan.axis as u32;
-                    node.at = plan.at;
-                    node.low = low;
-                    node.high = low + 1;
-                    next.push((low, plan.low_entries));
-                    next.push((low + 1, plan.high_entries));
-                }
-                i = end;
-            }
-            frontier = next;
-            depth += 1;
-        }
+        tree.alloc_node(cell.lo(), cell.hi());
+        let limits = Limits {
+            max_capacity: config.max_capacity,
+            max_depth: config.max_depth,
+            max_nodes: config.max_nodes,
+            max_entries: config.max_entries,
+            max_children: 2,
+        };
+        build_levels(&mut tree, k, limits, &all, pool);
         tree
     }
 
-    /// Appends a leaf placeholder for `cell` to the arena.
-    fn alloc_node(&mut self, cell: &BoundingBox) {
+    /// Appends a leaf placeholder for the cell `[lo, hi]` to the arena.
+    fn alloc_node(&mut self, lo: &[f64], hi: &[f64]) {
         self.nodes.push(Node {
             axis: 0,
             at: 0.0,
@@ -393,27 +258,8 @@ impl CuttingTree {
             entries_start: 0,
             entries_end: 0,
         });
-        self.cells.extend_from_slice(cell.lo());
-        self.cells.extend_from_slice(cell.hi());
-    }
-
-    /// Stores a node's entries into the shared slab and records the range.
-    fn record_entries(&mut self, idx: u32, node_entries: &[u32]) {
-        let start = self.entries.len() as u32;
-        self.entries.extend_from_slice(node_entries);
-        let node = &mut self.nodes[idx as usize];
-        node.entries_start = start;
-        node.entries_end = self.entries.len() as u32;
-    }
-
-    /// Reconstructs a node's cell as an owned box (build/diagnostics only).
-    fn node_cell(&self, idx: u32) -> BoundingBox {
-        let k = self.root_cell.dim();
-        let base = idx as usize * 2 * k;
-        BoundingBox::new(
-            self.cells[base..base + k].to_vec(),
-            self.cells[base + k..base + 2 * k].to_vec(),
-        )
+        self.cells.extend_from_slice(lo);
+        self.cells.extend_from_slice(hi);
     }
 
     /// The configuration the tree was built with.
@@ -748,60 +594,104 @@ impl CuttingTree {
     }
 }
 
-/// One planning job: a frontier node (arena index + entry ids) paired with
-/// its pre-selected cut, if the node is to be split at all.
-type CutJob<'a> = (&'a (u32, Vec<u32>), Option<(usize, f64)>);
+impl ArenaTree for CuttingTree {
+    /// The cut: axis and coordinate.
+    type Split = (usize, f64);
 
-/// A planned cut of one overfull node: the chosen cut, the two child cells,
-/// and the entry subsets crossing each.  Partitioning is a pure function of
-/// (slab, cell, cut, entries), which is what lets it run on any thread while
-/// cut selection and stitching stay serial and deterministic.
-struct CutPlan {
-    axis: usize,
-    at: f64,
-    low_cell: BoundingBox,
-    high_cell: BoundingBox,
-    low_entries: Vec<u32>,
-    high_entries: Vec<u32>,
+    fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
+
+    fn cells(&self) -> &[f64] {
+        &self.cells
+    }
+
+    fn entries(&self) -> &[u32] {
+        &self.entries
+    }
+
+    fn entry_range(&self, idx: u32) -> (usize, usize) {
+        let node = &self.nodes[idx as usize];
+        (node.entries_start as usize, node.entries_end as usize)
+    }
+
+    fn reach_depth(&mut self, depth: usize) {
+        self.max_depth_reached = self.max_depth_reached.max(depth);
+    }
+
+    fn record_entries(&mut self, idx: u32, node_entries: &[u32]) {
+        let start = self.entries.len() as u32;
+        self.entries.extend_from_slice(node_entries);
+        let node = &mut self.nodes[idx as usize];
+        node.entries_start = start;
+        node.entries_end = self.entries.len() as u32;
+    }
+
+    /// Chooses the node's cut under the configured [`CutRule`] and
+    /// partitions its entries between the two halves; `None` when the cell
+    /// cannot be cut, a half would be degenerate, or every entry crosses
+    /// both halves (a cut that separates nothing would recurse forever).
+    fn plan(
+        &self,
+        idx: u32,
+        lo: &[f64],
+        hi: &[f64],
+        entries: &[u32],
+        scratch: &mut PlanScratch,
+    ) -> Option<(usize, f64)> {
+        let (axis, at) = match self.config.cut {
+            CutRule::SampledCrossings => {
+                let mut rng = node_rng(self.config.seed, idx);
+                choose_cut(&self.slab, lo, hi, entries, &self.config, &mut rng, scratch)
+            }
+            CutRule::MedianExtents => choose_cut_median(&self.slab, lo, hi, entries, scratch),
+        }?;
+        // Guard against non-progress cuts (degenerate halves).
+        let clamped = at.max(lo[axis]).min(hi[axis]);
+        if clamped - lo[axis] <= EPS || hi[axis] - clamped <= EPS {
+            return None;
+        }
+        scratch.cuts.clear();
+        scratch.cuts.push((axis, at));
+        scratch
+            .partition(&self.slab, lo, hi, entries)
+            .then_some((axis, at))
+    }
+
+    fn attach(&mut self, idx: u32, (axis, at): (usize, f64), child_cells: &[f64]) {
+        let k = self.root_cell.dim();
+        let low = self.nodes.len() as u32;
+        for cell in child_cells.chunks_exact(2 * k) {
+            self.alloc_node(&cell[..k], &cell[k..]);
+        }
+        let node = &mut self.nodes[idx as usize];
+        node.axis = axis as u32;
+        node.at = at;
+        node.low = low;
+        node.high = low + 1;
+    }
 }
 
-/// The deterministic [`CutRule::MedianExtents`] cut: measures the in-cell
-/// zero-crossings of a strided entry sample along every axis (through the
-/// cell centre — see [`crate::quadtree::crossing_sample`]), cuts the axis
-/// carrying the most crossings — ties broken towards the wider extent, then
-/// the earlier axis — at their median.  With no
-/// interior crossings at all, falls back to the midpoint of the widest axis
-/// (no jitter; a fruitless midpoint cut is caught by the builder's
-/// no-progress guard, so termination does not need it).  Returns `None` only
-/// when the cell is degenerate on every axis.
+/// The deterministic [`CutRule::MedianExtents`] cut of the cell `[lo, hi]`:
+/// measures the in-cell zero-crossings of a strided entry sample along every
+/// axis (through the cell centre — see [`PlanScratch::census`]), cuts the
+/// axis carrying the most crossings — ties broken towards the wider extent,
+/// then the earlier axis — at their median.  With no interior crossings at
+/// all, falls back to the midpoint of the widest axis (no jitter; a
+/// fruitless midpoint cut is caught by the builder's no-progress guard, so
+/// termination does not need it).  Returns `None` only when the cell is
+/// degenerate on every axis.
 fn choose_cut_median(
     slab: &HyperplaneSlab,
-    cell: &BoundingBox,
+    lo: &[f64],
+    hi: &[f64],
     entries: &[u32],
+    scratch: &mut PlanScratch,
 ) -> Option<(usize, f64)> {
-    let k = cell.dim();
-    let center = cell.center();
-    let mut crossings: Vec<Vec<f64>> = vec![Vec::new(); k];
-    for i in crossing_sample(entries) {
-        let row = slab.coeffs_row(i as usize);
-        let offset = slab.offset(i as usize);
-        for axis in 0..k {
-            let coeff = row[axis];
-            if coeff.abs() <= EPS {
-                continue;
-            }
-            let mut rest = 0.0;
-            for (j, c) in row.iter().enumerate() {
-                if j != axis {
-                    rest += c * center.coord(j);
-                }
-            }
-            let x = -(rest + offset) / coeff;
-            if x > cell.lo()[axis] + EPS && x < cell.hi()[axis] - EPS {
-                crossings[axis].push(x);
-            }
-        }
-    }
+    let k = lo.len();
+    let extent = |axis: usize| hi[axis] - lo[axis];
+    scratch.census(slab, lo, hi, entries);
+    let crossings = &mut scratch.crossings;
     let mut best: Option<usize> = None;
     for axis in 0..k {
         if crossings[axis].is_empty() {
@@ -811,8 +701,7 @@ fn choose_cut_median(
             None => true,
             Some(b) => {
                 crossings[axis].len() > crossings[b].len()
-                    || (crossings[axis].len() == crossings[b].len()
-                        && cell.extent(axis) > cell.extent(b))
+                    || (crossings[axis].len() == crossings[b].len() && extent(axis) > extent(b))
             }
         };
         if better {
@@ -820,17 +709,14 @@ fn choose_cut_median(
         }
     }
     if let Some(axis) = best {
-        let xs = &mut crossings[axis];
-        let mid = xs.len() / 2;
-        let at = *xs.select_nth_unstable_by(mid, |a, b| a.total_cmp(b)).1;
-        return Some((axis, at));
+        return Some((axis, median_inplace(&mut crossings[axis])));
     }
     // No interior crossing anywhere: midpoint of the widest axis.
-    let axis = (0..k).max_by(|&a, &b| cell.extent(a).total_cmp(&cell.extent(b)))?;
-    if cell.extent(axis) <= EPS {
+    let axis = (0..k).max_by(|&a, &b| extent(a).total_cmp(&extent(b)))?;
+    if extent(axis) <= EPS {
         return None;
     }
-    Some((axis, 0.5 * (cell.lo()[axis] + cell.hi()[axis])))
+    Some((axis, 0.5 * (lo[axis] + hi[axis])))
 }
 
 /// The [`CutRule::SampledCrossings`] RNG of one node: seeded purely from
@@ -855,7 +741,7 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Chooses an axis and a cut coordinate for a cell under
+/// Chooses an axis and a cut coordinate for the cell `[lo, hi]` under
 /// [`CutRule::SampledCrossings`].
 ///
 /// The axis is the widest axis of the cell; the coordinate is the median of
@@ -864,58 +750,65 @@ fn splitmix64(mut x: u64) -> u64 {
 /// midpoint when no sampled hyperplane yields a usable crossing.
 fn choose_cut(
     slab: &HyperplaneSlab,
-    cell: &BoundingBox,
+    lo: &[f64],
+    hi: &[f64],
     entries: &[u32],
     config: &CuttingTreeConfig,
     rng: &mut StdRng,
+    scratch: &mut PlanScratch,
 ) -> Option<(usize, f64)> {
-    let k = cell.dim();
+    let k = lo.len();
+    let extent = |axis: usize| hi[axis] - lo[axis];
     // Pick the widest splittable axis.
-    let axis = (0..k).max_by(|&a, &b| cell.extent(a).total_cmp(&cell.extent(b)))?;
-    if cell.extent(axis) <= EPS {
+    let axis = (0..k).max_by(|&a, &b| extent(a).total_cmp(&extent(b)))?;
+    if extent(axis) <= EPS {
         return None;
     }
 
-    let sample_count = config.sample_size.min(entries.len()).max(1);
-    let sample: Vec<u32> = if entries.len() <= sample_count {
-        entries.to_vec()
-    } else {
-        entries
-            .choose_multiple(rng, sample_count)
-            .copied()
-            .collect()
-    };
-
-    let center = cell.center();
-    let mut crossings: Vec<f64> = Vec::with_capacity(sample.len());
-    for &i in &sample {
+    let center = &mut scratch.center;
+    center.clear();
+    center.extend(lo.iter().zip(hi).map(|(l, h)| 0.5 * (l + h)));
+    scratch.crossings.resize_with(1, Vec::new);
+    let crossings = &mut scratch.crossings[0];
+    crossings.clear();
+    let mut measure = |i: u32| {
         let row = slab.coeffs_row(i as usize);
         let coeff = row[axis];
         if coeff.abs() <= EPS {
-            continue;
+            return;
         }
         // Solve h(x) = 0 with all coordinates fixed at the cell centre except
         // `axis`.
         let mut rest = 0.0;
         for (j, c) in row.iter().enumerate() {
             if j != axis {
-                rest += c * center.coord(j);
+                rest += c * center[j];
             }
         }
         let x = -(rest + slab.offset(i as usize)) / coeff;
-        if x > cell.lo()[axis] + EPS && x < cell.hi()[axis] - EPS {
+        if x > lo[axis] + EPS && x < hi[axis] - EPS {
             crossings.push(x);
         }
+    };
+    let sample_count = config.sample_size.min(entries.len()).max(1);
+    if entries.len() <= sample_count {
+        entries.iter().for_each(|&i| measure(i));
+    } else {
+        entries
+            .choose_multiple(rng, sample_count)
+            .for_each(|&i| measure(i));
     }
 
     let at = if crossings.is_empty() {
         // No informative crossing in the sample: fall back to the midpoint,
         // possibly jittered slightly so repeated fallbacks still make progress.
-        let mid = 0.5 * (cell.lo()[axis] + cell.hi()[axis]);
-        let jitter = cell.extent(axis) * rng.gen_range(-0.05..0.05);
-        (mid + jitter).clamp(cell.lo()[axis], cell.hi()[axis])
+        let mid = 0.5 * (lo[axis] + hi[axis]);
+        let jitter = extent(axis) * rng.gen_range(-0.05..0.05);
+        (mid + jitter).clamp(lo[axis], hi[axis])
     } else {
-        crossings.sort_by(|a, b| a.total_cmp(b));
+        // Crossings equal under `total_cmp` are bit-identical, so an
+        // unstable sort yields the same median as a stable one.
+        crossings.sort_unstable_by(|a, b| a.total_cmp(b));
         crossings[crossings.len() / 2]
     };
     Some((axis, at))

@@ -26,6 +26,7 @@
 
 pub mod approx;
 pub mod arrangement;
+mod build;
 pub mod cutting;
 pub mod dual;
 pub mod hyperplane;

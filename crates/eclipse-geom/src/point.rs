@@ -392,21 +392,6 @@ impl BoundingBox {
             .sum()
     }
 
-    /// Splits the box into two halves along `axis` at coordinate `at`
-    /// (clamped into the box).  Used by the cutting tree.
-    pub fn split_at(&self, axis: usize, at: f64) -> (BoundingBox, BoundingBox) {
-        assert!(axis < self.dim(), "split axis out of range");
-        let at = at.max(self.lo[axis]).min(self.hi[axis]);
-        let mut left_hi = self.hi.to_vec();
-        left_hi[axis] = at;
-        let mut right_lo = self.lo.to_vec();
-        right_lo[axis] = at;
-        (
-            BoundingBox::new(self.lo.to_vec(), left_hi),
-            BoundingBox::new(right_lo, self.hi.to_vec()),
-        )
-    }
-
     /// Appends the box's snapshot encoding: dimensionality, then both
     /// corners as IEEE-754 bit patterns.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
@@ -606,14 +591,8 @@ mod tests {
     }
 
     #[test]
-    fn bbox_split_and_corners() {
+    fn bbox_corners() {
         let b = BoundingBox::new(vec![0.0, 0.0], vec![2.0, 2.0]);
-        let (l, r) = b.split_at(0, 1.0);
-        assert_eq!(l.hi()[0], 1.0);
-        assert_eq!(r.lo()[0], 1.0);
-        // Split coordinate is clamped into the box.
-        let (l2, _) = b.split_at(1, 10.0);
-        assert_eq!(l2.hi()[1], 2.0);
         let corners = b.corners();
         assert_eq!(corners.len(), 4);
         assert!(corners.contains(&p(&[0.0, 0.0])));

@@ -34,7 +34,7 @@ use eclipse_exec::ThreadPool;
 use eclipse_persist::{enc, Cursor, PersistError, PersistResult};
 use serde::{Deserialize, Serialize};
 
-use crate::approx::EPS;
+use crate::build::{build_levels, median_inplace, ArenaTree, Limits, PlanScratch};
 use crate::hyperplane::{Hyperplane, HyperplaneSlab};
 use crate::point::BoundingBox;
 use crate::traverse::{classify_cell, CellRelation, TraversalScratch};
@@ -187,14 +187,17 @@ impl HyperplaneQuadtree {
     /// Builds the index, optionally spreading per-node split planning over
     /// `pool`.
     ///
-    /// Construction is level-synchronous breadth-first: each level's node
-    /// frontier is *planned* first (per-node child cells and entry
-    /// partitions — the expensive sign tests — computed independently, in
-    /// parallel when a pool is supplied), then *stitched* serially in
-    /// frontier order (entry recording, budget checks, contiguous child
-    /// allocation).  Planning is pure per node and the stitch replays the
-    /// exact serial order, so the arena — and therefore the snapshot
-    /// encoding — is byte-identical for any thread count.
+    /// Construction is the level-synchronous plan/stitch build of the
+    /// private `build` module: nodes are allocated breadth-first and record
+    /// their entries in the arena as they are allocated, so each level's
+    /// frontier is a range of node ids.  Per-node child cells and entry
+    /// partitions — the expensive sign tests — are *planned* into reusable
+    /// flat scratch (in parallel when a pool is supplied), then *stitched*
+    /// serially in frontier order (budget checks, contiguous child
+    /// allocation, entry recording).  Planning is pure per node and the
+    /// stitch replays the exact serial order, so the arena — and therefore
+    /// the snapshot encoding and the buffers' capacities — is identical for
+    /// any thread count.
     ///
     /// Level order also matters for the node budget: when `max_nodes` runs
     /// out, a BFS fills every region of the root cell to the same depth, so
@@ -247,6 +250,7 @@ impl HyperplaneQuadtree {
     ) -> Self {
         let mut all = Vec::new();
         slab.filter_all_intersecting_into(cell.lo(), cell.hi(), &mut all);
+        let k = cell.dim();
         let mut tree = HyperplaneQuadtree {
             slab,
             nodes: Vec::new(),
@@ -256,137 +260,29 @@ impl HyperplaneQuadtree {
             config,
             max_depth_reached: 0,
         };
-        tree.alloc_node(&cell);
-        // Upper bound on the children one split allocates (a full quadrant
-        // split on every axis); sizes the planning chunks below.
-        let max_children = 1usize << tree.root_cell.dim().min(16);
-        let mut frontier: Vec<(u32, Vec<u32>)> = vec![(0, all)];
-        let mut depth = 0usize;
-        while !frontier.is_empty() {
-            tree.max_depth_reached = tree.max_depth_reached.max(depth);
-            let depth_open = depth < tree.config.max_depth;
-            let mut next = Vec::new();
-            let mut i = 0usize;
-            while i < frontier.len() {
-                if !depth_open
-                    || tree.nodes.len() >= tree.config.max_nodes
-                    || tree.entries.len() >= tree.config.max_entries
-                {
-                    // No node from here on can split (depth and budget
-                    // exhaustion only ever grow); record the remaining entry
-                    // lists and finish the level without planning them.
-                    for (idx, node_entries) in &frontier[i..] {
-                        tree.record_entries(*idx, node_entries);
-                    }
-                    break;
-                }
-                // Phase A — plan: child cells + entry partitions, one chunk
-                // of frontier nodes at a time.  The chunk is sized so that
-                // stitching it cannot overrun a budget by more than one
-                // node's children: on early levels with plenty of room the
-                // chunk is the whole level (maximal parallelism), while on
-                // the level where a budget fills the chunks shrink and at
-                // most one chunk of planning is ever thrown away.
-                let node_room = (tree.config.max_nodes - tree.nodes.len()) / max_children;
-                let entry_room = tree.config.max_entries - tree.entries.len();
-                let mut end = i;
-                let mut chunk_entries = 0usize;
-                while end < frontier.len()
-                    && end - i < node_room.max(1)
-                    && chunk_entries < entry_room
-                {
-                    chunk_entries += frontier[end].1.len();
-                    end += 1;
-                }
-                let chunk = &frontier[i..end];
-                let plans: Vec<Option<SplitPlan>> = {
-                    let tree = &tree;
-                    let plan_one = |(idx, node_entries): &(u32, Vec<u32>)| -> Option<SplitPlan> {
-                        if node_entries.len() <= tree.config.max_capacity {
-                            return None;
-                        }
-                        let cell = tree.node_cell(*idx);
-                        plan_split(&tree.slab, &cell, node_entries, &tree.config)
-                    };
-                    match pool {
-                        Some(pool)
-                            if pool.threads() > 1
-                                && chunk_entries >= PARALLEL_BUILD_MIN_ENTRIES =>
-                        {
-                            pool.par_map(chunk, plan_one)
-                        }
-                        _ => chunk.iter().map(plan_one).collect(),
-                    }
-                };
-                // Phase B — stitch, serially and in frontier order
-                // (identical to the historical one-node-at-a-time BFS pop
-                // order).  The checks below observe the live arena exactly
-                // as the serial builder did, so the result is unchanged.
-                for (j, plan) in plans.into_iter().enumerate() {
-                    let (idx, node_entries) = &frontier[i + j];
-                    // Every node records its (deduplicated) entry list, so
-                    // queries can report a fully contained subtree straight
-                    // from its root.
-                    tree.record_entries(*idx, node_entries);
-                    if node_entries.len() <= tree.config.max_capacity
-                        || depth >= tree.config.max_depth
-                        || tree.nodes.len() >= tree.config.max_nodes
-                        || tree.entries.len() >= tree.config.max_entries
-                    {
-                        continue;
-                    }
-                    // `plan` is `None` when the cell is degenerate on every
-                    // axis or no child partition made progress (all
-                    // hyperplanes cross all children) — further subdivision
-                    // would only multiply memory without improving pruning.
-                    let Some(plan) = plan else { continue };
-                    let first = tree.nodes.len() as u32;
-                    tree.nodes[*idx as usize].first_child = first;
-                    tree.nodes[*idx as usize].child_count = plan.cells.len() as u32;
-                    for child_cell in &plan.cells {
-                        tree.alloc_node(child_cell);
-                    }
-                    for (ci, ce) in plan.child_entries.into_iter().enumerate() {
-                        next.push((first + ci as u32, ce));
-                    }
-                }
-                i = end;
-            }
-            frontier = next;
-            depth += 1;
-        }
+        tree.alloc_node(cell.lo(), cell.hi());
+        let limits = Limits {
+            max_capacity: config.max_capacity,
+            max_depth: config.max_depth,
+            max_nodes: config.max_nodes,
+            max_entries: config.max_entries,
+            // A full quadrant split on every axis.
+            max_children: 1usize << k.min(16),
+        };
+        build_levels(&mut tree, k, limits, &all, pool);
         tree
     }
 
-    /// Appends a leaf placeholder for `cell` to the arena.
-    fn alloc_node(&mut self, cell: &BoundingBox) {
+    /// Appends a leaf placeholder for the cell `[lo, hi]` to the arena.
+    fn alloc_node(&mut self, lo: &[f64], hi: &[f64]) {
         self.nodes.push(Node {
             first_child: NO_CHILDREN,
             child_count: 0,
             entries_start: 0,
             entries_end: 0,
         });
-        self.cells.extend_from_slice(cell.lo());
-        self.cells.extend_from_slice(cell.hi());
-    }
-
-    /// Stores a node's entries into the shared slab and records the range.
-    fn record_entries(&mut self, idx: u32, node_entries: &[u32]) {
-        let start = self.entries.len() as u32;
-        self.entries.extend_from_slice(node_entries);
-        let node = &mut self.nodes[idx as usize];
-        node.entries_start = start;
-        node.entries_end = self.entries.len() as u32;
-    }
-
-    /// Reconstructs a node's cell as an owned box (build/diagnostics only).
-    fn node_cell(&self, idx: u32) -> BoundingBox {
-        let k = self.root_cell.dim();
-        let base = idx as usize * 2 * k;
-        BoundingBox::new(
-            self.cells[base..base + k].to_vec(),
-            self.cells[base + k..base + 2 * k].to_vec(),
-        )
+        self.cells.extend_from_slice(lo);
+        self.cells.extend_from_slice(hi);
     }
 
     /// The configuration the tree was built with.
@@ -707,196 +603,154 @@ impl HyperplaneQuadtree {
     }
 }
 
-/// Minimum number of entries across a level's frontier before split planning
-/// is farmed out to the pool — below this the sign-test work cannot amortize
-/// the dispatch overhead.  Shared with [`crate::cutting`].
-pub(crate) const PARALLEL_BUILD_MIN_ENTRIES: usize = 4096;
+impl ArenaTree for HyperplaneQuadtree {
+    type Split = ();
 
-/// Cap on the entries whose crossings the adaptive rules measure per node: a
-/// deterministic strided subset (every `len/256`-th entry), plenty for a
-/// robust median while keeping cut selection O(1) per node instead of O(n) —
-/// without it, adaptive construction on large dense nodes costs more than
-/// the probe time it saves.  Shared with [`crate::cutting`].
-pub(crate) const CROSSING_SAMPLE_CAP: usize = 256;
+    fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
 
-/// The deterministic crossing-statistics sample: every `stride`-th entry,
-/// capped at [`CROSSING_SAMPLE_CAP`] elements.  Thread-count independent, so
-/// parallel and serial builds measure identical samples.
-pub(crate) fn crossing_sample(entries: &[u32]) -> impl Iterator<Item = u32> + '_ {
-    let stride = entries.len().div_ceil(CROSSING_SAMPLE_CAP).max(1);
-    entries.iter().step_by(stride).copied()
-}
+    fn cells(&self) -> &[f64] {
+        &self.cells
+    }
 
-/// A planned subdivision of one overfull node: the child cells and, for each
-/// child, the subset of the parent's entries crossing it.  Pure function of
-/// (slab, cell, entries, config), which is what lets planning run on any
-/// thread while stitching stays serial and deterministic.
-struct SplitPlan {
-    cells: Vec<BoundingBox>,
-    child_entries: Vec<Vec<u32>>,
-}
+    fn entries(&self) -> &[u32] {
+        &self.entries
+    }
 
-/// Plans the subdivision of one node, or `None` when the cell cannot split
-/// (degenerate on every axis) or no partition makes progress (every child
-/// would inherit every entry).
-///
-/// Under [`SplitRule::Hybrid`] a census partition that makes no progress —
-/// every median landing exactly on a point shared by all entries, so every
-/// child inherits every entry — is retried with the midpoint partition
-/// before the node is frozen into an oversized leaf.  Censuses that make
-/// *poor* progress (medians merely *near* a shared point, each child
-/// keeping most of the parent) are not second-guessed here: no per-node
-/// greedy rule can see that such cuts starve the whole build of entry
-/// budget, so that pathology is handled a level up by the per-build
-/// midpoint fallback in [`HyperplaneQuadtree::build_from_slab_with`].
-fn plan_split(
-    slab: &HyperplaneSlab,
-    cell: &BoundingBox,
-    node_entries: &[u32],
-    config: &QuadtreeConfig,
-) -> Option<SplitPlan> {
-    let partition = |cells: Vec<BoundingBox>| -> Option<SplitPlan> {
-        if cells.is_empty() {
-            return None;
+    fn entry_range(&self, idx: u32) -> (usize, usize) {
+        let node = &self.nodes[idx as usize];
+        (node.entries_start as usize, node.entries_end as usize)
+    }
+
+    fn reach_depth(&mut self, depth: usize) {
+        self.max_depth_reached = self.max_depth_reached.max(depth);
+    }
+
+    fn record_entries(&mut self, idx: u32, node_entries: &[u32]) {
+        let start = self.entries.len() as u32;
+        self.entries.extend_from_slice(node_entries);
+        let node = &mut self.nodes[idx as usize];
+        node.entries_start = start;
+        node.entries_end = self.entries.len() as u32;
+    }
+
+    /// Plans the subdivision of one node: `None` when the cell cannot split
+    /// (degenerate on every axis) or no partition makes progress (every
+    /// child would inherit every entry).
+    ///
+    /// Under [`SplitRule::Hybrid`] a census partition that makes no progress
+    /// — every median landing exactly on a point shared by all entries, so
+    /// every child inherits every entry — is retried with the midpoint
+    /// partition before the node is frozen into an oversized leaf.  Censuses
+    /// that make *poor* progress (medians merely *near* a shared point, each
+    /// child keeping most of the parent) are not second-guessed here: no
+    /// per-node greedy rule can see that such cuts starve the whole build of
+    /// entry budget, so that pathology is handled a level up by the
+    /// per-build midpoint fallback in
+    /// [`HyperplaneQuadtree::build_from_slab_with`].
+    fn plan(
+        &self,
+        _idx: u32,
+        lo: &[f64],
+        hi: &[f64],
+        entries: &[u32],
+        scratch: &mut PlanScratch,
+    ) -> Option<()> {
+        if self.config.split == SplitRule::Hybrid
+            && hybrid_cuts(&self.slab, lo, hi, entries, scratch)
+            && scratch.partition(&self.slab, lo, hi, entries)
+        {
+            return Some(());
         }
-        let mut child_entries = Vec::with_capacity(cells.len());
-        for child_cell in &cells {
-            let mut ce = Vec::new();
-            slab.filter_intersecting_into(node_entries, child_cell.lo(), child_cell.hi(), &mut ce);
-            child_entries.push(ce);
+        midpoint_cuts(lo, hi, &mut scratch.cuts);
+        scratch.partition(&self.slab, lo, hi, entries).then_some(())
+    }
+
+    fn attach(&mut self, idx: u32, _split: (), child_cells: &[f64]) {
+        let k = self.root_cell.dim();
+        let first_child = self.nodes.len() as u32;
+        let node = &mut self.nodes[idx as usize];
+        node.first_child = first_child;
+        node.child_count = (child_cells.len() / (2 * k)) as u32;
+        for cell in child_cells.chunks_exact(2 * k) {
+            self.alloc_node(&cell[..k], &cell[k..]);
         }
-        if child_entries.iter().all(|c| c.len() == node_entries.len()) {
-            return None;
-        }
-        Some(SplitPlan {
-            cells,
-            child_entries,
-        })
-    };
-    match config.split {
-        SplitRule::Midpoint => partition(subdivide(cell)),
-        SplitRule::Hybrid => partition(hybrid_subdivide(slab, cell, node_entries))
-            .or_else(|| partition(subdivide(cell))),
     }
 }
 
-/// The [`SplitRule::Hybrid`] partition of a cell.
+/// Chooses the [`SplitRule::Hybrid`] cuts of the cell `[lo, hi]` into
+/// `scratch.cuts`, or returns `false` when the census saw no crossing at all
+/// (the midpoint rule then applies).
 ///
-/// Collects, per axis, the in-cell zero-crossings of a strided entry sample
-/// ([`crossing_sample`]; solved along the axis through the cell centre — the
-/// same measurement the cutting tree's [`crate::cutting`] cut selection
-/// uses).  When a single axis carries at least 90% of all crossings *and* at
-/// least half the sampled entries cross it, the bundle is effectively
-/// perpendicular to that axis and one median cut
-/// separates it best (2 children); otherwise every splittable axis splits at
-/// its own median crossing — midpoint when the axis saw no crossings — which
-/// keeps the quadrant structure (needed to separate diagonal bundles, which
-/// no single-axis cut can) while placing the split planes where the data is.
-/// With no crossings anywhere this degrades to the classic midpoint rule,
-/// and when the measured cuts fail to separate anything — a bundle through
-/// one shared point puts every median on that point — [`plan_split`]
-/// retries the node with the midpoint partition before giving up.
-fn hybrid_subdivide(
+/// The census ([`PlanScratch::census`]) collects, per axis, the in-cell
+/// zero-crossings of a strided entry sample, solved along the axis through
+/// the cell centre — the same measurement the cutting tree's
+/// [`crate::cutting`] cut selection uses.  When a single axis carries at
+/// least 90% of all crossings *and* at least half the sampled entries cross
+/// it, the bundle is effectively perpendicular to that axis and one median
+/// cut separates it best (2 children); otherwise every splittable axis
+/// splits at its own median crossing — midpoint when the axis saw no
+/// crossings — which keeps the quadrant structure (needed to separate
+/// diagonal bundles, which no single-axis cut can) while placing the split
+/// planes where the data is.  When the measured cuts fail to separate
+/// anything — a bundle through one shared point puts every median on that
+/// point — the node is retried with the midpoint partition before giving
+/// up.
+fn hybrid_cuts(
     slab: &HyperplaneSlab,
-    cell: &BoundingBox,
+    lo: &[f64],
+    hi: &[f64],
     entries: &[u32],
-) -> Vec<BoundingBox> {
-    let k = cell.dim();
-    let center = cell.center();
-    let mut crossings: Vec<Vec<f64>> = vec![Vec::new(); k];
-    let mut sampled = 0usize;
-    for e in crossing_sample(entries) {
-        sampled += 1;
-        let row = slab.coeffs_row(e as usize);
-        let offset = slab.offset(e as usize);
-        for axis in 0..k {
-            let coeff = row[axis];
-            if coeff.abs() <= EPS {
-                continue;
-            }
-            let mut rest = 0.0;
-            for (j, c) in row.iter().enumerate() {
-                if j != axis {
-                    rest += c * center.coord(j);
-                }
-            }
-            let x = -(rest + offset) / coeff;
-            if x > cell.lo()[axis] + EPS && x < cell.hi()[axis] - EPS {
-                crossings[axis].push(x);
-            }
-        }
-    }
-    let total: usize = crossings.iter().map(|c| c.len()).sum();
+    scratch: &mut PlanScratch,
+) -> bool {
+    let sampled = scratch.census(slab, lo, hi, entries);
+    let crossings = &mut scratch.crossings;
+    let total: usize = crossings.iter().map(Vec::len).sum();
     if total == 0 {
-        return subdivide(cell);
+        return false;
     }
     let mut dominant = 0;
-    for axis in 1..k {
+    for axis in 1..crossings.len() {
         if crossings[axis].len() > crossings[dominant].len() {
             dominant = axis;
         }
     }
     let dominant_count = crossings[dominant].len();
+    scratch.cuts.clear();
     if dominant_count * 10 >= total * 9 && dominant_count * 2 >= sampled {
         // Crossings are strictly interior (EPS margin), so both halves keep
         // positive extent and the no-progress guard sees a genuine cut.
-        let at = median_inplace(&mut crossings[dominant]);
-        let (low, high) = cell.split_at(dominant, at);
-        return vec![low, high];
+        scratch
+            .cuts
+            .push((dominant, median_inplace(&mut crossings[dominant])));
+        return true;
     }
-    let mut cells = vec![cell.clone()];
     for (axis, axis_crossings) in crossings.iter_mut().enumerate() {
-        if cell.extent(axis) <= 0.0 {
+        if hi[axis] - lo[axis] <= 0.0 {
             continue;
         }
         let at = if axis_crossings.is_empty() {
-            0.5 * (cell.lo()[axis] + cell.hi()[axis])
+            0.5 * (lo[axis] + hi[axis])
         } else {
             median_inplace(axis_crossings)
         };
-        let mut split = Vec::with_capacity(cells.len() * 2);
-        for c in cells {
-            let (a, b) = c.split_at(axis, at);
-            split.push(a);
-            split.push(b);
-        }
-        cells = split;
+        scratch.cuts.push((axis, at));
     }
-    cells
+    true
 }
 
-/// The (upper) median by `total_cmp`, found by in-place selection.
-fn median_inplace(xs: &mut [f64]) -> f64 {
-    let mid = xs.len() / 2;
-    *xs.select_nth_unstable_by(mid, |a, b| a.total_cmp(b)).1
-}
-
-/// Splits a cell into its `2^k` children by halving every axis.  Axes with
-/// (numerically) zero extent are not split; if every axis is degenerate the
-/// function returns an empty vector to signal that subdivision is impossible.
-fn subdivide(cell: &BoundingBox) -> Vec<BoundingBox> {
-    let k = cell.dim();
-    let mut splittable = Vec::new();
-    for axis in 0..k {
-        if cell.extent(axis) > 0.0 {
-            splittable.push(axis);
+/// The [`SplitRule::Midpoint`] cuts of the cell `[lo, hi]`: every axis of
+/// positive extent halved at its midpoint (`2^k` congruent children).  Axes
+/// with zero extent are not split; with every axis degenerate `cuts` stays
+/// empty and the cell cannot be subdivided.
+fn midpoint_cuts(lo: &[f64], hi: &[f64], cuts: &mut Vec<(usize, f64)>) {
+    cuts.clear();
+    for axis in 0..lo.len() {
+        if hi[axis] - lo[axis] > 0.0 {
+            cuts.push((axis, 0.5 * (lo[axis] + hi[axis])));
         }
     }
-    if splittable.is_empty() {
-        return Vec::new();
-    }
-    let mut cells = vec![cell.clone()];
-    for &axis in &splittable {
-        let mid = 0.5 * (cell.lo()[axis] + cell.hi()[axis]);
-        let mut next = Vec::with_capacity(cells.len() * 2);
-        for c in cells {
-            let (a, b) = c.split_at(axis, mid);
-            next.push(a);
-            next.push(b);
-        }
-        cells = next;
-    }
-    cells
 }
 
 #[cfg(test)]
@@ -917,17 +771,16 @@ mod tests {
     }
 
     #[test]
-    fn subdivide_produces_2k_children() {
-        let cells = subdivide(&unit_box());
-        assert_eq!(cells.len(), 4);
-        let total_volume: f64 = cells.iter().map(|c| c.volume()).sum();
-        assert!((total_volume - 1.0).abs() < 1e-12);
+    fn midpoint_cuts_halve_every_non_degenerate_axis() {
+        let mut cuts = Vec::new();
+        midpoint_cuts(&[0.0, 0.0], &[1.0, 1.0], &mut cuts);
+        assert_eq!(cuts, vec![(0, 0.5), (1, 0.5)]);
         // Degenerate cell cannot be subdivided.
-        let degenerate = BoundingBox::new(vec![0.5, 0.5], vec![0.5, 0.5]);
-        assert!(subdivide(&degenerate).is_empty());
+        midpoint_cuts(&[0.5, 0.5], &[0.5, 0.5], &mut cuts);
+        assert!(cuts.is_empty());
         // Cell flat on one axis splits only the other.
-        let flat = BoundingBox::new(vec![0.0, 0.5], vec![1.0, 0.5]);
-        assert_eq!(subdivide(&flat).len(), 2);
+        midpoint_cuts(&[0.0, 0.5], &[1.0, 0.5], &mut cuts);
+        assert_eq!(cuts, vec![(0, 0.5)]);
     }
 
     #[test]

@@ -194,3 +194,41 @@ fn fixtures_re_encode_byte_exactly() {
         assert_eq!(stored_label, label);
     }
 }
+
+/// A deterministic 1024-point 3-D dataset: large enough that the arena
+/// buffers grow through many reallocations, so a change in how a builder
+/// fills them shows up in the accounted capacities.
+fn inde3d_1k() -> Vec<Point> {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(20210619);
+    (0..1024)
+        .map(|_| Point::new((0..3).map(|_| rng.gen_range(0.0..1.0)).collect()))
+        .collect()
+}
+
+/// The accounted memory of fresh builds is pinned alongside the encoded
+/// bytes: the fixtures only see buffer contents, while the serving layer's
+/// memory budget and resident figures see buffer *capacities*, which a
+/// builder can change without changing a single encoded byte.  The values
+/// are the index's and the whole engine's `heap_bytes()` right after
+/// `build_index`.
+#[test]
+fn fresh_build_heap_bytes_are_pinned() {
+    use IntersectionIndexKind::{CuttingTree, Quadtree};
+    let pinned: [(&str, Vec<Point>, IntersectionIndexKind, usize, usize); 6] = [
+        ("hotels", paper_hotels(), Quadtree, 320, 448),
+        ("hotels", paper_hotels(), CuttingTree, 384, 512),
+        ("inde", inde3d(), Quadtree, 392, 872),
+        ("inde", inde3d(), CuttingTree, 456, 936),
+        ("inde-1k", inde3d_1k(), Quadtree, 1_585_230, 1_626_190),
+        ("inde-1k", inde3d_1k(), CuttingTree, 2_895_950, 2_936_910),
+    ];
+    for (label, points, kind, index_bytes, engine_bytes) in pinned {
+        let engine = EclipseEngine::new(points).unwrap();
+        let index = engine.build_index(kind).unwrap();
+        assert_eq!(
+            (index.heap_bytes(), engine.heap_bytes()),
+            (index_bytes, engine_bytes),
+            "{label}/{kind:?}: (index, engine) heap bytes drifted"
+        );
+    }
+}
