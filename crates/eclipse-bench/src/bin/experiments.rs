@@ -783,7 +783,7 @@ fn serve_sweep(opts: &Options) -> (String, ResultTable) {
 /// Pipeline-depth sweep over the protocol-v2 serving path: single-probe
 /// requests (the per-request-overhead-dominated regime) through a
 /// [`PipelinedClient`] at depth 1, 8 and 64, against the blocking depth-1
-/// v1 client as the baseline.  Every pipelined pass is asserted identical
+/// client as the baseline.  Every pipelined pass is asserted identical
 /// to the blocking client's results, so the speedup column is for the
 /// *same* answers.  Writes BENCH_serve_pipeline.json next to the CSVs.
 fn serve_pipeline_sweep(opts: &Options) -> (String, ResultTable) {
@@ -814,7 +814,7 @@ fn serve_pipeline_sweep(opts: &Options) -> (String, ResultTable) {
             .expect("valid workload");
         let handle = server.spawn().expect("spawn server");
 
-        // Blocking baseline: one single-probe request per box, depth 1, v1.
+        // Blocking baseline: one single-probe request per box, depth 1.
         let mut blocking = Client::connect(handle.addr()).expect("connect");
         let mut expected_rows = Vec::with_capacity(num_probes);
         let mut expected_counts = Vec::with_capacity(num_probes);

@@ -694,8 +694,7 @@ impl EclipseIndex {
         enc::put_usize(&mut config, self.config.cutting.max_nodes);
         enc::put_usize(&mut config, self.config.cutting.max_entries);
         enc::put_u64(&mut config, self.config.cutting.seed);
-        // Format v2: one strategy tag per backend config.  v1 readers never
-        // see these bytes (they reject v2 containers up front).
+        // One strategy tag per backend config.
         enc::put_u8(&mut config, self.config.quadtree.split.tag());
         enc::put_u8(&mut config, self.config.cutting.cut.tag());
         writer.section(SECTION_INDEX_CONFIG, config);
@@ -779,28 +778,38 @@ impl EclipseIndex {
                 "indexed-region bound {max_ratio} must be finite and non-negative"
             )));
         }
-        let mut quadtree = QuadtreeConfig {
-            max_capacity: cfg.usize64()?,
-            max_depth: cfg.usize64()?,
-            max_nodes: cfg.usize64()?,
-            max_entries: cfg.usize64()?,
-            split: SplitRule::Midpoint,
+        // Both trees' limits come first, then their split and cut rule tags.
+        let (max_capacity, max_depth, max_nodes, max_entries) = (
+            cfg.usize64()?,
+            cfg.usize64()?,
+            cfg.usize64()?,
+            cfg.usize64()?,
+        );
+        let cutting_limits = (
+            cfg.usize64()?,
+            cfg.usize64()?,
+            cfg.usize64()?,
+            cfg.usize64()?,
+            cfg.usize64()?,
+            cfg.u64()?,
+        );
+        let quadtree = QuadtreeConfig {
+            max_capacity,
+            max_depth,
+            max_nodes,
+            max_entries,
+            split: SplitRule::from_tag(cfg.u8()?)?,
         };
-        let mut cutting = CuttingTreeConfig {
-            max_capacity: cfg.usize64()?,
-            max_depth: cfg.usize64()?,
-            sample_size: cfg.usize64()?,
-            max_nodes: cfg.usize64()?,
-            max_entries: cfg.usize64()?,
-            seed: cfg.u64()?,
-            cut: CutRule::SampledCrossings,
+        let (max_capacity, max_depth, sample_size, max_nodes, max_entries, seed) = cutting_limits;
+        let cutting = CuttingTreeConfig {
+            max_capacity,
+            max_depth,
+            sample_size,
+            max_nodes,
+            max_entries,
+            seed,
+            cut: CutRule::from_tag(cfg.u8()?)?,
         };
-        // v1 snapshots predate split/cut strategies and always used the
-        // legacy rules assigned above; v2 records the strategy explicitly.
-        if reader.version() >= 2 {
-            quadtree.split = SplitRule::from_tag(cfg.u8()?)?;
-            cutting.cut = CutRule::from_tag(cfg.u8()?)?;
-        }
         let config = IndexConfig {
             kind,
             max_ratio,
@@ -834,13 +843,8 @@ impl EclipseIndex {
         let mut be = Cursor::new(reader.section(SECTION_BACKEND)?);
         let backend_tag = be.u8()?;
         let backend = match backend_tag {
-            BACKEND_TAG_QUAD => Backend::Quad(HyperplaneQuadtree::decode_versioned(
-                &mut be,
-                reader.version(),
-            )?),
-            BACKEND_TAG_CUTTING => {
-                Backend::Cutting(CuttingTree::decode_versioned(&mut be, reader.version())?)
-            }
+            BACKEND_TAG_QUAD => Backend::Quad(HyperplaneQuadtree::decode(&mut be)?),
+            BACKEND_TAG_CUTTING => Backend::Cutting(CuttingTree::decode(&mut be)?),
             tag => {
                 return Err(PersistError::UnknownTag {
                     context: "backend tree",

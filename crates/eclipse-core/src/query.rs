@@ -514,8 +514,7 @@ impl EclipseEngine {
                 enc::put_f64(&mut dataset, c);
             }
         }
-        // Format v3: the dataset epoch rides at the end of the section (v1/v2
-        // snapshots predate mutability and decode as epoch 0).
+        // The dataset epoch rides at the end of the section.
         enc::put_u64(&mut dataset, version.epoch);
         writer.section(crate::index::SECTION_DATASET, dataset);
         index.encode_snapshot_into(&mut writer);
@@ -523,8 +522,7 @@ impl EclipseEngine {
     }
 
     /// Decodes the dataset section of an engine-level snapshot: the label,
-    /// dimensionality, row-major coordinate buffer and dataset epoch (0 for
-    /// pre-v3 snapshots, which predate mutability).
+    /// dimensionality, row-major coordinate buffer and dataset epoch.
     fn decode_dataset_section(
         reader: &SnapshotReader<'_>,
     ) -> Result<(String, usize, Vec<f64>, u64)> {
@@ -545,7 +543,7 @@ impl EclipseEngine {
         let coords = cur.f64_vec(n.checked_mul(dim).ok_or_else(|| {
             EclipseError::Snapshot(format!("{n} points of dimension {dim} overflow"))
         })?)?;
-        let epoch = if reader.version() >= 3 { cur.u64()? } else { 0 };
+        let epoch = cur.u64()?;
         cur.finish()?;
         Ok((label, dim, coords, epoch))
     }

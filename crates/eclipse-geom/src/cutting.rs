@@ -50,7 +50,7 @@ use crate::traverse::{classify_cell, CellRelation, TraversalScratch};
 pub enum CutRule {
     /// The historical randomized rule: widest axis, median zero-crossing of
     /// a `sample_size`-element random sample of the cell's entries, jittered
-    /// midpoint fallback.  The only rule format-v1 snapshots can carry.
+    /// midpoint fallback.
     SampledCrossings,
     /// Deterministic adaptive rule: per axis, the in-cell zero-crossings of
     /// a strided entry sample (every entry up to 256, then every
@@ -446,9 +446,6 @@ impl CuttingTree {
     /// buffers.  Construction is deterministic for a seed (and for any
     /// thread count), so the same input data and config always produce the
     /// same bytes.
-    ///
-    /// Always writes the current container format; the cut-rule tag after
-    /// the seed is the format-v2 addition.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         enc::put_usize(out, self.config.max_capacity);
         enc::put_usize(out, self.config.max_depth);
@@ -489,14 +486,6 @@ impl CuttingTree {
     /// A typed [`PersistError`] for every defect; arbitrary input never
     /// panics.
     pub fn decode(cur: &mut Cursor<'_>) -> PersistResult<Self> {
-        Self::decode_versioned(cur, eclipse_persist::FORMAT_VERSION)
-    }
-
-    /// Version-aware decode: format-v1 payloads predate [`CutRule`] (no tag
-    /// byte; every v1 tree was built with the sampled-crossings rule), v2
-    /// carries the rule tag.  Callers reading a snapshot container pass
-    /// `SnapshotReader::version`.
-    pub fn decode_versioned(cur: &mut Cursor<'_>, version: u32) -> PersistResult<Self> {
         let config = CuttingTreeConfig {
             max_capacity: cur.usize64()?,
             max_depth: cur.usize64()?,
@@ -504,11 +493,7 @@ impl CuttingTree {
             max_nodes: cur.usize64()?,
             max_entries: cur.usize64()?,
             seed: cur.u64()?,
-            cut: if version >= 2 {
-                CutRule::from_tag(cur.u8()?)?
-            } else {
-                CutRule::SampledCrossings
-            },
+            cut: CutRule::from_tag(cur.u8()?)?,
         };
         let root_cell = BoundingBox::decode(cur)?;
         let max_depth_reached = cur.usize64()?;

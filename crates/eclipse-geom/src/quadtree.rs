@@ -43,8 +43,7 @@ use crate::traverse::{classify_cell, CellRelation, TraversalScratch};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SplitRule {
     /// The classic quadtree rule: halve every non-degenerate axis at its
-    /// midpoint, producing `2^k` congruent children.  This is the only rule
-    /// format-v1 snapshots can carry.
+    /// midpoint, producing `2^k` congruent children.
     Midpoint,
     /// Data-adaptive rule: per node, the in-cell zero-crossings of the
     /// entries are measured along every axis.  When one axis carries nearly
@@ -461,9 +460,6 @@ impl HyperplaneQuadtree {
     /// (node records, flat cell corners, shared entry slab).  The encoding
     /// is byte-stable: construction is deterministic (for any thread count),
     /// so the same input data and config always produce the same bytes.
-    ///
-    /// Always writes the current container format; the split-rule tag after
-    /// the numeric config fields is the format-v2 addition.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         enc::put_usize(out, self.config.max_capacity);
         enc::put_usize(out, self.config.max_depth);
@@ -507,24 +503,12 @@ impl HyperplaneQuadtree {
     /// A typed [`PersistError`] for every defect; arbitrary input never
     /// panics.
     pub fn decode(cur: &mut Cursor<'_>) -> PersistResult<Self> {
-        Self::decode_versioned(cur, eclipse_persist::FORMAT_VERSION)
-    }
-
-    /// Version-aware decode: format-v1 payloads predate [`SplitRule`] (no
-    /// tag byte; every v1 tree was built with the midpoint rule), v2 carries
-    /// the rule tag.  Callers reading a snapshot container pass
-    /// `SnapshotReader::version`.
-    pub fn decode_versioned(cur: &mut Cursor<'_>, version: u32) -> PersistResult<Self> {
         let config = QuadtreeConfig {
             max_capacity: cur.usize64()?,
             max_depth: cur.usize64()?,
             max_nodes: cur.usize64()?,
             max_entries: cur.usize64()?,
-            split: if version >= 2 {
-                SplitRule::from_tag(cur.u8()?)?
-            } else {
-                SplitRule::Midpoint
-            },
+            split: SplitRule::from_tag(cur.u8()?)?,
         };
         let root_cell = BoundingBox::decode(cur)?;
         let max_depth_reached = cur.usize64()?;

@@ -26,15 +26,14 @@
 //! section  := tag:u8 len:u64le checksum:u64le payload[len]
 //! ```
 //!
-//! `checksum` is [`section_checksum`] over the tag byte followed by the
-//! payload, so a bit flip anywhere in a section — including its tag — fails
-//! verification.  Unknown section tags are preserved and ignored by readers
-//! (consumers look sections up by tag), which lets future format minor
-//! additions coexist with old readers.  Writers always emit
-//! [`FORMAT_VERSION`]; readers accept every version from
-//! [`MIN_SUPPORTED_VERSION`] up to it (the parsed version is exposed via
-//! [`SnapshotReader::version`] so consumers can decode older section
-//! payloads), and anything newer is rejected outright.
+//! `checksum` is [`section_checksum_versioned`] over the container version,
+//! the tag byte and the payload, so a bit flip anywhere in a section —
+//! including its tag — or in the header's version field fails verification.
+//! Unknown section tags are preserved and ignored by readers (consumers look
+//! sections up by tag), which lets future format minor additions coexist
+//! with old readers.  Writers emit [`FORMAT_VERSION`] and readers accept
+//! exactly that version: an older or newer file is rejected outright with
+//! [`PersistError::UnsupportedVersion`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,21 +44,17 @@ use std::fmt;
 /// The 8-byte magic prefix of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"ECLSNAP\0";
 
-/// The format version this crate writes.
+/// The format version this crate writes and the only one it reads.
 ///
 /// Version history:
-/// * **1** — initial container; tree configs carry no split-strategy fields
-///   (builders always used midpoint quadrant splits / sampled-crossing cuts).
-/// * **2** — tree configs gained explicit split-strategy fields (hybrid
-///   adaptive splits); version-1 payloads decode with the legacy strategies.
+/// * **1** — initial container; tree configs carry no split-strategy fields.
+/// * **2** — tree configs gained explicit split-strategy fields.
 /// * **3** — engine dataset sections gained a trailing mutation-epoch
-///   counter (version-1/2 payloads decode with epoch 0: they predate
-///   mutability), and section checksums became version-bound so header
-///   version flips are detected (see [`section_checksum_versioned`]).
+///   counter, and section checksums became version-bound so header version
+///   flips are detected (see [`section_checksum_versioned`]).
+///
+/// Versions 1 and 2 are no longer read.
 pub const FORMAT_VERSION: u32 = 3;
-
-/// The oldest format version readers still accept.
-pub const MIN_SUPPORTED_VERSION: u32 = 1;
 
 /// Everything that can go wrong while decoding a snapshot.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -159,23 +154,11 @@ pub fn fnv1a_extend(state: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
-/// The checksum stored with a section: FNV-1a over the tag byte followed by
-/// the payload, so tag flips are caught too.
-pub fn section_checksum(tag: u8, payload: &[u8]) -> u64 {
-    fnv1a_extend(fnv1a(&[tag]), payload)
-}
-
-/// The version-bound section checksum used from format version 3 on: the
-/// container version is hashed ahead of the tag and payload, so a bit flip
-/// in the header's version field (which would otherwise silently re-route
-/// decoding through an older layout) fails verification on every section.
-/// Versions 1 and 2 keep the historical version-free checksum.
+/// The checksum stored with a section: FNV-1a over the container version,
+/// the tag byte and the payload, so tag flips are caught, and so is a bit
+/// flip in the header's version field, on every section.
 pub fn section_checksum_versioned(version: u32, tag: u8, payload: &[u8]) -> u64 {
-    if version >= 3 {
-        fnv1a_extend(fnv1a_extend(fnv1a(&version.to_le_bytes()), &[tag]), payload)
-    } else {
-        section_checksum(tag, payload)
-    }
+    fnv1a_extend(fnv1a_extend(fnv1a(&version.to_le_bytes()), &[tag]), payload)
 }
 
 /// Little-endian encoding primitives (the writer side of [`Cursor`]).
@@ -422,7 +405,6 @@ const SECTION_HEADER_BYTES: usize = 1 + 8 + 8;
 /// section payloads exposed as zero-copy slices looked up by tag.
 #[derive(Debug, PartialEq, Eq)]
 pub struct SnapshotReader<'a> {
-    version: u32,
     sections: Vec<(u8, &'a [u8])>,
 }
 
@@ -442,7 +424,7 @@ impl<'a> SnapshotReader<'a> {
             return Err(PersistError::BadMagic);
         }
         let version = cur.u32()?;
-        if !(MIN_SUPPORTED_VERSION..=FORMAT_VERSION).contains(&version) {
+        if version != FORMAT_VERSION {
             return Err(PersistError::UnsupportedVersion { found: version });
         }
         let count = cur.u32()? as usize;
@@ -475,14 +457,7 @@ impl<'a> SnapshotReader<'a> {
             sections.push((tag, payload));
         }
         cur.finish()?;
-        Ok(SnapshotReader { version, sections })
-    }
-
-    /// The format version the container was written with (between
-    /// [`MIN_SUPPORTED_VERSION`] and [`FORMAT_VERSION`] inclusive), so
-    /// consumers can decode section payloads of older snapshots.
-    pub fn version(&self) -> u32 {
-        self.version
+        Ok(SnapshotReader { sections })
     }
 
     /// The payload of the section with the given tag.
@@ -591,8 +566,8 @@ mod tests {
     }
 
     /// Re-stamps a container at `version`, recomputing every section
-    /// checksum under that version's rule (checksums are version-bound from
-    /// v3 on, so a bare header edit would no longer verify).
+    /// checksum for that version (checksums are version-bound, so a bare
+    /// header edit would not verify).
     fn restamp(bytes: &[u8], version: u32) -> Vec<u8> {
         let r = SnapshotReader::parse(bytes).unwrap();
         let mut out = Vec::new();
@@ -610,36 +585,39 @@ mod tests {
 
     #[test]
     fn every_supported_version_parses_and_is_reported() {
-        for version in MIN_SUPPORTED_VERSION..=FORMAT_VERSION {
-            let bytes = restamp(&sample(), version);
-            let r = SnapshotReader::parse(&bytes)
-                .unwrap_or_else(|e| panic!("version {version} must parse: {e}"));
-            assert_eq!(r.version(), version);
-            assert!(r.has(0x01));
+        // Only the current version is supported; every other version is
+        // rejected and reported as found, even when its checksums verify.
+        assert!(SnapshotReader::parse(&restamp(&sample(), FORMAT_VERSION))
+            .unwrap()
+            .has(0x01));
+        for found in [1, 2, FORMAT_VERSION + 1] {
+            assert_eq!(
+                SnapshotReader::parse(&restamp(&sample(), found)),
+                Err(PersistError::UnsupportedVersion { found }),
+                "a container stamped v{found} must be rejected"
+            );
         }
-        // A freshly written container reports the current version.
-        let bytes = sample();
-        let r = SnapshotReader::parse(&bytes).unwrap();
-        assert_eq!(r.version(), FORMAT_VERSION);
     }
 
     #[test]
     fn version_field_flips_fail_section_checksums() {
-        // From v3 on the version participates in every section checksum, so
-        // rewriting the header version without re-checksumming must fail —
-        // this is what keeps single-bit flips of the version byte detectable
-        // now that 3 has in-range single-bit neighbours (1 and 2).
-        for other in MIN_SUPPORTED_VERSION..FORMAT_VERSION {
+        // The version participates in every section checksum, and the
+        // reader accepts only the current version: rewriting the header
+        // version without re-checksumming must fail, including the in-range
+        // single-bit neighbours of 3 (1 and 2).
+        for other in [1, 2] {
             let mut bytes = sample();
-            bytes[8..12].copy_from_slice(&other.to_le_bytes());
+            bytes[8..12].copy_from_slice(&u32::to_le_bytes(other));
             assert!(
-                matches!(
-                    SnapshotReader::parse(&bytes),
-                    Err(PersistError::ChecksumMismatch { .. })
-                ),
+                SnapshotReader::parse(&bytes).is_err(),
                 "re-stamping v{FORMAT_VERSION} as v{other} without re-checksumming must fail"
             );
         }
+        // The checksum itself is bound to the version it was written under.
+        assert_ne!(
+            section_checksum_versioned(1, 0x01, b"xy"),
+            section_checksum_versioned(FORMAT_VERSION, 0x01, b"xy")
+        );
     }
 
     #[test]
@@ -723,8 +701,8 @@ mod tests {
         // Reference vectors for the 64-bit FNV-1a parameters.
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(section_checksum(0x01, b"xy"), {
-            fnv1a_extend(fnv1a(&[0x01]), b"xy")
+        assert_eq!(section_checksum_versioned(3, 0x01, b"xy"), {
+            fnv1a_extend(fnv1a_extend(fnv1a(&3u32.to_le_bytes()), &[0x01]), b"xy")
         });
     }
 

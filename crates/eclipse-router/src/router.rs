@@ -1,6 +1,6 @@
 //! The shard router: speaks the eclipse-serve wire protocol to clients
-//! (v1 and `Hello`-negotiated v2), partitions datasets across N backend
-//! eclipse-serve processes, scatters probe batches over pipelined
+//! (the `Hello` handshake, then protocol v2), partitions datasets across N
+//! backend eclipse-serve processes, scatters probe batches over pipelined
 //! connections, and merges replies in probe order.
 //!
 //! # Placement
@@ -42,8 +42,7 @@ use std::time::{Duration, Instant};
 use eclipse_persist::fnv1a;
 use eclipse_serve::client::{Client, ClientError, PipelinedClient};
 use eclipse_serve::protocol::{
-    write_frame, FrameHeader, Request, Response, StatsReport, MAX_FRAME_LEN, MAX_PROTOCOL_VERSION,
-    PROTOCOL_V2,
+    negotiate, write_frame, FrameHeader, Request, Response, StatsReport, MAX_FRAME_LEN,
 };
 
 use crate::health::{HealthMachine, HealthPolicy, HealthState, Transition};
@@ -377,9 +376,11 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-/// Client-facing framing, mirroring the server: the first frame decides
-/// (v1, or `Hello`-negotiated v2).  Requests are processed strictly in
-/// order; the parallelism lives in the scatter across backends.
+/// Client-facing framing, mirroring the server: the first frame must be a
+/// `Hello` for protocol v2 ([`negotiate`], with a depth cap of 128), and
+/// anything else is answered with a typed error before the connection
+/// closes.  Requests are processed strictly in order; the parallelism lives
+/// in the scatter across backends.
 fn serve_client(shared: &Arc<Shared>, stream: TcpStream) {
     if stream.set_nodelay(true).is_err() {
         return;
@@ -397,9 +398,15 @@ fn serve_client(shared: &Arc<Shared>, stream: TcpStream) {
         Err(_) => return,
     };
     let mut reader = ClientFrames::new(stream);
+    let Ok(Some(first)) = reader.next_frame(&shared.stop) else {
+        return;
+    };
+    let (reply, granted) = negotiate(&first, 128);
+    let sent = write_frame(&mut writer, &reply.encode()).and_then(|()| writer.flush());
+    if sent.is_err() || granted.is_none() {
+        return;
+    }
     let mut conns = BackendConns::default();
-    let mut v2 = false;
-    let mut fresh = true;
     let mut allow_partial = false;
     loop {
         let payload = match reader.next_frame(&shared.stop) {
@@ -407,44 +414,12 @@ fn serve_client(shared: &Arc<Shared>, stream: TcpStream) {
             Ok(None) | Err(_) => return,
         };
         let read_at = Instant::now();
-        let (request_id, deadline_ms, body) = if v2 {
-            match FrameHeader::split(&payload) {
-                Ok((header, body)) => (header.request_id, header.deadline_ms, body),
-                Err(_) => return,
-            }
-        } else {
-            (0, 0, &payload[..])
+        let Ok((header, body)) = FrameHeader::split(&payload) else {
+            return;
         };
-        let decoded = Request::decode(body);
-        // First frame: a Hello negotiates v2, anything else locks v1.
-        if fresh {
-            fresh = false;
-            if let Ok(Request::Hello {
-                max_version,
-                pipe_size,
-            }) = &decoded
-            {
-                let version = (*max_version).clamp(1, MAX_PROTOCOL_VERSION);
-                v2 = version >= PROTOCOL_V2;
-                let ack = Response::HelloAck {
-                    version,
-                    pipe_size: (*pipe_size).clamp(1, 128),
-                    max_frame_len: MAX_FRAME_LEN,
-                };
-                if write_frame(&mut writer, &ack.encode())
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
-                    return;
-                }
-                continue;
-            }
-        }
-        let response = match decoded {
+        let deadline_ms = header.deadline_ms;
+        let response = match Request::decode(body) {
             Err(e) => Response::Error(format!("malformed request: {e}")),
-            Ok(Request::Hello { .. }) => {
-                Response::Error("Hello must be the first frame of a connection".to_string())
-            }
             Ok(request) => {
                 let expired = deadline_ms > 0
                     && read_at.elapsed() >= Duration::from_millis(u64::from(deadline_ms));
@@ -455,15 +430,11 @@ fn serve_client(shared: &Arc<Shared>, stream: TcpStream) {
                 }
             }
         };
-        let wire = if v2 {
-            FrameHeader {
-                request_id,
-                deadline_ms: 0,
-            }
-            .with_body(&response.encode())
-        } else {
-            response.encode()
-        };
+        let wire = FrameHeader {
+            request_id: header.request_id,
+            deadline_ms: 0,
+        }
+        .with_body(&response.encode());
         if write_frame(&mut writer, &wire)
             .and_then(|()| writer.flush())
             .is_err()
@@ -740,7 +711,9 @@ fn handle_request(
 ) -> Response {
     match request {
         Request::Ping => Response::Pong,
-        Request::Hello { .. } => unreachable!("handled by the framing layer"),
+        Request::Hello { .. } => {
+            Response::Error("Hello must be the first frame of a connection".to_string())
+        }
         Request::AllowPartial { enabled } => {
             *allow_partial = enabled;
             Response::PartialAck { enabled }

@@ -1,9 +1,8 @@
 //! Clients for the eclipse-serve protocol: the pipelining
-//! [`PipelinedClient`] (protocol v2, up to `pipe_size` requests in flight,
-//! replies correlated by request id) and the original blocking [`Client`],
-//! now a depth-1 v1 wrapper over the same machinery — every pre-pipelining
-//! test and example keeps compiling and keeps exercising the server's v1
-//! fallback path.
+//! [`PipelinedClient`] (up to `pipe_size` requests in flight, replies
+//! correlated by request id) and the blocking [`Client`], a depth-1 wrapper
+//! over the same machinery with one typed method per request.  Both open
+//! with the `Hello` handshake and speak protocol v2.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -16,8 +15,7 @@ use eclipse_core::WeightRatioBox;
 
 use crate::protocol::{
     read_frame, write_frame, DatasetSummary, FrameHeader, IndexKind, IndexSummary, MutationAck,
-    ProtocolError, Request, Response, StatsReport, WireBox, MAX_PROTOCOL_VERSION, PROTOCOL_V1,
-    PROTOCOL_V2,
+    ProtocolError, Request, Response, StatsReport, WireBox, PROTOCOL_V2,
 };
 
 /// Everything a client call can fail with.
@@ -130,11 +128,8 @@ pub type ClientResult<T> = std::result::Result<T, ClientError>;
 /// A pipelining connection: up to `pipe_size` requests in flight before the
 /// first response is read, replies correlated by request id.
 ///
-/// [`PipelinedClient::connect`] performs the `Hello` handshake and speaks
-/// protocol v2 (out-of-order responses, per-request deadlines);
-/// [`PipelinedClient::connect_v1`] skips the handshake and pipelines over
-/// protocol v1, correlating FIFO — the server guarantees v1 responses in
-/// request order.
+/// [`PipelinedClient::connect`] performs the `Hello` handshake and then
+/// speaks protocol v2: out-of-order responses and per-request deadlines.
 ///
 /// # Example
 ///
@@ -152,10 +147,9 @@ pub type ClientResult<T> = std::result::Result<T, ClientError>;
 pub struct PipelinedClient {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
-    version: u32,
     pipe_size: u32,
     next_id: u64,
-    /// Ids in flight, in send order (v1 correlates FIFO against this).
+    /// Ids sent whose responses have not been read yet, in send order.
     pending: VecDeque<u64>,
     /// Responses read while waiting for a different id.
     ready: HashMap<u64, Response>,
@@ -169,10 +163,11 @@ impl PipelinedClient {
     /// value is [`PipelinedClient::pipe_size`].
     ///
     /// # Errors
-    /// Propagates socket errors; [`ClientError::UnexpectedResponse`] when
-    /// the peer does not acknowledge the handshake.
+    /// Propagates socket errors; [`ClientError::Server`] when the peer
+    /// rejects the handshake and [`ClientError::UnexpectedResponse`] when it
+    /// does not acknowledge protocol v2.
     pub fn connect(addr: impl ToSocketAddrs, pipe_size: u32) -> ClientResult<PipelinedClient> {
-        let mut client = Self::from_stream(TcpStream::connect(addr)?, 1)?;
+        let mut client = Self::from_stream(TcpStream::connect(addr)?)?;
         client.handshake(pipe_size)?;
         Ok(client)
     }
@@ -192,46 +187,19 @@ impl PipelinedClient {
         pipe_size: u32,
         timeout: Duration,
     ) -> ClientResult<PipelinedClient> {
-        let mut client = Self::from_stream(connect_stream_timeout(addr, timeout)?, 1)?;
+        let mut client = Self::from_stream(connect_stream_timeout(addr, timeout)?)?;
         client.set_io_timeout(Some(timeout))?;
         client.handshake(pipe_size)?;
         Ok(client)
     }
 
-    /// Connects without a handshake: protocol v1, FIFO correlation, still
-    /// pipelined up to `pipe_size` — exercises the server's v1 fallback.
-    ///
-    /// # Errors
-    /// Propagates socket errors.
-    pub fn connect_v1(addr: impl ToSocketAddrs, pipe_size: u32) -> ClientResult<PipelinedClient> {
-        Self::from_stream(TcpStream::connect(addr)?, pipe_size.max(1))
-    }
-
-    /// [`PipelinedClient::connect_v1`] with connect + read/write timeouts
-    /// (see [`PipelinedClient::connect_timeout`]).
-    ///
-    /// # Errors
-    /// As [`PipelinedClient::connect_v1`], plus
-    /// [`ClientError::SocketTimeout`].
-    pub fn connect_v1_timeout(
-        addr: impl ToSocketAddrs,
-        pipe_size: u32,
-        timeout: Duration,
-    ) -> ClientResult<PipelinedClient> {
-        let mut client =
-            Self::from_stream(connect_stream_timeout(addr, timeout)?, pipe_size.max(1))?;
-        client.set_io_timeout(Some(timeout))?;
-        Ok(client)
-    }
-
-    fn from_stream(stream: TcpStream, pipe_size: u32) -> ClientResult<PipelinedClient> {
+    fn from_stream(stream: TcpStream) -> ClientResult<PipelinedClient> {
         stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(PipelinedClient {
             reader,
             writer: BufWriter::new(stream),
-            version: PROTOCOL_V1,
-            pipe_size,
+            pipe_size: 1,
             next_id: 0,
             pending: VecDeque::new(),
             ready: HashMap::new(),
@@ -239,13 +207,13 @@ impl PipelinedClient {
         })
     }
 
-    /// Performs the `Hello` exchange on a fresh connection, upgrading it to
-    /// the negotiated version and granted depth.
+    /// Performs the `Hello` exchange on a fresh connection, adopting the
+    /// granted depth.
     fn handshake(&mut self, pipe_size: u32) -> ClientResult<()> {
         write_frame(
             &mut self.writer,
             &Request::Hello {
-                max_version: MAX_PROTOCOL_VERSION,
+                max_version: PROTOCOL_V2,
                 pipe_size,
             }
             .encode(),
@@ -255,11 +223,10 @@ impl PipelinedClient {
             None => Err(ClientError::ConnectionClosed),
             Some(payload) => match Response::decode(&payload)? {
                 Response::HelloAck {
-                    version,
+                    version: PROTOCOL_V2,
                     pipe_size: granted,
                     ..
                 } => {
-                    self.version = version;
                     self.pipe_size = granted.max(1);
                     Ok(())
                 }
@@ -281,11 +248,6 @@ impl PipelinedClient {
         self.reader.get_ref().set_read_timeout(timeout)?;
         self.writer.get_ref().set_write_timeout(timeout)?;
         Ok(())
-    }
-
-    /// The negotiated protocol version ([`PROTOCOL_V1`] or [`PROTOCOL_V2`]).
-    pub fn version(&self) -> u32 {
-        self.version
     }
 
     /// The granted pipeline depth.
@@ -313,33 +275,23 @@ impl PipelinedClient {
     /// deadline passes is answered with a typed timeout instead of running.
     ///
     /// # Errors
-    /// [`ClientError::InvalidRequest`] on a v1 connection with a nonzero
-    /// deadline (v1 frames have no deadline field); transport errors.
+    /// Propagates transport errors.
     pub fn submit_with_deadline(
         &mut self,
         request: &Request,
         deadline_ms: u32,
     ) -> ClientResult<u64> {
-        if deadline_ms > 0 && self.version < PROTOCOL_V2 {
-            return Err(ClientError::InvalidRequest(
-                "deadlines need protocol v2 (connect with a handshake)".to_string(),
-            ));
-        }
         while self.pending.len() >= self.pipe_size as usize {
             let (id, response) = self.read_one()?;
             self.ready.insert(id, response);
         }
         let id = self.next_id;
         self.next_id += 1;
-        let payload = if self.version >= PROTOCOL_V2 {
-            FrameHeader {
-                request_id: id,
-                deadline_ms,
-            }
-            .with_body(&request.encode())
-        } else {
-            request.encode()
-        };
+        let payload = FrameHeader {
+            request_id: id,
+            deadline_ms,
+        }
+        .with_body(&request.encode());
         write_frame(&mut self.writer, &payload)?;
         self.needs_flush = true;
         self.pending.push_back(id);
@@ -405,21 +357,12 @@ impl PipelinedClient {
         match read_frame(&mut self.reader).map_err(ClientError::from)? {
             None => Err(ClientError::ConnectionClosed),
             Some(payload) => {
-                let (id, response) = if self.version >= PROTOCOL_V2 {
-                    let (header, body) = FrameHeader::split(&payload)?;
-                    (header.request_id, Response::decode(body)?)
-                } else {
-                    let id = self.pending.front().copied().ok_or_else(|| {
-                        ClientError::InvalidRequest(
-                            "response received with no request in flight".to_string(),
-                        )
-                    })?;
-                    (id, Response::decode(&payload)?)
-                };
-                if let Some(pos) = self.pending.iter().position(|&p| p == id) {
+                let (header, body) = FrameHeader::split(&payload)?;
+                let response = Response::decode(body)?;
+                if let Some(pos) = self.pending.iter().position(|&p| p == header.request_id) {
                     self.pending.remove(pos);
                 }
-                Ok((id, response))
+                Ok((header.request_id, response))
             }
         }
     }
@@ -502,7 +445,6 @@ impl fmt::Debug for PipelinedClient {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PipelinedClient")
             .field("peer", &self.reader.get_ref().peer_addr().ok())
-            .field("version", &self.version)
             .field("pipe_size", &self.pipe_size)
             .field("in_flight", &self.in_flight())
             .finish()
@@ -510,34 +452,33 @@ impl fmt::Debug for PipelinedClient {
 }
 
 /// A blocking connection to an eclipse-serve server: one request in flight
-/// at a time, responses in request order — a depth-1 protocol-v1 wrapper
-/// over [`PipelinedClient`], kept so every pre-pipelining caller compiles
-/// unchanged (and keeps the server's v1 fallback path covered).
+/// at a time — a depth-1 wrapper over [`PipelinedClient`] with one typed
+/// method per request.
 pub struct Client {
     inner: PipelinedClient,
 }
 
 impl Client {
-    /// Connects to a server (no handshake: the connection speaks v1).
+    /// Connects to a server and performs the `Hello` handshake.
     ///
     /// # Errors
-    /// Propagates socket errors.
+    /// As [`PipelinedClient::connect`].
     pub fn connect(addr: impl ToSocketAddrs) -> ClientResult<Client> {
         Ok(Client {
-            inner: PipelinedClient::connect_v1(addr, 1)?,
+            inner: PipelinedClient::connect(addr, 1)?,
         })
     }
 
-    /// [`Client::connect`] with timeouts: the TCP connect and every
-    /// subsequent read/write give up after `timeout` with
+    /// [`Client::connect`] with timeouts: the TCP connect, the handshake
+    /// and every subsequent read/write give up after `timeout` with
     /// [`ClientError::SocketTimeout`] instead of blocking indefinitely on
     /// an unresponsive peer.
     ///
     /// # Errors
-    /// Propagates socket errors, plus [`ClientError::SocketTimeout`].
+    /// As [`PipelinedClient::connect_timeout`].
     pub fn connect_timeout(addr: impl ToSocketAddrs, timeout: Duration) -> ClientResult<Client> {
         Ok(Client {
-            inner: PipelinedClient::connect_v1_timeout(addr, 1, timeout)?,
+            inner: PipelinedClient::connect_timeout(addr, 1, timeout)?,
         })
     }
 

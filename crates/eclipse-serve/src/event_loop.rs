@@ -21,21 +21,21 @@
 //!   pipeline depth) and a global cap; a request over either limit is
 //!   answered immediately with [`Response::Overloaded`] — typed, counted,
 //!   connection stays usable;
-//! * **deadlines**: a v2 frame's `deadline_ms` is measured from the read
-//!   that delivered its bytes; a request whose deadline has passed when
+//! * **handshake**: a connection's first frame must be a `Hello` for
+//!   protocol v2 ([`negotiate`] decides); anything else is answered with one
+//!   typed error and the connection closes once it has flushed;
+//! * **deadlines**: a frame's `deadline_ms` is measured from the read that
+//!   delivered its bytes; a request whose deadline has passed when
 //!   execution would start (inline, at admission, or on the worker) is
 //!   answered with [`Response::Timeout`] instead of being run;
-//! * **v1 ordering**: v1 clients are promised responses in request order, so
-//!   each v1 request carries an internal sequence number and completions
-//!   pass through a reorder buffer before entering the write buffer.  v2
-//!   responses are written in completion order and correlated by the echoed
-//!   request id;
+//! * **out-of-order responses**: responses are written in completion order
+//!   and correlated by the echoed request id;
 //! * **graceful drain**: on shutdown the loop closes the listener, stops
 //!   reading, lets every admitted request complete, flushes the write
 //!   buffers, and only then exits (bounded by the configured drain timeout).
 //!   The hard-stop path (`abort`) skips the drain.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -44,9 +44,7 @@ use std::time::{Duration, Instant};
 
 use eclipse_exec::Dispatcher;
 
-use crate::protocol::{
-    FrameHeader, Request, Response, MAX_FRAME_LEN, MAX_PROTOCOL_VERSION, PROTOCOL_V2,
-};
+use crate::protocol::{negotiate, FrameHeader, Request, Response, MAX_FRAME_LEN, V2_HEADER_LEN};
 use crate::server::{ServerConfig, ServerState};
 
 /// Idle iterations spent on `yield_now` before the loop starts parking.
@@ -67,10 +65,9 @@ const WBUF_SOFT_CAP: usize = 4 << 20;
 const COMPACT_AT: usize = 64 << 10;
 
 /// A finished request: the fully framed wire bytes plus enough routing to
-/// deliver them (connection, v1 sequence number, v2 request id).
+/// deliver them (connection and request id).
 struct Completion {
     conn_id: u64,
-    seq: u64,
     request_id: u64,
     wire: Vec<u8>,
 }
@@ -105,28 +102,18 @@ impl Completions {
     }
 }
 
-/// Which framing a connection has settled on.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// No frame seen yet: the first frame decides (a `Hello` negotiates,
-    /// anything else locks the connection to v1).
-    Fresh,
-    /// Bare bodies, responses strictly in request order.
-    V1,
-    /// 12-byte [`FrameHeader`] per frame, responses in completion order.
-    V2,
-}
-
 /// Per-connection state owned by the loop thread.
 struct Conn {
     stream: TcpStream,
-    mode: Mode,
+    /// The `Hello` handshake has completed: every later frame carries a
+    /// [`FrameHeader`].
+    greeted: bool,
     /// Negotiated per-connection in-flight cap.
     pipe_limit: u32,
     /// Read buffer: bytes `[rpos..]` are un-parsed.
     rbuf: Vec<u8>,
     rpos: usize,
-    /// Timestamp of the read that most recently appended to `rbuf`; v2
+    /// Timestamp of the read that most recently appended to `rbuf`;
     /// deadlines are measured from here.
     read_at: Instant,
     /// When the connection was accepted; half-open hygiene measures the
@@ -139,14 +126,8 @@ struct Conn {
     in_flight: u32,
     /// Mirror of `in_flight` readable by `Stats` workers.
     depth_gauge: Arc<AtomicU32>,
-    /// v2: ids currently in flight (duplicates are rejected).
+    /// Ids currently in flight (duplicates are rejected).
     live_ids: HashSet<u64>,
-    /// v1: next sequence number to assign to an arriving request.
-    next_seq: u64,
-    /// v1: next sequence number the write buffer is waiting for.
-    next_to_send: u64,
-    /// v1: completions that finished ahead of their turn.
-    reorder: BTreeMap<u64, Vec<u8>>,
     /// No more requests will be read (EOF, broken framing, or drain).
     closed_read: bool,
     /// Remove the connection at the next sweep.
@@ -157,7 +138,7 @@ impl Conn {
     fn new(stream: TcpStream, depth_gauge: Arc<AtomicU32>) -> Conn {
         Conn {
             stream,
-            mode: Mode::Fresh,
+            greeted: false,
             pipe_limit: 1,
             rbuf: Vec::new(),
             rpos: 0,
@@ -168,9 +149,6 @@ impl Conn {
             in_flight: 0,
             depth_gauge,
             live_ids: HashSet::new(),
-            next_seq: 0,
-            next_to_send: 0,
-            reorder: BTreeMap::new(),
             closed_read: false,
             dead: false,
         }
@@ -182,7 +160,7 @@ impl Conn {
 
     /// True once nothing can ever be written to this connection again.
     fn finished(&self) -> bool {
-        self.closed_read && self.in_flight == 0 && self.reorder.is_empty() && self.flushed()
+        self.closed_read && self.in_flight == 0 && self.flushed()
     }
 
     fn set_in_flight(&mut self, n: u32) {
@@ -191,23 +169,16 @@ impl Conn {
     }
 }
 
-/// How to frame a response for its connection.
-#[derive(Clone, Copy)]
-enum Route {
-    /// v1 (and handshake) frames: bare body, delivered through the sequence
-    /// reorder buffer when `seq` ordering applies.
-    V1,
-    /// v2 frames: prepend a [`FrameHeader`] echoing the request id.
-    V2 { request_id: u64 },
-}
-
-/// Frames one response into complete wire bytes (length prefix included).
-/// A response too large for one frame is replaced by a typed error — the
-/// client must not lose the connection over an oversized batch result.
-fn encode_wire(route: Route, response: &Response, state: &ServerState) -> Vec<u8> {
-    let header_len = match route {
-        Route::V1 => 0,
-        Route::V2 { .. } => crate::protocol::V2_HEADER_LEN,
+/// Frames one response into complete wire bytes (length prefix included),
+/// with a [`FrameHeader`] echoing `request_id`, or bare for the handshake
+/// reply (`None`).  A response too large for one frame is replaced by a
+/// typed error — the client must not lose the connection over an oversized
+/// batch result.
+fn encode_wire(request_id: Option<u64>, response: &Response, state: &ServerState) -> Vec<u8> {
+    let header_len = if request_id.is_some() {
+        V2_HEADER_LEN
+    } else {
+        0
     };
     let mut body = response.encode();
     if header_len + body.len() > MAX_FRAME_LEN as usize {
@@ -222,7 +193,7 @@ fn encode_wire(route: Route, response: &Response, state: &ServerState) -> Vec<u8
     let payload_len = (header_len + body.len()) as u32;
     let mut wire = Vec::with_capacity(4 + payload_len as usize);
     wire.extend_from_slice(&payload_len.to_le_bytes());
-    if let Route::V2 { request_id } = route {
+    if let Some(request_id) = request_id {
         FrameHeader {
             request_id,
             deadline_ms: 0,
@@ -233,34 +204,11 @@ fn encode_wire(route: Route, response: &Response, state: &ServerState) -> Vec<u8
     wire
 }
 
-/// Appends a v1 completion in sequence order: the frame for `seq` enters the
-/// write buffer only after every earlier sequence number has.
-fn push_in_order(conn: &mut Conn, seq: u64, wire: Vec<u8>) {
-    if seq == conn.next_to_send {
-        conn.wbuf.extend_from_slice(&wire);
-        conn.next_to_send += 1;
-        while let Some(next) = conn.reorder.remove(&conn.next_to_send) {
-            conn.wbuf.extend_from_slice(&next);
-            conn.next_to_send += 1;
-        }
-    } else {
-        conn.reorder.insert(seq, wire);
-    }
-}
-
 /// Delivers a response produced on the loop thread (handshakes, rejections,
-/// inline executions): v1 responses consume the next sequence number so they
-/// stay ordered relative to dispatched requests, v2 responses append.
-fn deliver_now(conn: &mut Conn, route: Route, response: &Response, state: &ServerState) {
-    let wire = encode_wire(route, response, state);
-    match route {
-        Route::V1 if conn.mode != Mode::Fresh => {
-            let seq = conn.next_seq;
-            conn.next_seq += 1;
-            push_in_order(conn, seq, wire);
-        }
-        _ => conn.wbuf.extend_from_slice(&wire),
-    }
+/// inline executions) straight into the write buffer.
+fn deliver_now(conn: &mut Conn, request_id: Option<u64>, response: &Response, state: &ServerState) {
+    let wire = encode_wire(request_id, response, state);
+    conn.wbuf.extend_from_slice(&wire);
 }
 
 /// Everything the per-connection handlers need besides the connection map —
@@ -333,20 +281,14 @@ impl EventLoop {
             }
             let mut progress = false;
 
-            // 1. Finished requests → write buffers (v1 via the reorder
-            //    buffer, v2 straight through).
+            // 1. Finished requests → write buffers, in completion order.
             for done in self.ctx.completions.take() {
                 progress = true;
                 self.ctx.state.in_flight.fetch_sub(1, Ordering::Relaxed);
                 if let Some(conn) = self.conns.get_mut(&done.conn_id) {
                     conn.set_in_flight(conn.in_flight.saturating_sub(1));
-                    match conn.mode {
-                        Mode::V2 => {
-                            conn.live_ids.remove(&done.request_id);
-                            conn.wbuf.extend_from_slice(&done.wire);
-                        }
-                        _ => push_in_order(conn, done.seq, done.wire),
-                    }
+                    conn.live_ids.remove(&done.request_id);
+                    conn.wbuf.extend_from_slice(&done.wire);
                 }
             }
 
@@ -382,13 +324,13 @@ impl EventLoop {
             //    hygiene: a connection still waiting for its *first*
             //    complete frame past the idle window is dropped so a peer
             //    that accepts and goes silent cannot hold a slot (of
-            //    max_connections) forever.  A connection past its first
-            //    frame (mode settled) is never idle-reaped.
+            //    max_connections) forever.  A greeted connection is never
+            //    idle-reaped.
             let state = &self.ctx.state;
             let idle_timeout = self.ctx.config.idle_timeout;
             let now = Instant::now();
             self.conns.retain(|id, conn| {
-                let half_open_expired = conn.mode == Mode::Fresh
+                let half_open_expired = !conn.greeted
                     && idle_timeout.is_some_and(|t| now.duration_since(conn.created) >= t);
                 let keep = !conn.dead && !conn.finished() && !half_open_expired;
                 if !keep {
@@ -445,11 +387,8 @@ fn service_conn(ctx: &LoopCtx, id: u64, conn: &mut Conn, scratch: &mut [u8]) -> 
                     // then close once it (and any pending work) flushes.
                     ctx.state.errors.fetch_add(1, Ordering::Relaxed);
                     let response = Response::Error(format!("frame of {len} bytes exceeds the cap"));
-                    let route = match conn.mode {
-                        Mode::V2 => Route::V2 { request_id: 0 },
-                        _ => Route::V1,
-                    };
-                    deliver_now(conn, route, &response, &ctx.state);
+                    let request_id = conn.greeted.then_some(0);
+                    deliver_now(conn, request_id, &response, &ctx.state);
                     conn.closed_read = true;
                     break;
                 }
@@ -553,78 +492,54 @@ fn take_frame(conn: &mut Conn) -> Result<Option<Vec<u8>>, u64> {
     Ok(Some(payload))
 }
 
-/// Decodes one frame under the connection's mode and admits the request.
+/// Answers the handshake on an ungreeted connection; otherwise splits the
+/// frame header and admits the request.
 fn handle_frame(ctx: &LoopCtx, id: u64, conn: &mut Conn, payload: &[u8]) {
-    match conn.mode {
-        Mode::Fresh => match Request::decode(payload) {
-            Ok(Request::Hello {
-                max_version,
-                pipe_size,
-            }) => {
-                let version = max_version.clamp(1, MAX_PROTOCOL_VERSION);
-                let granted = pipe_size.clamp(1, ctx.config.max_pipeline);
-                conn.mode = if version >= PROTOCOL_V2 {
-                    Mode::V2
-                } else {
-                    Mode::V1
-                };
-                conn.pipe_limit = granted;
-                let ack = Response::HelloAck {
-                    version,
-                    pipe_size: granted,
-                    max_frame_len: MAX_FRAME_LEN,
-                };
-                // The ack itself is always v1-framed: the client only
-                // switches framing after reading it.
-                conn.wbuf
-                    .extend_from_slice(&encode_wire(Route::V1, &ack, &ctx.state));
-            }
-            decoded => {
-                // Any non-Hello first frame locks the connection to v1.
-                conn.mode = Mode::V1;
-                conn.pipe_limit = ctx.config.max_pipeline;
-                finish_decoded(ctx, id, conn, decoded, Route::V1, 0);
-            }
-        },
-        Mode::V1 => finish_decoded(ctx, id, conn, Request::decode(payload), Route::V1, 0),
-        Mode::V2 => match FrameHeader::split(payload) {
-            Ok((header, body)) => {
-                if !conn.live_ids.is_empty() && conn.live_ids.contains(&header.request_id) {
-                    ctx.state.errors.fetch_add(1, Ordering::Relaxed);
-                    let response = Response::Error(format!(
-                        "request id {} is already in flight on this connection",
-                        header.request_id
-                    ));
-                    deliver_now(
-                        conn,
-                        Route::V2 {
-                            request_id: header.request_id,
-                        },
-                        &response,
-                        &ctx.state,
-                    );
-                    return;
-                }
-                finish_decoded(
-                    ctx,
-                    id,
-                    conn,
-                    Request::decode(body),
-                    Route::V2 {
-                        request_id: header.request_id,
-                    },
-                    header.deadline_ms,
-                );
-            }
-            Err(_) => {
-                // Shorter than a v2 header: framing is out of sync; close.
+    if !conn.greeted {
+        // The handshake reply is bare-framed: the client only switches to
+        // headed frames after reading it.
+        let (reply, granted) = negotiate(payload, ctx.config.max_pipeline);
+        deliver_now(conn, None, &reply, &ctx.state);
+        if let Some(depth) = granted {
+            conn.greeted = true;
+            conn.pipe_limit = depth;
+        } else {
+            // Close once the rejection flushes; frames already buffered
+            // behind the bad first frame are dropped unread.
+            ctx.state.errors.fetch_add(1, Ordering::Relaxed);
+            conn.closed_read = true;
+            conn.rbuf.clear();
+            conn.rpos = 0;
+        }
+        return;
+    }
+    match FrameHeader::split(payload) {
+        Ok((header, body)) => {
+            if !conn.live_ids.is_empty() && conn.live_ids.contains(&header.request_id) {
                 ctx.state.errors.fetch_add(1, Ordering::Relaxed);
-                let response =
-                    Response::Error("v2 frame shorter than its 12-byte header".to_string());
-                deliver_now(conn, Route::V2 { request_id: 0 }, &response, &ctx.state);
-                conn.closed_read = true;
+                let response = Response::Error(format!(
+                    "request id {} is already in flight on this connection",
+                    header.request_id
+                ));
+                deliver_now(conn, Some(header.request_id), &response, &ctx.state);
+                return;
             }
-        },
+            finish_decoded(
+                ctx,
+                id,
+                conn,
+                Request::decode(body),
+                header.request_id,
+                header.deadline_ms,
+            );
+        }
+        Err(_) => {
+            // Shorter than the frame header: framing is out of sync; close.
+            ctx.state.errors.fetch_add(1, Ordering::Relaxed);
+            let response = Response::Error("v2 frame shorter than its 12-byte header".to_string());
+            deliver_now(conn, Some(0), &response, &ctx.state);
+            conn.closed_read = true;
+        }
     }
 }
 
@@ -636,7 +551,7 @@ fn finish_decoded(
     id: u64,
     conn: &mut Conn,
     decoded: Result<Request, crate::protocol::ProtocolError>,
-    route: Route,
+    request_id: u64,
     deadline_ms: u32,
 ) {
     let request = match decoded {
@@ -644,7 +559,7 @@ fn finish_decoded(
         Err(e) => {
             ctx.state.errors.fetch_add(1, Ordering::Relaxed);
             let response = Response::Error(format!("malformed request: {e}"));
-            deliver_now(conn, route, &response, &ctx.state);
+            deliver_now(conn, Some(request_id), &response, &ctx.state);
             return;
         }
     };
@@ -655,7 +570,7 @@ fn finish_decoded(
             in_flight: conn.in_flight,
             limit: conn.pipe_limit,
         };
-        deliver_now(conn, route, &response, &ctx.state);
+        deliver_now(conn, Some(request_id), &response, &ctx.state);
         return;
     }
     let global = ctx.state.in_flight.load(Ordering::Relaxed);
@@ -665,7 +580,7 @@ fn finish_decoded(
             in_flight: global.min(u64::from(u32::MAX)) as u32,
             limit: ctx.config.max_in_flight,
         };
-        deliver_now(conn, route, &response, &ctx.state);
+        deliver_now(conn, Some(request_id), &response, &ctx.state);
         return;
     }
     let deadline =
@@ -673,14 +588,14 @@ fn finish_decoded(
     if deadline.is_some_and(|d| Instant::now() >= d) {
         ctx.state.timeouts.fetch_add(1, Ordering::Relaxed);
         let response = Response::Timeout { deadline_ms };
-        deliver_now(conn, route, &response, &ctx.state);
+        deliver_now(conn, Some(request_id), &response, &ctx.state);
         return;
     }
     // Liveness fast path: a Ping on a connection with nothing in flight is
-    // always answered on the loop thread — per-connection FIFO is trivially
-    // preserved, and a health probe measures *liveness* instead of queueing
-    // behind a multi-second LoadDataset on a saturated worker pool (which
-    // would read as a dead member to a fail-fast health checker).
+    // always answered on the loop thread, so a health probe measures
+    // *liveness* instead of queueing behind a multi-second LoadDataset on a
+    // saturated worker pool (which would read as a dead member to a
+    // fail-fast health checker).
     //
     // Idle fast path: with nothing in flight anywhere, answering cheap
     // probes on the loop thread skips two thread handoffs — this is what
@@ -695,20 +610,12 @@ fn finish_decoded(
     };
     if inline {
         let response = ctx.state.respond(request);
-        deliver_now(conn, route, &response, &ctx.state);
+        deliver_now(conn, Some(request_id), &response, &ctx.state);
         return;
     }
     // Dispatch: the worker frames the response and pushes it onto the
     // completion queue, which unparks the loop.
-    let seq = conn.next_seq;
-    conn.next_seq += 1;
-    let request_id = match route {
-        Route::V1 => 0,
-        Route::V2 { request_id } => {
-            conn.live_ids.insert(request_id);
-            request_id
-        }
-    };
+    conn.live_ids.insert(request_id);
     conn.set_in_flight(conn.in_flight + 1);
     ctx.state.in_flight.fetch_add(1, Ordering::Relaxed);
     let state = Arc::clone(&ctx.state);
@@ -721,10 +628,9 @@ fn finish_decoded(
             }
             _ => state.respond(request),
         };
-        let wire = encode_wire(route, &response, &state);
+        let wire = encode_wire(Some(request_id), &response, &state);
         completions.push(Completion {
             conn_id: id,
-            seq,
             request_id,
             wire,
         });
@@ -734,18 +640,9 @@ fn finish_decoded(
         // typed instead of going silent.
         ctx.state.in_flight.fetch_sub(1, Ordering::Relaxed);
         conn.set_in_flight(conn.in_flight.saturating_sub(1));
-        if let Route::V2 { request_id } = route {
-            conn.live_ids.remove(&request_id);
-        }
+        conn.live_ids.remove(&request_id);
         ctx.state.errors.fetch_add(1, Ordering::Relaxed);
-        let wire = encode_wire(
-            route,
-            &Response::Error("server is shutting down".to_string()),
-            &ctx.state,
-        );
-        match route {
-            Route::V1 => push_in_order(conn, seq, wire),
-            Route::V2 { .. } => conn.wbuf.extend_from_slice(&wire),
-        }
+        let response = Response::Error("server is shutting down".to_string());
+        deliver_now(conn, Some(request_id), &response, &ctx.state);
     }
 }

@@ -8,11 +8,11 @@
 //! * [`protocol`] — a length-prefixed binary wire protocol with a tiny
 //!   hand-rolled codec (std only, no serde): `LoadDataset`, `BuildIndex`,
 //!   `QueryBatch`, `CountBatch`, `SaveIndex`, `RestoreIndex`, `Ping` and
-//!   `Stats` requests with their responses.  Two framings share the
-//!   envelope: v1 (bare body, responses in request order) and v2 (a
+//!   `Stats` requests with their responses.  Every connection opens with a
+//!   `Hello` handshake and then speaks protocol v2: a
 //!   `request_id`/`deadline_ms` header per frame, responses multiplexed
-//!   out of order), negotiated by a `Hello` handshake on the first frame —
-//!   connections that skip it stay on v1 unchanged.  Decoding is total —
+//!   out of order; any other first frame is refused with a typed error.
+//!   Decoding is total —
 //!   garbage bytes become [`protocol::ProtocolError`] values, never panics
 //!   or oversized allocations;
 //! * [`server`] — a readiness-driven event-loop server (non-blocking
@@ -28,9 +28,9 @@
 //!   With a snapshot directory configured (`--snapshot-dir`), `SaveIndex`
 //!   persists versioned dataset+index snapshots and a restarted server
 //!   warm-loads them instead of rebuilding;
-//! * [`client`] — the pipelining [`PipelinedClient`] (protocol v2, up to
-//!   `pipe_size` requests in flight, replies correlated by request id) and
-//!   the blocking [`Client`], a depth-1 v1 wrapper over the same machinery
+//! * [`client`] — the pipelining [`PipelinedClient`] (up to `pipe_size`
+//!   requests in flight, replies correlated by request id) and the blocking
+//!   [`Client`], a depth-1 wrapper over the same machinery
 //!   used by the integration tests, the examples and the
 //!   `experiments -- serve` throughput sweeps.
 //!

@@ -74,10 +74,6 @@ fn main() -> ExitCode {
         config.idle_timeout = (ms > 0).then(|| std::time::Duration::from_millis(ms));
     }
     if let Some(mb) = opts.max_memory_mb {
-        if opts.snapshot_dir.is_none() {
-            eprintln!("eclipse-serve: --max-memory-mb requires --snapshot-dir (eviction persists datasets as snapshots)");
-            return ExitCode::FAILURE;
-        }
         config.max_memory_bytes = Some(mb * 1024 * 1024);
     }
     let server = match Server::bind_with_config(&opts.addr, exec, config) {
@@ -130,7 +126,7 @@ fn main() -> ExitCode {
         Err(e) => eprintln!("eclipse-serve: listening (address unavailable: {e})"),
     }
     if let Err(e) = server.run() {
-        eprintln!("eclipse-serve: accept loop failed: {e}");
+        eprintln!("eclipse-serve: cannot serve: {e}");
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

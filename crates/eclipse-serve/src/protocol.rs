@@ -7,8 +7,7 @@
 //!
 //! ```text
 //! frame      := len:u32le payload[len]
-//! payload    := body                                        (protocol v1)
-//! payload    := request_id:u64le deadline_ms:u32le body     (protocol v2)
+//! payload    := request_id:u64le deadline_ms:u32le body
 //! body       := tag:u8 fields
 //! ```
 //!
@@ -19,15 +18,14 @@
 //! A `string` is `u32le` length + UTF-8 bytes; every list is `u32le`
 //! element count + elements.
 //!
-//! # Versions and the handshake
+//! # The handshake
 //!
-//! A connection starts in **protocol v1**: frames carry a bare body, one
-//! request is answered by one response, and responses arrive in request
-//! order.  A client that wants to pipeline sends [`Request::Hello`] as its
-//! **first** frame (still v1-framed); the server answers
-//! [`Response::HelloAck`] with the negotiated version and pipeline depth.
-//! When the negotiated version is [`PROTOCOL_V2`], every subsequent frame in
-//! both directions carries a 12-byte [`FrameHeader`] before the body:
+//! The only exception to that payload layout is a connection's **first**
+//! exchange: the client sends a bare-body [`Request::Hello`] and the server
+//! answers a bare-body [`Response::HelloAck`] with the negotiated version
+//! ([`PROTOCOL_V2`]) and pipeline depth ([`negotiate`] is the rule).  Every
+//! later frame in both directions carries the 12-byte [`FrameHeader`]
+//! before the body:
 //!
 //! * `request_id` — chosen by the client, echoed verbatim in the response,
 //!   so responses may return **out of order** and the client correlates by
@@ -38,10 +36,9 @@
 //!   [`Response::Timeout`] instead of being executed.  Responses always
 //!   carry 0.
 //!
-//! A client that never sends `Hello` keeps speaking v1 indefinitely — the
-//! server detects the mode from the first frame, and v1 responses are
-//! delivered strictly in request order even when the server completes them
-//! out of order internally.
+//! A first frame that is not a `Hello`, or a `Hello` whose `max_version` is
+//! below [`PROTOCOL_V2`], is answered with one bare-body [`Response::Error`]
+//! and the connection is closed.
 //!
 //! # Robustness
 //!
@@ -61,15 +58,10 @@ use eclipse_core::index::IntersectionIndexKind;
 /// length prefix is rejected before any buffer is allocated.
 pub const MAX_FRAME_LEN: u32 = 1 << 26;
 
-/// The original protocol: bare bodies, strictly ordered responses.
-pub const PROTOCOL_V1: u32 = 1;
-
-/// The pipelined protocol: every frame carries a [`FrameHeader`]
-/// (request id + deadline) and responses may return out of order.
+/// The protocol version this build speaks, and the only one it accepts:
+/// every frame after the handshake carries a [`FrameHeader`] (request id +
+/// deadline) and responses may return out of order.
 pub const PROTOCOL_V2: u32 = 2;
-
-/// The newest protocol version this build speaks.
-pub const MAX_PROTOCOL_VERSION: u32 = PROTOCOL_V2;
 
 /// Byte length of the v2 per-frame header.
 pub const V2_HEADER_LEN: usize = 12;
@@ -241,11 +233,9 @@ pub type WireBox = Vec<(f64, f64)>;
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
     /// Version/pipelining handshake; must be the **first** frame of a
-    /// connection (v1-framed).  The server answers [`Response::HelloAck`]
-    /// with `version = min(max_version, MAX_PROTOCOL_VERSION)` and the
-    /// granted pipeline depth; every later frame then uses the negotiated
-    /// framing.  A `Hello` after the first frame is answered with an error
-    /// and the connection keeps its established mode.
+    /// connection (bare body, no [`FrameHeader`]).  See [`negotiate`] for
+    /// the answer.  A `Hello` after the first frame is answered with an
+    /// error and the connection stays usable.
     Hello {
         /// Highest protocol version the client speaks.
         max_version: u32,
@@ -520,7 +510,7 @@ pub enum Response {
     /// Reply to [`Request::Hello`]: the negotiated protocol version, the
     /// granted pipeline depth, and the server's frame cap.
     HelloAck {
-        /// Negotiated version: `min(client max, MAX_PROTOCOL_VERSION)`.
+        /// Negotiated version: always [`PROTOCOL_V2`].
         version: u32,
         /// Granted per-connection pipeline depth (in-flight requests).
         pipe_size: u32,
@@ -605,6 +595,47 @@ pub enum Response {
     },
     /// Any request that failed; the connection stays usable.
     Error(String),
+}
+
+// --- handshake -------------------------------------------------------------
+
+/// Answers a connection's first frame (a bare body): a [`Request::Hello`]
+/// with `max_version >= PROTOCOL_V2` is accepted, and anything else is
+/// rejected.
+///
+/// Returns the reply to send, bare-framed like the `Hello`, and the granted
+/// pipeline depth (the requested `pipe_size` clamped to
+/// `1..=max_pipeline`).  An accepted handshake replies
+/// [`Response::HelloAck`]; a rejected one replies a typed
+/// [`Response::Error`] and grants nothing (`None`), and the connection
+/// closes once the reply is sent.
+pub fn negotiate(first_frame: &[u8], max_pipeline: u32) -> (Response, Option<u32>) {
+    match Request::decode(first_frame) {
+        Ok(Request::Hello {
+            max_version,
+            pipe_size,
+        }) if max_version >= PROTOCOL_V2 => {
+            let granted = pipe_size.clamp(1, max_pipeline);
+            let ack = Response::HelloAck {
+                version: PROTOCOL_V2,
+                pipe_size: granted,
+                max_frame_len: MAX_FRAME_LEN,
+            };
+            (ack, Some(granted))
+        }
+        Ok(Request::Hello { max_version, .. }) => {
+            let reason = format!(
+                "protocol v{max_version} is not supported; this server speaks v{PROTOCOL_V2} only"
+            );
+            (Response::Error(reason), None)
+        }
+        _ => {
+            let reason = format!(
+                "the first frame of a connection must be a Hello for protocol v{PROTOCOL_V2}"
+            );
+            (Response::Error(reason), None)
+        }
+    }
 }
 
 // --- framing ---------------------------------------------------------------
@@ -1342,7 +1373,7 @@ mod tests {
             Request::Ping,
             Request::Stats,
             Request::Hello {
-                max_version: MAX_PROTOCOL_VERSION,
+                max_version: PROTOCOL_V2,
                 pipe_size: 64,
             },
             Request::BuildIndex {
@@ -1403,6 +1434,39 @@ mod tests {
             Response::Error("boom".to_string()),
         ] {
             assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
+        }
+    }
+
+    #[test]
+    fn negotiate_grants_v2_and_rejects_everything_else() {
+        let hello = |max_version, pipe_size| {
+            Request::Hello {
+                max_version,
+                pipe_size,
+            }
+            .encode()
+        };
+        for (max_version, asked, granted) in [(2, 8, 8), (3, 8, 8), (2, 0, 1), (2, 500, 16)] {
+            let (ack, depth) = negotiate(&hello(max_version, asked), 16);
+            assert_eq!(depth, Some(granted));
+            assert_eq!(
+                ack,
+                Response::HelloAck {
+                    version: PROTOCOL_V2,
+                    pipe_size: granted,
+                    max_frame_len: MAX_FRAME_LEN,
+                }
+            );
+        }
+        let ping_v2 = FrameHeader::default().with_body(&Request::Ping.encode());
+        for first in [
+            hello(1, 8),
+            hello(0, 8),
+            Request::Ping.encode(),
+            ping_v2,
+            Vec::new(),
+        ] {
+            assert!(matches!(negotiate(&first, 16), (Response::Error(_), None)));
         }
     }
 

@@ -976,8 +976,8 @@ pub struct SnapshotScan {
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Per-connection in-flight cap: the largest pipeline depth a `Hello`
-    /// can negotiate (v1 connections get the full cap).  Requests over the
-    /// cap are answered with [`Response::Overloaded`].
+    /// can negotiate.  Requests over the cap are answered with
+    /// [`Response::Overloaded`].
     pub max_pipeline: u32,
     /// Global in-flight cap across all connections; requests over it are
     /// answered with [`Response::Overloaded`].
@@ -1008,8 +1008,10 @@ pub struct ServerConfig {
     /// build, eviction reload) pushes the total over the budget, the
     /// coldest datasets are snapshotted-if-dirty and evicted until it fits
     /// again; evicted datasets restore transparently on their next request.
-    /// Eviction requires a snapshot directory.  `None` (default) disables
-    /// the budget.
+    /// Eviction requires a snapshot directory: [`Server::spawn`] and
+    /// [`Server::run`] refuse a budget without one
+    /// ([`Server::set_snapshot_dir`]).  `None` (default) disables the
+    /// budget.
     pub max_memory_bytes: Option<u64>,
 }
 
@@ -1111,12 +1113,28 @@ impl Server {
         self.state.register(name, points, warm)
     }
 
+    /// A memory budget is enforced by evicting datasets into snapshots, so
+    /// it needs a snapshot directory; without one it would silently never
+    /// evict.
+    fn check_budget(&self) -> io::Result<()> {
+        if self.config.max_memory_bytes.is_some() && self.state.snapshot_dir().is_err() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "a memory budget (max_memory_bytes) requires a snapshot directory: \
+                 eviction persists datasets as snapshots",
+            ));
+        }
+        Ok(())
+    }
+
     /// Serves connections forever on the calling thread (the binary's main
     /// loop).
     ///
     /// # Errors
-    /// Propagates socket setup errors.
+    /// [`io::ErrorKind::InvalidInput`] for a memory budget without a
+    /// snapshot directory; otherwise propagates socket setup errors.
     pub fn run(self) -> io::Result<()> {
+        self.check_budget()?;
         self.listener.set_nonblocking(true)?;
         let event_loop = EventLoop::new(self.listener, self.state, self.config);
         event_loop.run(&AtomicBool::new(false), &AtomicBool::new(false));
@@ -1128,8 +1146,9 @@ impl Server {
     /// in-process flavour tests and benches use.
     ///
     /// # Errors
-    /// Propagates socket setup errors.
+    /// As [`Server::run`].
     pub fn spawn(self) -> io::Result<ServerHandle> {
+        self.check_budget()?;
         let addr = self.local_addr()?;
         self.listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));

@@ -266,3 +266,24 @@ fn impossible_restores_are_typed_and_leave_the_connection_usable() {
         .any(|d| d.name == "ds0" && !d.resident));
     handle.shutdown();
 }
+
+#[test]
+fn a_budget_without_a_snapshot_dir_refuses_to_serve() {
+    // Eviction persists datasets as snapshots; a budget with nowhere to
+    // put them would silently never evict, so the server refuses to start.
+    let bind = || {
+        Server::bind_with_config(
+            "127.0.0.1:0",
+            ExecutionContext::serial(),
+            ServerConfig {
+                max_memory_bytes: Some(1 << 20),
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap()
+    };
+    let err = bind().spawn().unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    let err = bind().run().unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+}

@@ -1,17 +1,17 @@
 //! Protocol-v2 serving: pipelined clients must agree byte-for-byte with the
 //! blocking client at every depth, the `Hello` handshake must negotiate and
-//! clamp, and the flow-control surface (deadlines, admission control,
+//! clamp (and refuse any other first frame, at the server and the router),
+//! and the flow-control surface (deadlines, admission control,
 //! graceful drain, mid-batch server death) must fail *typed* — never with a
 //! panic, a wedged connection, or an opaque i/o error.
 
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
 use std::time::Duration;
 
-use eclipse_core::exec::{ExecutionContext, QueryOptions};
-use eclipse_core::index::IntersectionIndexKind;
-use eclipse_core::{EclipseEngine, WeightRatioBox};
+use eclipse_core::exec::ExecutionContext;
+use eclipse_core::WeightRatioBox;
 use eclipse_data::synthetic::{Distribution, SyntheticConfig};
+use eclipse_router::router::{Router, RouterConfig};
 use eclipse_serve::client::{Client, ClientError, PipelinedClient};
 use eclipse_serve::protocol::{
     read_frame, write_frame, FrameHeader, IndexKind, Request, Response, PROTOCOL_V2,
@@ -104,7 +104,6 @@ fn pipelined_depths_match_blocking_at_1_and_4_threads() {
 
         for depth in [1u32, 8, 64] {
             let mut piped = PipelinedClient::connect(addr, depth).unwrap();
-            assert_eq!(piped.version(), PROTOCOL_V2);
             assert_eq!(piped.pipe_size(), depth);
             assert_eq!(
                 piped.query_many("inde", &probes, 1).unwrap(),
@@ -121,74 +120,74 @@ fn pipelined_depths_match_blocking_at_1_and_4_threads() {
     }
 }
 
-/// v1 clients may pipeline too: the server guarantees response order even
-/// when four dispatcher workers finish requests out of submission order
-/// (the per-connection reorder buffer).  Interleaving query and count
-/// requests makes any ordering slip show up as an `UnexpectedResponse`.
-#[test]
-fn v1_pipelining_preserves_request_order() {
-    let points = dataset();
-    let (handle, addr) = spawn_server(
-        ExecutionContext::with_threads(4),
-        ServerConfig {
-            workers: 4,
-            inline_fast_path: false,
-            ..ServerConfig::default()
-        },
+/// Sends `first` as a connection's first frame and checks the peer answers
+/// one bare-framed typed `Error` and then closes the connection.
+fn assert_first_frame_rejected(addr: SocketAddr, first: &[u8], what: &str) {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    write_frame(&mut stream, first).unwrap();
+    let reply = read_frame(&mut stream)
+        .unwrap()
+        .unwrap_or_else(|| panic!("{what}: closed without an answer"));
+    assert!(
+        matches!(Response::decode(&reply), Ok(Response::Error(_))),
+        "{what}: expected a bare typed Error, got {:?}",
+        Response::decode(&reply)
     );
+    assert!(
+        read_frame(&mut stream).unwrap().is_none(),
+        "{what}: the connection must close after the rejection"
+    );
+}
 
-    let oracle = EclipseEngine::new(points).unwrap();
-    oracle.build_index(IntersectionIndexKind::Quadtree).unwrap();
-    let oracle = Arc::new(oracle);
+/// First frames the handshake refuses: a request that is not a `Hello`, and
+/// a `Hello` that cannot reach protocol v2.
+fn refused_first_frames() -> [(Vec<u8>, &'static str); 2] {
+    let hello_v1 = Request::Hello {
+        max_version: 1,
+        pipe_size: 8,
+    };
+    [
+        (Request::Ping.encode(), "non-Hello first frame"),
+        (hello_v1.encode(), "Hello{max_version: 1}"),
+    ]
+}
 
-    let mut client = PipelinedClient::connect_v1(addr, 8).unwrap();
-    let mut ids = Vec::new();
-    for i in 0..40usize {
-        // Even slots are heavy counts, odd slots light queries — the light
-        // ones complete first server-side, so FIFO delivery is doing work.
-        let request = if i % 2 == 0 {
-            Request::CountBatch {
-                name: "inde".to_string(),
-                boxes: vec![vec![(0.01, 100.0); 2]; 64],
-            }
-        } else {
-            Request::QueryBatch {
-                name: "inde".to_string(),
-                boxes: vec![probe(i).ranges().iter().map(|r| (r.lo(), r.hi())).collect()],
-            }
-        };
-        ids.push((i, client.submit(&request).unwrap()));
+/// The server answers a first frame that is not a v2 `Hello` with a typed
+/// `Error`, counts it in `errors`, and closes the connection.
+#[test]
+fn server_rejects_a_non_hello_or_v1_first_frame() {
+    let (handle, addr) = spawn_server(ExecutionContext::serial(), ServerConfig::default());
+    for (first, what) in refused_first_frames() {
+        assert_first_frame_rejected(addr, &first, what);
     }
-    for (i, id) in ids {
-        match client.recv(id).unwrap() {
-            Response::Counts(counts) if i % 2 == 0 => {
-                let batch = vec![WeightRatioBox::uniform(3, 0.01, 100.0).unwrap(); 64];
-                let expected: Vec<u64> = oracle
-                    .eclipse_query_batch(&batch, &QueryOptions::default())
-                    .unwrap()
-                    .iter()
-                    .map(|ids| ids.len() as u64)
-                    .collect();
-                assert_eq!(counts, expected, "slot {i}");
-            }
-            Response::QueryResults(rows) if i % 2 == 1 => {
-                let expected: Vec<Vec<u64>> = oracle
-                    .eclipse_query_batch(&[probe(i)], &QueryOptions::default())
-                    .unwrap()
-                    .iter()
-                    .map(|ids| ids.iter().map(|&p| p as u64).collect())
-                    .collect();
-                assert_eq!(rows, expected, "slot {i}");
-            }
-            other => panic!("slot {i}: response out of order: {other:?}"),
-        }
-    }
+    let report = Client::connect(addr).unwrap().stats().unwrap();
+    assert_eq!(report.errors, 2);
     handle.shutdown();
+}
+
+/// The router applies the same handshake rule as the server.
+#[test]
+fn router_rejects_a_non_hello_or_v1_first_frame() {
+    let (backend, backend_addr) = spawn_server(ExecutionContext::serial(), ServerConfig::default());
+    let router = Router::bind("127.0.0.1:0", RouterConfig::new([backend_addr.to_string()]))
+        .unwrap()
+        .spawn()
+        .unwrap();
+    for (first, what) in refused_first_frames() {
+        assert_first_frame_rejected(router.addr(), &first, what);
+    }
+    // A v2 client still gets through.
+    Client::connect(router.addr()).unwrap().ping().unwrap();
+    router.shutdown();
+    backend.shutdown();
 }
 
 /// The handshake clamps the requested depth to the server's cap, and a
 /// `Hello` after the first frame is a typed error that leaves the
-/// connection in its established mode.
+/// connection usable.
 #[test]
 fn hello_negotiation_clamps_depth_and_rejects_midstream_hello() {
     let (handle, addr) = spawn_server(
@@ -200,7 +199,6 @@ fn hello_negotiation_clamps_depth_and_rejects_midstream_hello() {
     );
 
     let mut client = PipelinedClient::connect(addr, 64).unwrap();
-    assert_eq!(client.version(), PROTOCOL_V2);
     assert_eq!(client.pipe_size(), 4, "requested 64, server cap is 4");
 
     let err = client
@@ -254,22 +252,6 @@ fn deadline_expiry_is_typed_and_connection_survives() {
         }
         other => panic!("expected stats, got {other:?}"),
     }
-    handle.shutdown();
-}
-
-/// Deadlines are a v2 feature: a v1 connection rejects them client-side
-/// before anything reaches the wire.
-#[test]
-fn v1_connection_rejects_deadlines_client_side() {
-    let (handle, addr) = spawn_server(ExecutionContext::serial(), ServerConfig::default());
-    let mut client = PipelinedClient::connect_v1(addr, 4).unwrap();
-    let err = client.submit_with_deadline(&Request::Ping, 5).unwrap_err();
-    assert!(matches!(err, ClientError::InvalidRequest(_)));
-    // Nothing was sent; the connection still works.
-    assert!(matches!(
-        client.call(&Request::Ping).unwrap(),
-        Response::Pong
-    ));
     handle.shutdown();
 }
 

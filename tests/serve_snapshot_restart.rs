@@ -9,8 +9,10 @@ mod common;
 
 use common::TempDir;
 use eclipse_core::exec::ExecutionContext;
-use eclipse_core::WeightRatioBox;
+use eclipse_core::index::IntersectionIndexKind;
+use eclipse_core::{EclipseEngine, EclipseError, WeightRatioBox};
 use eclipse_data::synthetic::{Distribution, SyntheticConfig};
+use eclipse_persist::{fnv1a, fnv1a_extend, PersistError, SnapshotReader, MAGIC};
 use eclipse_serve::client::{Client, ClientError};
 use eclipse_serve::protocol::IndexKind;
 use eclipse_serve::server::Server;
@@ -109,7 +111,7 @@ fn restoring_a_stale_snapshot_is_an_error_response_over_the_wire() {
 
     // Same connection, correct answers for the *new* dataset afterwards.
     let b = [WeightRatioBox::uniform(3, 0.36, 2.75).unwrap()];
-    let engine = eclipse_core::EclipseEngine::new(new).unwrap();
+    let engine = EclipseEngine::new(new).unwrap();
     assert_eq!(
         client.query_batch("ds", &b).unwrap(),
         vec![engine.eclipse(&b[0]).unwrap()]
@@ -128,18 +130,14 @@ fn restoring_a_stale_snapshot_is_an_error_response_over_the_wire() {
 }
 
 #[test]
-fn pre_v3_snapshot_over_a_mutated_dataset_is_an_epoch_mismatch() {
-    // A pre-v3 (epoch-less) snapshot decodes at epoch 0.  If the registered
-    // dataset has since been mutated — even back to the exact same bits —
-    // restoring that snapshot must answer the typed `SnapshotMismatch`
-    // (epoch 0 vs epoch 2), not silently serve pre-mutation index state,
-    // and the connection must stay usable.
-    let fixture = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures/hotels-2d-quad-v1.eclsnap");
+fn stale_epoch_snapshot_over_a_mutated_dataset_is_an_epoch_mismatch() {
+    // A snapshot saved at epoch 0 must not restore over a dataset that has
+    // since been mutated — even back to the exact same bits: restoring it
+    // must answer the typed `SnapshotMismatch` (epoch 0 vs epoch 2), not
+    // silently serve pre-mutation index state, and the connection must
+    // stay usable.
     for threads in [1usize, 4] {
-        let dir = TempDir::new(&format!("pre_v3_epoch_{threads}"));
-        std::fs::copy(&fixture, dir.path().join("hotels-quad.eclsnap")).unwrap();
-
+        let dir = TempDir::new(&format!("stale_epoch_{threads}"));
         let server = Server::bind("127.0.0.1:0", ExecutionContext::with_threads(threads)).unwrap();
         server.set_snapshot_dir(dir.path());
         let handle = server.spawn().unwrap();
@@ -147,6 +145,7 @@ fn pre_v3_snapshot_over_a_mutated_dataset_is_an_epoch_mismatch() {
         client
             .load_dataset("hotels", &common::paper_hotels(), IndexKind::Quadtree)
             .unwrap();
+        client.save_index("hotels", IndexKind::Quadtree).unwrap();
 
         // Mutate to epoch 2, ending on byte-identical dataset contents: the
         // epoch check must fire even though the points match.
@@ -163,13 +162,80 @@ fn pre_v3_snapshot_over_a_mutated_dataset_is_an_epoch_mismatch() {
 
         // Same connection, still correct answers from the live engine.
         let b = [WeightRatioBox::uniform(2, 0.5, 2.0).unwrap()];
-        let engine = eclipse_core::EclipseEngine::new(common::paper_hotels()).unwrap();
+        let engine = EclipseEngine::new(common::paper_hotels()).unwrap();
         assert_eq!(
             client.query_batch("hotels", &b).unwrap(),
             vec![engine.eclipse(&b[0]).unwrap()],
             "threads {threads}"
         );
         handle.shutdown();
+    }
+}
+
+/// Re-stamps a current container as `version`, re-checksumming every
+/// section the way formats 1 and 2 did (FNV-1a over tag and payload), so
+/// the result is a well-formed legacy container that only its version
+/// disqualifies.
+fn restamp_legacy(bytes: &[u8], version: u32) -> Vec<u8> {
+    let sections: Vec<(u8, &[u8])> = SnapshotReader::parse(bytes).unwrap().sections().collect();
+    let mut out = MAGIC.to_vec();
+    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+    for (tag, payload) in sections {
+        out.push(tag);
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&fnv1a_extend(fnv1a(&[tag]), payload).to_le_bytes());
+        out.extend_from_slice(payload);
+    }
+    out
+}
+
+#[test]
+fn pre_v3_snapshots_are_unsupported_and_skipped_by_a_scan() {
+    let snapshot = |label: &str| {
+        EclipseEngine::new(common::paper_hotels())
+            .unwrap()
+            .save_snapshot(label, IntersectionIndexKind::Quadtree)
+            .unwrap()
+    };
+    let dir = TempDir::new("pre_v3_skipped");
+    std::fs::write(dir.path().join("healthy.eclsnap"), snapshot("healthy")).unwrap();
+    for found in [1u32, 2] {
+        let legacy = restamp_legacy(&snapshot(&format!("legacy{found}")), found);
+        let unsupported = PersistError::UnsupportedVersion { found }.to_string();
+        match EclipseEngine::from_snapshot(&legacy) {
+            Err(EclipseError::Snapshot(m)) => assert_eq!(m, unsupported),
+            other => panic!("v{found}: expected UnsupportedVersion, got {other:?}"),
+        }
+        std::fs::write(dir.path().join(format!("legacy{found}.eclsnap")), legacy).unwrap();
+    }
+
+    // A warm-load scan skips both legacy files and still restores the
+    // healthy one.
+    let server = Server::bind("127.0.0.1:0", ExecutionContext::serial()).unwrap();
+    server.set_snapshot_dir(dir.path());
+    let scan = server.load_snapshots().unwrap();
+    let restored: Vec<&str> = scan
+        .restored
+        .iter()
+        .map(|(name, _)| name.as_str())
+        .collect();
+    assert_eq!(restored, ["healthy"]);
+    let skipped: Vec<String> = scan
+        .skipped
+        .iter()
+        .map(|(path, e)| format!("{} {e}", path.file_name().unwrap().to_string_lossy()))
+        .collect();
+    assert_eq!(skipped.len(), 2, "{skipped:?}");
+    for (line, found) in skipped.iter().zip([1, 2]) {
+        assert!(
+            line.starts_with(&format!("legacy{found}.eclsnap ")),
+            "{line}"
+        );
+        assert!(
+            line.contains("unsupported snapshot format version"),
+            "{line}"
+        );
     }
 }
 

@@ -12,6 +12,7 @@ use std::time::{Duration, Instant};
 use common::wait_until;
 use eclipse_core::exec::ExecutionContext;
 use eclipse_serve::client::{Client, ClientError, PipelinedClient};
+use eclipse_serve::protocol::{read_frame, write_frame, Response, MAX_FRAME_LEN, PROTOCOL_V2};
 use eclipse_serve::server::{Server, ServerConfig};
 
 #[test]
@@ -21,9 +22,44 @@ fn clients_time_out_against_an_accepting_but_silent_peer() {
     let silent = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = silent.local_addr().unwrap();
 
-    // Plain client: connect succeeds, the read times out as a typed error.
+    // Both clients open with the Hello handshake, and the timeout covers
+    // it, so even connection setup cannot hang.
     let started = Instant::now();
-    let mut client = Client::connect_timeout(addr, Duration::from_millis(500)).unwrap();
+    match Client::connect_timeout(addr, Duration::from_millis(500)) {
+        Err(ClientError::SocketTimeout) => {}
+        other => panic!("expected SocketTimeout from the handshake, got {other:?}"),
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "a silent peer must not hang the client: {:?}",
+        started.elapsed()
+    );
+    let started = Instant::now();
+    match PipelinedClient::connect_timeout(addr, 8, Duration::from_millis(200)) {
+        Err(ClientError::SocketTimeout) => {}
+        other => panic!("expected SocketTimeout from the handshake, got {other:?}"),
+    }
+    assert!(started.elapsed() < Duration::from_secs(5));
+
+    // A peer that acknowledges the handshake and then goes silent: connect
+    // succeeds, and the first call's read times out as a typed error.
+    let mute = TcpListener::bind("127.0.0.1:0").unwrap();
+    let mute_addr = mute.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = mute.accept().unwrap();
+        read_frame(&mut stream).unwrap().expect("Hello frame");
+        let ack = Response::HelloAck {
+            version: PROTOCOL_V2,
+            pipe_size: 1,
+            max_frame_len: MAX_FRAME_LEN,
+        };
+        write_frame(&mut stream, &ack.encode()).unwrap();
+        // Swallow requests without answering until the client hangs up.
+        let mut buf = [0u8; 64];
+        while matches!(stream.read(&mut buf), Ok(n) if n > 0) {}
+    });
+    let started = Instant::now();
+    let mut client = Client::connect_timeout(mute_addr, Duration::from_millis(500)).unwrap();
     client
         .set_io_timeout(Some(Duration::from_millis(200)))
         .unwrap();
@@ -33,18 +69,11 @@ fn clients_time_out_against_an_accepting_but_silent_peer() {
     }
     assert!(
         started.elapsed() < Duration::from_secs(5),
-        "a silent peer must not hang the client: {:?}",
+        "a peer gone silent must not hang the client: {:?}",
         started.elapsed()
     );
-
-    // Pipelined client: the Hello handshake itself is covered by the
-    // timeout, so even connection setup cannot hang.
-    let started = Instant::now();
-    match PipelinedClient::connect_timeout(addr, 8, Duration::from_millis(200)) {
-        Err(ClientError::SocketTimeout) => {}
-        other => panic!("expected SocketTimeout from the handshake, got {other:?}"),
-    }
-    assert!(started.elapsed() < Duration::from_secs(5));
+    drop(client);
+    peer.join().unwrap();
 }
 
 #[test]

@@ -136,52 +136,6 @@ fn decoded_fixtures_answer_identically_to_fresh_rebuilds() {
     }
 }
 
-/// Format v1 snapshots (no split/cut strategy tags; trees built with the
-/// legacy midpoint / sampled-crossings rules) must keep decoding: the
-/// committed `*-v1.eclsnap` copies are frozen forever and every probe must
-/// answer identically to a fresh rebuild.  Re-encoding a v1 snapshot writes
-/// the current format, so the upgrade must round-trip too.
-#[test]
-fn v1_fixtures_still_decode_probe_and_upgrade() {
-    for (label, points, kind, file) in cases() {
-        let v1_file = file.replace(".eclsnap", "-v1.eclsnap");
-        let golden = std::fs::read(fixture_path(&v1_file))
-            .unwrap_or_else(|e| panic!("fixture {v1_file} unreadable: {e}"));
-        let (stored_label, restored) = EclipseEngine::from_snapshot(&golden).unwrap();
-        assert_eq!(stored_label, label);
-        assert!(
-            restored.cached_index(kind).is_some(),
-            "{v1_file} warm-loads"
-        );
-
-        let rebuilt = EclipseEngine::new(points).unwrap();
-        rebuilt.build_index(kind).unwrap();
-        for b in probe_boxes(rebuilt.dim()) {
-            assert_eq!(
-                restored.eclipse(&b).unwrap(),
-                rebuilt.eclipse(&b).unwrap(),
-                "{v1_file}, box {b}"
-            );
-        }
-
-        // Upgrade path: re-encoding writes the current version and the
-        // upgraded snapshot answers exactly like the original.
-        let upgraded = restored.save_snapshot(&stored_label, kind).unwrap();
-        assert_ne!(
-            upgraded, golden,
-            "{v1_file} should re-encode as the current format"
-        );
-        let (_, reopened) = EclipseEngine::from_snapshot(&upgraded).unwrap();
-        for b in probe_boxes(rebuilt.dim()) {
-            assert_eq!(
-                reopened.eclipse(&b).unwrap(),
-                restored.eclipse(&b).unwrap(),
-                "upgraded {v1_file}, box {b}"
-            );
-        }
-    }
-}
-
 /// The fixtures themselves re-encode byte-exactly after a decode cycle —
 /// decode → encode is the identity on the on-disk representation.
 #[test]
