@@ -32,6 +32,6 @@ pub mod ndim;
 
 pub use dual2d::OrderVectorIndex2d;
 pub use ndim::{
-    EclipseIndex, IndexConfig, IntersectionIndexKind, ProbeScratch, SECTION_BACKEND,
+    overlay_limit, EclipseIndex, IndexConfig, IntersectionIndexKind, ProbeScratch, SECTION_BACKEND,
     SECTION_DATASET, SECTION_INDEX_CONFIG, SECTION_INDEX_META, SECTION_SKYLINE,
 };

@@ -33,6 +33,14 @@
 //! initial order vector (an incrementally reused sort buffer) and the result
 //! itself.  [`EclipseIndex::query_batch`] fans locality-sorted probes out
 //! over an [`ExecutionContext`] with one scratch per worker.
+//!
+//! Maintenance: a mutation that changes the skyline does not rebuild the
+//! arena.  The maintained index shares it as a base and records the live
+//! skyline in an overlay (dead base rows, extra rows and their pairs),
+//! which the probe folds into steps 1–3; the probe is decomposable over
+//! any partition of the pair set, so answers are those of a rebuild.  Past
+//! [`overlay_limit`], and whenever the index is encoded, the overlay is
+//! compacted by an ordinary build over the live skyline.
 
 use std::sync::Arc;
 
@@ -175,23 +183,92 @@ impl ProbeScratch {
 }
 
 /// Index-based eclipse query engine over a fixed dataset.
+///
+/// An index maintained through mutations pairs the arena built for an
+/// earlier skyline (the *base*) with a live-skyline overlay holding the
+/// difference (see [`EclipseIndex::overlay_rows`]).
 #[derive(Clone, Debug)]
 pub struct EclipseIndex {
     dim: usize,
-    /// Indices (into the original dataset) of the skyline points, ascending.
+    /// Indices (into the original dataset) of the base skyline points,
+    /// ascending; a base row whose point was deleted holds [`GONE`].
     skyline_ids: Vec<usize>,
-    /// Skyline coordinates in one flat row-major buffer (`u` rows × `dim`) —
-    /// the single owned copy of the skyline, shared by corner scoring and
-    /// hyperplane construction (the dataset points are never cloned).
+    /// Base skyline coordinates in one flat row-major buffer (`u` rows ×
+    /// `dim`) — the single owned copy of the skyline, shared by corner
+    /// scoring and hyperplane construction (the dataset points are never
+    /// cloned).
     skyline_coords: Box<[f64]>,
     /// Pairs of *local* skyline indices, aligned with the hyperplane slab
     /// owned by the backend tree.
     pairs: Vec<(u32, u32)>,
-    /// The arena, shared by every id-remapped copy of the index (a
-    /// non-skyline delete changes ids, never the arena).
+    /// The arena, shared by every maintained copy of the index (mutations
+    /// change ids and the overlay, never the arena).
     backend: Arc<Backend>,
     root_cell: BoundingBox,
     config: IndexConfig,
+    /// The live skyline's difference from the base; `None` when they agree.
+    overlay: Option<Overlay>,
+}
+
+/// The base-row id of a row whose point was deleted: it never matches a
+/// live id again, so the row stays dead until the next compaction.
+const GONE: usize = usize::MAX;
+
+/// The ov entry of a dead base row: non-zero, so it is never reported.
+const DEAD_ROW: i64 = 1;
+
+/// The difference between the live skyline and the base an index's arena
+/// was built over, derived from the maintained skyline id list.
+///
+/// Rows are numbered base rows first (`0..u`), then extra rows (`u..`).  A
+/// probe ranks the corner scores of live rows only, drops tree candidates
+/// with a dead endpoint and replays the extra pairs that cross the box —
+/// the same pair set a rebuild over the live skyline would replay.
+#[derive(Clone, Debug)]
+struct Overlay {
+    /// The live skyline ids, ascending.
+    live_ids: Vec<usize>,
+    /// The row of each live id.
+    live_rows: Vec<u32>,
+    /// Per base row: `true` once it left the skyline (or was deleted).
+    dead: Vec<bool>,
+    /// Coordinates of the extra rows (live members missing from the base),
+    /// row-major in ascending id order.
+    extra_coords: Vec<f64>,
+    /// Row pairs of every extra row with every other live row, lower
+    /// dataset id first (the orientation a rebuild gives them), aligned
+    /// with `slab`.
+    pairs: Vec<(u32, u32)>,
+    /// The score-difference hyperplanes of `pairs`.
+    slab: HyperplaneSlab,
+}
+
+impl Overlay {
+    /// Heap bytes of the overlay's buffers, counted at capacity.
+    fn heap_bytes(&self) -> usize {
+        self.live_ids.capacity() * std::mem::size_of::<usize>()
+            + self.live_rows.capacity() * std::mem::size_of::<u32>()
+            + self.dead.capacity() * std::mem::size_of::<bool>()
+            + self.extra_coords.capacity() * std::mem::size_of::<f64>()
+            + self.pairs.capacity() * std::mem::size_of::<(u32, u32)>()
+            + self.slab.heap_bytes()
+    }
+}
+
+/// The largest overlay (dead base rows plus extra rows) a maintained index
+/// carries over a base of `base_rows` skyline rows: a quarter of the base,
+/// and at least four rows.  A mutation that leaves more compacts the index
+/// into a fresh arena.  The bound keeps the overlay's linear share of a
+/// probe (every extra row is paired with every live row and sign-tested)
+/// small next to the tree traversal, while a skyline entrant and its
+/// delete, or a few such changes, never pay a rebuild.
+pub const fn overlay_limit(base_rows: usize) -> usize {
+    let quarter = base_rows / 4;
+    if quarter > 4 {
+        quarter
+    } else {
+        4
+    }
 }
 
 impl EclipseIndex {
@@ -253,12 +330,13 @@ impl EclipseIndex {
     /// `skyline_ids` must be exactly what
     /// [`eclipse_skyline::dc::skyline_dc_parallel`] would return for
     /// `points` (the strictly ascending, duplicate-deduplicated skyline).
-    /// Incremental maintenance derives the post-mutation skyline from the
-    /// pre-mutation one and hands it here, skipping the full-dataset skyline
-    /// recomputation; everything downstream is the plain build path, so equal
-    /// skyline id sets produce **byte-identical** arenas to a full build
-    /// (asserted by the mutation suites and every `experiments -- mutate`
-    /// pass).
+    /// Everything downstream of the skyline pass is the plain build path, so
+    /// equal skyline id sets produce **byte-identical** arenas to a full
+    /// build.  Compaction of a maintained index's live-skyline overlay
+    /// runs this same path over the
+    /// maintained skyline, which is why a compacted index — and every
+    /// snapshot — is byte-identical to a rebuild (asserted by the mutation
+    /// suites and every `experiments -- mutate` pass).
     ///
     /// # Errors
     /// Same dataset validation as [`EclipseIndex::build`], plus
@@ -278,12 +356,29 @@ impl EclipseIndex {
                 "skyline ids must be strictly ascending indices into the dataset".to_string(),
             ));
         }
-        let u = skyline_ids.len();
-        let mut coords = Vec::with_capacity(u * dim);
+        let mut coords = Vec::with_capacity(skyline_ids.len() * dim);
         for &i in &skyline_ids {
             coords.extend_from_slice(points[i].coords());
         }
-        let skyline_coords: Box<[f64]> = coords.into_boxed_slice();
+        Ok(Self::build_from_rows(
+            dim,
+            skyline_ids,
+            coords.into_boxed_slice(),
+            config,
+            ctx,
+        ))
+    }
+
+    /// Phases 2–3 of a build over validated skyline rows: `skyline_ids`
+    /// strictly ascending and `skyline_coords` their rows, in that order.
+    fn build_from_rows(
+        dim: usize,
+        skyline_ids: Vec<usize>,
+        skyline_coords: Box<[f64]>,
+        config: IndexConfig,
+        ctx: &ExecutionContext,
+    ) -> Self {
+        let u = skyline_ids.len();
 
         // 2. Intersection hyperplanes for every pair, assembled directly into
         // a structure-of-arrays slab; row-parallel over `a` (results are
@@ -350,7 +445,7 @@ impl EclipseIndex {
             }
         };
 
-        Ok(EclipseIndex {
+        EclipseIndex {
             dim,
             skyline_ids,
             skyline_coords,
@@ -358,7 +453,8 @@ impl EclipseIndex {
             backend: Arc::new(backend),
             root_cell,
             config,
-        })
+            overlay: None,
+        }
     }
 
     /// Dataset dimensionality.
@@ -366,49 +462,182 @@ impl EclipseIndex {
         self.dim
     }
 
-    /// Number of skyline points the index covers.
+    /// Number of skyline points the index covers (the live skyline of a
+    /// maintained index).
     pub fn skyline_len(&self) -> usize {
-        self.skyline_ids.len()
+        self.skyline_ids().len()
     }
 
-    /// Indices (into the original dataset) of the skyline points.
+    /// Indices (into the original dataset) of the skyline points,
+    /// ascending (the live skyline of a maintained index).
     pub fn skyline_ids(&self) -> &[usize] {
-        &self.skyline_ids
+        match &self.overlay {
+            None => &self.skyline_ids,
+            Some(o) => &o.live_ids,
+        }
     }
 
-    /// Number of indexed intersection hyperplanes (`C(u, 2)`).
+    /// Number of intersection hyperplanes of the skyline (`C(u, 2)`): the
+    /// pairs a rebuild over the live skyline would index.
     pub fn num_intersections(&self) -> usize {
-        self.pairs.len()
+        let u = self.skyline_len();
+        u * u.saturating_sub(1) / 2
     }
 
-    /// A copy of the index re-targeted at the dataset with row `deleted`
-    /// removed: ids above the deleted row shift down by one.  Only valid when
-    /// the deleted row is **not** a skyline member — the skyline point-set
-    /// (and with it every hyperplane and arena byte) is then unchanged, so
-    /// the copy is byte-identical to a fresh build over the mutated dataset.
-    /// The copy shares the arena and copies only the skyline-sized buffers;
-    /// the remapped id list keeps the original's capacity, so the copy's
-    /// [`EclipseIndex::heap_bytes`] equals the original's.
-    pub(crate) fn with_deleted_id(&self, deleted: usize) -> Self {
-        debug_assert!(
-            !self.skyline_ids.contains(&deleted),
-            "id remap is only sound for non-skyline deletes"
-        );
+    /// Diagnostic: rows of the live-skyline overlay — dead base rows plus
+    /// extra rows.  Zero right after a build, a compaction or a decode.
+    pub fn overlay_rows(&self) -> usize {
+        self.overlay.as_ref().map_or(0, |o| {
+            let extras = o.extra_coords.len() / self.dim;
+            self.skyline_ids.len() - (o.live_ids.len() - extras) + extras
+        })
+    }
+
+    /// Diagnostic: whether two indexes share one arena — true across
+    /// mutations that did not compact.
+    pub fn shares_arena(&self, other: &EclipseIndex) -> bool {
+        Arc::ptr_eq(&self.backend, &other.backend)
+    }
+
+    /// The index maintained across one mutation: `live_ids` is the
+    /// post-mutation skyline (strictly ascending), `deleted` the row the
+    /// mutation removed (ids above it shift down by one) and `coords` the
+    /// post-mutation coordinates of a dataset id.
+    ///
+    /// The copy shares the arena and carries the live skyline as an
+    /// overlay derived from `live_ids`: base rows whose id left the
+    /// skyline are dead, live ids missing from the base are extra rows
+    /// (paired with every other live row), and a base row that re-enters
+    /// the skyline is revived rather than added — so a skyline entrant
+    /// followed by its delete leaves the overlay empty again.  An overlay
+    /// past [`overlay_limit`] is compacted instead: the copy is then
+    /// [`EclipseIndex::build_from_skyline`] over the live skyline, built on
+    /// `ctx`.  Either way probes answer exactly as a rebuild over the
+    /// mutated dataset does.  Without an overlay the copy keeps the base's
+    /// buffer capacities, so its [`EclipseIndex::heap_bytes`] is the
+    /// original's.
+    pub(crate) fn with_live_skyline<'p>(
+        &self,
+        live_ids: &[usize],
+        deleted: Option<usize>,
+        coords: impl Fn(usize) -> &'p [f64],
+        ctx: &ExecutionContext,
+    ) -> Self {
+        let d = self.dim;
         let mut skyline_ids = Vec::with_capacity(self.skyline_ids.capacity());
-        skyline_ids.extend(
-            self.skyline_ids
-                .iter()
-                .map(|&id| if id > deleted { id - 1 } else { id }),
-        );
-        EclipseIndex {
-            dim: self.dim,
+        skyline_ids.extend(self.skyline_ids.iter().map(|&id| match deleted {
+            Some(gone) if id != GONE && id >= gone => {
+                if id == gone {
+                    GONE
+                } else {
+                    id - 1
+                }
+            }
+            _ => id,
+        }));
+        // Match the live ids against the base rows: both ascending, and a
+        // gone row never matches.
+        let u = skyline_ids.len();
+        let mut dead = vec![true; u];
+        let mut live_rows = Vec::with_capacity(live_ids.len());
+        let mut extra_ids = Vec::new();
+        let mut extra_coords = Vec::new();
+        let mut base = skyline_ids
+            .iter()
+            .enumerate()
+            .filter(|&(_, &id)| id != GONE)
+            .peekable();
+        for &id in live_ids {
+            while base.next_if(|&(_, &b)| b < id).is_some() {}
+            if let Some((row, _)) = base.next_if(|&(_, &b)| b == id) {
+                dead[row] = false;
+                live_rows.push(row as u32);
+            } else {
+                live_rows.push((u + extra_ids.len()) as u32);
+                extra_ids.push(id);
+                extra_coords.extend_from_slice(coords(id));
+            }
+        }
+        let extras = extra_ids.len();
+        let dead_rows = u - (live_ids.len() - extras);
+        let row = |r: usize| row_coords(&self.skyline_coords, &extra_coords, d, r);
+        let overlay = if dead_rows + extras == 0 {
+            None
+        } else {
+            let id_of = |r: usize| {
+                if r < u {
+                    skyline_ids[r]
+                } else {
+                    extra_ids[r - u]
+                }
+            };
+            let k = d - 1;
+            let num_pairs =
+                extras * (live_ids.len() - extras) + extras * extras.saturating_sub(1) / 2;
+            let mut pairs = Vec::with_capacity(num_pairs);
+            let mut slab = HyperplaneSlab::with_capacity(k, num_pairs);
+            let mut coeffs = Vec::with_capacity(k);
+            for x in u..u + extras {
+                // Every live base row and every earlier extra row.
+                for &y in live_rows.iter().filter(|&&y| (y as usize) < x) {
+                    let y = y as usize;
+                    let (a, b) = if id_of(y) < id_of(x) { (y, x) } else { (x, y) };
+                    let (pa, pb) = (row(a), row(b));
+                    coeffs.clear();
+                    coeffs.extend((0..k).map(|j| pa[j] - pb[j]));
+                    slab.push(&coeffs, pa[k] - pb[k]);
+                    pairs.push((a as u32, b as u32));
+                }
+            }
+            Some(Overlay {
+                live_ids: live_ids.to_vec(),
+                live_rows,
+                dead,
+                extra_coords,
+                pairs,
+                slab,
+            })
+        };
+        let maintained = EclipseIndex {
+            dim: d,
             skyline_ids,
             skyline_coords: self.skyline_coords.clone(),
             pairs: self.pairs.clone(),
             backend: Arc::clone(&self.backend),
             root_cell: self.root_cell.clone(),
             config: self.config,
+            overlay,
+        };
+        if dead_rows + extras > overlay_limit(u) {
+            return maintained
+                .compacted(ctx)
+                .expect("an overlay past its limit is not empty");
         }
+        maintained
+    }
+
+    /// The index with its overlay folded into a fresh arena over the live
+    /// skyline — what [`EclipseIndex::build_from_skyline`] builds from the
+    /// maintained skyline — or `None` when there is no overlay to fold.
+    pub(crate) fn compacted(&self, ctx: &ExecutionContext) -> Option<Self> {
+        let o = self.overlay.as_ref()?;
+        let d = self.dim;
+        let mut coords = Vec::with_capacity(o.live_rows.len() * d);
+        for &r in &o.live_rows {
+            coords.extend_from_slice(row_coords(
+                &self.skyline_coords,
+                &o.extra_coords,
+                d,
+                r as usize,
+            ));
+        }
+        Some(Self::build_from_rows(
+            d,
+            o.live_ids.clone(),
+            coords.into_boxed_slice(),
+            self.config,
+            ctx,
+        ))
     }
 
     /// The configuration used to build the index.
@@ -425,8 +654,9 @@ impl EclipseIndex {
     }
 
     /// Heap bytes owned by the index: the skyline id/coordinate buffers, the
-    /// pair list, the root cell's corners and the whole backend arena
-    /// (hyperplane slab, nodes, cells, entries).  Buffers with spare
+    /// pair list, the root cell's corners, the whole backend arena
+    /// (hyperplane slab, nodes, cells, entries) and the live-skyline
+    /// overlay, if any.  Buffers with spare
     /// capacity are counted at capacity; allocator headers and the inline
     /// struct itself are not included.
     pub fn heap_bytes(&self) -> usize {
@@ -439,6 +669,7 @@ impl EclipseIndex {
             + self.pairs.capacity() * std::mem::size_of::<(u32, u32)>()
             + self.root_cell.heap_bytes()
             + backend
+            + self.overlay.as_ref().map_or(0, Overlay::heap_bytes)
     }
 
     /// Diagnostic: node count of the underlying spatial structure.
@@ -487,13 +718,22 @@ impl EclipseIndex {
         self.probe_into(ratio_box, scratch)?;
         let ProbeScratch { ov, out, .. } = scratch;
         out.clear();
-        // `skyline_ids` is ascending, so the result needs no sort.
-        out.extend(
-            ov.iter()
-                .enumerate()
-                .filter(|&(_, &count)| count == 0)
-                .map(|(k, _)| self.skyline_ids[k]),
-        );
+        // Both id lists are ascending, so the result needs no sort.
+        match &self.overlay {
+            None => out.extend(
+                ov.iter()
+                    .enumerate()
+                    .filter(|&(_, &count)| count == 0)
+                    .map(|(k, _)| self.skyline_ids[k]),
+            ),
+            Some(o) => out.extend(
+                o.live_rows
+                    .iter()
+                    .zip(&o.live_ids)
+                    .filter(|&(&row, _)| ov[row as usize] == 0)
+                    .map(|(_, &id)| id),
+            ),
+        }
         Ok(out)
     }
 
@@ -632,43 +872,57 @@ impl EclipseIndex {
         Ok(counts)
     }
 
-    /// Diagnostic: the number of indexed intersection hyperplanes crossing
-    /// `ratio_box` — the candidate-set size a probe of that box replays.
-    /// Uses the backend trees' count-only traversal (contained cells are
-    /// popcounted straight from their subtree entry list) when the box lies
-    /// inside the indexed region, and an exact linear scan otherwise.
+    /// Diagnostic: the number of intersection hyperplanes of the skyline
+    /// crossing `ratio_box` — the candidate-set size a probe of that box
+    /// replays.  Gathers the candidates exactly as a probe does (tree
+    /// traversal inside the indexed region, a linear scan outside it) and,
+    /// for a maintained index, counts the live ones: base pairs without a
+    /// dead endpoint plus the crossing overlay pairs.
     ///
     /// # Errors
     /// Same as [`EclipseIndex::query`].
     pub fn intersections_crossing(&self, ratio_box: &WeightRatioBox) -> Result<usize> {
         self.validate_probe(ratio_box)?;
-        let qlo = ratio_box.lower_corner();
-        let qhi = ratio_box.upper_corner();
-        let contained = self
-            .root_cell
-            .lo()
-            .iter()
-            .zip(self.root_cell.hi())
-            .zip(qlo.iter().zip(qhi.iter()))
-            .all(|((rl, rh), (ql, qh))| rl <= ql && rh >= qh);
-        if contained {
-            let mut traversal = TraversalScratch::new();
-            Ok(match &*self.backend {
-                Backend::Quad(t) => t.count_in_box(&qlo, &qhi, &mut traversal),
-                Backend::Cutting(t) => t.count_in_box(&qlo, &qhi, &mut traversal),
-            })
-        } else {
-            let slab = self.slab();
-            Ok((0..slab.len())
-                .filter(|&i| slab.intersects_box(i, &qlo, &qhi))
-                .count())
-        }
+        let mut scratch = ProbeScratch {
+            qlo: ratio_box.lower_corner(),
+            qhi: ratio_box.upper_corner(),
+            ..ProbeScratch::default()
+        };
+        self.candidate_pairs(&mut scratch);
+        let ProbeScratch {
+            qlo,
+            qhi,
+            candidates,
+            ..
+        } = &scratch;
+        Ok(match &self.overlay {
+            None => candidates.len(),
+            Some(o) => {
+                candidates
+                    .iter()
+                    .filter(|&&ci| {
+                        let (a, b) = self.pairs[ci];
+                        !o.dead[a as usize] && !o.dead[b as usize]
+                    })
+                    .count()
+                    + (0..o.slab.len())
+                        .filter(|&j| o.slab.intersects_box(j, qlo, qhi))
+                        .count()
+            }
+        })
     }
 
     /// Appends the index's snapshot sections (metadata, config, skyline,
     /// backend arena) to a container under construction — the engine-level
-    /// snapshot composes this with a dataset section.
+    /// snapshot composes this with a dataset section.  An index carrying a
+    /// live-skyline overlay is compacted first, on the process-wide
+    /// execution context.
     pub fn encode_snapshot_into(&self, writer: &mut SnapshotWriter) {
+        // A maintained index encodes as its compaction, so snapshot bytes
+        // are exactly what a rebuild writes.
+        if let Some(compacted) = self.compacted(&ExecutionContext::default()) {
+            return compacted.encode_snapshot_into(writer);
+        }
         let mut meta = Vec::new();
         enc::put_u32(&mut meta, self.dim as u32);
         enc::put_usize(&mut meta, self.skyline_ids.len());
@@ -923,6 +1177,7 @@ impl EclipseIndex {
             backend: Arc::new(backend),
             root_cell,
             config,
+            overlay: None,
         })
     }
 
@@ -1052,9 +1307,12 @@ impl EclipseIndex {
         }
     }
 
-    /// Computes the final dominator count of every skyline point into
+    /// Computes the final dominator count of every skyline row into
     /// `scratch.ov`: the initial order vector at the lower corner, adjusted
-    /// exactly for every candidate pair.
+    /// exactly for every candidate pair.  With an overlay, only live rows
+    /// are ranked, candidates with a dead endpoint are dropped, the overlay
+    /// pairs crossing the box are replayed too, and dead rows end at
+    /// [`DEAD_ROW`].
     fn replay(&self, scratch: &mut ProbeScratch) {
         let ProbeScratch {
             scores,
@@ -1066,22 +1324,27 @@ impl EclipseIndex {
             ..
         } = scratch;
         let d = self.dim;
-        let k = d - 1;
-        let coords = &self.skyline_coords;
-        // Initial order vector: how many points score strictly lower at the
-        // lower corner.  All buffers are reused across probes.
+        let qlo: &[f64] = qlo;
+        // Initial order vector: how many live rows score strictly lower at
+        // the lower corner.  All buffers are reused across probes.
         scores.clear();
-        scores.extend((0..self.skyline_ids.len()).map(|i| {
-            let row = &coords[i * d..(i + 1) * d];
-            row[..k]
-                .iter()
-                .zip(qlo.iter())
-                .map(|(p, r)| r * p)
-                .sum::<f64>()
-                + row[k]
-        }));
+        scores.extend(
+            self.skyline_coords
+                .chunks_exact(d)
+                .map(|row| corner_score(row, qlo)),
+        );
         sorted.clear();
-        sorted.extend_from_slice(scores);
+        match &self.overlay {
+            None => sorted.extend_from_slice(scores),
+            Some(o) => {
+                scores.extend(
+                    o.extra_coords
+                        .chunks_exact(d)
+                        .map(|row| corner_score(row, qlo)),
+                );
+                sorted.extend(o.live_rows.iter().map(|&r| scores[r as usize]));
+            }
+        }
         // Unstable sort: equal scores are interchangeable for ranking, and
         // the stable sort would allocate a merge buffer on every probe.
         sorted.sort_unstable_by(|a, b| a.total_cmp(b));
@@ -1094,28 +1357,72 @@ impl EclipseIndex {
 
         // Exact adjustment for every pair whose order may change in the box.
         let slab = self.slab();
+        let Some(o) = &self.overlay else {
+            for &ci in candidates.iter() {
+                let (a, b) = self.pairs[ci];
+                adjust_pair(ov, scores, a, b, slab.min_max_over_box(ci, qlo, qhi));
+            }
+            return;
+        };
+        for (count, _) in ov.iter_mut().zip(&o.dead).filter(|(_, &dead)| dead) {
+            *count = DEAD_ROW;
+        }
         for &ci in candidates.iter() {
             let (a, b) = self.pairs[ci];
-            let (a, b) = (a as usize, b as usize);
-            // f(r) = S_a(r) − S_b(r), read from the slab row.
-            let (min_f, max_f) = slab.min_max_over_box(ci, qlo, qhi);
-            let a_dominates_b = max_f <= EPS && min_f < -EPS;
-            let b_dominates_a = min_f >= -EPS && max_f > EPS;
-            let fl = scores[a] - scores[b];
-            let a_counted = fl + EPS < 0.0;
-            let b_counted = fl > EPS;
-
-            match (a_counted, a_dominates_b) {
-                (true, false) => ov[b] -= 1,
-                (false, true) => ov[b] += 1,
-                _ => {}
-            }
-            match (b_counted, b_dominates_a) {
-                (true, false) => ov[a] -= 1,
-                (false, true) => ov[a] += 1,
-                _ => {}
+            if !o.dead[a as usize] && !o.dead[b as usize] {
+                adjust_pair(ov, scores, a, b, slab.min_max_over_box(ci, qlo, qhi));
             }
         }
+        // The same closed-box filter the linear fallback applies: replaying
+        // a pair that does not cross the box can tip an EPS tie.
+        for (j, &(a, b)) in o.pairs.iter().enumerate() {
+            if o.slab.intersects_box(j, qlo, qhi) {
+                adjust_pair(ov, scores, a, b, o.slab.min_max_over_box(j, qlo, qhi));
+            }
+        }
+    }
+}
+
+/// The coordinates of row `r` in an overlay's numbering: base rows first,
+/// then extra rows.
+fn row_coords<'a>(base: &'a [f64], extra: &'a [f64], d: usize, r: usize) -> &'a [f64] {
+    let u = base.len() / d;
+    if r < u {
+        &base[r * d..(r + 1) * d]
+    } else {
+        &extra[(r - u) * d..(r - u + 1) * d]
+    }
+}
+
+/// The score of a skyline row at the weight-ratio vector `r`:
+/// `Σ_j r_j·row[j] + row[d−1]`.
+#[inline]
+fn corner_score(row: &[f64], r: &[f64]) -> f64 {
+    row.iter().zip(r).map(|(p, r)| r * p).sum::<f64>() + row[r.len()]
+}
+
+/// Adjusts the dominator counts of rows `a` and `b` for their pair, given
+/// the min and max of `f(r) = S_a(r) − S_b(r)` over the box: a pair counted
+/// at the lower corner that does not dominate over the whole box is taken
+/// back, and a dominance the corner missed is added.
+#[inline]
+fn adjust_pair(ov: &mut [i64], scores: &[f64], a: u32, b: u32, (min_f, max_f): (f64, f64)) {
+    let (a, b) = (a as usize, b as usize);
+    let a_dominates_b = max_f <= EPS && min_f < -EPS;
+    let b_dominates_a = min_f >= -EPS && max_f > EPS;
+    let fl = scores[a] - scores[b];
+    let a_counted = fl + EPS < 0.0;
+    let b_counted = fl > EPS;
+
+    match (a_counted, a_dominates_b) {
+        (true, false) => ov[b] -= 1,
+        (false, true) => ov[b] += 1,
+        _ => {}
+    }
+    match (b_counted, b_dominates_a) {
+        (true, false) => ov[a] -= 1,
+        (false, true) => ov[a] += 1,
+        _ => {}
     }
 }
 
@@ -1602,15 +1909,167 @@ mod tests {
             let plain = (0..pts.len())
                 .find(|i| !idx.skyline_ids().contains(i))
                 .unwrap();
-            let remapped = idx.with_deleted_id(plain);
-            assert!(Arc::ptr_eq(&idx.backend, &remapped.backend));
-            assert_eq!(remapped.heap_bytes(), idx.heap_bytes());
             let shifted: Vec<usize> = idx
                 .skyline_ids()
                 .iter()
                 .map(|&i| if i > plain { i - 1 } else { i })
                 .collect();
+            let remapped = idx.with_live_skyline(
+                &shifted,
+                Some(plain),
+                |id| pts[if id >= plain { id + 1 } else { id }].coords(),
+                &ExecutionContext::serial(),
+            );
+            assert!(remapped.shares_arena(&idx));
+            assert_eq!(remapped.overlay_rows(), 0);
+            assert_eq!(remapped.heap_bytes(), idx.heap_bytes());
             assert_eq!(remapped.skyline_ids(), shifted.as_slice());
+        }
+    }
+
+    /// Probe boxes for the overlay tests: in-region, escaping the indexed
+    /// region (linear fallback), narrow and degenerate.
+    fn overlay_boxes() -> Vec<WeightRatioBox> {
+        [
+            (0.2, 0.8),
+            (0.36, 2.75),
+            (0.9, 1.1),
+            (0.5, 20.0),
+            (1.0, 1.0),
+        ]
+        .into_iter()
+        .map(|(lo, hi)| WeightRatioBox::uniform(3, lo, hi).unwrap())
+        .collect()
+    }
+
+    /// Asserts `maintained` answers, counts and reports exactly like
+    /// `rebuilt`, and encodes to its bytes.
+    fn assert_same_index(maintained: &EclipseIndex, rebuilt: &EclipseIndex) {
+        assert_eq!(maintained.skyline_ids(), rebuilt.skyline_ids());
+        assert_eq!(maintained.skyline_len(), rebuilt.skyline_len());
+        assert_eq!(maintained.num_intersections(), rebuilt.num_intersections());
+        let mut scratch = ProbeScratch::new();
+        for b in overlay_boxes() {
+            let want = rebuilt.query(&b).unwrap();
+            assert_eq!(maintained.query(&b).unwrap(), want, "box {b}");
+            assert_eq!(
+                maintained.query_with_scratch(&b, &mut scratch).unwrap(),
+                &want[..]
+            );
+            assert_eq!(maintained.count(&b).unwrap(), want.len(), "box {b}");
+            assert_eq!(
+                maintained.intersections_crossing(&b).unwrap(),
+                rebuilt.intersections_crossing(&b).unwrap(),
+                "box {b}"
+            );
+        }
+        assert_eq!(maintained.encode_snapshot(), rebuilt.encode_snapshot());
+    }
+
+    #[test]
+    fn live_skyline_overlay_answers_like_a_rebuild_and_empties_on_revival() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(83);
+        let pts: Vec<Point> = (0..300)
+            .map(|_| Point::new((0..3).map(|_| rng.gen_range(0.0..1.0)).collect()))
+            .collect();
+        let ctx = ExecutionContext::serial();
+        for cfg in both_kinds() {
+            let idx = EclipseIndex::build_with(&pts, cfg, &ctx).unwrap();
+            // An entrant nudged below a member, appended at id n: the
+            // member dies and the entrant is an extra row.
+            let member = idx.skyline_ids()[idx.skyline_len() / 2];
+            let mut nudged = pts[member].coords().to_vec();
+            nudged[0] -= 1e-3;
+            let mut grown = pts.clone();
+            grown.push(Point::new(nudged));
+            let live = eclipse_skyline::dc::skyline_dc_parallel(&grown, ctx.pool());
+            let maintained = idx.with_live_skyline(&live, None, |id| grown[id].coords(), &ctx);
+            assert!(maintained.shares_arena(&idx));
+            assert!(maintained.overlay_rows() >= 2);
+            assert_same_index(
+                &maintained,
+                &EclipseIndex::build_with(&grown, cfg, &ctx).unwrap(),
+            );
+
+            // Deleting the entrant revives the member: the overlay empties
+            // and the copy accounts exactly what the base does.
+            let back = maintained.with_live_skyline(
+                idx.skyline_ids(),
+                Some(pts.len()),
+                |id| pts[id].coords(),
+                &ctx,
+            );
+            assert!(back.shares_arena(&idx));
+            assert_eq!(back.overlay_rows(), 0);
+            assert_eq!(back.heap_bytes(), idx.heap_bytes());
+            assert_same_index(&back, &idx);
+
+            // Deleting the dead member instead leaves it gone for good.
+            let shrunk: Vec<Point> = grown
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| i != member)
+                .map(|(_, p)| p.clone())
+                .collect();
+            let live = eclipse_skyline::dc::skyline_dc_parallel(&shrunk, ctx.pool());
+            let gone =
+                maintained.with_live_skyline(&live, Some(member), |id| shrunk[id].coords(), &ctx);
+            assert!(gone.shares_arena(&idx));
+            assert_same_index(
+                &gone,
+                &EclipseIndex::build_with(&shrunk, cfg, &ctx).unwrap(),
+            );
+        }
+    }
+
+    #[test]
+    fn overlay_pairs_that_miss_the_box_are_not_replayed() {
+        // `a` and `b` score exactly alike at the box's lower corner, while
+        // their hyperplane stays just below -EPS across the box: the pair
+        // does not cross the closed box, so a rebuild never replays it.
+        // Replaying it anyway would count `a` against `b` and drop `b`.
+        let a = p(&[0.9101850589387533, 10000000.00000022]);
+        let b = p(&[0.9103749086678694, 9999999.999810372]);
+        let dominated = p(&[2.0, 2e7]);
+        let bx = WeightRatioBox::uniform(2, 1.0, 2.0).unwrap();
+        let ctx = ExecutionContext::serial();
+        for cfg in both_kinds() {
+            let idx = EclipseIndex::build_with(&[a.clone(), dominated.clone()], cfg, &ctx).unwrap();
+            let grown = vec![a.clone(), dominated.clone(), b.clone()];
+            let maintained = idx.with_live_skyline(&[0, 2], None, |id| grown[id].coords(), &ctx);
+            assert_eq!(maintained.overlay_rows(), 1);
+            let rebuilt = EclipseIndex::build_with(&grown, cfg, &ctx).unwrap();
+            assert_eq!(rebuilt.query(&bx).unwrap(), vec![0, 2]);
+            assert_eq!(
+                maintained.query(&bx).unwrap(),
+                vec![0, 2],
+                "kind {:?}",
+                cfg.kind
+            );
+        }
+    }
+
+    #[test]
+    fn an_overlay_past_the_limit_compacts_into_a_rebuild() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(84);
+        let pts: Vec<Point> = (0..300)
+            .map(|_| Point::new((0..3).map(|_| rng.gen_range(0.0..1.0)).collect()))
+            .collect();
+        let ctx = ExecutionContext::serial();
+        for cfg in both_kinds() {
+            let idx = EclipseIndex::build_with(&pts, cfg, &ctx).unwrap();
+            assert!(idx.skyline_len() > overlay_limit(idx.skyline_len()));
+            // A point at the origin dominates the whole skyline.
+            let mut grown = pts.clone();
+            grown.push(Point::new(vec![0.0; 3]));
+            let maintained =
+                idx.with_live_skyline(&[pts.len()], None, |id| grown[id].coords(), &ctx);
+            assert!(!maintained.shares_arena(&idx));
+            assert_eq!(maintained.overlay_rows(), 0);
+            assert_same_index(
+                &maintained,
+                &EclipseIndex::build_with(&grown, cfg, &ctx).unwrap(),
+            );
         }
     }
 }

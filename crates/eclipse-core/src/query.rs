@@ -21,18 +21,23 @@
 //!
 //! * an insert dominated by a skyline member changes nothing — the arenas
 //!   are re-tagged with the new epoch as-is;
-//! * a skyline-entering insert evicts exactly the members it dominates and
-//!   rebuilds the built indexes from the updated skyline (the full-dataset
-//!   skyline pass is skipped);
+//! * a skyline-entering insert evicts exactly the members it dominates (the
+//!   full-dataset skyline pass is skipped);
 //! * a delete of a non-skyline row leaves the skyline point-set untouched —
-//!   the indexes are copied with ids above the deleted row shifted down,
-//!   every arena byte unchanged;
+//!   only ids above the deleted row shift down;
 //! * a delete of a skyline member promotes exactly the points it exclusively
 //!   dominated (an `O(n·d)` candidate scan, not a full skyline recompute).
 //!
-//! In every case the maintained index is **byte-identical** to a fresh
-//! rebuild over the mutated dataset (asserted by the mutation property
-//! suites and on every `experiments -- mutate` pass).
+//! A skyline change does not rebuild the built arenas either: each built
+//! index keeps its arena as a shared base and carries the changed skyline
+//! in a small live-skyline overlay (dead base rows plus extra rows; see
+//! [`EclipseIndex::overlay_rows`]).  Only an overlay that grows past
+//! [`crate::index::overlay_limit`] is compacted — a build over the
+//! maintained skyline — and so is every index a snapshot encodes.
+//! Probes answer exactly as a fresh rebuild over the mutated dataset does
+//! at every epoch, and every compaction and snapshot is **byte-identical**
+//! to that rebuild (asserted by the mutation property suites and on every
+//! `experiments -- mutate` pass).
 
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -78,13 +83,15 @@ pub enum MutationOutcome {
     /// every built index are unchanged (re-tagged with the new epoch).
     InsertedDominated,
     /// The inserted point entered the skyline, evicting the members it
-    /// dominates; built indexes were rebuilt from the updated skyline.
+    /// dominates; built indexes carry the change in their live-skyline
+    /// overlays.
     InsertedSkyline,
     /// The deleted row was not a skyline member: the skyline point-set is
     /// unchanged and the built indexes were copied with remapped ids.
     DeletedNonSkyline,
     /// The deleted row was a skyline member: its exclusively-dominated
-    /// points were promoted and built indexes rebuilt.
+    /// points were promoted, and built indexes carry the change in their
+    /// live-skyline overlays.
     DeletedSkyline,
 }
 
@@ -490,7 +497,8 @@ impl EclipseEngine {
     }
 
     /// Serializes the dataset plus the built index of the given kind into a
-    /// versioned snapshot (building and caching the index first if needed).
+    /// versioned snapshot (building and caching the index first if needed,
+    /// and compacting a maintained index's overlay into the cached index).
     /// `label` is stored alongside the dataset — servers use it to re-derive
     /// the dataset name on a warm restart — and so is the dataset **epoch**,
     /// so a restore can tell a snapshot of the same bytes at an older epoch
@@ -502,8 +510,17 @@ impl EclipseEngine {
         // Hold the mutation lock so the encoded (points, epoch, index)
         // triple is one consistent version.
         let _guard = self.mutation.lock().expect("mutation lock poisoned");
-        let index = self.build_index(kind)?;
+        let mut index = self.build_index(kind)?;
         let version = self.version();
+        // Compact a maintained index and keep the result: the held lock
+        // pins the epoch, and the next save encodes it as is.
+        if let Some(compacted) = index.compacted(&self.exec) {
+            index = Arc::new(compacted);
+            *self.slot(kind).write().expect("index lock poisoned") = Some(IndexSlot {
+                epoch: version.epoch,
+                index: Arc::clone(&index),
+            });
+        }
         let mut writer = SnapshotWriter::new();
         let mut dataset = Vec::new();
         enc::put_str(&mut dataset, label);
@@ -903,13 +920,17 @@ impl EclipseEngine {
     ///   ([`MutationOutcome::InsertedDominated`]); built arenas are re-tagged
     ///   at the new epoch without rebuilding.
     /// * otherwise `p` enters the skyline and evicts exactly the members it
-    ///   dominates ([`MutationOutcome::InsertedSkyline`]); built index kinds
-    ///   are reconstructed from the maintained skyline (byte-identical to a
-    ///   from-scratch build, which recomputes the skyline too).
+    ///   dominates ([`MutationOutcome::InsertedSkyline`]); each built index
+    ///   keeps its arena and records the new skyline in its live-skyline
+    ///   overlay, compacting only past [`crate::index::overlay_limit`].
+    ///   Answers equal a from-scratch build's either way.
+    ///
+    /// The point vector is updated in place unless a probe still holds the
+    /// previous version.
     ///
     /// # Errors
     /// [`EclipseError::DimensionMismatch`] when the point's dimensionality
-    /// differs from the engine's; index-construction errors propagate.
+    /// differs from the engine's.
     pub fn insert(&self, point: Point) -> Result<MutationSummary> {
         if point.dim() != self.dim {
             return Err(EclipseError::DimensionMismatch {
@@ -944,22 +965,29 @@ impl EclipseEngine {
             });
         }
         // Skyline-entering insert: evict the members the new point dominates
-        // and rebuild the built index kinds from the maintained skyline.
+        // and carry the change into the built indexes' overlays.
         let mut new_sky: Vec<usize> = sky
             .iter()
             .copied()
             .filter(|&id| !dominates(&point, &version.points[id]))
             .collect();
         new_sky.push(new_id);
-        let mut new_points: Vec<Point> = (*version.points).clone();
-        new_points.push(point);
-        let rebuilt = self.rebuild_built_slots(&new_points, &new_sky, version.epoch)?;
+        let maintained = self.maintain_built_slots(version.epoch, &new_sky, None, |id| {
+            if id == new_id {
+                point.coords()
+            } else {
+                version.points[id].coords()
+            }
+        });
+        // As for a dominated insert: without this call's handle on the
+        // points, the push happens in place.
+        drop(version);
         let mut dataset = self.dataset.write().expect("dataset lock poisoned");
-        dataset.points = Arc::new(new_points);
+        Arc::make_mut(&mut dataset.points).push(point);
         dataset.epoch += 1;
         let epoch = dataset.epoch;
         let len = dataset.points.len();
-        self.install_slots(epoch, rebuilt);
+        self.install_slots(epoch, maintained);
         *self.skyline_cache.write().expect("skyline cache poisoned") =
             Some((epoch, Arc::new(new_sky)));
         drop(dataset);
@@ -977,17 +1005,23 @@ impl EclipseEngine {
     ///
     /// Maintenance rules (exact, duplicate-inclusive skyline):
     /// * `id` is not a skyline member → the skyline *point set* is unchanged
-    ///   ([`MutationOutcome::DeletedNonSkyline`]); built arenas are patched
-    ///   by remapping stored ids, byte-identical to a rebuild.
+    ///   ([`MutationOutcome::DeletedNonSkyline`]); built indexes are copied
+    ///   with remapped ids.
     /// * `id` is a skyline member → exactly its exclusively-dominated points
     ///   are promoted ([`MutationOutcome::DeletedSkyline`]): candidates are
     ///   the points `id` dominates, survivors those no remaining skyline
     ///   member dominates, and the promoted set is the skyline of the
     ///   survivors.  A remaining bit-identical duplicate promotes nothing.
     ///
+    /// Either way each built index keeps its arena and derives its
+    /// live-skyline overlay from the new skyline; a promoted point that was
+    /// a base skyline row is revived, so deleting a skyline entrant empties
+    /// the overlay its insert created.  The point vector is updated in
+    /// place unless a probe still holds the previous version.
+    ///
     /// # Errors
     /// [`EclipseError::Unsupported`] for an out-of-range `id` or when the
-    /// delete would empty the dataset; index-construction errors propagate.
+    /// delete would empty the dataset.
     pub fn delete(&self, id: usize) -> Result<MutationSummary> {
         let _guard = self.mutation.lock().expect("mutation lock poisoned");
         let version = self.version();
@@ -1003,38 +1037,11 @@ impl EclipseEngine {
             ));
         }
         let sky = self.current_skyline(&version);
-        match sky.binary_search(&id) {
-            Err(_) => {
-                // Non-skyline delete: everything `id` dominated is still
-                // dominated by `id`'s own dominator, so the skyline point set
-                // is unchanged — patch the stored ids in the built arenas.
-                let slots = self.built_slots(version.epoch);
-                let patched: Vec<(IntersectionIndexKind, Arc<EclipseIndex>)> = slots
-                    .into_iter()
-                    .map(|(kind, index)| (kind, Arc::new(index.with_deleted_id(id))))
-                    .collect();
-                let remapped: Vec<usize> = sky
-                    .iter()
-                    .map(|&s| if s > id { s - 1 } else { s })
-                    .collect();
-                // As for a dominated insert: without this call's handle on
-                // the points, the removal happens in place.
-                drop(version);
-                let mut dataset = self.dataset.write().expect("dataset lock poisoned");
-                Arc::make_mut(&mut dataset.points).remove(id);
-                dataset.epoch += 1;
-                let epoch = dataset.epoch;
-                let len = dataset.points.len();
-                self.install_slots(epoch, patched);
-                *self.skyline_cache.write().expect("skyline cache poisoned") =
-                    Some((epoch, Arc::new(remapped)));
-                drop(dataset);
-                Ok(MutationSummary {
-                    outcome: MutationOutcome::DeletedNonSkyline,
-                    epoch,
-                    len,
-                })
-            }
+        let (outcome, mut new_sky) = match sky.binary_search(&id) {
+            // Non-skyline delete: everything `id` dominated is still
+            // dominated by `id`'s own dominator, so the skyline point set is
+            // unchanged — only ids above `id` shift.
+            Err(_) => (MutationOutcome::DeletedNonSkyline, sky.to_vec()),
             Ok(pos) => {
                 let removed = &version.points[id];
                 // A remaining bit-identical duplicate still dominates every
@@ -1081,30 +1088,34 @@ impl EclipseEngine {
                     .chain(promoted)
                     .collect();
                 new_sky.sort_unstable();
-                for s in &mut new_sky {
-                    if *s > id {
-                        *s -= 1;
-                    }
-                }
-                let mut new_points: Vec<Point> = (*version.points).clone();
-                new_points.remove(id);
-                let rebuilt = self.rebuild_built_slots(&new_points, &new_sky, version.epoch)?;
-                let mut dataset = self.dataset.write().expect("dataset lock poisoned");
-                dataset.points = Arc::new(new_points);
-                dataset.epoch += 1;
-                let epoch = dataset.epoch;
-                let len = dataset.points.len();
-                self.install_slots(epoch, rebuilt);
-                *self.skyline_cache.write().expect("skyline cache poisoned") =
-                    Some((epoch, Arc::new(new_sky)));
-                drop(dataset);
-                Ok(MutationSummary {
-                    outcome: MutationOutcome::DeletedSkyline,
-                    epoch,
-                    len,
-                })
+                (MutationOutcome::DeletedSkyline, new_sky)
+            }
+        };
+        for s in &mut new_sky {
+            if *s > id {
+                *s -= 1;
             }
         }
+        let maintained = self.maintain_built_slots(version.epoch, &new_sky, Some(id), |post| {
+            version.points[if post >= id { post + 1 } else { post }].coords()
+        });
+        // As for a dominated insert: without this call's handle on the
+        // points, the removal happens in place.
+        drop(version);
+        let mut dataset = self.dataset.write().expect("dataset lock poisoned");
+        Arc::make_mut(&mut dataset.points).remove(id);
+        dataset.epoch += 1;
+        let epoch = dataset.epoch;
+        let len = dataset.points.len();
+        self.install_slots(epoch, maintained);
+        *self.skyline_cache.write().expect("skyline cache poisoned") =
+            Some((epoch, Arc::new(new_sky)));
+        drop(dataset);
+        Ok(MutationSummary {
+            outcome,
+            epoch,
+            len,
+        })
     }
 
     /// The index slots currently built at `epoch`, as (kind, index) pairs.
@@ -1125,23 +1136,24 @@ impl EclipseEngine {
         .collect()
     }
 
-    /// Rebuilds each currently-built index kind from the maintained skyline
-    /// of the mutated dataset.  Because equal skyline id sets produce
-    /// byte-identical arenas, the result is exactly what a from-scratch
-    /// build would install.
-    fn rebuild_built_slots(
+    /// Maintains each index kind built at `epoch` across one mutation (see
+    /// [`EclipseIndex::with_live_skyline`]): `live_ids` is the
+    /// post-mutation skyline, `deleted` the removed row and `coords` the
+    /// post-mutation coordinates of a dataset id.  Each result shares its
+    /// arena with its predecessor unless its overlay passed the bound and
+    /// it was compacted on the engine's execution context.
+    fn maintain_built_slots<'p>(
         &self,
-        points: &[Point],
-        skyline_ids: &[usize],
         epoch: u64,
-    ) -> Result<Vec<(IntersectionIndexKind, Arc<EclipseIndex>)>> {
+        live_ids: &[usize],
+        deleted: Option<usize>,
+        coords: impl Fn(usize) -> &'p [f64],
+    ) -> Vec<(IntersectionIndexKind, Arc<EclipseIndex>)> {
         self.built_slots(epoch)
             .into_iter()
-            .map(|(kind, _)| {
-                let mut config = self.index_config;
-                config.kind = kind;
-                EclipseIndex::build_from_skyline(points, skyline_ids.to_vec(), config, &self.exec)
-                    .map(|idx| (kind, Arc::new(idx)))
+            .map(|(kind, index)| {
+                let maintained = index.with_live_skyline(live_ids, deleted, &coords, &self.exec);
+                (kind, Arc::new(maintained))
             })
             .collect()
     }
@@ -1708,6 +1720,23 @@ mod tests {
             buffer,
             "non-skyline delete copied the points"
         );
+        // Neither do the skyline-touching paths: (2.0, 3.0) enters the
+        // skyline, and deleting it promotes (4.0, 4.0) back.
+        let summary = e.insert(p(&[2.0, 3.0])).unwrap();
+        assert_eq!(summary.outcome, MutationOutcome::InsertedSkyline);
+        assert_eq!(
+            e.points().as_ptr(),
+            buffer,
+            "skyline-entering insert copied the points"
+        );
+        let summary = e.delete(4).unwrap();
+        assert_eq!(summary.outcome, MutationOutcome::DeletedSkyline);
+        assert_eq!(
+            e.points().as_ptr(),
+            buffer,
+            "skyline delete copied the points"
+        );
+        assert_eq!(e.points().to_vec(), paper_points());
         // A probe holding the points still forces a copy: it keeps reading
         // the version it took.
         let held = e.points();
@@ -1739,6 +1768,80 @@ mod tests {
                 "maintained {kind:?} arena must be byte-identical to a rebuild"
             );
         }
+    }
+
+    #[test]
+    fn entrant_and_delete_cycles_share_one_arena() {
+        // The mutation cycle of a write-heavy serving load: a skyline
+        // member nudged down enters the skyline, is deleted again, and
+        // dominated inserts and non-skyline deletes run in between.  No
+        // step compacts: the entrant's delete revives the member it
+        // killed, so the overlay empties and the arena stays the base.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(108);
+        let pts: Vec<Point> = (0..400)
+            .map(|_| Point::new((0..3).map(|_| rng.gen_range(0.0..1.0)).collect()))
+            .collect();
+        let e = EclipseEngine::new(pts)
+            .unwrap()
+            .with_execution_context(ExecutionContext::serial());
+        let kind = IntersectionIndexKind::Quadtree;
+        let base = e.build_index(kind).unwrap();
+        let b = WeightRatioBox::uniform(3, 0.36, 2.75).unwrap();
+        for cycle in 0..12 {
+            let sky = e.skyline();
+            let mut entrant = e.points()[sky[cycle % sky.len()]].coords().to_vec();
+            entrant[cycle % 3] -= 1e-3;
+            let summary = e.insert(Point::new(entrant)).unwrap();
+            assert_eq!(summary.outcome, MutationOutcome::InsertedSkyline);
+            let during = e.cached_index(kind).unwrap();
+            assert!(
+                during.shares_arena(&base),
+                "cycle {cycle}: insert compacted"
+            );
+            assert!(during.overlay_rows() >= 2);
+            let summary = e.delete(e.len() - 1).unwrap();
+            assert_eq!(summary.outcome, MutationOutcome::DeletedSkyline);
+            let after = e.cached_index(kind).unwrap();
+            assert!(after.shares_arena(&base), "cycle {cycle}: delete compacted");
+            assert_eq!(after.overlay_rows(), 0);
+            assert_eq!(after.heap_bytes(), base.heap_bytes());
+            let dominated = e.points()[sky[0]]
+                .coords()
+                .iter()
+                .map(|c| c + 0.5)
+                .collect();
+            e.insert(Point::new(dominated)).unwrap();
+            let plain = (0..e.len()).find(|i| e.skyline().binary_search(i).is_err());
+            e.delete(plain.unwrap()).unwrap();
+            let rebuilt = EclipseEngine::new(e.points().to_vec()).unwrap();
+            assert_eq!(
+                e.eclipse_with(&b, Algorithm::IndexQuadtree).unwrap(),
+                rebuilt.eclipse_with(&b, Algorithm::IndexQuadtree).unwrap()
+            );
+        }
+        assert!(e.cached_index(kind).unwrap().shares_arena(&base));
+    }
+
+    #[test]
+    fn snapshots_compact_the_cached_index() {
+        let e = paper_engine();
+        let kind = IntersectionIndexKind::Quadtree;
+        let base = e.build_index(kind).unwrap();
+        e.insert(p(&[2.0, 3.0])).unwrap();
+        let maintained = e.cached_index(kind).unwrap();
+        assert!(maintained.overlay_rows() > 0);
+        let bytes = e.save_snapshot("compact", kind).unwrap();
+        let compacted = e.cached_index(kind).unwrap();
+        assert_eq!(compacted.overlay_rows(), 0);
+        assert!(!compacted.shares_arena(&base));
+        let rebuilt = EclipseEngine::new(e.points().to_vec()).unwrap();
+        rebuilt.build_index(kind).unwrap();
+        assert_eq!(
+            compacted.encode_snapshot(),
+            cached_index_bytes(&rebuilt, kind)
+        );
+        let (_, cold) = EclipseEngine::from_snapshot(&bytes).unwrap();
+        assert_eq!(cached_index_bytes(&cold, kind), compacted.encode_snapshot());
     }
 
     #[test]

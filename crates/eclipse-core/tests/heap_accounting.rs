@@ -110,5 +110,37 @@ fn heap_bytes_matches_the_allocator_ground_truth() {
             freed <= before + (delta - accounted),
             "dropping the engine must return at least the accounted bytes"
         );
+
+        // The same bounds hold for an engine whose indexes carry a
+        // live-skyline overlay: a skyline-entering insert adds extra rows,
+        // dead base rows and overlay pairs beside the shared arenas.
+        let before = LIVE_BYTES.load(Ordering::Relaxed);
+        let engine = build_full(dataset(n, dim, seed));
+        let member = engine.skyline()[0];
+        let mut entrant = engine.points()[member].coords().to_vec();
+        entrant[0] -= 1e-3;
+        engine.insert(Point::new(entrant)).unwrap();
+        for kind in [
+            IntersectionIndexKind::Quadtree,
+            IntersectionIndexKind::CuttingTree,
+        ] {
+            assert!(engine.cached_index(kind).unwrap().overlay_rows() > 0);
+        }
+        let delta = LIVE_BYTES.load(Ordering::Relaxed) - before;
+        let accounted = engine.heap_bytes();
+        assert!(
+            accounted <= delta,
+            "n={n} dim={dim} overlay: accounted {accounted} exceeds live delta {delta}"
+        );
+        assert!(
+            accounted * 10 >= delta * 8,
+            "n={n} dim={dim} overlay: accounted {accounted} is under 80% of live delta {delta}"
+        );
+        drop(engine);
+        let freed = LIVE_BYTES.load(Ordering::Relaxed);
+        assert!(
+            freed <= before + (delta - accounted),
+            "dropping the overlay engine must return at least the accounted bytes"
+        );
     }
 }

@@ -1,7 +1,9 @@
 //! Proves the acceptance criterion of the arena-index refactor: a
 //! steady-state [`EclipseIndex::query_with_scratch`] probe performs **zero
 //! heap allocations** — on the indexed path and on the exact linear fallback
-//! alike — once the scratch buffers have reached their high-water capacity.
+//! alike, for a freshly built index and for one carrying a live-skyline
+//! overlay — once the scratch buffers have reached their high-water
+//! capacity.
 //!
 //! The whole test binary runs under a counting global allocator; this file
 //! intentionally holds a single test so no concurrent test case can disturb
@@ -9,10 +11,11 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use eclipse_core::exec::ExecutionContext;
 use eclipse_core::index::{EclipseIndex, IndexConfig, IntersectionIndexKind, ProbeScratch};
-use eclipse_core::{Point, WeightRatioBox};
+use eclipse_core::{EclipseEngine, Point, WeightRatioBox};
 use rand::{Rng, SeedableRng};
 
 struct CountingAllocator;
@@ -60,49 +63,75 @@ fn steady_state_probes_do_not_allocate() {
         IntersectionIndexKind::Quadtree,
         IntersectionIndexKind::CuttingTree,
     ] {
-        let index = EclipseIndex::build_with(
+        let built = EclipseIndex::build_with(
             &pts,
             IndexConfig::with_kind(kind),
             &ExecutionContext::serial(),
         )
         .unwrap();
-        let mut scratch = ProbeScratch::new();
-        let expected: Vec<Vec<usize>> = boxes
-            .iter()
-            .map(|b| index.query_with_scratch(b, &mut scratch).unwrap().to_vec())
-            .collect();
-
-        // Buffers are now at high-water capacity: from here on, probing is
-        // allocation-free.
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
-        for _ in 0..50 {
-            for (b, want) in boxes.iter().zip(&expected) {
-                let got = index.query_with_scratch(b, &mut scratch).unwrap();
-                assert_eq!(got, &want[..]);
-            }
-        }
-        let after = ALLOCATIONS.load(Ordering::SeqCst);
-        assert_eq!(
-            after - before,
-            0,
-            "steady-state probes allocated ({kind:?})"
-        );
-
-        // The count-only probe (the CountBatch serving path) shares the same
-        // scratch and allocates nothing either — it never even touches the
-        // result buffer.
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
-        for _ in 0..50 {
-            for (b, want) in boxes.iter().zip(&expected) {
-                let got = index.count_with_scratch(b, &mut scratch).unwrap();
-                assert_eq!(got, want.len());
-            }
-        }
-        let after = ALLOCATIONS.load(Ordering::SeqCst);
-        assert_eq!(
-            after - before,
-            0,
-            "steady-state count probes allocated ({kind:?})"
-        );
+        assert_steady_state_probes_do_not_allocate(&built, &boxes, kind, "built");
+        let maintained = with_overlay(&pts, kind);
+        assert!(maintained.overlay_rows() > 0);
+        assert_steady_state_probes_do_not_allocate(&maintained, &boxes, kind, "overlay");
     }
+}
+
+/// The index an engine serves after a skyline-entering insert: the built
+/// arena plus a non-empty live-skyline overlay.
+fn with_overlay(pts: &[Point], kind: IntersectionIndexKind) -> Arc<EclipseIndex> {
+    let engine = EclipseEngine::with_index_config(pts.to_vec(), IndexConfig::with_kind(kind))
+        .unwrap()
+        .with_execution_context(ExecutionContext::serial());
+    engine.build_index(kind).unwrap();
+    let member = engine.skyline()[0];
+    let mut entrant = engine.points()[member].coords().to_vec();
+    entrant[0] -= 1e-3;
+    engine.insert(Point::new(entrant)).unwrap();
+    engine.cached_index(kind).unwrap()
+}
+
+fn assert_steady_state_probes_do_not_allocate(
+    index: &EclipseIndex,
+    boxes: &[WeightRatioBox],
+    kind: IntersectionIndexKind,
+    label: &str,
+) {
+    let mut scratch = ProbeScratch::new();
+    let expected: Vec<Vec<usize>> = boxes
+        .iter()
+        .map(|b| index.query_with_scratch(b, &mut scratch).unwrap().to_vec())
+        .collect();
+
+    // Buffers are now at high-water capacity: from here on, probing is
+    // allocation-free.
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    for _ in 0..50 {
+        for (b, want) in boxes.iter().zip(&expected) {
+            let got = index.query_with_scratch(b, &mut scratch).unwrap();
+            assert_eq!(got, &want[..]);
+        }
+    }
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state probes allocated ({kind:?}, {label})"
+    );
+
+    // The count-only probe (the CountBatch serving path) shares the same
+    // scratch and allocates nothing either — it never even touches the
+    // result buffer.
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    for _ in 0..50 {
+        for (b, want) in boxes.iter().zip(&expected) {
+            let got = index.count_with_scratch(b, &mut scratch).unwrap();
+            assert_eq!(got, want.len());
+        }
+    }
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state count probes allocated ({kind:?}, {label})"
+    );
 }

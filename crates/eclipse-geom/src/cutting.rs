@@ -356,22 +356,8 @@ impl CuttingTree {
         scratch.drain_into(out);
     }
 
-    /// The count-only query: the number of hyperplanes intersecting the box
-    /// `[qlo, qhi]`, computed with the same traversal (contained cells report
-    /// their deduplicated subtree without a single sign test) but swept out
-    /// of the visited bitmap as a popcount — no id is ever materialized, so
-    /// the query performs no heap allocations at steady state.
-    ///
-    /// # Panics
-    /// Panics if the corner slices do not match the root cell dimensionality.
-    pub fn count_in_box(&self, qlo: &[f64], qhi: &[f64], scratch: &mut TraversalScratch) -> usize {
-        self.mark_hits(qlo, qhi, scratch);
-        scratch.drain_count()
-    }
-
-    /// Shared traversal of [`CuttingTree::query_into`] and
-    /// [`CuttingTree::count_in_box`]: marks every hyperplane intersecting the
-    /// box in the scratch's visited bitmap.
+    /// The traversal behind [`CuttingTree::query_into`]: marks every
+    /// hyperplane intersecting the box in the scratch's visited bitmap.
     fn mark_hits(&self, qlo: &[f64], qhi: &[f64], scratch: &mut TraversalScratch) {
         assert_eq!(
             qlo.len(),
@@ -943,51 +929,6 @@ mod tests {
         let tree = CuttingTree::build(&hs, unit_box(), CuttingTreeConfig::default());
         assert!(tree.is_empty());
         assert_eq!(tree.query(&hs, &unit_box()), Vec::<usize>::new());
-        let mut scratch = TraversalScratch::new();
-        assert_eq!(tree.count_in_box(&[0.0, 0.0], &[1.0, 1.0], &mut scratch), 0);
-    }
-
-    #[test]
-    fn count_in_box_matches_query_cardinality() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(44);
-        let hs: Vec<Hyperplane> = (0..250)
-            .map(|_| {
-                line(
-                    rng.gen_range(-1.0..1.0),
-                    rng.gen_range(-1.0..1.0),
-                    rng.gen_range(-1.0..1.0),
-                )
-            })
-            .collect();
-        let root = BoundingBox::new(vec![-1.0, -1.0], vec![1.0, 1.0]);
-        let tree = CuttingTree::build(
-            &hs,
-            root.clone(),
-            CuttingTreeConfig {
-                max_capacity: 6,
-                ..CuttingTreeConfig::default()
-            },
-        );
-        let mut scratch = TraversalScratch::new();
-        for q in std::iter::once(root).chain((0..25).map(|_| {
-            let x0 = rng.gen_range(-1.0..0.8);
-            let y0 = rng.gen_range(-1.0..0.8);
-            BoundingBox::new(
-                vec![x0, y0],
-                vec![x0 + rng.gen_range(0.01..0.2), y0 + rng.gen_range(0.01..0.2)],
-            )
-        })) {
-            let ids = tree.query(&hs, &q);
-            assert_eq!(
-                tree.count_in_box(q.lo(), q.hi(), &mut scratch),
-                ids.len(),
-                "box {q:?}"
-            );
-            let mut out = Vec::new();
-            tree.query_into(q.lo(), q.hi(), &mut scratch, &mut out);
-            assert_eq!(out, ids, "box {q:?}");
-        }
     }
 
     #[test]

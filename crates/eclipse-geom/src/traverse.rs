@@ -105,18 +105,6 @@ impl TraversalScratch {
             *word = 0;
         }
     }
-
-    /// The count-only twin of [`TraversalScratch::drain_into`]: popcounts the
-    /// marked hyperplanes, zeroing every word on the way, without
-    /// materializing a single id.  Backs the trees' `count_in_box` queries.
-    pub(crate) fn drain_count(&mut self) -> usize {
-        let mut count = 0usize;
-        for word in self.visited.iter_mut() {
-            count += word.count_ones() as usize;
-            *word = 0;
-        }
-        count
-    }
 }
 
 #[cfg(test)]
@@ -145,22 +133,6 @@ mod tests {
         let mut out2 = Vec::new();
         s.drain_into(&mut out2);
         assert!(out2.is_empty());
-    }
-
-    #[test]
-    fn drain_count_matches_drain_into_and_clears() {
-        let mut s = TraversalScratch::new();
-        s.begin(200);
-        for i in [0usize, 1, 63, 64, 65, 127, 128, 199] {
-            s.mark(i);
-        }
-        assert_eq!(s.drain_count(), 8);
-        // The count drain re-established the all-zero invariant too.
-        s.begin(200);
-        for i in 0..200 {
-            assert!(!s.is_marked(i));
-        }
-        assert_eq!(s.drain_count(), 0);
     }
 
     #[test]

@@ -446,10 +446,10 @@ pub struct DatasetStats {
     pub dim: u32,
     /// Skyline size (0 if no index has been built yet).
     pub skyline_len: u64,
-    /// Indexed intersection hyperplanes.
+    /// Intersection hyperplanes of the skyline.
     pub intersections: u64,
     /// How many of those actually cross the indexed region of ratio space
-    /// (computed with the count-only tree traversal).
+    /// (gathered by the index's tree traversal).
     pub root_crossings: u64,
     /// Whether the quadtree index is built.
     pub quad_built: bool,

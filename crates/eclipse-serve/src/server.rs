@@ -563,6 +563,8 @@ impl ServerState {
         let summary = self.with_resident(name, |_, engine| {
             engine.insert(Point::new(coords)).map_err(ServeError::from)
         })?;
+        // A mutation can grow the dataset past the budget.
+        self.enforce_budget(Some(name));
         Ok(Response::Mutated {
             kind: summary.outcome.into(),
             epoch: summary.epoch,
@@ -576,6 +578,7 @@ impl ServerState {
         let summary = self.with_resident(name, |_, engine| {
             engine.delete(id).map_err(ServeError::from)
         })?;
+        self.enforce_budget(Some(name));
         Ok(Response::Mutated {
             kind: summary.outcome.into(),
             epoch: summary.epoch,
@@ -883,10 +886,9 @@ impl ServerState {
                     let index = quad.or(cutting);
                     let (skyline_len, intersections, root_crossings) = match &index {
                         Some(idx) => {
-                            // The whole indexed region of ratio space,
-                            // counted through the count-only tree traversal
-                            // (the root node takes the contained-subtree
-                            // fast path).
+                            // The whole indexed region of ratio space (the
+                            // root node takes the contained-subtree fast
+                            // path), counted over the live skyline.
                             let root = WeightRatioBox::uniform(
                                 engine.dim(),
                                 0.0,
@@ -1005,7 +1007,8 @@ pub struct ServerConfig {
     pub idle_timeout: Option<Duration>,
     /// Global memory budget, in bytes, over the accounted heap bytes of all
     /// resident datasets.  When an admission (load, snapshot restore, index
-    /// build, eviction reload) pushes the total over the budget, the
+    /// build, eviction reload) or a mutation pushes the total over the
+    /// budget, the
     /// coldest datasets are snapshotted-if-dirty and evicted until it fits
     /// again; evicted datasets restore transparently on their next request.
     /// Eviction requires a snapshot directory: [`Server::spawn`] and
@@ -1391,6 +1394,67 @@ mod tests {
             let resp = state.respond(req);
             assert!(matches!(resp, Response::Error(_)), "{resp:?}");
         }
+    }
+
+    #[test]
+    fn stats_after_a_skyline_insert_match_a_rebuilt_dataset() {
+        // A skyline-entering insert leaves the cached index carrying a
+        // live-skyline overlay; Stats must report the live skyline exactly
+        // as a dataset loaded from the mutated points does.
+        let mut coords: Vec<f64> = (0..300u64)
+            .map(|i| ((i * 7919 + 13) % 1000) as f64 / 1000.0)
+            .collect();
+        let state = ServerState::new(ExecutionContext::serial());
+        let load = |name: &str, coords: &[f64]| {
+            let resp = state.respond(Request::LoadDataset {
+                name: name.to_string(),
+                dim: 3,
+                coords: coords.to_vec(),
+                warm: IndexKind::Quadtree,
+            });
+            assert!(matches!(resp, Response::DatasetLoaded(_)), "{resp:?}");
+        };
+        load("live", &coords);
+        let engine = state.engine("live").ok().unwrap();
+        let member = engine.skyline()[0];
+        let mut entrant = engine.points()[member].coords().to_vec();
+        entrant[0] -= 1e-3;
+        let resp = state.respond(Request::Insert {
+            name: "live".to_string(),
+            coords: entrant.clone(),
+        });
+        assert!(
+            matches!(
+                resp,
+                Response::Mutated {
+                    kind: crate::protocol::MutationKind::InsertedSkyline,
+                    ..
+                }
+            ),
+            "{resp:?}"
+        );
+        let index = engine
+            .cached_index(IntersectionIndexKind::Quadtree)
+            .unwrap();
+        assert!(index.overlay_rows() > 0, "the insert must leave an overlay");
+        coords.extend_from_slice(&entrant);
+        load("rebuilt", &coords);
+        let Response::Stats(report) = state.respond(Request::Stats) else {
+            panic!("expected stats");
+        };
+        let row = |name: &str| {
+            let d = report.datasets.iter().find(|d| d.name == name).unwrap();
+            (
+                d.points,
+                d.dim,
+                d.skyline_len,
+                d.intersections,
+                d.root_crossings,
+                d.quad_built,
+                d.cutting_built,
+            )
+        };
+        assert_eq!(row("live"), row("rebuilt"));
     }
 
     #[test]

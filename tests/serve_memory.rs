@@ -3,8 +3,10 @@
 //! to their snapshots and transparently restoring them on the next touch —
 //! with wire answers byte-identical to an unbounded server throughout, the
 //! accounted total bounded by budget + one dataset, mutation epochs
-//! preserved across eviction, and the typed `DatasetUnavailable` response
-//! (connection stays usable) when a restore is impossible.
+//! preserved across eviction, a mutation that grows the total past the
+//! budget evicting like an admission does, and the typed
+//! `DatasetUnavailable` response (connection stays usable) when a restore
+//! is impossible.
 
 mod common;
 
@@ -165,6 +167,74 @@ fn lru_evicts_the_coldest_dataset() {
     assert!(!resident("ds1"), "the coldest dataset must be the victim");
     assert!(resident("ds0"), "a recently-touched dataset must survive");
     assert!(resident("ds2"), "the dataset being registered is protected");
+    handle.shutdown();
+}
+
+/// The accounted bytes of a dataset as the server registers it (points plus
+/// the warm quadtree), and the growth of its first dominated insert (the
+/// point vector's capacity doubles, and the skyline gets cached).
+fn registered_bytes_and_insert_growth(points: &[Point]) -> (u64, u64) {
+    let engine = EclipseEngine::new(points.to_vec())
+        .unwrap()
+        .with_execution_context(ExecutionContext::serial());
+    engine.build_index(IntersectionIndexKind::Quadtree).unwrap();
+    let registered = engine.heap_bytes() as u64;
+    engine.insert(dominated(points)).unwrap();
+    (registered, engine.heap_bytes() as u64 - registered)
+}
+
+/// A point dominated by the first point of `points`.
+fn dominated(points: &[Point]) -> Point {
+    Point::new(points[0].coords().iter().map(|c| c + 1.0).collect())
+}
+
+#[test]
+fn a_mutation_past_the_budget_evicts_the_coldest_other_dataset() {
+    let datasets: Vec<Vec<Point>> = (0..3).map(|i| dataset(400, 500 + i)).collect();
+    let sizes: Vec<(u64, u64)> = datasets
+        .iter()
+        .map(|pts| registered_bytes_and_insert_growth(pts))
+        .collect();
+    let growth = sizes[2].1;
+    assert!(growth > 0, "a first insert grows the accounted bytes");
+    // All three fit as registered; the insert's growth does not.
+    let budget = sizes.iter().map(|s| s.0).sum::<u64>() + growth / 2;
+
+    let dir = TempDir::new("memory_mutation");
+    let server = budgeted_server(&dir, budget, 1);
+    for (i, pts) in datasets.iter().enumerate() {
+        server
+            .register_dataset(&format!("ds{i}"), pts.clone(), IndexKind::Quadtree)
+            .unwrap();
+    }
+    let handle = server.spawn().unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let stats = client.stats().unwrap();
+    assert!(stats.datasets.iter().all(|d| d.resident));
+    assert_eq!(stats.evictions, 0);
+
+    // Touch ds0 so ds1 is the coldest, then grow ds2 past the budget.
+    client.query_batch("ds0", &probe_boxes()).unwrap();
+    let coords = dominated(&datasets[2]).coords().to_vec();
+    let ack = client.insert("ds2", &coords).unwrap();
+    assert_eq!(ack.epoch, 1);
+    let stats = client.stats().unwrap();
+    let resident = |name: &str| {
+        stats
+            .datasets
+            .iter()
+            .find(|d| d.name == name)
+            .unwrap()
+            .resident
+    };
+    assert_eq!(stats.evictions, 1);
+    assert!(
+        !resident("ds1"),
+        "the coldest other dataset must be the victim"
+    );
+    assert!(resident("ds0"), "a recently-touched dataset must survive");
+    assert!(resident("ds2"), "the mutated dataset is protected");
+    assert!(stats.total_bytes <= budget);
     handle.shutdown();
 }
 
