@@ -508,8 +508,7 @@ fn probes_sweep(opts: &Options) -> Vec<(String, (String, ResultTable))> {
         &[10_000, 100_000]
     };
     let reps = if opts.quick { 2 } else { 8 };
-    let mut json = String::from("{\n  \"pr\": 3,\n");
-    json.push_str(&format!("  \"quick\": {},\n", opts.quick));
+    let mut json = format!("{{\n  \"quick\": {},\n", opts.quick);
 
     // Tree level: the same probe set the pre-arena baseline was measured on.
     let tree_probes = probe_boxes(200, 2, 0.05, SEED + 1);
@@ -710,8 +709,7 @@ fn serve_sweep(opts: &Options) -> (String, ResultTable) {
         "query_probe_s",
         "count_probe_s",
     ]);
-    let mut json = String::from("{\n  \"pr\": 4,\n");
-    json.push_str(&format!("  \"quick\": {},\n", opts.quick));
+    let mut json = format!("{{\n  \"quick\": {},\n", opts.quick);
     json.push_str(&format!(
         "  \"dataset\": {{\"family\": \"INDE\", \"n\": {n}, \"d\": 3, \"probes\": {num_probes}}},\n"
     ));
@@ -799,8 +797,7 @@ fn serve_pipeline_sweep(opts: &Options) -> (String, ResultTable) {
         "count_req_s",
         "speedup_vs_blocking",
     ]);
-    let mut json = String::from("{\n  \"pr\": 7,\n");
-    json.push_str(&format!("  \"quick\": {},\n", opts.quick));
+    let mut json = format!("{{\n  \"quick\": {},\n", opts.quick);
     json.push_str(&format!(
         "  \"dataset\": {{\"family\": \"INDE\", \"n\": {n}, \"d\": 3, \"probes\": {num_probes}}},\n"
     ));
@@ -927,13 +924,6 @@ fn serve_pipeline_sweep(opts: &Options) -> (String, ResultTable) {
     )
 }
 
-/// Snapshot cold-start sweep: full index rebuild (skyline, hyperplane slab
-/// and tree construction via `EclipseIndex::build`) vs snapshot restore
-/// (`EclipseEngine::from_snapshot`, which additionally decodes and validates
-/// the whole dataset) at growing n, for both backends.  The restored engine
-/// is asserted query-identical to the rebuilt one on every pass.  Writes
-/// BENCH_snapshot.json next to the CSVs (or into the current directory
-/// without `--out`).
 /// Incremental mutation vs full rebuild: applies an interleaved
 /// insert/delete schedule to a warm engine, timing each op, and compares
 /// per-op latency against rebuilding the engine (skyline + pairs + arena)
@@ -971,8 +961,7 @@ fn mutate_sweep(opts: &Options) -> (String, ResultTable) {
         "plain_del",
         "identical",
     ]);
-    let mut json = String::from("{\n  \"pr\": 9,\n");
-    json.push_str(&format!("  \"quick\": {},\n", opts.quick));
+    let mut json = format!("{{\n  \"quick\": {},\n", opts.quick);
     json.push_str("  \"dataset\": {\"family\": \"INDE\", \"d\": 3},\n");
     json.push_str("  \"mutate\": [\n");
     let mut first = true;
@@ -1143,6 +1132,14 @@ fn mutate_sweep(opts: &Options) -> (String, ResultTable) {
     )
 }
 
+/// Snapshot cold-start sweep: full index rebuild (skyline, hyperplane slab
+/// and tree construction via `EclipseIndex::build`) vs snapshot restore
+/// (`EclipseEngine::from_snapshot`, which additionally decodes and validates
+/// the whole dataset) at growing n, for both backends, with the container
+/// verification (every section checksum) timed on its own.  The restored
+/// engine is asserted query-identical to the rebuilt one on every pass.
+/// Writes BENCH_snapshot.json next to the CSVs (or into the current
+/// directory without `--out`).
 fn snapshot_sweep(opts: &Options) -> (String, ResultTable) {
     let ns: &[usize] = if opts.quick {
         &[1 << 13, 100_000]
@@ -1162,8 +1159,9 @@ fn snapshot_sweep(opts: &Options) -> (String, ResultTable) {
         "bytes",
         "speedup",
     ]);
-    let mut json = String::from("{\n  \"pr\": 5,\n");
-    json.push_str(&format!("  \"quick\": {},\n", opts.quick));
+    let host_threads = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let mut json = format!("{{\n  \"quick\": {},\n", opts.quick);
+    json.push_str(&format!("  \"host_threads\": {host_threads},\n"));
     json.push_str("  \"dataset\": {\"family\": \"INDE\", \"d\": 3},\n");
     json.push_str("  \"snapshot\": [\n");
     let mut first = true;
@@ -1191,6 +1189,16 @@ fn snapshot_sweep(opts: &Options) -> (String, ResultTable) {
                     .save_snapshot("inde", kind)
                     .expect("snapshot encodes");
                 save_secs = save_secs.min(start.elapsed().as_secs_f64());
+            }
+            // Container verification alone: magic, section table and every
+            // section checksum, the first thing each restore does.
+            let mut verify_secs = f64::INFINITY;
+            for _ in 0..reps {
+                let start = std::time::Instant::now();
+                std::hint::black_box(
+                    eclipse_persist::SnapshotReader::parse(&bytes).expect("snapshot verifies"),
+                );
+                verify_secs = verify_secs.min(start.elapsed().as_secs_f64());
             }
             let mut load_secs = f64::INFINITY;
             let mut restored = None;
@@ -1230,14 +1238,16 @@ fn snapshot_sweep(opts: &Options) -> (String, ResultTable) {
             first = false;
             json.push_str(&format!(
                 "    {{\"n\": {}, \"index\": \"{}\", \"u\": {}, \"pairs\": {}, \
-                 \"rebuild_secs\": {:.6}, \"save_secs\": {:.6}, \"load_secs\": {:.6}, \
-                 \"snapshot_bytes\": {}, \"load_speedup_over_rebuild\": {:.2}}}",
+                 \"rebuild_secs\": {:.6}, \"save_secs\": {:.6}, \"verify_secs\": {:.6}, \
+                 \"load_secs\": {:.6}, \"snapshot_bytes\": {}, \
+                 \"load_speedup_over_rebuild\": {:.2}}}",
                 n,
                 kind_label(kind),
                 index.skyline_len(),
                 index.num_intersections(),
                 rebuild_secs,
                 save_secs,
+                verify_secs,
                 load_secs,
                 bytes.len(),
                 speedup,
@@ -1359,8 +1369,7 @@ fn build_sweep(opts: &Options) -> Vec<(String, (String, ResultTable))> {
         "nodes",
         "speedup_vs_pre_arena",
     ]);
-    let mut json = String::from("{\n  \"pr\": 8,\n");
-    json.push_str(&format!("  \"quick\": {},\n", opts.quick));
+    let mut json = format!("{{\n  \"quick\": {},\n", opts.quick);
     json.push_str(&format!("  \"host_threads\": {host_threads},\n"));
     json.push_str("  \"build\": [\n");
     let mut build_first = true;
@@ -1639,8 +1648,7 @@ fn shard_sweep(opts: &Options) -> (String, ResultTable) {
     ref_handle.shutdown();
 
     let mut t = ResultTable::new(&["shards", "query_probe_s", "count_probe_s"]);
-    let mut json = String::from("{\n  \"pr\": 8,\n");
-    json.push_str(&format!("  \"quick\": {},\n", opts.quick));
+    let mut json = format!("{{\n  \"quick\": {},\n", opts.quick);
     json.push_str(&format!(
         "  \"dataset\": {{\"family\": \"INDE\", \"n\": {n}, \"d\": 3, \"probes\": {num_probes}, \
          \"batch\": {batch}}},\n"
@@ -1902,8 +1910,7 @@ fn memory_sweep(opts: &Options) -> (String, ResultTable) {
         "reloads",
         "identical",
     ]);
-    let mut json = String::from("{\n  \"pr\": 10,\n");
-    json.push_str(&format!("  \"quick\": {},\n", opts.quick));
+    let mut json = format!("{{\n  \"quick\": {},\n", opts.quick);
     json.push_str(&format!(
         "  \"dataset\": {{\"family\": \"INDE\", \"n\": {n}, \"d\": 3, \
          \"datasets\": {num_datasets}, \"probes\": {num_probes}}},\n"

@@ -33,7 +33,7 @@
 //! DESIGN.md §4 for the substitution rationale.
 
 use eclipse_exec::ThreadPool;
-use eclipse_persist::{enc, Cursor, PersistError, PersistResult};
+use eclipse_persist::{dec, enc, Cursor, PersistError, PersistResult};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -125,6 +125,10 @@ impl Default for CuttingTreeConfig {
 
 /// Sentinel marking a leaf node (no children).
 const NO_CHILD: u32 = u32::MAX;
+
+/// Bytes of one encoded [`Node`]: `axis`, `at` (`f64`), `low`, `high` and
+/// the entry range, little-endian.
+const NODE_RECORD_BYTES: usize = 28;
 
 /// One arena node: an axis-aligned cut with its two children allocated as an
 /// adjacent pair (`low == high − 1`), or a leaf.
@@ -491,23 +495,23 @@ impl CuttingTree {
                 slab.dim()
             )));
         }
-        let node_count = cur.count(24)?;
+        let node_count = cur.count(NODE_RECORD_BYTES)?;
         if node_count == 0 {
             return Err(PersistError::Malformed(
                 "a cutting-tree arena needs at least its root node".to_string(),
             ));
         }
-        let mut nodes = Vec::with_capacity(node_count);
-        for _ in 0..node_count {
-            nodes.push(Node {
-                axis: cur.u32()?,
-                at: cur.f64()?,
-                low: cur.u32()?,
-                high: cur.u32()?,
-                entries_start: cur.u32()?,
-                entries_end: cur.u32()?,
-            });
-        }
+        let nodes: Vec<Node> = cur
+            .records(node_count, NODE_RECORD_BYTES)?
+            .map(|r| Node {
+                axis: dec::u32_at(r, 0),
+                at: dec::f64_at(r, 4),
+                low: dec::u32_at(r, 12),
+                high: dec::u32_at(r, 16),
+                entries_start: dec::u32_at(r, 20),
+                entries_end: dec::u32_at(r, 24),
+            })
+            .collect();
         let cells = cur.f64_vec(node_count.checked_mul(2 * k).ok_or_else(|| {
             PersistError::Malformed(format!("{node_count} cells of dimension {k} overflow"))
         })?)?;

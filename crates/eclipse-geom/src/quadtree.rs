@@ -31,7 +31,7 @@
 //! worst case.
 
 use eclipse_exec::ThreadPool;
-use eclipse_persist::{enc, Cursor, PersistError, PersistResult};
+use eclipse_persist::{dec, enc, Cursor, PersistError, PersistResult};
 use serde::{Deserialize, Serialize};
 
 use crate::build::{build_levels, median_inplace, ArenaTree, Limits, PlanScratch};
@@ -138,6 +138,9 @@ struct Node {
     /// One past the end of the entry range.
     entries_end: u32,
 }
+
+/// Bytes of one encoded [`Node`]: four `u32le` fields.
+const NODE_RECORD_BYTES: usize = 16;
 
 /// A quadtree (2-D) / octree (k-D) over hyperplanes, stored as a flat arena.
 ///
@@ -506,21 +509,21 @@ impl HyperplaneQuadtree {
                 slab.dim()
             )));
         }
-        let node_count = cur.count(16)?;
+        let node_count = cur.count(NODE_RECORD_BYTES)?;
         if node_count == 0 {
             return Err(PersistError::Malformed(
                 "a quadtree arena needs at least its root node".to_string(),
             ));
         }
-        let mut nodes = Vec::with_capacity(node_count);
-        for _ in 0..node_count {
-            nodes.push(Node {
-                first_child: cur.u32()?,
-                child_count: cur.u32()?,
-                entries_start: cur.u32()?,
-                entries_end: cur.u32()?,
-            });
-        }
+        let nodes: Vec<Node> = cur
+            .records(node_count, NODE_RECORD_BYTES)?
+            .map(|r| Node {
+                first_child: dec::u32_at(r, 0),
+                child_count: dec::u32_at(r, 4),
+                entries_start: dec::u32_at(r, 8),
+                entries_end: dec::u32_at(r, 12),
+            })
+            .collect();
         let cells = cur.f64_vec(node_count.checked_mul(2 * k).ok_or_else(|| {
             PersistError::Malformed(format!("{node_count} cells of dimension {k} overflow"))
         })?)?;

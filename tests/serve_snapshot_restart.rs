@@ -173,34 +173,40 @@ fn stale_epoch_snapshot_over_a_mutated_dataset_is_an_epoch_mismatch() {
 }
 
 /// Re-stamps a current container as `version`, re-checksumming every
-/// section the way formats 1 and 2 did (FNV-1a over tag and payload), so
-/// the result is a well-formed legacy container that only its version
-/// disqualifies.
+/// section with FNV-1a the way that format did (formats 1 and 2 over tag and
+/// payload, format 3 over version, tag and payload), so the result is a
+/// well-formed legacy container that only its version disqualifies.
 fn restamp_legacy(bytes: &[u8], version: u32) -> Vec<u8> {
     let sections: Vec<(u8, &[u8])> = SnapshotReader::parse(bytes).unwrap().sections().collect();
     let mut out = MAGIC.to_vec();
     out.extend_from_slice(&version.to_le_bytes());
     out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
     for (tag, payload) in sections {
+        let seed = match version {
+            1 | 2 => fnv1a(&[tag]),
+            3 => fnv1a_extend(fnv1a(&version.to_le_bytes()), &[tag]),
+            _ => unreachable!("only formats 1 to 3 used FNV-1a"),
+        };
         out.push(tag);
         out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a_extend(fnv1a(&[tag]), payload).to_le_bytes());
+        out.extend_from_slice(&fnv1a_extend(seed, payload).to_le_bytes());
         out.extend_from_slice(payload);
     }
     out
 }
 
 #[test]
-fn pre_v3_snapshots_are_unsupported_and_skipped_by_a_scan() {
+fn pre_v4_snapshots_are_unsupported_and_skipped_by_a_scan() {
     let snapshot = |label: &str| {
         EclipseEngine::new(common::paper_hotels())
             .unwrap()
             .save_snapshot(label, IntersectionIndexKind::Quadtree)
             .unwrap()
     };
-    let dir = TempDir::new("pre_v3_skipped");
+    let dir = TempDir::new("pre_v4_skipped");
     std::fs::write(dir.path().join("healthy.eclsnap"), snapshot("healthy")).unwrap();
-    for found in [1u32, 2] {
+    let legacy_versions = [1u32, 2, 3];
+    for found in legacy_versions {
         let legacy = restamp_legacy(&snapshot(&format!("legacy{found}")), found);
         let unsupported = PersistError::UnsupportedVersion { found }.to_string();
         match EclipseEngine::from_snapshot(&legacy) {
@@ -210,7 +216,7 @@ fn pre_v3_snapshots_are_unsupported_and_skipped_by_a_scan() {
         std::fs::write(dir.path().join(format!("legacy{found}.eclsnap")), legacy).unwrap();
     }
 
-    // A warm-load scan skips both legacy files and still restores the
+    // A warm-load scan skips every legacy file and still restores the
     // healthy one.
     let server = Server::bind("127.0.0.1:0", ExecutionContext::serial()).unwrap();
     server.set_snapshot_dir(dir.path());
@@ -226,14 +232,14 @@ fn pre_v3_snapshots_are_unsupported_and_skipped_by_a_scan() {
         .iter()
         .map(|(path, e)| format!("{} {e}", path.file_name().unwrap().to_string_lossy()))
         .collect();
-    assert_eq!(skipped.len(), 2, "{skipped:?}");
-    for (line, found) in skipped.iter().zip([1, 2]) {
+    assert_eq!(skipped.len(), legacy_versions.len(), "{skipped:?}");
+    for (line, found) in skipped.iter().zip(legacy_versions) {
         assert!(
             line.starts_with(&format!("legacy{found}.eclsnap ")),
             "{line}"
         );
         assert!(
-            line.contains("unsupported snapshot format version"),
+            line.contains(&format!("unsupported snapshot format version {found}")),
             "{line}"
         );
     }
