@@ -9,7 +9,10 @@
 //!    [`eclipse_geom::dual::score_difference_hyperplane`]) — assembled
 //!    directly into a [`HyperplaneSlab`] of dense coefficient rows;
 //! 3. index those hyperplanes with a line quadtree (QUAD) or a cutting tree
-//!    (CUTTING) over a bounded region of ratio space.
+//!    (CUTTING) over a bounded region of ratio space.  The tree is built,
+//!    accounted and persisted with the index, but probes do not walk it:
+//!    one sweep over the slab gathers the same hyperplanes faster at every
+//!    measured size (see the README's "Sweep, not walk").
 //!
 //! Query phase (Algorithms 5/7):
 //! 1. score all skyline points at the lower corner of the query box and rank
@@ -17,8 +20,9 @@
 //!    follow its own high-dimensional practical choice of computing the
 //!    vector at query time in O(u log u), which it notes "does not impact the
 //!    entire time complexity");
-//! 2. fetch from the Intersection Index the hyperplanes crossing the query
-//!    box — exactly the pairs whose relative order changes inside the box;
+//! 2. gather the hyperplanes crossing the query box with one branch-free
+//!    sweep over the slab — exactly the pairs whose relative order changes
+//!    inside the box;
 //! 3. replay those pairs.  The paper's replay assumes general position; ours
 //!    adjudicates every fetched pair exactly (does `a` dominate `b` over the
 //!    whole box, or vice versa, or neither?), so ties, duplicate points and
@@ -29,10 +33,9 @@
 //! probe touches lives in a caller-provided [`ProbeScratch`], so
 //! [`EclipseIndex::query_with_scratch`] performs **zero heap allocations**
 //! once the buffers have grown to their high-water capacity — including the
-//! tree traversal (explicit stack + visited bitmap), the candidate list, the
-//! initial order vector (an incrementally reused sort buffer) and the result
-//! itself.  [`EclipseIndex::query_batch`] fans locality-sorted probes out
-//! over an [`ExecutionContext`] with one scratch per worker.
+//! candidate list, the initial order vector (an incrementally reused sort
+//! buffer) and the result itself.  [`EclipseIndex::query_batch`] fans the
+//! probes out over an [`ExecutionContext`] with one scratch per worker.
 //!
 //! Maintenance: a mutation that changes the skyline does not rebuild the
 //! arena.  The maintained index shares it as a base and records the live
@@ -52,7 +55,6 @@ use eclipse_geom::cutting::{CutRule, CuttingTree, CuttingTreeConfig};
 use eclipse_geom::hyperplane::HyperplaneSlab;
 use eclipse_geom::point::{BoundingBox, Point};
 use eclipse_geom::quadtree::{HyperplaneQuadtree, QuadtreeConfig, SplitRule};
-use eclipse_geom::traverse::TraversalScratch;
 
 use crate::error::{EclipseError, Result};
 use crate::exec::ExecutionContext;
@@ -74,9 +76,8 @@ pub struct IndexConfig {
     /// Which spatial structure indexes the intersection hyperplanes.
     pub kind: IntersectionIndexKind,
     /// Upper bound of the indexed region of ratio space: the root cell is
-    /// `[0, max_ratio]^{d−1}`.  Queries that are not fully contained in the
-    /// root cell still return exact results via a linear fallback scan of the
-    /// pairs, so this is a performance knob, not a correctness one.
+    /// `[0, max_ratio]^{d−1}`.  Probes sweep every pair whatever the box,
+    /// so queries outside the root cell are answered exactly too.
     pub max_ratio: f64,
     /// Quadtree parameters (used when `kind == Quadtree`).
     pub quadtree: QuadtreeConfig,
@@ -151,8 +152,8 @@ fn snapshot_err(reason: impl Into<String>) -> EclipseError {
 /// many queries (servers, the bench harness, [`EclipseIndex::query_batch`])
 /// keep one `ProbeScratch` per thread and pass it to
 /// [`EclipseIndex::query_with_scratch`]: every buffer — scores, the reused
-/// sort buffer, the order vector, the query corners, the candidate list, the
-/// tree-traversal stack and visited bitmap, and the result itself — is then
+/// sort buffer, the order vector, the query corners, the candidate list and
+/// the result itself — is then
 /// reused at its high-water capacity, so a steady-state probe allocates
 /// nothing.
 #[derive(Clone, Debug, Default)]
@@ -166,10 +167,8 @@ pub struct ProbeScratch {
     /// Lower / upper query corner in ratio space.
     qlo: Vec<f64>,
     qhi: Vec<f64>,
-    /// Candidate pair ids fetched from the intersection index.
+    /// Candidate pair ids gathered by the slab sweep.
     candidates: Vec<usize>,
-    /// Tree-traversal state (explicit stack + visited bitmap).
-    traversal: TraversalScratch,
     /// The most recent query result (dataset indices, ascending).
     out: Vec<usize>,
 }
@@ -221,7 +220,7 @@ const DEAD_ROW: i64 = 1;
 /// was built over, derived from the maintained skyline id list.
 ///
 /// Rows are numbered base rows first (`0..u`), then extra rows (`u..`).  A
-/// probe ranks the corner scores of live rows only, drops tree candidates
+/// probe ranks the corner scores of live rows only, drops candidates
 /// with a dead endpoint and replays the extra pairs that cross the box —
 /// the same pair set a rebuild over the live skyline would replay.
 #[derive(Clone, Debug)]
@@ -260,7 +259,7 @@ impl Overlay {
 /// and at least four rows.  A mutation that leaves more compacts the index
 /// into a fresh arena.  The bound keeps the overlay's linear share of a
 /// probe (every extra row is paired with every live row and sign-tested)
-/// small next to the tree traversal, while a skyline entrant and its
+/// small next to the slab sweep, while a skyline entrant and its
 /// delete, or a few such changes, never pay a rebuild.
 pub const fn overlay_limit(base_rows: usize) -> usize {
     let quarter = base_rows / 4;
@@ -705,8 +704,7 @@ impl EclipseIndex {
     /// [`EclipseIndex::query`] with caller-provided scratch buffers: the
     /// steady-state serving flavour.  Returns a slice borrowed from the
     /// scratch (valid until the next probe); once the buffers have reached
-    /// their high-water capacity a probe performs **no heap allocations** —
-    /// on the indexed path and on the exact linear fallback alike.
+    /// their high-water capacity a probe performs **no heap allocations**.
     ///
     /// # Errors
     /// Same as [`EclipseIndex::query`].
@@ -738,10 +736,8 @@ impl EclipseIndex {
     }
 
     /// Answers a batch of eclipse queries, fanning the probes out over `ctx`
-    /// with one [`ProbeScratch`] per worker chunk.  Probes are locality-sorted
-    /// (lexicographically by lower corner) before chunking so neighbouring
-    /// probes walk the same tree regions; results are returned in input
-    /// order.
+    /// with one [`ProbeScratch`] per worker chunk; results are returned in
+    /// input order.
     ///
     /// # Errors
     /// Validates every box up front ([`EclipseError::DimensionMismatch`] /
@@ -763,26 +759,19 @@ impl EclipseIndex {
             let mut scratch = ProbeScratch::new();
             return Ok(vec![self.query_with_scratch(only, &mut scratch)?.to_vec()]);
         }
-        let order = locality_order(boxes);
-        let chunk_len = order.len().div_ceil(ctx.threads() * 4).max(1);
-        let chunks = ctx.pool().par_chunks(&order, chunk_len, |_, chunk| {
+        let chunk_len = boxes.len().div_ceil(ctx.threads() * 4).max(1);
+        let chunks = ctx.pool().par_chunks(boxes, chunk_len, |_, chunk| {
             let mut scratch = ProbeScratch::new();
             chunk
                 .iter()
-                .map(|&bi| {
-                    self.query_with_scratch(&boxes[bi], &mut scratch)
+                .map(|b| {
+                    self.query_with_scratch(b, &mut scratch)
                         .map(<[usize]>::to_vec)
                         .expect("query_batch boxes are validated before dispatch")
                 })
                 .collect::<Vec<_>>()
         });
-        let mut results: Vec<Vec<usize>> = vec![Vec::new(); boxes.len()];
-        for (chunk_results, chunk_ids) in chunks.into_iter().zip(order.chunks(chunk_len)) {
-            for (res, &bi) in chunk_results.into_iter().zip(chunk_ids) {
-                results[bi] = res;
-            }
-        }
-        Ok(results)
+        Ok(chunks.into_iter().flatten().collect())
     }
 
     /// Answers an eclipse query with only the result **cardinality** — the
@@ -831,8 +820,8 @@ impl EclipseIndex {
     }
 
     /// Answers a batch of count-only eclipse queries, fanning the probes out
-    /// over `ctx` exactly like [`EclipseIndex::query_batch`] (locality sort,
-    /// one scratch per worker chunk) but returning only the cardinalities —
+    /// over `ctx` exactly like [`EclipseIndex::query_batch`] (one scratch
+    /// per worker chunk) but returning only the cardinalities —
     /// no per-probe result vector is ever allocated.
     ///
     /// # Errors
@@ -851,32 +840,24 @@ impl EclipseIndex {
                 self.count_with_scratch(only, &mut ProbeScratch::new())?
             ]);
         }
-        let order = locality_order(boxes);
-        let chunk_len = order.len().div_ceil(ctx.threads() * 4).max(1);
-        let chunks = ctx.pool().par_chunks(&order, chunk_len, |_, chunk| {
+        let chunk_len = boxes.len().div_ceil(ctx.threads() * 4).max(1);
+        let chunks = ctx.pool().par_chunks(boxes, chunk_len, |_, chunk| {
             let mut scratch = ProbeScratch::new();
             chunk
                 .iter()
-                .map(|&bi| {
-                    self.count_with_scratch(&boxes[bi], &mut scratch)
+                .map(|b| {
+                    self.count_with_scratch(b, &mut scratch)
                         .expect("count_batch boxes are validated before dispatch")
                 })
                 .collect::<Vec<_>>()
         });
-        let mut counts: Vec<usize> = vec![0; boxes.len()];
-        for (chunk_counts, chunk_ids) in chunks.into_iter().zip(order.chunks(chunk_len)) {
-            for (res, &bi) in chunk_counts.into_iter().zip(chunk_ids) {
-                counts[bi] = res;
-            }
-        }
-        Ok(counts)
+        Ok(chunks.into_iter().flatten().collect())
     }
 
     /// Diagnostic: the number of intersection hyperplanes of the skyline
     /// crossing `ratio_box` — the candidate-set size a probe of that box
-    /// replays.  Gathers the candidates exactly as a probe does (tree
-    /// traversal inside the indexed region, a linear scan outside it) and,
-    /// for a maintained index, counts the live ones: base pairs without a
+    /// replays.  Gathers the candidates exactly as a probe does (the slab
+    /// sweep) and, for a maintained index, counts the live ones: base pairs without a
     /// dead endpoint plus the crossing overlay pairs.
     ///
     /// # Errors
@@ -1277,34 +1258,15 @@ impl EclipseIndex {
 
     /// Fills `scratch.candidates` with the indices (into `self.pairs`) of the
     /// candidate intersection hyperplanes for the query box in
-    /// `scratch.qlo/qhi`: exactly those intersecting the closed box.
+    /// `scratch.qlo/qhi`: exactly those intersecting the closed box, in
+    /// ascending order, from one branch-free sweep over the slab rows.
     fn candidate_pairs(&self, scratch: &mut ProbeScratch) {
-        let ProbeScratch {
-            qlo,
-            qhi,
-            candidates,
-            traversal,
-            ..
-        } = scratch;
-        let contained = self
-            .root_cell
-            .lo()
-            .iter()
-            .zip(self.root_cell.hi())
-            .zip(qlo.iter().zip(qhi.iter()))
-            .all(|((rl, rh), (ql, qh))| rl <= ql && rh >= qh);
-        if contained {
-            match &*self.backend {
-                Backend::Quad(t) => t.query_into(qlo, qhi, traversal, candidates),
-                Backend::Cutting(t) => t.query_into(qlo, qhi, traversal, candidates),
-            }
-        } else {
-            // Exact fallback for queries escaping the indexed region — a
-            // linear scan over the slab rows, reusing the candidate buffer.
-            candidates.clear();
-            let slab = self.slab();
-            candidates.extend((0..slab.len()).filter(|&i| slab.intersects_box(i, qlo, qhi)));
-        }
+        scratch.candidates.clear();
+        self.slab().filter_all_intersecting_into(
+            &scratch.qlo,
+            &scratch.qhi,
+            &mut scratch.candidates,
+        );
     }
 
     /// Computes the final dominator count of every skyline row into
@@ -1373,7 +1335,7 @@ impl EclipseIndex {
                 adjust_pair(ov, scores, a, b, slab.min_max_over_box(ci, qlo, qhi));
             }
         }
-        // The same closed-box filter the linear fallback applies: replaying
+        // The same closed-box filter the slab sweep applies: replaying
         // a pair that does not cross the box can tip an EPS tie.
         for (j, &(a, b)) in o.pairs.iter().enumerate() {
             if o.slab.intersects_box(j, qlo, qhi) {
@@ -1424,22 +1386,6 @@ fn adjust_pair(ov: &mut [i64], scores: &[f64], a: u32, b: u32, (min_f, max_f): (
         (false, true) => ov[a] += 1,
         _ => {}
     }
-}
-
-/// Probe order for the batch APIs: indices sorted lexicographically by lower
-/// corner, so neighbouring probes in a chunk walk the same tree regions.
-fn locality_order(boxes: &[WeightRatioBox]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..boxes.len()).collect();
-    order.sort_unstable_by(|&x, &y| {
-        boxes[x]
-            .ranges()
-            .iter()
-            .zip(boxes[y].ranges())
-            .map(|(ra, rb)| ra.lo().total_cmp(&rb.lo()))
-            .find(|c| *c != std::cmp::Ordering::Equal)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    order
 }
 
 #[cfg(test)]
@@ -1928,7 +1874,7 @@ mod tests {
     }
 
     /// Probe boxes for the overlay tests: in-region, escaping the indexed
-    /// region (linear fallback), narrow and degenerate.
+    /// region, narrow and degenerate.
     fn overlay_boxes() -> Vec<WeightRatioBox> {
         [
             (0.2, 0.8),

@@ -387,10 +387,10 @@ impl EclipseEngine {
     /// engine's execution context — the serving-layer entry point.
     ///
     /// Index algorithms (and `Auto` over bounded boxes) route through
-    /// [`EclipseIndex::query_batch`]: probes are locality-sorted, chunked
-    /// over the shared `eclipse-exec` pool and answered with one reusable
+    /// [`EclipseIndex::query_batch`]: probes are chunked over the shared
+    /// `eclipse-exec` pool and answered with one reusable
     /// [`crate::index::ProbeScratch`] per worker, so the steady-state cost
-    /// per probe is allocation-free tree traversal plus replay.  `Auto`
+    /// per probe is an allocation-free slab sweep plus replay.  `Auto`
     /// prefers an already-built index and otherwise builds the engine's
     /// configured default kind once for the whole batch; batches containing
     /// unbounded boxes fall back to per-box [`Algorithm::Auto`] answering.
@@ -436,10 +436,10 @@ impl EclipseEngine {
     /// Answers a batch of **count-only** eclipse queries: the result
     /// cardinality of every box, without materializing per-probe result
     /// vectors.  Index algorithms (and `Auto` over bounded boxes) route
-    /// through [`EclipseIndex::count_batch`] — the same locality-sorted,
-    /// scratch-per-worker fan-out as [`EclipseEngine::eclipse_query_batch`],
-    /// with the order vector counted in place; other algorithms answer per
-    /// box and take the length.  Results are returned in input order.
+    /// through [`EclipseIndex::count_batch`] — the same scratch-per-worker
+    /// fan-out as [`EclipseEngine::eclipse_query_batch`], with the order
+    /// vector counted in place; other algorithms answer per box and take the
+    /// length.  Results are returned in input order.
     ///
     /// # Errors
     /// Validates every box up front; no partial results are returned.

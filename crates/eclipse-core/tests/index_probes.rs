@@ -14,7 +14,7 @@ use rand::{Rng, SeedableRng};
 use eclipse_core::dominance::eclipse_naive;
 use eclipse_core::exec::ExecutionContext;
 use eclipse_core::index::{EclipseIndex, IndexConfig, IntersectionIndexKind, ProbeScratch};
-use eclipse_core::{Point, WeightRatioBox};
+use eclipse_core::{EclipseEngine, Point, WeightRatioBox};
 
 fn random_points(seed: u64, n: usize, d: usize, grid: bool) -> Vec<Point> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -40,8 +40,8 @@ fn random_boxes(seed: u64, m: usize, d: usize) -> Vec<WeightRatioBox> {
     (0..m)
         .map(|_| {
             let lo = rng.gen_range(0.05..1.5);
-            // Occasionally escape the indexed region to cover the exact
-            // linear fallback inside a batch.
+            // Occasionally escape the indexed region to cover boxes
+            // outside the trees' root cell inside a batch.
             let width = if rng.gen_range(0..4) == 0 {
                 rng.gen_range(10.0..20.0)
             } else {
@@ -101,4 +101,69 @@ proptest! {
             }
         }
     }
+}
+
+/// Probes of the built index and of the index an engine serves after a
+/// skyline entrant (a live-skyline overlay) match the brute-force oracle,
+/// through fresh, scratch-reusing, count and batched probes, for boxes
+/// inside and outside the indexed region.
+#[test]
+fn probes_match_the_oracle_with_and_without_an_overlay() {
+    let boxes = [
+        WeightRatioBox::uniform(3, 0.9, 1.1).unwrap(),
+        WeightRatioBox::from_bounds(&[(0.3, 0.7), (1.2, 1.5)]).unwrap(),
+        // Escapes the indexed region.
+        WeightRatioBox::uniform(3, 0.5, 20.0).unwrap(),
+    ];
+    let points = random_points(7, 400, 3, false);
+    let engine = EclipseEngine::new(points.clone()).unwrap();
+    let member = engine.skyline()[0];
+    let mut entrant = points[member].coords().to_vec();
+    entrant[0] -= 1e-3;
+    let mut grown = points.clone();
+    grown.push(Point::new(entrant.clone()));
+    let expected: Vec<Vec<usize>> = boxes.iter().map(|b| eclipse_naive(&points, b)).collect();
+    let grown_expected: Vec<Vec<usize>> = boxes.iter().map(|b| eclipse_naive(&grown, b)).collect();
+    for kind in [
+        IntersectionIndexKind::Quadtree,
+        IntersectionIndexKind::CuttingTree,
+    ] {
+        let engine =
+            EclipseEngine::with_index_config(points.clone(), IndexConfig::with_kind(kind)).unwrap();
+        let built = engine.build_index(kind).unwrap();
+        assert_probes_match(&built, &boxes, &expected, &format!("{kind:?} built"));
+        engine.insert(Point::new(entrant.clone())).unwrap();
+        let maintained = engine.cached_index(kind).unwrap();
+        assert!(maintained.overlay_rows() > 0 && maintained.shares_arena(&built));
+        assert_probes_match(
+            &maintained,
+            &boxes,
+            &grown_expected,
+            &format!("{kind:?} overlay"),
+        );
+    }
+}
+
+fn assert_probes_match(
+    index: &EclipseIndex,
+    boxes: &[WeightRatioBox],
+    expected: &[Vec<usize>],
+    label: &str,
+) {
+    let mut scratch = ProbeScratch::new();
+    for (b, want) in boxes.iter().zip(expected) {
+        assert_eq!(&index.query(b).unwrap(), want, "{label}, box {b}");
+        assert_eq!(
+            index.query_with_scratch(b, &mut scratch).unwrap(),
+            &want[..]
+        );
+        assert_eq!(
+            index.count_with_scratch(b, &mut scratch).unwrap(),
+            want.len()
+        );
+    }
+    let batched = index
+        .query_batch(boxes, &ExecutionContext::with_threads(2))
+        .unwrap();
+    assert_eq!(batched, expected, "{label}, batched");
 }

@@ -33,8 +33,8 @@ fn grid_points(seed: u64, n: usize, d: usize) -> Vec<Point> {
         .collect()
 }
 
-/// Probe boxes spanning the indexed region plus one escaping it, so both the
-/// arena probe path and the linear fallback answer under mutation.
+/// Probe boxes spanning the indexed region plus one escaping it, so boxes
+/// inside and outside the trees' root cell are answered under mutation.
 fn probe_boxes(d: usize) -> Vec<WeightRatioBox> {
     vec![
         WeightRatioBox::uniform(d, 0.25, 2.0).unwrap(),

@@ -71,7 +71,7 @@ fn arbitrary_config(seed: u64) -> IndexConfig {
 }
 
 /// Probe boxes covering the interesting regimes: inside the indexed region,
-/// escaping it (exact linear fallback), exact 1NN-style boxes.
+/// escaping it, exact 1NN-style boxes.
 fn probe_boxes(dim: usize, seed: u64) -> Vec<WeightRatioBox> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xb0f);
     let mut boxes = Vec::new();

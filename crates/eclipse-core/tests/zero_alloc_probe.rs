@@ -1,9 +1,8 @@
 //! Proves the acceptance criterion of the arena-index refactor: a
 //! steady-state [`EclipseIndex::query_with_scratch`] probe performs **zero
-//! heap allocations** — on the indexed path and on the exact linear fallback
-//! alike, for a freshly built index and for one carrying a live-skyline
-//! overlay — once the scratch buffers have reached their high-water
-//! capacity.
+//! heap allocations** — for boxes inside and outside the indexed region,
+//! for a freshly built index and for one carrying a live-skyline overlay —
+//! once the scratch buffers have reached their high-water capacity.
 //!
 //! The whole test binary runs under a counting global allocator; this file
 //! intentionally holds a single test so no concurrent test case can disturb
@@ -52,7 +51,7 @@ fn steady_state_probes_do_not_allocate() {
     let pts: Vec<Point> = (0..600)
         .map(|_| Point::new((0..3).map(|_| rng.gen_range(0.0..1.0)).collect()))
         .collect();
-    // One in-region box, one escaping the indexed region (exact fallback),
+    // One in-region box, one escaping the indexed region,
     // one narrow box — the probe mix a serving loop would see.
     let boxes = [
         WeightRatioBox::uniform(3, 0.36, 2.75).unwrap(),

@@ -13,6 +13,8 @@
 //!   are represented this way, as are the cells tests used by the line
 //!   quadtree and the cutting tree.
 
+use std::ops::Range;
+
 use eclipse_persist::{enc, Cursor, PersistError, PersistResult};
 use serde::{Deserialize, Serialize};
 
@@ -322,16 +324,12 @@ impl HyperplaneSlab {
     pub fn min_max_over_box(&self, i: usize, lo: &[f64], hi: &[f64]) -> (f64, f64) {
         debug_assert_eq!(lo.len(), self.dim, "corner dimensionality mismatch");
         debug_assert_eq!(hi.len(), self.dim, "corner dimensionality mismatch");
-        let row = &self.coeffs[i * self.dim..(i + 1) * self.dim];
-        let mut min = 0.0f64;
-        let mut max = 0.0f64;
-        for j in 0..row.len() {
-            let a = row[j] * lo[j];
-            let b = row[j] * hi[j];
-            min += a.min(b);
-            max += a.max(b);
-        }
-        (min + self.offsets[i], max + self.offsets[i])
+        min_max_of_row(
+            &self.coeffs[i * self.dim..(i + 1) * self.dim],
+            self.offsets[i],
+            lo,
+            hi,
+        )
     }
 
     /// Whether hyperplane `i` intersects the closed box `[lo, hi]` — the slab
@@ -343,7 +341,7 @@ impl HyperplaneSlab {
             return self.offsets[i].abs() <= EPS;
         }
         let (min, max) = self.min_max_over_box(i, lo, hi);
-        min <= EPS && max >= -EPS
+        crosses(min, max)
     }
 
     /// Minimum and maximum of four functionals over the box `[lo, hi]` at
@@ -382,14 +380,14 @@ impl HyperplaneSlab {
             let b2 = r2[j] * h;
             let a3 = r3[j] * l;
             let b3 = r3[j] * h;
-            min[0] += a0.min(b0);
-            min[1] += a1.min(b1);
-            min[2] += a2.min(b2);
-            min[3] += a3.min(b3);
-            max[0] += a0.max(b0);
-            max[1] += a1.max(b1);
-            max[2] += a2.max(b2);
-            max[3] += a3.max(b3);
+            min[0] += min_f64(a0, b0);
+            min[1] += min_f64(a1, b1);
+            min[2] += min_f64(a2, b2);
+            min[3] += min_f64(a3, b3);
+            max[0] += max_f64(a0, b0);
+            max[1] += max_f64(a1, b1);
+            max[2] += max_f64(a2, b2);
+            max[3] += max_f64(a3, b3);
         }
         for (lane, &row) in rows.iter().enumerate() {
             min[lane] += self.offsets[row];
@@ -438,7 +436,7 @@ impl HyperplaneSlab {
             }
             let (min, max) = self.min_max_over_box4(rows, lo, hi);
             for (lane, &id) in block.iter().enumerate() {
-                if min[lane] <= EPS && max[lane] >= -EPS {
+                if crosses(min[lane], max[lane]) {
                     out.push(id);
                 }
             }
@@ -451,43 +449,98 @@ impl HyperplaneSlab {
     }
 
     /// Appends to `out` the id of every row intersecting the closed box
-    /// `[lo, hi]`, in ascending order — the whole-slab sweep used to seed
-    /// tree construction with the hyperplanes crossing the root cell.  Runs
-    /// the same four-lane kernel as
-    /// [`HyperplaneSlab::filter_intersecting_into`] over consecutive rows.
-    pub fn filter_all_intersecting_into(&self, lo: &[f64], hi: &[f64], out: &mut Vec<u32>) {
+    /// `[lo, hi]`, in ascending order: one pass over the whole slab.  It
+    /// seeds tree construction with the rows crossing the root cell, and it
+    /// is every probe's candidate gather.
+    ///
+    /// The pass has no data-dependent branch.  It takes the rows 256 at a time:
+    /// each row's id is written at a cursor into a stack buffer and the cursor
+    /// advances by the row's hit bit (selection without branches, as in Ross,
+    /// "Selection Conditions in Main Memory", TODS 2004), then the chunk's hits
+    /// are appended to `out`.  So the cost does not depend on how many rows
+    /// hit, and `out` grows by the hits only.  Degenerate rows take the offset
+    /// test through the same bit arithmetic.  `k = 2` (the paper's `d = 3`) and
+    /// `k = 3` run loops unrolled to their row width (unrolling `k = 4`
+    /// measured no faster than the general loop); every `k` makes the decisions
+    /// of [`HyperplaneSlab::intersects_box`], bit for bit.  Once `out` has room
+    /// for the hits the pass allocates nothing.
+    pub fn filter_all_intersecting_into<I: RowId>(&self, lo: &[f64], hi: &[f64], out: &mut Vec<I>) {
         // An empty slab keeps its placeholder dimensionality (1), so the
         // corner check only applies when there are rows to test.
         debug_assert!(
             self.is_empty() || (lo.len() == self.dim && hi.len() == self.dim),
             "corner dimensionality mismatch"
         );
-        let n = self.len();
-        let mut i = 0;
-        while i + 4 <= n {
-            let rows = [i, i + 1, i + 2, i + 3];
-            if rows.iter().any(|&r| self.degenerate[r]) {
-                for r in rows {
-                    if self.intersects_box(r, lo, hi) {
-                        out.push(r as u32);
-                    }
-                }
-            } else {
-                let (min, max) = self.min_max_over_box4(rows, lo, hi);
-                for (lane, r) in rows.into_iter().enumerate() {
-                    if min[lane] <= EPS && max[lane] >= -EPS {
-                        out.push(r as u32);
-                    }
-                }
-            }
-            i += 4;
+        let mut slots = [I::default(); SWEEP_CHUNK];
+        for first in (0..self.len()).step_by(SWEEP_CHUNK) {
+            let rows = first..self.len().min(first + SWEEP_CHUNK);
+            let hits = match self.dim {
+                2 => self.sweep_rows::<2, I>(rows, lo, hi, &mut slots),
+                3 => self.sweep_rows::<3, I>(rows, lo, hi, &mut slots),
+                _ => self.sweep_rows_any(rows, lo, hi, &mut slots),
+            };
+            out.extend_from_slice(&slots[..hits]);
         }
-        while i < n {
-            if self.intersects_box(i, lo, hi) {
-                out.push(i as u32);
+    }
+
+    /// The body of [`HyperplaneSlab::filter_all_intersecting_into`] over
+    /// `rows` of a slab of `K` coefficients per row (`K` is its
+    /// dimensionality): the per-row sums unroll fully.  Writes every row id
+    /// into `slots` at the hit cursor and returns the number of hits.
+    #[inline(always)]
+    fn sweep_rows<const K: usize, I: RowId>(
+        &self,
+        rows: Range<usize>,
+        lo: &[f64],
+        hi: &[f64],
+        slots: &mut [I; SWEEP_CHUNK],
+    ) -> usize {
+        let lo: &[f64; K] = lo.try_into().expect("corner dimensionality mismatch");
+        let hi: &[f64; K] = hi.try_into().expect("corner dimensionality mismatch");
+        let first = rows.start;
+        let chunk = self.coeffs[rows.start * K..rows.end * K]
+            .chunks_exact(K)
+            .zip(&self.offsets[rows.clone()])
+            .zip(&self.degenerate[rows]);
+        let mut hits = 0;
+        for (i, ((row, &offset), &degenerate)) in chunk.enumerate() {
+            // Axes in ascending order, offset last; starting from the first
+            // term instead of zero changes at most the sign of a zero sum.
+            let (a, b) = (row[0] * lo[0], row[0] * hi[0]);
+            let (mut min, mut max) = (min_f64(a, b), max_f64(a, b));
+            for j in 1..K {
+                let (a, b) = (row[j] * lo[j], row[j] * hi[j]);
+                min += min_f64(a, b);
+                max += max_f64(a, b);
             }
-            i += 1;
+            slots[hits] = I::from_row(first + i);
+            hits += row_hit(degenerate, offset, min + offset, max + offset) as usize;
         }
+        hits
+    }
+
+    /// [`HyperplaneSlab::sweep_rows`] for any dimensionality, with the
+    /// per-row sum as a loop.
+    fn sweep_rows_any<I: RowId>(
+        &self,
+        rows: Range<usize>,
+        lo: &[f64],
+        hi: &[f64],
+        slots: &mut [I; SWEEP_CHUNK],
+    ) -> usize {
+        let d = self.dim;
+        let first = rows.start;
+        let chunk = self.coeffs[rows.start * d..rows.end * d]
+            .chunks_exact(d)
+            .zip(&self.offsets[rows.clone()])
+            .zip(&self.degenerate[rows]);
+        let mut hits = 0;
+        for (i, ((row, &offset), &degenerate)) in chunk.enumerate() {
+            let (min, max) = min_max_of_row(row, offset, lo, hi);
+            slots[hits] = I::from_row(first + i);
+            hits += row_hit(degenerate, offset, min, max) as usize;
+        }
+        hits
     }
 
     /// Materializes row `i` as an owned [`Hyperplane`].
@@ -542,6 +595,85 @@ impl HyperplaneSlab {
             degenerate,
         })
     }
+}
+
+/// Rows per chunk of the slab sweep: the size of its stack buffer of ids
+/// (2 KiB of `usize`), so a pass holds no more than one chunk of misses.
+const SWEEP_CHUNK: usize = 256;
+
+/// A row id the slab sweep can emit: `u32` for the trees' entry lists,
+/// `usize` for a probe's candidate list.
+pub trait RowId: Copy + Default {
+    /// The id of row `i`, which is below the slab's row count.
+    fn from_row(i: usize) -> Self;
+}
+
+impl RowId for u32 {
+    #[inline]
+    fn from_row(i: usize) -> Self {
+        i as u32
+    }
+}
+
+impl RowId for usize {
+    #[inline]
+    fn from_row(i: usize) -> Self {
+        i
+    }
+}
+
+/// The smaller of two products, as one `minsd`: when the comparison fails
+/// (a tie or a NaN) it takes `b`.  Every slab kernel uses this one primitive,
+/// so they all make the same decisions.  On the boxes the indexes test
+/// (finite, with `0 ≤ lo ≤ hi`), `b` is never NaN alone (an infinite
+/// coefficient times `lo = 0` makes `a` NaN), so this returns what
+/// [`f64::min`] returns, up to the sign of a zero.
+#[inline(always)]
+fn min_f64(a: f64, b: f64) -> f64 {
+    if a < b {
+        a
+    } else {
+        b
+    }
+}
+
+/// The larger of two products; the counterpart of [`min_f64`].
+#[inline(always)]
+fn max_f64(a: f64, b: f64) -> f64 {
+    if a > b {
+        a
+    } else {
+        b
+    }
+}
+
+/// Minimum and maximum of `row · x + offset` over the box `[lo, hi]`: axes
+/// in ascending order, offset added last.
+#[inline(always)]
+fn min_max_of_row(row: &[f64], offset: f64, lo: &[f64], hi: &[f64]) -> (f64, f64) {
+    let mut min = 0.0f64;
+    let mut max = 0.0f64;
+    for j in 0..row.len() {
+        let a = row[j] * lo[j];
+        let b = row[j] * hi[j];
+        min += min_f64(a, b);
+        max += max_f64(a, b);
+    }
+    (min + offset, max + offset)
+}
+
+/// Whether a functional with this min and max over a box vanishes somewhere
+/// in it (with `EPS` tolerance).
+#[inline(always)]
+fn crosses(min: f64, max: f64) -> bool {
+    min <= EPS && max >= -EPS
+}
+
+/// [`HyperplaneSlab::intersects_box`] without a branch: a degenerate row
+/// hits when its offset vanishes, any other row when it crosses.
+#[inline(always)]
+fn row_hit(degenerate: bool, offset: f64, min: f64, max: f64) -> bool {
+    (degenerate & (offset.abs() <= EPS)) | (!degenerate & crosses(min, max))
 }
 
 #[cfg(test)]
@@ -745,7 +877,7 @@ mod tests {
                         .filter(|&i| slab.intersects_box(i as usize, &lo, &hi))
                         .collect();
                     // Whole-slab sweep.
-                    let mut got = Vec::new();
+                    let mut got: Vec<u32> = Vec::new();
                     slab.filter_all_intersecting_into(&lo, &hi, &mut got);
                     assert_eq!(got, expected, "dim {dim}, n {n}");
                     // Gathered-id filter over a shuffled id list preserves

@@ -207,6 +207,75 @@ proptest! {
         prop_assert_eq!(&out, &expected);
     }
 
+    /// The whole-slab sweep reports exactly the ids both trees' walks report,
+    /// at every ratio-space dimensionality the index uses (`k = 1–4`).  Rows
+    /// and box corners sit on a quarter grid, so hyperplanes run through
+    /// cell edges and corners and boxes lie on cell edges (or collapse to a
+    /// face or a point); degenerate rows and exact duplicates are mixed in.
+    /// The sweep appends after whatever the output already holds.
+    #[test]
+    fn slab_sweep_matches_both_tree_walks(
+        k in 1usize..5,
+        rows in proptest::collection::vec(
+            (proptest::collection::vec(-4i32..5, 4), -4i32..5, 0u8..8, -1.0f64..1.0),
+            0..80,
+        ),
+        corner in proptest::collection::vec((-4i32..5, 0i32..4), 4),
+        cap in 1usize..6,
+    ) {
+        let mut hs: Vec<Hyperplane> = Vec::new();
+        for (coeffs, offset, shape, jitter) in rows {
+            let h = match (shape, hs.last()) {
+                (0, _) => Hyperplane::new(vec![0.0; k], offset as f64 / 4.0),
+                (1, Some(prev)) => prev.clone(),
+                (2, _) => Hyperplane::new(
+                    coeffs[..k].iter().map(|&c| c as f64 / 4.0 + jitter).collect(),
+                    jitter,
+                ),
+                _ => Hyperplane::new(
+                    coeffs[..k].iter().map(|&c| c as f64 / 4.0).collect(),
+                    offset as f64 / 4.0,
+                ),
+            };
+            hs.push(h);
+        }
+        let root = BoundingBox::new(vec![-1.0; k], vec![1.0; k]);
+        let qlo: Vec<f64> = corner[..k].iter().map(|&(l, _)| l as f64 / 4.0).collect();
+        let qhi: Vec<f64> = corner[..k]
+            .iter()
+            .map(|&(l, w)| ((l + w) as f64 / 4.0).min(1.0))
+            .collect();
+        let slab = HyperplaneSlab::from_hyperplanes(&hs);
+        let expected: Vec<usize> = (0..hs.len())
+            .filter(|&i| slab.intersects_box(i, &qlo, &qhi))
+            .collect();
+
+        let mut swept: Vec<usize> = vec![usize::MAX];
+        slab.filter_all_intersecting_into(&qlo, &qhi, &mut swept);
+        prop_assert_eq!(swept[0], usize::MAX);
+        prop_assert_eq!(&swept[1..], &expected[..]);
+        let mut swept32: Vec<u32> = Vec::new();
+        slab.filter_all_intersecting_into(&qlo, &qhi, &mut swept32);
+        prop_assert!(swept32.iter().map(|&i| i as usize).eq(expected.iter().copied()));
+
+        let quad = HyperplaneQuadtree::build(
+            &hs,
+            root.clone(),
+            QuadtreeConfig { max_capacity: cap, ..QuadtreeConfig::default() },
+        );
+        let cut = CuttingTree::build(
+            &hs,
+            root,
+            CuttingTreeConfig { max_capacity: cap, ..CuttingTreeConfig::default() },
+        );
+        let mut scratch = TraversalScratch::new();
+        let mut walked = Vec::new();
+        quad.query_into(&qlo, &qhi, &mut scratch, &mut walked);
+        prop_assert_eq!(&walked, &expected);
+        cut.query_into(&qlo, &qhi, &mut scratch, &mut walked);
+        prop_assert_eq!(&walked, &expected);
+    }
+
     /// Parallel construction is byte-identical to serial construction: for
     /// random hyperplane sets — including a clustered bundle dense enough to
     /// push deep levels past the parallel-dispatch threshold, and degenerate

@@ -449,7 +449,7 @@ pub struct DatasetStats {
     /// Intersection hyperplanes of the skyline.
     pub intersections: u64,
     /// How many of those actually cross the indexed region of ratio space
-    /// (gathered by the index's tree traversal).
+    /// (gathered by a sweep over the index's slab).
     pub root_crossings: u64,
     /// Whether the quadtree index is built.
     pub quad_built: bool,

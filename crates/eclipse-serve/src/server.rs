@@ -8,8 +8,7 @@
 //! server was bound with), so a `QueryBatch` fans its probes out over the
 //! same workers regardless of which connection it arrived on — the
 //! steady-state request path is [`EclipseEngine::eclipse_query_batch`]
-//! (locality-sorted probes, one `ProbeScratch` per worker, zero allocations
-//! per probe) and [`EclipseEngine::eclipse_count_batch`] for cardinality-only
+//! (one `ProbeScratch` per worker, zero allocations per probe) and [`EclipseEngine::eclipse_count_batch`] for cardinality-only
 //! probes.
 //!
 //! Datasets are registered with [`Request::LoadDataset`] (or in-process with
@@ -865,7 +864,7 @@ impl ServerState {
         let mut datasets: Vec<DatasetStats> = Vec::with_capacity(snapshot.len());
         for slot in &snapshot {
             // Clone what we need under the slot lock, then compute outside
-            // it so a long tree walk never blocks mutations or eviction.
+            // it so a long slab sweep never blocks mutations or eviction.
             enum Row {
                 Engine(Arc<EclipseEngine>),
                 Summary(EvictedStats),

@@ -21,8 +21,7 @@ fn probe_boxes() -> Vec<WeightRatioBox> {
         (0.58, 1.73),
         (0.84, 1.19),
         (1.0, 1.0),
-        // Escapes the default indexed region: exercises the exact fallback
-        // through the server too.
+        // Escapes the default indexed region, through the server too.
         (0.5, 20.0),
     ] {
         boxes.push(WeightRatioBox::uniform(3, lo, hi).unwrap());

@@ -10,10 +10,15 @@
 //! ```text
 //! ECLIPSE_UPDATE_FIXTURES=1 cargo test -p eclipse-examples --test snapshot_golden
 //! ```
+//!
+//! Every fixture test reads the files through [`ensure_fixtures`], so with
+//! the variable set the fixtures are rewritten once, before any test reads
+//! them, and that one run passes.
 
 mod common;
 
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
 use common::paper_hotels;
 use eclipse_core::index::IntersectionIndexKind;
@@ -77,24 +82,43 @@ fn probe_boxes(dim: usize) -> Vec<WeightRatioBox> {
         .collect()
 }
 
+/// Under `ECLIPSE_UPDATE_FIXTURES`, rewrites every fixture from a fresh
+/// encode, exactly once per test process and before any test reads one.
+/// The tests run on parallel threads, so each of them calls this first;
+/// without the variable it does nothing.
+fn ensure_fixtures() {
+    static WRITTEN: OnceLock<()> = OnceLock::new();
+    WRITTEN.get_or_init(|| {
+        if std::env::var_os("ECLIPSE_UPDATE_FIXTURES").is_none() {
+            return;
+        }
+        for (label, points, kind, file) in cases() {
+            let engine = EclipseEngine::new(points).unwrap();
+            let bytes = engine.save_snapshot(label, kind).unwrap();
+            let path = fixture_path(file);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(&path, &bytes).unwrap();
+        }
+    });
+}
+
+/// Reads one committed fixture, after [`ensure_fixtures`].
+fn read_fixture(file: &str) -> Vec<u8> {
+    ensure_fixtures();
+    let path = fixture_path(file);
+    std::fs::read(&path).unwrap_or_else(|e| panic!("fixture {} unreadable: {e}", path.display()))
+}
+
 /// Encoding is pinned byte-for-byte by the committed fixtures: any change to
 /// the container layout, a section payload, index construction or the
 /// underlying float semantics fails this test loudly instead of silently
 /// orphaning every snapshot in the field.
 #[test]
 fn encode_is_byte_identical_to_the_committed_fixtures() {
-    let update = std::env::var_os("ECLIPSE_UPDATE_FIXTURES").is_some();
     for (label, points, kind, file) in cases() {
+        let golden = read_fixture(file);
         let engine = EclipseEngine::new(points).unwrap();
         let bytes = engine.save_snapshot(label, kind).unwrap();
-        let path = fixture_path(file);
-        if update {
-            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-            std::fs::write(&path, &bytes).unwrap();
-            continue;
-        }
-        let golden = std::fs::read(&path)
-            .unwrap_or_else(|e| panic!("fixture {} unreadable: {e}", path.display()));
         assert_eq!(
             bytes, golden,
             "snapshot encoding of {label}/{kind:?} no longer matches {file}; if this is a \
@@ -110,8 +134,7 @@ fn encode_is_byte_identical_to_the_committed_fixtures() {
 #[test]
 fn decoded_fixtures_answer_identically_to_fresh_rebuilds() {
     for (label, points, kind, file) in cases() {
-        let golden = std::fs::read(fixture_path(file))
-            .unwrap_or_else(|e| panic!("fixture {file} unreadable: {e}"));
+        let golden = read_fixture(file);
         let (stored_label, restored) = EclipseEngine::from_snapshot(&golden).unwrap();
         assert_eq!(stored_label, label);
         assert!(restored.cached_index(kind).is_some(), "{file} warm-loads");
@@ -141,8 +164,7 @@ fn decoded_fixtures_answer_identically_to_fresh_rebuilds() {
 #[test]
 fn fixtures_re_encode_byte_exactly() {
     for (label, _points, kind, file) in cases() {
-        let golden = std::fs::read(fixture_path(file))
-            .unwrap_or_else(|e| panic!("fixture {file} unreadable: {e}"));
+        let golden = read_fixture(file);
         let (stored_label, restored) = EclipseEngine::from_snapshot(&golden).unwrap();
         assert_eq!(restored.save_snapshot(&stored_label, kind).unwrap(), golden);
         assert_eq!(stored_label, label);
