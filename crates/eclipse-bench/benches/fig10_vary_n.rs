@@ -1,5 +1,5 @@
-//! Figure 10 — query time of BASE / TRAN / QUAD / CUTTING while varying the
-//! number of points n (d = 3, r ∈ [0.36, 2.75]) on the CORR, INDE, ANTI and
+//! Figure 10 — query time of BASE / TRAN / INDEX (the paper's QUAD and
+//! CUTTING, answered by one slab index) while varying the number of points n (d = 3, r ∈ [0.36, 2.75]) on the CORR, INDE, ANTI and
 //! NBA datasets.
 //!
 //! Criterion gives per-(dataset, algorithm, n) timings; the companion
@@ -11,7 +11,7 @@ use std::hint::black_box;
 use eclipse_bench::workloads::{default_ratio_box, DatasetFamily, DEFAULT_D};
 use eclipse_core::algo::baseline::eclipse_baseline;
 use eclipse_core::algo::transform::{eclipse_transform, SkylineBackend};
-use eclipse_core::index::{EclipseIndex, IndexConfig, IntersectionIndexKind};
+use eclipse_core::index::{EclipseIndex, IndexConfig};
 
 const SEED: u64 = 20210614;
 /// Bench sweep: kept to sizes where even the quadratic baseline finishes in
@@ -41,21 +41,9 @@ fn bench_fig10(c: &mut Criterion) {
                     .unwrap()
                 })
             });
-            let quad = EclipseIndex::build(
-                &points,
-                IndexConfig::with_kind(IntersectionIndexKind::Quadtree),
-            )
-            .unwrap();
-            group.bench_with_input(BenchmarkId::new("QUAD", n), &n, |b, _| {
-                b.iter(|| quad.query(black_box(&ratio_box)).unwrap())
-            });
-            let cutting = EclipseIndex::build(
-                &points,
-                IndexConfig::with_kind(IntersectionIndexKind::CuttingTree),
-            )
-            .unwrap();
-            group.bench_with_input(BenchmarkId::new("CUTTING", n), &n, |b, _| {
-                b.iter(|| cutting.query(black_box(&ratio_box)).unwrap())
+            let index = EclipseIndex::build(&points, IndexConfig::default()).unwrap();
+            group.bench_with_input(BenchmarkId::new("INDEX", n), &n, |b, _| {
+                b.iter(|| index.query(black_box(&ratio_box)).unwrap())
             });
         }
         group.finish();

@@ -1,5 +1,5 @@
-//! Figure 11 — query time of BASE / TRAN / QUAD / CUTTING while varying the
-//! dimensionality d (n = 2^10 for the synthetic datasets, n = 1000 for NBA,
+//! Figure 11 — query time of BASE / TRAN / INDEX (the paper's QUAD and
+//! CUTTING, answered by one slab index) while varying the dimensionality d (n = 2^10 for the synthetic datasets, n = 1000 for NBA,
 //! r ∈ [0.36, 2.75]).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -8,7 +8,7 @@ use std::hint::black_box;
 use eclipse_bench::workloads::{default_ratio_box, DatasetFamily, DEFAULT_N, DEFAULT_NBA_N};
 use eclipse_core::algo::baseline::eclipse_baseline;
 use eclipse_core::algo::transform::{eclipse_transform, SkylineBackend};
-use eclipse_core::index::{EclipseIndex, IndexConfig, IntersectionIndexKind};
+use eclipse_core::index::{EclipseIndex, IndexConfig};
 
 const SEED: u64 = 20210614;
 const D_VALUES: [usize; 4] = [2, 3, 4, 5];
@@ -41,21 +41,9 @@ fn bench_fig11(c: &mut Criterion) {
                     .unwrap()
                 })
             });
-            let quad = EclipseIndex::build(
-                &points,
-                IndexConfig::with_kind(IntersectionIndexKind::Quadtree),
-            )
-            .unwrap();
-            group.bench_with_input(BenchmarkId::new("QUAD", d), &d, |b, _| {
-                b.iter(|| quad.query(black_box(&ratio_box)).unwrap())
-            });
-            let cutting = EclipseIndex::build(
-                &points,
-                IndexConfig::with_kind(IntersectionIndexKind::CuttingTree),
-            )
-            .unwrap();
-            group.bench_with_input(BenchmarkId::new("CUTTING", d), &d, |b, _| {
-                b.iter(|| cutting.query(black_box(&ratio_box)).unwrap())
+            let index = EclipseIndex::build(&points, IndexConfig::default()).unwrap();
+            group.bench_with_input(BenchmarkId::new("INDEX", d), &d, |b, _| {
+                b.iter(|| index.query(black_box(&ratio_box)).unwrap())
             });
         }
         group.finish();

@@ -1,5 +1,5 @@
-//! Figure 12 — query time of the index-based algorithms (QUAD, CUTTING)
-//! while varying the attribute-weight-ratio range (n = 2^10 / NBA n = 1000,
+//! Figure 12 — query time of the index-based algorithm (INDEX, the paper's
+//! QUAD and CUTTING answered by one slab index) while varying the attribute-weight-ratio range (n = 2^10 / NBA n = 1000,
 //! d = 3).  Wider ranges intersect more hyperplanes and are therefore slower.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -8,7 +8,7 @@ use std::hint::black_box;
 use eclipse_bench::workloads::{
     ratio_box, DatasetFamily, DEFAULT_D, DEFAULT_N, DEFAULT_NBA_N, PAPER_RATIO_RANGES,
 };
-use eclipse_core::index::{EclipseIndex, IndexConfig, IntersectionIndexKind};
+use eclipse_core::index::{EclipseIndex, IndexConfig};
 
 const SEED: u64 = 20210614;
 
@@ -20,16 +20,7 @@ fn bench_fig12(c: &mut Criterion) {
             DEFAULT_N
         };
         let points = family.generate(n, DEFAULT_D, SEED);
-        let quad = EclipseIndex::build(
-            &points,
-            IndexConfig::with_kind(IntersectionIndexKind::Quadtree),
-        )
-        .unwrap();
-        let cutting = EclipseIndex::build(
-            &points,
-            IndexConfig::with_kind(IntersectionIndexKind::CuttingTree),
-        )
-        .unwrap();
+        let index = EclipseIndex::build(&points, IndexConfig::default()).unwrap();
 
         let mut group = c.benchmark_group(format!("fig12/{}", family.label()));
         group.sample_size(20);
@@ -38,11 +29,8 @@ fn bench_fig12(c: &mut Criterion) {
         for (lo, hi) in PAPER_RATIO_RANGES {
             let b = ratio_box(DEFAULT_D, lo, hi);
             let label = format!("[{lo},{hi}]");
-            group.bench_with_input(BenchmarkId::new("QUAD", &label), &b, |bench, rb| {
-                bench.iter(|| quad.query(black_box(rb)).unwrap())
-            });
-            group.bench_with_input(BenchmarkId::new("CUTTING", &label), &b, |bench, rb| {
-                bench.iter(|| cutting.query(black_box(rb)).unwrap())
+            group.bench_with_input(BenchmarkId::new("INDEX", &label), &b, |bench, rb| {
+                bench.iter(|| index.query(black_box(rb)).unwrap())
             });
         }
         group.finish();

@@ -1,11 +1,12 @@
-//! Figure 14 — worst-case query time of QUAD vs CUTTING while varying the
-//! dimensionality (clustered dataset, n = 2^7).
+//! Figure 14 — worst-case query time of the index (the paper's QUAD and
+//! CUTTING, answered by one slab index) while varying the dimensionality
+//! (clustered dataset, n = 2^7).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use eclipse_bench::workloads::{default_ratio_box, worst_case_dataset};
-use eclipse_core::index::{EclipseIndex, IndexConfig, IntersectionIndexKind};
+use eclipse_core::index::{EclipseIndex, IndexConfig};
 
 const SEED: u64 = 20210614;
 const D_VALUES: [usize; 3] = [3, 4, 5];
@@ -18,21 +19,9 @@ fn bench_fig14(c: &mut Criterion) {
     for &d in &D_VALUES {
         let points = worst_case_dataset(1 << 7, d, SEED);
         let ratio_box = default_ratio_box(d);
-        let quad = EclipseIndex::build(
-            &points,
-            IndexConfig::with_kind(IntersectionIndexKind::Quadtree),
-        )
-        .unwrap();
-        let cutting = EclipseIndex::build(
-            &points,
-            IndexConfig::with_kind(IntersectionIndexKind::CuttingTree),
-        )
-        .unwrap();
-        group.bench_with_input(BenchmarkId::new("QUAD", d), &d, |b, _| {
-            b.iter(|| quad.query(black_box(&ratio_box)).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("CUTTING", d), &d, |b, _| {
-            b.iter(|| cutting.query(black_box(&ratio_box)).unwrap())
+        let index = EclipseIndex::build(&points, IndexConfig::default()).unwrap();
+        group.bench_with_input(BenchmarkId::new("INDEX", d), &d, |b, _| {
+            b.iter(|| index.query(black_box(&ratio_box)).unwrap())
         });
     }
     group.finish();

@@ -272,7 +272,7 @@ fn table8() -> (String, ResultTable) {
     )
 }
 
-/// Figure 10 — query time of the four algorithms vs n on CORR/INDE/ANTI/NBA.
+/// Figure 10 — query time of the algorithms vs n on CORR/INDE/ANTI/NBA.
 fn fig10(opts: &Options) -> Vec<(String, (String, ResultTable))> {
     let ns: Vec<usize> = if opts.full {
         PAPER_N_VALUES.to_vec()
@@ -282,7 +282,7 @@ fn fig10(opts: &Options) -> Vec<(String, (String, ResultTable))> {
     let nba_ns: Vec<usize> = vec![500, 1000, 1500, 2000, 2384];
     let mut out = Vec::new();
     for family in DatasetFamily::all() {
-        let mut t = ResultTable::new(&["n", "BASE", "TRAN", "QUAD", "CUTTING"]);
+        let mut t = ResultTable::new(&["n", "BASE", "TRAN", "INDEX"]);
         let sweep: &[usize] = if family == DatasetFamily::Nba {
             &nba_ns
         } else {
@@ -332,7 +332,7 @@ fn fig11() -> Vec<(String, (String, ResultTable))> {
         } else {
             DEFAULT_N
         };
-        let mut t = ResultTable::new(&["d", "BASE", "TRAN", "QUAD", "CUTTING"]);
+        let mut t = ResultTable::new(&["d", "BASE", "TRAN", "INDEX"]);
         for d in PAPER_D_VALUES {
             let pts = family.generate(n, d, SEED);
             let b = default_ratio_box(d);
@@ -367,7 +367,7 @@ fn fig12() -> Vec<(String, (String, ResultTable))> {
             DEFAULT_N
         };
         let pts = family.generate(n, DEFAULT_D, SEED);
-        let mut t = ResultTable::new(&["r", "QUAD", "CUTTING"]);
+        let mut t = ResultTable::new(&["r", "INDEX"]);
         for (lo, hi) in PAPER_RATIO_RANGES {
             let b = ratio_box(DEFAULT_D, lo, hi);
             let mut row = vec![format!("[{lo},{hi}]")];
@@ -398,7 +398,7 @@ fn fig13(opts: &Options) -> (String, ResultTable) {
     } else {
         vec![1 << 7, 1 << 8, 1 << 9]
     };
-    let mut t = ResultTable::new(&["n", "QUAD", "CUTTING"]);
+    let mut t = ResultTable::new(&["n", "INDEX"]);
     for n in ns {
         let pts = worst_case_dataset(n, 3, SEED);
         let b = default_ratio_box(3);
@@ -417,7 +417,7 @@ fn fig13(opts: &Options) -> (String, ResultTable) {
 
 /// Figure 14 — worst-case query time vs dimensionality, n = 2^7.
 fn fig14() -> (String, ResultTable) {
-    let mut t = ResultTable::new(&["d", "QUAD", "CUTTING"]);
+    let mut t = ResultTable::new(&["d", "INDEX"]);
     for d in [3usize, 4, 5] {
         let pts = worst_case_dataset(1 << 7, d, SEED);
         let b = default_ratio_box(d);
@@ -1283,8 +1283,8 @@ const PRE_PARALLEL_BUILD_SECS: [(&str, &str, usize, f64); 8] = [
     ("clustered", "CUTTING", 100_000, 0.124_445),
 ];
 
-/// Construction sweep for the arena intersection indexes: serial vs
-/// pool-parallel builds (asserted byte-identical via the snapshot encoding)
+/// Construction sweep for the arena intersection trees: serial vs
+/// pool-parallel builds (asserted identical arena for arena)
 /// and legacy vs adaptive split/cut rules, on the uniform and clustered
 /// hyperplane workloads.  The workload for each (family, n) is generated
 /// once and shared across every tree/thread/repetition pass.  Writes
@@ -1299,27 +1299,18 @@ fn build_sweep(opts: &Options) -> Vec<(String, (String, ResultTable))> {
     let reps = if opts.quick { 2 } else { 5 };
     let host_threads = std::thread::available_parallelism().map_or(1, |p| p.get());
 
+    #[derive(PartialEq)]
     enum Tree {
         Quad(HyperplaneQuadtree),
         Cutting(CuttingTree),
     }
-    impl Tree {
-        fn encode(&self) -> Vec<u8> {
-            let mut bytes = Vec::new();
-            match self {
-                Tree::Quad(t) => t.encode_into(&mut bytes),
-                Tree::Cutting(t) => t.encode_into(&mut bytes),
-            }
-            bytes
-        }
-    }
     // Minimum wall-clock over `reps` full builds (slab + tree) on `pool`,
-    // plus the snapshot bytes of the last build for the identity check.
+    // plus the last build for the identity check.
     let timed_build = |kind: IntersectionIndexKind,
                        planes: &[eclipse_geom::hyperplane::Hyperplane],
                        pool: &ThreadPool,
                        reps: usize|
-     -> (f64, Vec<u8>) {
+     -> (f64, Tree) {
         let cell = probe_root_cell(2);
         let mut best = f64::INFINITY;
         let mut tree = None;
@@ -1346,7 +1337,7 @@ fn build_sweep(opts: &Options) -> Vec<(String, (String, ResultTable))> {
             best = best.min(start.elapsed().as_secs_f64());
             tree = Some(built);
         }
-        (best, tree.expect("at least one build pass").encode())
+        (best, tree.expect("at least one build pass"))
     };
 
     let mut build_table = ResultTable::new(&[
@@ -1388,12 +1379,11 @@ fn build_sweep(opts: &Options) -> Vec<(String, (String, ResultTable))> {
                 IntersectionIndexKind::Quadtree,
                 IntersectionIndexKind::CuttingTree,
             ] {
-                let (serial_secs, serial_bytes) = timed_build(kind, &planes, &pool1, reps);
-                let (par_secs, par_bytes) = timed_build(kind, &planes, &pool4, reps);
-                assert_eq!(
-                    serial_bytes,
-                    par_bytes,
-                    "parallel build must be byte-identical ({} n={n} {:?})",
+                let (serial_secs, serial_tree) = timed_build(kind, &planes, &pool1, reps);
+                let (par_secs, par_tree) = timed_build(kind, &planes, &pool4, reps);
+                assert!(
+                    serial_tree == par_tree,
+                    "parallel build must equal the serial arena ({} n={n} {:?})",
                     family.label(),
                     kind
                 );
@@ -1559,11 +1549,7 @@ fn relations() -> (String, ResultTable) {
     let pts = DatasetFamily::Inde.generate(DEFAULT_N, DEFAULT_D, SEED);
     let b = default_ratio_box(DEFAULT_D);
     let report = RelationReport::compute(&pts, &b).expect("valid workload");
-    let quad = EclipseIndex::build(
-        &pts,
-        IndexConfig::with_kind(IntersectionIndexKind::Quadtree),
-    )
-    .expect("valid workload");
+    let index = EclipseIndex::build(&pts, IndexConfig::default()).expect("valid workload");
     let mut t = ResultTable::new(&["quantity", "value"]);
     t.push_row(vec![
         "skyline points".into(),
@@ -1591,11 +1577,11 @@ fn relations() -> (String, ResultTable) {
     ]);
     t.push_row(vec![
         "indexed intersections".into(),
-        quad.num_intersections().to_string(),
+        index.num_intersections().to_string(),
     ]);
     t.push_row(vec![
-        "quadtree depth".into(),
-        quad.backend_depth().to_string(),
+        "index heap bytes".into(),
+        index.heap_bytes().to_string(),
     ]);
     (
         format!("Relationships (INDE, n = {DEFAULT_N}, d = {DEFAULT_D}, {b})"),

@@ -24,33 +24,29 @@ use eclipse_skyline::exec::{
     ParallelBnl, ParallelDc, ParallelSfs, SerialBnl, SerialDc, SerialSfs, SkylineExecutor,
 };
 
-/// The four algorithms of the paper's evaluation.
+/// The algorithms of the paper's evaluation.  The paper's QUAD and CUTTING
+/// differ only in the tree that fetches crossing hyperplanes; the index
+/// fetches them with one slab sweep instead, so both are one competitor
+/// here.  The trees themselves are compared by [`run_tree_probes`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Competitor {
     /// BASE — Algorithm 1.
     Base,
     /// TRAN — Algorithms 2/3.
     Tran,
-    /// QUAD — index-based with the line quadtree.
-    Quad,
-    /// CUTTING — index-based with the cutting tree.
-    Cutting,
+    /// INDEX — the index-based Algorithms 5–7 (the paper's QUAD/CUTTING).
+    Index,
 }
 
 impl Competitor {
     /// All competitors in the paper's legend order.
-    pub fn all() -> [Competitor; 4] {
-        [
-            Competitor::Base,
-            Competitor::Tran,
-            Competitor::Quad,
-            Competitor::Cutting,
-        ]
+    pub fn all() -> [Competitor; 3] {
+        [Competitor::Base, Competitor::Tran, Competitor::Index]
     }
 
     /// The index-based competitors only (Figures 12–14).
-    pub fn index_based() -> [Competitor; 2] {
-        [Competitor::Quad, Competitor::Cutting]
+    pub fn index_based() -> [Competitor; 1] {
+        [Competitor::Index]
     }
 
     /// Label used in output rows.
@@ -58,8 +54,7 @@ impl Competitor {
         match self {
             Competitor::Base => "BASE",
             Competitor::Tran => "TRAN",
-            Competitor::Quad => "QUAD",
-            Competitor::Cutting => "CUTTING",
+            Competitor::Index => "INDEX",
         }
     }
 }
@@ -106,15 +101,10 @@ pub fn run_competitor(
                 result_size: result.len(),
             }
         }
-        Competitor::Quad | Competitor::Cutting => {
-            let kind = if competitor == Competitor::Quad {
-                IntersectionIndexKind::Quadtree
-            } else {
-                IntersectionIndexKind::CuttingTree
-            };
+        Competitor::Index => {
             let build_start = Instant::now();
             let index =
-                EclipseIndex::build(points, IndexConfig::with_kind(kind)).expect("valid workload");
+                EclipseIndex::build(points, IndexConfig::default()).expect("valid workload");
             let build_secs = build_start.elapsed().as_secs_f64();
             let start = Instant::now();
             let result = index.query(ratio_box).expect("valid workload");
@@ -151,15 +141,10 @@ pub fn run_competitor_repeated(
                 ..last
             }
         }
-        Competitor::Quad | Competitor::Cutting => {
-            let kind = if competitor == Competitor::Quad {
-                IntersectionIndexKind::Quadtree
-            } else {
-                IntersectionIndexKind::CuttingTree
-            };
+        Competitor::Index => {
             let build_start = Instant::now();
             let index =
-                EclipseIndex::build(points, IndexConfig::with_kind(kind)).expect("valid workload");
+                EclipseIndex::build(points, IndexConfig::default()).expect("valid workload");
             let build_secs = build_start.elapsed().as_secs_f64();
             // Repeated probes share one scratch, like a serving loop would.
             let mut scratch = ProbeScratch::new();
@@ -435,7 +420,7 @@ mod tests {
     fn repeated_runs_average_and_reuse_index() {
         let pts = DatasetFamily::Corr.generate(300, 3, 3);
         let b = default_ratio_box(3);
-        let m = run_competitor_repeated(Competitor::Quad, &pts, &b, 3);
+        let m = run_competitor_repeated(Competitor::Index, &pts, &b, 3);
         assert!(m.build_secs > 0.0);
         assert!(m.query_secs >= 0.0);
         let t = run_competitor_repeated(Competitor::Tran, &pts, &b, 2);
@@ -500,7 +485,7 @@ mod tests {
     #[test]
     fn label_and_format_helpers() {
         assert_eq!(Competitor::Base.label(), "BASE");
-        assert_eq!(Competitor::index_based().len(), 2);
+        assert_eq!(Competitor::index_based(), [Competitor::Index]);
         assert_eq!(format_secs(0.0), "0");
         assert!(format_secs(5e-5).contains('e'));
         assert_eq!(format_secs(0.1234567), "0.1235");

@@ -8,9 +8,10 @@
 //! 2. the *intersection hyperplanes* — for every pair of skyline points the
 //!    locus in weight-ratio space where their scores are equal, and
 //! 3. a spatial index over those hyperplanes (the **Intersection Index**):
-//!    either a line quadtree / hyperplane octree ([`eclipse_geom::quadtree`],
-//!    the paper's QUAD) or a cutting tree ([`eclipse_geom::cutting`], the
-//!    paper's CUTTING),
+//!    in the paper either a line quadtree / hyperplane octree
+//!    ([`eclipse_geom::quadtree`], QUAD) or a cutting tree
+//!    ([`eclipse_geom::cutting`], CUTTING); here one sweep over the dense
+//!    hyperplane slab, which gathers the same hyperplanes faster,
 //!
 //! so that a query only has to (a) rank the skyline points at one corner of
 //! the query box (the **Order Vector**), (b) fetch the intersection
@@ -32,6 +33,6 @@ pub mod ndim;
 
 pub use dual2d::OrderVectorIndex2d;
 pub use ndim::{
-    overlay_limit, EclipseIndex, IndexConfig, IntersectionIndexKind, ProbeScratch, SECTION_BACKEND,
-    SECTION_DATASET, SECTION_INDEX_CONFIG, SECTION_INDEX_META, SECTION_SKYLINE,
+    overlay_limit, EclipseIndex, IndexConfig, IntersectionIndexKind, ProbeScratch, SECTION_DATASET,
+    SECTION_INDEX_META, SECTION_SKYLINE, SECTION_SLAB,
 };

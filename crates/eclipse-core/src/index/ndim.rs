@@ -8,11 +8,13 @@
 //!    (`f(r) = Σ_j (a[j] − b[j])·r_j + (a[d] − b[d])`, see
 //!    [`eclipse_geom::dual::score_difference_hyperplane`]) — assembled
 //!    directly into a [`HyperplaneSlab`] of dense coefficient rows;
-//! 3. index those hyperplanes with a line quadtree (QUAD) or a cutting tree
-//!    (CUTTING) over a bounded region of ratio space.  The tree is built,
-//!    accounted and persisted with the index, but probes do not walk it:
-//!    one sweep over the slab gathers the same hyperplanes faster at every
-//!    measured size (see the README's "Sweep, not walk").
+//!
+//! The slab is the whole intersection index.  The paper fetches crossing
+//! hyperplanes through a line quadtree (QUAD) or a cutting tree (CUTTING);
+//! one sweep over the slab gathers the same hyperplanes faster at every
+//! measured size (see the README's "Sweep, not walk"), so no tree is built,
+//! held or persisted.  The trees live on in [`eclipse_geom::quadtree`] and
+//! [`eclipse_geom::cutting`] as the paper's structures.
 //!
 //! Query phase (Algorithms 5/7):
 //! 1. score all skyline points at the lower corner of the query box and rank
@@ -38,7 +40,7 @@
 //! probes out over an [`ExecutionContext`] with one scratch per worker.
 //!
 //! Maintenance: a mutation that changes the skyline does not rebuild the
-//! arena.  The maintained index shares it as a base and records the live
+//! slab.  The maintained index shares it as a base and records the live
 //! skyline in an overlay (dead base rows, extra rows and their pairs),
 //! which the probe folds into steps 1–3; the probe is decomposable over
 //! any partition of the pair set, so answers are those of a rebuild.  Past
@@ -47,20 +49,24 @@
 
 use std::sync::Arc;
 
-use eclipse_persist::{enc, Cursor, PersistError, SnapshotReader, SnapshotWriter};
+use eclipse_persist::{enc, Cursor, SnapshotReader, SnapshotWriter};
 use serde::{Deserialize, Serialize};
 
 use eclipse_geom::approx::EPS;
-use eclipse_geom::cutting::{CutRule, CuttingTree, CuttingTreeConfig};
+use eclipse_geom::cutting::CuttingTreeConfig;
 use eclipse_geom::hyperplane::HyperplaneSlab;
-use eclipse_geom::point::{BoundingBox, Point};
-use eclipse_geom::quadtree::{HyperplaneQuadtree, QuadtreeConfig, SplitRule};
+use eclipse_geom::point::Point;
+use eclipse_geom::quadtree::QuadtreeConfig;
 
 use crate::error::{EclipseError, Result};
 use crate::exec::ExecutionContext;
 use crate::weights::WeightRatioBox;
 
-/// Which Intersection Index backs the eclipse index.
+/// The paper's two Intersection Index structures, as a label.
+///
+/// Every [`EclipseIndex`] is the same slab-only index whichever kind is
+/// named; the label is kept because the repository benchmark compiles
+/// against it (and the wire protocol still carries it).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum IntersectionIndexKind {
     /// Line quadtree / hyperplane octree (the paper's QUAD).
@@ -70,18 +76,19 @@ pub enum IntersectionIndexKind {
     CuttingTree,
 }
 
-/// Construction parameters for [`EclipseIndex`].
+/// Tree parameters of the paper's QUAD and CUTTING structures, as a label.
+///
+/// [`EclipseIndex`] builds no tree and reads none of these fields; the type
+/// is kept because the repository benchmark compiles against it.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct IndexConfig {
-    /// Which spatial structure indexes the intersection hyperplanes.
+    /// Which tree the paper would index the hyperplanes with (a label).
     pub kind: IntersectionIndexKind,
-    /// Upper bound of the indexed region of ratio space: the root cell is
-    /// `[0, max_ratio]^{d−1}`.  Probes sweep every pair whatever the box,
-    /// so queries outside the root cell are answered exactly too.
+    /// Upper bound `[0, max_ratio]^{d−1}` of a tree's root cell (unread).
     pub max_ratio: f64,
-    /// Quadtree parameters (used when `kind == Quadtree`).
+    /// Quadtree parameters (unread).
     pub quadtree: QuadtreeConfig,
-    /// Cutting-tree parameters (used when `kind == CuttingTree`).
+    /// Cutting-tree parameters (unread).
     pub cutting: CuttingTreeConfig,
 }
 
@@ -97,20 +104,13 @@ impl Default for IndexConfig {
 }
 
 impl IndexConfig {
-    /// Convenience constructor selecting the backend kind with default
-    /// parameters otherwise.
+    /// The default parameters under another kind label.
     pub fn with_kind(kind: IntersectionIndexKind) -> Self {
         IndexConfig {
             kind,
             ..IndexConfig::default()
         }
     }
-}
-
-#[derive(Clone, Debug)]
-enum Backend {
-    Quad(HyperplaneQuadtree),
-    Cutting(CuttingTree),
 }
 
 // --- snapshot format --------------------------------------------------------
@@ -123,21 +123,16 @@ enum Backend {
 /// Snapshot section: index metadata (dimensionality, skyline size, pair
 /// count) — decoded first so later sections can be cross-validated.
 pub const SECTION_INDEX_META: u8 = 0x01;
-/// Snapshot section: the full [`IndexConfig`] the index was built with.
-pub const SECTION_INDEX_CONFIG: u8 = 0x02;
 /// Snapshot section: skyline ids (into the original dataset) and the flat
 /// skyline coordinate buffer.
 pub const SECTION_SKYLINE: u8 = 0x03;
-/// Snapshot section: the backend tree arena (kind tag + tree payload).
-pub const SECTION_BACKEND: u8 = 0x04;
 /// Snapshot section: dataset label, dimensionality and row-major coordinates
 /// (written by [`crate::query::EclipseEngine`]-level snapshots only).
 pub const SECTION_DATASET: u8 = 0x05;
-
-/// Wire tag of the quadtree backend inside [`SECTION_BACKEND`].
-const BACKEND_TAG_QUAD: u8 = 0;
-/// Wire tag of the cutting-tree backend inside [`SECTION_BACKEND`].
-const BACKEND_TAG_CUTTING: u8 = 1;
+/// Snapshot section: the hyperplane slab of the skyline pairs, in pair
+/// order.  (Tags 0x02 and 0x04 held the tree config and arena up to
+/// format 4 and are not reused.)
+pub const SECTION_SLAB: u8 = 0x06;
 
 /// Shorthand for a structural snapshot defect found by cross-validation.
 fn snapshot_err(reason: impl Into<String>) -> EclipseError {
@@ -183,28 +178,27 @@ impl ProbeScratch {
 
 /// Index-based eclipse query engine over a fixed dataset.
 ///
-/// An index maintained through mutations pairs the arena built for an
-/// earlier skyline (the *base*) with a live-skyline overlay holding the
-/// difference (see [`EclipseIndex::overlay_rows`]).
+/// The index is the skyline plus the hyperplane slab of its pairs.  An
+/// index maintained through mutations pairs the slab built for an earlier
+/// skyline (the *base*) with a live-skyline overlay holding the difference
+/// (see [`EclipseIndex::overlay_rows`]).
 #[derive(Clone, Debug)]
 pub struct EclipseIndex {
     dim: usize,
     /// Indices (into the original dataset) of the base skyline points,
     /// ascending; a base row whose point was deleted holds [`GONE`].
-    skyline_ids: Vec<usize>,
+    skyline_ids: Box<[usize]>,
     /// Base skyline coordinates in one flat row-major buffer (`u` rows ×
     /// `dim`) — the single owned copy of the skyline, shared by corner
     /// scoring and hyperplane construction (the dataset points are never
     /// cloned).
     skyline_coords: Box<[f64]>,
-    /// Pairs of *local* skyline indices, aligned with the hyperplane slab
-    /// owned by the backend tree.
+    /// Pairs of *local* skyline indices, aligned with `slab`.
     pairs: Vec<(u32, u32)>,
-    /// The arena, shared by every maintained copy of the index (mutations
-    /// change ids and the overlay, never the arena).
-    backend: Arc<Backend>,
-    root_cell: BoundingBox,
-    config: IndexConfig,
+    /// The score-difference hyperplanes of `pairs`, shared by every
+    /// maintained copy of the index (mutations change ids and the overlay,
+    /// never the slab).
+    slab: Arc<HyperplaneSlab>,
     /// The live skyline's difference from the base; `None` when they agree.
     overlay: Option<Overlay>,
 }
@@ -216,7 +210,7 @@ const GONE: usize = usize::MAX;
 /// The ov entry of a dead base row: non-zero, so it is never reported.
 const DEAD_ROW: i64 = 1;
 
-/// The difference between the live skyline and the base an index's arena
+/// The difference between the live skyline and the base an index's slab
 /// was built over, derived from the maintained skyline id list.
 ///
 /// Rows are numbered base rows first (`0..u`), then extra rows (`u..`).  A
@@ -257,7 +251,7 @@ impl Overlay {
 /// The largest overlay (dead base rows plus extra rows) a maintained index
 /// carries over a base of `base_rows` skyline rows: a quarter of the base,
 /// and at least four rows.  A mutation that leaves more compacts the index
-/// into a fresh arena.  The bound keeps the overlay's linear share of a
+/// into a fresh slab.  The bound keeps the overlay's linear share of a
 /// probe (every extra row is paired with every live row and sign-tested)
 /// small next to the slab sweep, while a skyline entrant and its
 /// delete, or a few such changes, never pay a rebuild.
@@ -271,8 +265,9 @@ pub const fn overlay_limit(base_rows: usize) -> usize {
 }
 
 impl EclipseIndex {
-    /// Builds the index over `points` with the given configuration, using
-    /// the process-wide default execution context for the parallel phases.
+    /// Builds the index over `points`, using the process-wide default
+    /// execution context for the parallel phases.  `config` is a label the
+    /// index does not read (see [`IndexConfig`]).
     ///
     /// # Errors
     /// * [`EclipseError::EmptyDataset`] for an empty dataset.
@@ -292,7 +287,7 @@ impl EclipseIndex {
     /// Same as [`EclipseIndex::build`].
     pub fn build_with(
         points: &[Point],
-        config: IndexConfig,
+        _config: IndexConfig,
         ctx: &ExecutionContext,
     ) -> Result<Self> {
         Self::validate_dataset(points)?;
@@ -300,7 +295,7 @@ impl EclipseIndex {
         // Only the ids and one flat coordinate buffer are kept: no `Point`
         // clones.
         let skyline_ids = eclipse_skyline::dc::skyline_dc_parallel(points, ctx.pool());
-        Self::build_from_skyline(points, skyline_ids, config, ctx)
+        Self::build_from_skyline(points, skyline_ids, ctx)
     }
 
     /// The shared dataset validity requirements of every build entry point.
@@ -330,7 +325,7 @@ impl EclipseIndex {
     /// [`eclipse_skyline::dc::skyline_dc_parallel`] would return for
     /// `points` (the strictly ascending, duplicate-deduplicated skyline).
     /// Everything downstream of the skyline pass is the plain build path, so
-    /// equal skyline id sets produce **byte-identical** arenas to a full
+    /// equal skyline id sets produce **byte-identical** slabs to a full
     /// build.  Compaction of a maintained index's live-skyline overlay
     /// runs this same path over the
     /// maintained skyline, which is why a compacted index — and every
@@ -344,7 +339,6 @@ impl EclipseIndex {
     pub fn build_from_skyline(
         points: &[Point],
         skyline_ids: Vec<usize>,
-        config: IndexConfig,
         ctx: &ExecutionContext,
     ) -> Result<Self> {
         let dim = Self::validate_dataset(points)?;
@@ -361,20 +355,18 @@ impl EclipseIndex {
         }
         Ok(Self::build_from_rows(
             dim,
-            skyline_ids,
+            skyline_ids.into_boxed_slice(),
             coords.into_boxed_slice(),
-            config,
             ctx,
         ))
     }
 
-    /// Phases 2–3 of a build over validated skyline rows: `skyline_ids`
+    /// Phase 2 of a build over validated skyline rows: `skyline_ids`
     /// strictly ascending and `skyline_coords` their rows, in that order.
     fn build_from_rows(
         dim: usize,
-        skyline_ids: Vec<usize>,
+        skyline_ids: Box<[usize]>,
         skyline_coords: Box<[f64]>,
-        config: IndexConfig,
         ctx: &ExecutionContext,
     ) -> Self {
         let u = skyline_ids.len();
@@ -420,38 +412,12 @@ impl EclipseIndex {
             }
         }
 
-        // 3. Spatial index over the hyperplanes (the tree takes ownership of
-        // the slab; the replay phase reads it back through the backend).
-        // The same pool handle that ran phases 1–2 drives the level-parallel
-        // tree builders; their output is byte-identical to a serial build.
-        let root_cell = BoundingBox::new(vec![0.0; k], vec![config.max_ratio; k]);
-        let backend = match config.kind {
-            IntersectionIndexKind::Quadtree => {
-                Backend::Quad(HyperplaneQuadtree::build_from_slab_with(
-                    slab,
-                    root_cell.clone(),
-                    config.quadtree,
-                    Some(ctx.pool()),
-                ))
-            }
-            IntersectionIndexKind::CuttingTree => {
-                Backend::Cutting(CuttingTree::build_from_slab_with(
-                    slab,
-                    root_cell.clone(),
-                    config.cutting,
-                    Some(ctx.pool()),
-                ))
-            }
-        };
-
         EclipseIndex {
             dim,
             skyline_ids,
             skyline_coords,
             pairs,
-            backend: Arc::new(backend),
-            root_cell,
-            config,
+            slab: Arc::new(slab),
             overlay: None,
         }
     }
@@ -492,10 +458,10 @@ impl EclipseIndex {
         })
     }
 
-    /// Diagnostic: whether two indexes share one arena — true across
+    /// Diagnostic: whether two indexes share one slab — true across
     /// mutations that did not compact.
     pub fn shares_arena(&self, other: &EclipseIndex) -> bool {
-        Arc::ptr_eq(&self.backend, &other.backend)
+        Arc::ptr_eq(&self.slab, &other.slab)
     }
 
     /// The index maintained across one mutation: `live_ids` is the
@@ -503,7 +469,7 @@ impl EclipseIndex {
     /// mutation removed (ids above it shift down by one) and `coords` the
     /// post-mutation coordinates of a dataset id.
     ///
-    /// The copy shares the arena and carries the live skyline as an
+    /// The copy shares the slab and carries the live skyline as an
     /// overlay derived from `live_ids`: base rows whose id left the
     /// skyline are dead, live ids missing from the base are extra rows
     /// (paired with every other live row), and a base row that re-enters
@@ -512,9 +478,8 @@ impl EclipseIndex {
     /// past [`overlay_limit`] is compacted instead: the copy is then
     /// [`EclipseIndex::build_from_skyline`] over the live skyline, built on
     /// `ctx`.  Either way probes answer exactly as a rebuild over the
-    /// mutated dataset does.  Without an overlay the copy keeps the base's
-    /// buffer capacities, so its [`EclipseIndex::heap_bytes`] is the
-    /// original's.
+    /// mutated dataset does.  Without an overlay the copy's
+    /// [`EclipseIndex::heap_bytes`] is the original's.
     pub(crate) fn with_live_skyline<'p>(
         &self,
         live_ids: &[usize],
@@ -523,17 +488,20 @@ impl EclipseIndex {
         ctx: &ExecutionContext,
     ) -> Self {
         let d = self.dim;
-        let mut skyline_ids = Vec::with_capacity(self.skyline_ids.capacity());
-        skyline_ids.extend(self.skyline_ids.iter().map(|&id| match deleted {
-            Some(gone) if id != GONE && id >= gone => {
-                if id == gone {
-                    GONE
-                } else {
-                    id - 1
+        let skyline_ids: Box<[usize]> = self
+            .skyline_ids
+            .iter()
+            .map(|&id| match deleted {
+                Some(gone) if id != GONE && id >= gone => {
+                    if id == gone {
+                        GONE
+                    } else {
+                        id - 1
+                    }
                 }
-            }
-            _ => id,
-        }));
+                _ => id,
+            })
+            .collect();
         // Match the live ids against the base rows: both ascending, and a
         // gone row never matches.
         let u = skyline_ids.len();
@@ -602,9 +570,7 @@ impl EclipseIndex {
             skyline_ids,
             skyline_coords: self.skyline_coords.clone(),
             pairs: self.pairs.clone(),
-            backend: Arc::clone(&self.backend),
-            root_cell: self.root_cell.clone(),
-            config: self.config,
+            slab: Arc::clone(&self.slab),
             overlay,
         };
         if dead_rows + extras > overlay_limit(u) {
@@ -615,7 +581,7 @@ impl EclipseIndex {
         maintained
     }
 
-    /// The index with its overlay folded into a fresh arena over the live
+    /// The index with its overlay folded into a fresh slab over the live
     /// skyline — what [`EclipseIndex::build_from_skyline`] builds from the
     /// maintained skyline — or `None` when there is no overlay to fold.
     pub(crate) fn compacted(&self, ctx: &ExecutionContext) -> Option<Self> {
@@ -632,59 +598,22 @@ impl EclipseIndex {
         }
         Some(Self::build_from_rows(
             d,
-            o.live_ids.clone(),
+            o.live_ids.as_slice().into(),
             coords.into_boxed_slice(),
-            self.config,
             ctx,
         ))
     }
 
-    /// The configuration used to build the index.
-    pub fn config(&self) -> &IndexConfig {
-        &self.config
-    }
-
-    /// Diagnostic: depth of the underlying spatial structure.
-    pub fn backend_depth(&self) -> usize {
-        match &*self.backend {
-            Backend::Quad(t) => t.depth(),
-            Backend::Cutting(t) => t.depth(),
-        }
-    }
-
     /// Heap bytes owned by the index: the skyline id/coordinate buffers, the
-    /// pair list, the root cell's corners, the whole backend arena
-    /// (hyperplane slab, nodes, cells, entries) and the live-skyline
-    /// overlay, if any.  Buffers with spare
-    /// capacity are counted at capacity; allocator headers and the inline
-    /// struct itself are not included.
+    /// pair list, the hyperplane slab and the live-skyline overlay, if any.
+    /// Buffers with spare capacity are counted at capacity; allocator
+    /// headers and the inline struct itself are not included.
     pub fn heap_bytes(&self) -> usize {
-        let backend = match &*self.backend {
-            Backend::Quad(t) => t.heap_bytes(),
-            Backend::Cutting(t) => t.heap_bytes(),
-        };
-        self.skyline_ids.capacity() * std::mem::size_of::<usize>()
+        self.skyline_ids.len() * std::mem::size_of::<usize>()
             + self.skyline_coords.len() * std::mem::size_of::<f64>()
             + self.pairs.capacity() * std::mem::size_of::<(u32, u32)>()
-            + self.root_cell.heap_bytes()
-            + backend
+            + self.slab.heap_bytes()
             + self.overlay.as_ref().map_or(0, Overlay::heap_bytes)
-    }
-
-    /// Diagnostic: node count of the underlying spatial structure.
-    pub fn backend_nodes(&self) -> usize {
-        match &*self.backend {
-            Backend::Quad(t) => t.node_count(),
-            Backend::Cutting(t) => t.node_count(),
-        }
-    }
-
-    /// The intersection-hyperplane rows, owned by the backend tree.
-    fn slab(&self) -> &HyperplaneSlab {
-        match &*self.backend {
-            Backend::Quad(t) => t.slab(),
-            Backend::Cutting(t) => t.slab(),
-        }
     }
 
     /// Answers an eclipse query, returning indices into the original dataset
@@ -893,11 +822,10 @@ impl EclipseIndex {
         })
     }
 
-    /// Appends the index's snapshot sections (metadata, config, skyline,
-    /// backend arena) to a container under construction — the engine-level
-    /// snapshot composes this with a dataset section.  An index carrying a
-    /// live-skyline overlay is compacted first, on the process-wide
-    /// execution context.
+    /// Appends the index's snapshot sections (metadata, skyline, slab) to a
+    /// container under construction — the engine-level snapshot composes
+    /// this with a dataset section.  An index carrying a live-skyline
+    /// overlay is compacted first, on the process-wide execution context.
     pub fn encode_snapshot_into(&self, writer: &mut SnapshotWriter) {
         // A maintained index encodes as its compaction, so snapshot bytes
         // are exactly what a rebuild writes.
@@ -910,33 +838,9 @@ impl EclipseIndex {
         enc::put_usize(&mut meta, self.pairs.len());
         writer.section(SECTION_INDEX_META, meta);
 
-        let mut config = Vec::new();
-        enc::put_u8(
-            &mut config,
-            match self.config.kind {
-                IntersectionIndexKind::Quadtree => BACKEND_TAG_QUAD,
-                IntersectionIndexKind::CuttingTree => BACKEND_TAG_CUTTING,
-            },
-        );
-        enc::put_f64(&mut config, self.config.max_ratio);
-        enc::put_usize(&mut config, self.config.quadtree.max_capacity);
-        enc::put_usize(&mut config, self.config.quadtree.max_depth);
-        enc::put_usize(&mut config, self.config.quadtree.max_nodes);
-        enc::put_usize(&mut config, self.config.quadtree.max_entries);
-        enc::put_usize(&mut config, self.config.cutting.max_capacity);
-        enc::put_usize(&mut config, self.config.cutting.max_depth);
-        enc::put_usize(&mut config, self.config.cutting.sample_size);
-        enc::put_usize(&mut config, self.config.cutting.max_nodes);
-        enc::put_usize(&mut config, self.config.cutting.max_entries);
-        enc::put_u64(&mut config, self.config.cutting.seed);
-        // One strategy tag per backend config.
-        enc::put_u8(&mut config, self.config.quadtree.split.tag());
-        enc::put_u8(&mut config, self.config.cutting.cut.tag());
-        writer.section(SECTION_INDEX_CONFIG, config);
-
         let mut skyline = Vec::new();
         enc::put_usize(&mut skyline, self.skyline_ids.len());
-        for &id in &self.skyline_ids {
+        for &id in self.skyline_ids.iter() {
             enc::put_usize(&mut skyline, id);
         }
         for &c in self.skyline_coords.iter() {
@@ -944,24 +848,15 @@ impl EclipseIndex {
         }
         writer.section(SECTION_SKYLINE, skyline);
 
-        let mut backend = Vec::new();
-        match &*self.backend {
-            Backend::Quad(t) => {
-                enc::put_u8(&mut backend, BACKEND_TAG_QUAD);
-                t.encode_into(&mut backend);
-            }
-            Backend::Cutting(t) => {
-                enc::put_u8(&mut backend, BACKEND_TAG_CUTTING);
-                t.encode_into(&mut backend);
-            }
-        }
-        writer.section(SECTION_BACKEND, backend);
+        let mut slab = Vec::new();
+        self.slab.encode_into(&mut slab);
+        writer.section(SECTION_SLAB, slab);
     }
 
     /// Serializes the index into a standalone versioned snapshot (magic +
     /// format version + checksummed sections).  The encoding is byte-stable:
-    /// the same dataset and config always produce the same bytes, which is
-    /// what the committed golden fixtures pin across releases.
+    /// the same dataset always produces the same bytes, which is what the
+    /// committed golden fixtures pin across releases.
     pub fn encode_snapshot(&self) -> Vec<u8> {
         let mut writer = SnapshotWriter::new();
         self.encode_snapshot_into(&mut writer);
@@ -969,10 +864,11 @@ impl EclipseIndex {
     }
 
     /// Decodes an index from the sections of a parsed snapshot container,
-    /// re-validating everything the probe path relies on: section
-    /// cross-consistency (pair count is `C(u, 2)` and matches the slab,
-    /// config matches the backend tree, the tree's root cell is the indexed
-    /// region), plus the arena invariants checked by the tree decoders.
+    /// re-validating everything the probe path relies on: the pair count is
+    /// `C(u, 2)`, the skyline ids ascend, and the slab is `(d − 1)`-
+    /// dimensional with one row per pair.  The slab is stored rather than
+    /// recomputed, so every buffer a decode allocates is bounded by the
+    /// bytes present.
     ///
     /// # Errors
     /// [`EclipseError::Snapshot`] for every structural defect; hostile input
@@ -994,64 +890,6 @@ impl EclipseIndex {
                 "pair count {num_pairs} is not C({u}, 2)"
             )));
         }
-
-        let mut cfg = Cursor::new(reader.section(SECTION_INDEX_CONFIG)?);
-        let kind = match cfg.u8()? {
-            BACKEND_TAG_QUAD => IntersectionIndexKind::Quadtree,
-            BACKEND_TAG_CUTTING => IntersectionIndexKind::CuttingTree,
-            tag => {
-                return Err(PersistError::UnknownTag {
-                    context: "index kind",
-                    tag,
-                }
-                .into())
-            }
-        };
-        let max_ratio = cfg.f64()?;
-        if !max_ratio.is_finite() || max_ratio < 0.0 {
-            return Err(snapshot_err(format!(
-                "indexed-region bound {max_ratio} must be finite and non-negative"
-            )));
-        }
-        // Both trees' limits come first, then their split and cut rule tags.
-        let (max_capacity, max_depth, max_nodes, max_entries) = (
-            cfg.usize64()?,
-            cfg.usize64()?,
-            cfg.usize64()?,
-            cfg.usize64()?,
-        );
-        let cutting_limits = (
-            cfg.usize64()?,
-            cfg.usize64()?,
-            cfg.usize64()?,
-            cfg.usize64()?,
-            cfg.usize64()?,
-            cfg.u64()?,
-        );
-        let quadtree = QuadtreeConfig {
-            max_capacity,
-            max_depth,
-            max_nodes,
-            max_entries,
-            split: SplitRule::from_tag(cfg.u8()?)?,
-        };
-        let (max_capacity, max_depth, sample_size, max_nodes, max_entries, seed) = cutting_limits;
-        let cutting = CuttingTreeConfig {
-            max_capacity,
-            max_depth,
-            sample_size,
-            max_nodes,
-            max_entries,
-            seed,
-            cut: CutRule::from_tag(cfg.u8()?)?,
-        };
-        let config = IndexConfig {
-            kind,
-            max_ratio,
-            quadtree,
-            cutting,
-        };
-        cfg.finish()?;
 
         let mut sky = Cursor::new(reader.section(SECTION_SKYLINE)?);
         let id_count = sky.count(8)?;
@@ -1075,69 +913,21 @@ impl EclipseIndex {
         let skyline_coords: Box<[f64]> = sky.f64_vec(coord_count)?.into_boxed_slice();
         sky.finish()?;
 
-        let mut be = Cursor::new(reader.section(SECTION_BACKEND)?);
-        let backend_tag = be.u8()?;
-        let backend = match backend_tag {
-            BACKEND_TAG_QUAD => Backend::Quad(HyperplaneQuadtree::decode(&mut be)?),
-            BACKEND_TAG_CUTTING => Backend::Cutting(CuttingTree::decode(&mut be)?),
-            tag => {
-                return Err(PersistError::UnknownTag {
-                    context: "backend tree",
-                    tag,
-                }
-                .into())
-            }
-        };
-        be.finish()?;
-        let tag_kind = match backend_tag {
-            BACKEND_TAG_QUAD => IntersectionIndexKind::Quadtree,
-            _ => IntersectionIndexKind::CuttingTree,
-        };
-        if tag_kind != config.kind {
-            return Err(snapshot_err(format!(
-                "backend tree kind {tag_kind:?} disagrees with the config kind {:?}",
-                config.kind
-            )));
-        }
-
+        let mut rows = Cursor::new(reader.section(SECTION_SLAB)?);
+        let slab = HyperplaneSlab::decode(&mut rows)?;
+        rows.finish()?;
         let k = dim - 1;
-        let (slab, tree_root) = match &backend {
-            Backend::Quad(t) => (t.slab(), t.root_cell()),
-            Backend::Cutting(t) => (t.slab(), t.root_cell()),
-        };
         if slab.dim() != k {
             return Err(snapshot_err(format!(
-                "backend slab dimensionality {} does not match the {k}-dimensional ratio space",
+                "slab dimensionality {} does not match the {k}-dimensional ratio space",
                 slab.dim()
             )));
         }
         if slab.len() != num_pairs {
             return Err(snapshot_err(format!(
-                "backend indexes {} hyperplanes but the metadata says {num_pairs}",
+                "slab holds {} hyperplanes but the metadata says {num_pairs}",
                 slab.len()
             )));
-        }
-        let root_cell = BoundingBox::new(vec![0.0; k], vec![max_ratio; k]);
-        if *tree_root != root_cell {
-            return Err(snapshot_err(
-                "backend root cell does not match the configured indexed region".to_string(),
-            ));
-        }
-        match &backend {
-            Backend::Quad(t) => {
-                if t.config() != config.quadtree {
-                    return Err(snapshot_err(
-                        "backend tree config disagrees with the index config".to_string(),
-                    ));
-                }
-            }
-            Backend::Cutting(t) => {
-                if t.config() != config.cutting {
-                    return Err(snapshot_err(
-                        "backend tree config disagrees with the index config".to_string(),
-                    ));
-                }
-            }
         }
 
         // The pair table is fully determined by the skyline size: pairs are
@@ -1152,12 +942,10 @@ impl EclipseIndex {
 
         Ok(EclipseIndex {
             dim,
-            skyline_ids,
+            skyline_ids: skyline_ids.into_boxed_slice(),
             skyline_coords,
             pairs,
-            backend: Arc::new(backend),
-            root_cell,
-            config,
+            slab: Arc::new(slab),
             overlay: None,
         })
     }
@@ -1262,11 +1050,8 @@ impl EclipseIndex {
     /// ascending order, from one branch-free sweep over the slab rows.
     fn candidate_pairs(&self, scratch: &mut ProbeScratch) {
         scratch.candidates.clear();
-        self.slab().filter_all_intersecting_into(
-            &scratch.qlo,
-            &scratch.qhi,
-            &mut scratch.candidates,
-        );
+        self.slab
+            .filter_all_intersecting_into(&scratch.qlo, &scratch.qhi, &mut scratch.candidates);
     }
 
     /// Computes the final dominator count of every skyline row into
@@ -1318,7 +1103,7 @@ impl EclipseIndex {
         );
 
         // Exact adjustment for every pair whose order may change in the box.
-        let slab = self.slab();
+        let slab = &self.slab;
         let Some(o) = &self.overlay else {
             for &ci in candidates.iter() {
                 let (a, b) = self.pairs[ci];
@@ -1734,7 +1519,7 @@ mod tests {
             let slab_count = |b: &WeightRatioBox| {
                 let (qlo, qhi) = (b.lower_corner(), b.upper_corner());
                 (0..idx.num_intersections())
-                    .filter(|&i| idx.slab().intersects_box(i, &qlo, &qhi))
+                    .filter(|&i| idx.slab.intersects_box(i, &qlo, &qhi))
                     .count()
             };
             for (lo, hi) in [(0.36, 2.75), (0.9, 1.1), (0.5, 20.0), (0.0, 16.0)] {
@@ -1768,9 +1553,7 @@ mod tests {
             assert_eq!(back.dim(), idx.dim());
             assert_eq!(back.skyline_ids(), idx.skyline_ids());
             assert_eq!(back.num_intersections(), idx.num_intersections());
-            assert_eq!(back.config(), idx.config());
-            assert_eq!(back.backend_nodes(), idx.backend_nodes());
-            assert_eq!(back.backend_depth(), idx.backend_depth());
+            assert_eq!(back.heap_bytes(), idx.heap_bytes());
             // Probe equality, including a box escaping the indexed region.
             for (lo, hi) in [(0.2, 0.8), (0.36, 2.75), (0.9, 1.1), (0.5, 20.0)] {
                 let b = WeightRatioBox::uniform(3, lo, hi).unwrap();
@@ -1781,6 +1564,13 @@ mod tests {
             assert_eq!(back.encode_snapshot(), bytes);
             assert_eq!(
                 EclipseIndex::build(&pts, cfg).unwrap().encode_snapshot(),
+                bytes
+            );
+            // The kind is a label: the other kind writes the same bytes.
+            assert_eq!(
+                EclipseIndex::build(&pts, IndexConfig::default())
+                    .unwrap()
+                    .encode_snapshot(),
                 bytes
             );
         }
@@ -1841,7 +1631,7 @@ mod tests {
             let b = WeightRatioBox::uniform(3, lo, hi).unwrap();
             assert_eq!(idx.query(&b).unwrap(), eclipse_baseline(&pts, &b).unwrap());
         }
-        assert!(idx.backend_nodes() >= 1);
+        assert!(idx.num_intersections() >= 1);
     }
 
     #[test]

@@ -4,23 +4,23 @@
 //! behind one object: eclipse queries (with automatic algorithm selection or
 //! an explicit choice), the classic 1NN / kNN and skyline operators, the
 //! convex-hull query, preference-specification lowering, and lazily built,
-//! thread-shareable index structures for repeated eclipse queries.
+//! thread-shareable index for repeated eclipse queries.
 //!
 //! # Mutability and epochs
 //!
 //! The dataset is mutable through [`EclipseEngine::insert`] and
 //! [`EclipseEngine::delete`].  Every mutation bumps a monotonically
-//! increasing **epoch**; the point vector and every built index slot are
-//! tagged with the epoch they belong to, and probes read whatever consistent
+//! increasing **epoch**; the point vector and the built index are tagged
+//! with the epoch they belong to, and probes read whatever consistent
 //! `(points, index)` version is installed when they start — an in-flight
 //! probe holding the old `Arc`s keeps answering from the pre-mutation
 //! snapshot while the post-mutation version swaps in atomically behind it.
 //!
-//! Mutations maintain the skyline (and the built intersection indexes)
+//! Mutations maintain the skyline (and the built intersection index)
 //! **incrementally** instead of rebuilding from scratch:
 //!
-//! * an insert dominated by a skyline member changes nothing — the arenas
-//!   are re-tagged with the new epoch as-is;
+//! * an insert dominated by a skyline member changes nothing — the index is
+//!   re-tagged with the new epoch as-is;
 //! * a skyline-entering insert evicts exactly the members it dominates (the
 //!   full-dataset skyline pass is skipped);
 //! * a delete of a non-skyline row leaves the skyline point-set untouched —
@@ -28,8 +28,8 @@
 //! * a delete of a skyline member promotes exactly the points it exclusively
 //!   dominated (an `O(n·d)` candidate scan, not a full skyline recompute).
 //!
-//! A skyline change does not rebuild the built arenas either: each built
-//! index keeps its arena as a shared base and carries the changed skyline
+//! A skyline change does not rebuild the built index either: it keeps its
+//! hyperplane slab as a shared base and carries the changed skyline
 //! in a small live-skyline overlay (dead base rows plus extra rows; see
 //! [`EclipseIndex::overlay_rows`]).  Only an overlay that grows past
 //! [`crate::index::overlay_limit`] is compacted — a build over the
@@ -69,9 +69,11 @@ pub enum Algorithm {
     Baseline,
     /// TRAN — the transformation-based algorithm.
     Transform,
-    /// QUAD — index-based with the line-quadtree Intersection Index.
+    /// QUAD — the paper's index-based algorithm with a line-quadtree
+    /// Intersection Index; answered by the engine's one slab index.
     IndexQuadtree,
-    /// CUTTING — index-based with the cutting-tree Intersection Index.
+    /// CUTTING — the paper's index-based algorithm with a cutting-tree
+    /// Intersection Index; answered by the engine's one slab index.
     IndexCuttingTree,
 }
 
@@ -80,18 +82,18 @@ pub enum Algorithm {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MutationOutcome {
     /// The inserted point is dominated by a skyline member: the skyline and
-    /// every built index are unchanged (re-tagged with the new epoch).
+    /// the built index are unchanged (re-tagged with the new epoch).
     InsertedDominated,
     /// The inserted point entered the skyline, evicting the members it
-    /// dominates; built indexes carry the change in their live-skyline
-    /// overlays.
+    /// dominates; the built index carries the change in its live-skyline
+    /// overlay.
     InsertedSkyline,
     /// The deleted row was not a skyline member: the skyline point-set is
-    /// unchanged and the built indexes were copied with remapped ids.
+    /// unchanged and the built index was copied with remapped ids.
     DeletedNonSkyline,
     /// The deleted row was a skyline member: its exclusively-dominated
-    /// points were promoted, and built indexes carry the change in their
-    /// live-skyline overlays.
+    /// points were promoted, and the built index carries the change in its
+    /// live-skyline overlay.
     DeletedSkyline,
 }
 
@@ -126,18 +128,16 @@ struct IndexSlot {
     index: Arc<EclipseIndex>,
 }
 
-/// A dataset plus cached index structures, answering all queries from the
-/// paper.  Cheap to share across threads (`&self` queries only).
+/// A dataset plus its cached index, answering all queries from the paper.
+/// Cheap to share across threads (`&self` queries only).
 pub struct EclipseEngine {
     dataset: RwLock<DatasetVersion>,
     dim: usize,
-    quad_index: RwLock<Option<IndexSlot>>,
-    cutting_index: RwLock<Option<IndexSlot>>,
+    index: RwLock<Option<IndexSlot>>,
     /// Epoch-tagged skyline ids of the current dataset version, maintained
     /// incrementally by mutations so consecutive mutations never recompute
     /// the skyline from scratch.
     skyline_cache: RwLock<Option<(u64, Arc<Vec<usize>>)>>,
-    index_config: IndexConfig,
     exec: ExecutionContext,
     /// Serializes mutations (and snapshot writes) so each computes against a
     /// stable pre-image.  Probes never take this lock.
@@ -152,14 +152,6 @@ impl EclipseEngine {
     /// * [`EclipseError::Unsupported`] for 1-dimensional data.
     /// * [`EclipseError::DimensionMismatch`] for mixed dimensionalities.
     pub fn new(points: Vec<Point>) -> Result<Self> {
-        Self::with_index_config(points, IndexConfig::default())
-    }
-
-    /// Creates an engine with explicit index-construction parameters.
-    ///
-    /// # Errors
-    /// Same as [`EclipseEngine::new`].
-    pub fn with_index_config(points: Vec<Point>, index_config: IndexConfig) -> Result<Self> {
         let Some(first) = points.first() else {
             return Err(EclipseError::EmptyDataset);
         };
@@ -183,26 +175,26 @@ impl EclipseEngine {
                 epoch: 0,
             }),
             dim,
-            quad_index: RwLock::new(None),
-            cutting_index: RwLock::new(None),
+            index: RwLock::new(None),
             skyline_cache: RwLock::new(None),
-            index_config,
             exec: ExecutionContext::default(),
             mutation: Mutex::new(()),
         })
     }
 
+    /// [`EclipseEngine::new`]; `index_config` is a label the index does not
+    /// read, kept because the repository benchmark compiles against it (see
+    /// [`IndexConfig`]).
+    ///
+    /// # Errors
+    /// Same as [`EclipseEngine::new`].
+    pub fn with_index_config(points: Vec<Point>, _index_config: IndexConfig) -> Result<Self> {
+        Self::new(points)
+    }
+
     /// A consistent `(points, epoch)` snapshot of the current dataset.
     fn version(&self) -> DatasetVersion {
         self.dataset.read().expect("dataset lock poisoned").clone()
-    }
-
-    /// The cache slot of the given index kind.
-    fn slot(&self, kind: IntersectionIndexKind) -> &RwLock<Option<IndexSlot>> {
-        match kind {
-            IntersectionIndexKind::Quadtree => &self.quad_index,
-            IntersectionIndexKind::CuttingTree => &self.cutting_index,
-        }
     }
 
     /// Replaces the engine's execution context (builder style): the thread
@@ -267,18 +259,16 @@ impl EclipseEngine {
             + guard.points.len() * self.dim * std::mem::size_of::<f64>()
     }
 
-    /// Heap bytes owned by the engine: the dataset, any cached index (both
-    /// backend kinds, stale or current — a stale slot still occupies memory
-    /// until the next build replaces it) and the cached skyline id list.
+    /// Heap bytes owned by the engine: the dataset, the cached index (stale
+    /// or current — a stale slot still occupies memory until the next build
+    /// replaces it) and the cached skyline id list.
     /// This is the per-dataset figure the serving layer's memory budget
     /// accounts against; exact up to allocator headers and `Arc`/lock
     /// control blocks.
     pub fn heap_bytes(&self) -> usize {
         let mut total = self.dataset_heap_bytes();
-        for slot in [&self.quad_index, &self.cutting_index] {
-            if let Some(slot) = slot.read().expect("index lock poisoned").as_ref() {
-                total += slot.index.heap_bytes();
-            }
+        if let Some(slot) = self.index.read().expect("index lock poisoned").as_ref() {
+            total += slot.index.heap_bytes();
         }
         if let Some((_, ids)) = self
             .skyline_cache
@@ -291,27 +281,30 @@ impl EclipseEngine {
         total
     }
 
-    /// Eagerly builds (and caches) the index of the given kind **for the
-    /// current dataset epoch**, returning a shared handle.  Subsequent
-    /// `Auto` queries will use it; a cached index left behind by an older
-    /// epoch is ignored and rebuilt.
+    /// Eagerly builds (and caches) the index **for the current dataset
+    /// epoch**, returning a shared handle.  Subsequent `Auto` queries will
+    /// use it; a cached index left behind by an older epoch is ignored and
+    /// rebuilt.  `kind` is a label: either kind names the one index (see
+    /// [`IntersectionIndexKind`]).
     ///
     /// # Errors
     /// Propagates index-construction errors.
-    pub fn build_index(&self, kind: IntersectionIndexKind) -> Result<Arc<EclipseIndex>> {
-        let slot = self.slot(kind);
+    pub fn build_index(&self, _kind: IntersectionIndexKind) -> Result<Arc<EclipseIndex>> {
+        self.index()
+    }
+
+    /// [`EclipseEngine::build_index`] without the label.
+    fn index(&self) -> Result<Arc<EclipseIndex>> {
         loop {
             let version = self.version();
-            if let Some(s) = slot.read().expect("index lock poisoned").as_ref() {
+            if let Some(s) = self.index.read().expect("index lock poisoned").as_ref() {
                 if s.epoch == version.epoch {
                     return Ok(Arc::clone(&s.index));
                 }
             }
-            let mut config = self.index_config;
-            config.kind = kind;
             let built = Arc::new(EclipseIndex::build_with(
                 &version.points,
-                config,
+                IndexConfig::default(),
                 &self.exec,
             )?);
             // Install only if the dataset has not moved on while we built; a
@@ -319,7 +312,7 @@ impl EclipseEngine {
             // epoch, so a stale build is discarded and retried.
             let dataset = self.dataset.read().expect("dataset lock poisoned");
             if dataset.epoch == version.epoch {
-                *slot.write().expect("index lock poisoned") = Some(IndexSlot {
+                *self.index.write().expect("index lock poisoned") = Some(IndexSlot {
                     epoch: version.epoch,
                     index: Arc::clone(&built),
                 });
@@ -373,12 +366,9 @@ impl EclipseEngine {
             Algorithm::Transform => {
                 eclipse_transform_with(&self.points(), ratio_box, options.backend, &self.exec)
             }
-            Algorithm::IndexQuadtree => self
-                .build_index(IntersectionIndexKind::Quadtree)?
-                .query(ratio_box),
-            Algorithm::IndexCuttingTree => self
-                .build_index(IntersectionIndexKind::CuttingTree)?
-                .query(ratio_box),
+            Algorithm::IndexQuadtree | Algorithm::IndexCuttingTree => {
+                self.index()?.query(ratio_box)
+            }
             Algorithm::Auto => self.eclipse_auto(ratio_box, options.backend),
         }
     }
@@ -391,8 +381,8 @@ impl EclipseEngine {
     /// `eclipse-exec` pool and answered with one reusable
     /// [`crate::index::ProbeScratch`] per worker, so the steady-state cost
     /// per probe is an allocation-free slab sweep plus replay.  `Auto`
-    /// prefers an already-built index and otherwise builds the engine's
-    /// configured default kind once for the whole batch; batches containing
+    /// uses the built index, building it once for the whole batch if
+    /// needed; batches containing
     /// unbounded boxes fall back to per-box [`Algorithm::Auto`] answering.
     /// `Baseline` / `Transform` have no batch-level structure to exploit and
     /// simply answer per box.  Results are returned in input order.
@@ -417,14 +407,11 @@ impl EclipseEngine {
             return Ok(Vec::new());
         }
         match options.algorithm {
-            Algorithm::IndexQuadtree => self
-                .build_index(IntersectionIndexKind::Quadtree)?
-                .query_batch(boxes, &self.exec),
-            Algorithm::IndexCuttingTree => self
-                .build_index(IntersectionIndexKind::CuttingTree)?
-                .query_batch(boxes, &self.exec),
+            Algorithm::IndexQuadtree | Algorithm::IndexCuttingTree => {
+                self.index()?.query_batch(boxes, &self.exec)
+            }
             Algorithm::Auto if boxes.iter().all(|b| !b.has_unbounded_range()) => {
-                self.auto_index()?.query_batch(boxes, &self.exec)
+                self.index()?.query_batch(boxes, &self.exec)
             }
             _ => boxes
                 .iter()
@@ -461,14 +448,11 @@ impl EclipseEngine {
             return Ok(Vec::new());
         }
         match options.algorithm {
-            Algorithm::IndexQuadtree => self
-                .build_index(IntersectionIndexKind::Quadtree)?
-                .count_batch(boxes, &self.exec),
-            Algorithm::IndexCuttingTree => self
-                .build_index(IntersectionIndexKind::CuttingTree)?
-                .count_batch(boxes, &self.exec),
+            Algorithm::IndexQuadtree | Algorithm::IndexCuttingTree => {
+                self.index()?.count_batch(boxes, &self.exec)
+            }
             Algorithm::Auto if boxes.iter().all(|b| !b.has_unbounded_range()) => {
-                self.auto_index()?.count_batch(boxes, &self.exec)
+                self.index()?.count_batch(boxes, &self.exec)
             }
             _ => boxes
                 .iter()
@@ -477,13 +461,17 @@ impl EclipseEngine {
         }
     }
 
-    /// The cached index of the given kind, if one has been built (by
+    /// The cached index, if one has been built (by
     /// [`EclipseEngine::build_index`] or lazily by a query) **and it covers
     /// the current dataset epoch** — a cheap accessor for serving-layer
     /// statistics that must not trigger an index build.
-    pub fn cached_index(&self, kind: IntersectionIndexKind) -> Option<Arc<EclipseIndex>> {
-        let epoch = self.epoch();
-        self.slot(kind)
+    pub fn cached_index(&self) -> Option<Arc<EclipseIndex>> {
+        self.index_at(self.epoch())
+    }
+
+    /// The cached index if it covers `epoch`.
+    fn index_at(&self, epoch: u64) -> Option<Arc<EclipseIndex>> {
+        self.index
             .read()
             .expect("index lock poisoned")
             .as_ref()
@@ -491,14 +479,10 @@ impl EclipseEngine {
             .map(|s| Arc::clone(&s.index))
     }
 
-    /// The index-construction parameters the engine builds indexes with.
-    pub fn index_config(&self) -> &IndexConfig {
-        &self.index_config
-    }
-
-    /// Serializes the dataset plus the built index of the given kind into a
-    /// versioned snapshot (building and caching the index first if needed,
-    /// and compacting a maintained index's overlay into the cached index).
+    /// Serializes the dataset plus the built index into a versioned
+    /// snapshot (building and caching the index first if needed, and
+    /// compacting a maintained index's overlay into the cached index).
+    /// `kind` is a label: either kind writes the same bytes.
     /// `label` is stored alongside the dataset — servers use it to re-derive
     /// the dataset name on a warm restart — and so is the dataset **epoch**,
     /// so a restore can tell a snapshot of the same bytes at an older epoch
@@ -506,17 +490,17 @@ impl EclipseEngine {
     ///
     /// # Errors
     /// Propagates index-construction errors.
-    pub fn save_snapshot(&self, label: &str, kind: IntersectionIndexKind) -> Result<Vec<u8>> {
+    pub fn save_snapshot(&self, label: &str, _kind: IntersectionIndexKind) -> Result<Vec<u8>> {
         // Hold the mutation lock so the encoded (points, epoch, index)
         // triple is one consistent version.
         let _guard = self.mutation.lock().expect("mutation lock poisoned");
-        let mut index = self.build_index(kind)?;
+        let mut index = self.index()?;
         let version = self.version();
         // Compact a maintained index and keep the result: the held lock
         // pins the epoch, and the next save encodes it as is.
         if let Some(compacted) = index.compacted(&self.exec) {
             index = Arc::new(compacted);
-            *self.slot(kind).write().expect("index lock poisoned") = Some(IndexSlot {
+            *self.index.write().expect("index lock poisoned") = Some(IndexSlot {
                 epoch: version.epoch,
                 index: Arc::clone(&index),
             });
@@ -581,10 +565,8 @@ impl EclipseEngine {
 
     /// Restores a built index from an engine-level snapshot into this
     /// engine's cache, **after validating the snapshot against the
-    /// registered dataset**: the dimensionality, point count and every
-    /// coordinate bit must match, and the snapshot's index configuration
-    /// must agree with the engine's (apart from which backend kind it is).
-    /// A snapshot of different data or an incompatible configuration is
+    /// registered dataset**: the dimensionality, point count, epoch and
+    /// every coordinate bit must match.  A snapshot of different data is
     /// rejected with a typed error instead of being installed and serving
     /// wrong results.
     ///
@@ -592,8 +574,8 @@ impl EclipseEngine {
     /// * [`EclipseError::Snapshot`] — the bytes are not a valid snapshot;
     /// * [`EclipseError::DimensionMismatch`] — the snapshot's dataset
     ///   dimensionality differs from the engine's;
-    /// * [`EclipseError::SnapshotMismatch`] — dataset contents or index
-    ///   configuration disagree.
+    /// * [`EclipseError::SnapshotMismatch`] — dataset contents or epoch
+    ///   disagree.
     pub fn restore_index_snapshot(&self, bytes: &[u8]) -> Result<Arc<EclipseIndex>> {
         let reader = SnapshotReader::parse(bytes)?;
         let (_label, dim, coords, epoch) = Self::decode_dataset_section(&reader)?;
@@ -632,19 +614,9 @@ impl EclipseEngine {
             });
         }
         let index = EclipseIndex::from_snapshot_reader(&reader)?;
-        let mut want = self.index_config;
-        want.kind = index.config().kind;
-        if *index.config() != want {
-            return Err(EclipseError::SnapshotMismatch {
-                reason: "snapshot index configuration differs from the engine's".to_string(),
-            });
-        }
         index.validate_against_dataset(self.dim, &coords)?;
         let index = Arc::new(index);
-        *self
-            .slot(index.config().kind)
-            .write()
-            .expect("index lock poisoned") = Some(IndexSlot {
+        *self.index.write().expect("index lock poisoned") = Some(IndexSlot {
             epoch: version.epoch,
             index: Arc::clone(&index),
         });
@@ -653,10 +625,9 @@ impl EclipseEngine {
 
     /// Reconstructs a whole engine — dataset and built index — from an
     /// engine-level snapshot: the cold-start warm-restore path, paying only
-    /// decode cost instead of skyline + hyperplane + tree construction.
-    /// Returns the stored label alongside the engine; the restored index is
-    /// installed in the engine's cache, and the engine adopts the snapshot's
-    /// index configuration.
+    /// decode cost instead of skyline + hyperplane construction.  Returns
+    /// the stored label alongside the engine; the restored index is
+    /// installed in the engine's cache.
     ///
     /// # Errors
     /// [`EclipseError::Snapshot`] / [`EclipseError::SnapshotMismatch`] on
@@ -674,27 +645,13 @@ impl EclipseEngine {
         }
         index.validate_against_dataset(dim, &coords)?;
         let points: Vec<Point> = coords.chunks_exact(dim).map(Point::from_slice).collect();
-        let engine = EclipseEngine::with_index_config(points, *index.config())?;
+        let engine = EclipseEngine::new(points)?;
         // Adopt the stored epoch so subsequent saves/restores line up with
         // the mutation history the snapshot captured.
         engine.dataset.write().expect("dataset lock poisoned").epoch = epoch;
-        let kind = index.config().kind;
         let index = Arc::new(index);
-        *engine.slot(kind).write().expect("index lock poisoned") = Some(IndexSlot { epoch, index });
+        *engine.index.write().expect("index lock poisoned") = Some(IndexSlot { epoch, index });
         Ok((label, engine))
-    }
-
-    /// The index `Auto` batches route through: an already-built one of either
-    /// kind if available, otherwise the engine's configured default kind
-    /// (built and cached).
-    fn auto_index(&self) -> Result<Arc<EclipseIndex>> {
-        if let Some(idx) = self.cached_index(IntersectionIndexKind::Quadtree) {
-            return Ok(idx);
-        }
-        if let Some(idx) = self.cached_index(IntersectionIndexKind::CuttingTree) {
-            return Ok(idx);
-        }
-        self.build_index(self.index_config.kind)
     }
 
     fn eclipse_auto(
@@ -712,10 +669,7 @@ impl EclipseEngine {
             return Ok(eclipse_naive(&self.points(), ratio_box));
         }
         // Finite boxes: prefer an already-built index, else TRAN.
-        if let Some(idx) = self.cached_index(IntersectionIndexKind::Quadtree) {
-            return idx.query(ratio_box);
-        }
-        if let Some(idx) = self.cached_index(IntersectionIndexKind::CuttingTree) {
+        if let Some(idx) = self.cached_index() {
             return idx.query(ratio_box);
         }
         eclipse_transform_with(&self.points(), ratio_box, backend, &self.exec)
@@ -800,8 +754,8 @@ impl EclipseEngine {
     }
 
     /// The skyline of `version`, from (in preference order) the epoch-tagged
-    /// cache, the skyline ids of an already-built index slot at the same
-    /// epoch, or a fresh divide-and-conquer run.  The result is cached under
+    /// cache, the skyline ids of an already-built index at the same epoch,
+    /// or a fresh divide-and-conquer run.  The result is cached under
     /// `version.epoch` so consecutive mutations never recompute it.
     fn current_skyline(&self, version: &DatasetVersion) -> Arc<Vec<usize>> {
         if let Some((epoch, sky)) = self
@@ -814,19 +768,9 @@ impl EclipseEngine {
                 return Arc::clone(sky);
             }
         }
-        let from_slot = [
-            IntersectionIndexKind::Quadtree,
-            IntersectionIndexKind::CuttingTree,
-        ]
-        .iter()
-        .find_map(|&kind| {
-            self.slot(kind)
-                .read()
-                .expect("index lock poisoned")
-                .as_ref()
-                .filter(|s| s.epoch == version.epoch)
-                .map(|s| s.index.skyline_ids().to_vec())
-        });
+        let from_slot = self
+            .index_at(version.epoch)
+            .map(|index| index.skyline_ids().to_vec());
         let sky = Arc::new(from_slot.unwrap_or_else(|| {
             eclipse_skyline::dc::skyline_dc_parallel(&version.points, self.exec.pool())
         }));
@@ -911,17 +855,17 @@ impl EclipseEngine {
     }
 
     /// Inserts a point, incrementally maintaining the skyline and any built
-    /// index arenas, and bumps the dataset epoch.  In-flight probes holding
+    /// index, and bumps the dataset epoch.  In-flight probes holding
     /// the previous dataset/index `Arc`s keep reading the old version; the
     /// new one swaps in atomically.
     ///
     /// Maintenance rules (exact, duplicate-inclusive skyline):
     /// * some skyline member dominates `p` → the skyline is unchanged
-    ///   ([`MutationOutcome::InsertedDominated`]); built arenas are re-tagged
+    ///   ([`MutationOutcome::InsertedDominated`]); a built index is re-tagged
     ///   at the new epoch without rebuilding.
     /// * otherwise `p` enters the skyline and evicts exactly the members it
-    ///   dominates ([`MutationOutcome::InsertedSkyline`]); each built index
-    ///   keeps its arena and records the new skyline in its live-skyline
+    ///   dominates ([`MutationOutcome::InsertedSkyline`]); a built index
+    ///   keeps its slab and records the new skyline in its live-skyline
     ///   overlay, compacting only past [`crate::index::overlay_limit`].
     ///   Answers equal a from-scratch build's either way.
     ///
@@ -943,9 +887,9 @@ impl EclipseEngine {
         let sky = self.current_skyline(&version);
         let new_id = version.points.len();
         if sky.iter().any(|&id| dominates(&version.points[id], &point)) {
-            // Dominated insert: skyline and arenas are unchanged — re-tag the
-            // built slots at the new epoch so probes keep hitting them.
-            let slots = self.built_slots(version.epoch);
+            // Dominated insert: skyline and index are unchanged — re-tag a
+            // built index at the new epoch so probes keep hitting it.
+            let built = self.index_at(version.epoch);
             // Release this call's handle on the points first, so the push
             // below appends in place unless a probe still holds them.
             drop(version);
@@ -954,7 +898,7 @@ impl EclipseEngine {
             dataset.epoch += 1;
             let epoch = dataset.epoch;
             let len = dataset.points.len();
-            self.install_slots(epoch, slots);
+            self.install_index(epoch, built);
             *self.skyline_cache.write().expect("skyline cache poisoned") =
                 Some((epoch, Arc::clone(&sky)));
             drop(dataset);
@@ -965,14 +909,14 @@ impl EclipseEngine {
             });
         }
         // Skyline-entering insert: evict the members the new point dominates
-        // and carry the change into the built indexes' overlays.
+        // and carry the change into the built index's overlay.
         let mut new_sky: Vec<usize> = sky
             .iter()
             .copied()
             .filter(|&id| !dominates(&point, &version.points[id]))
             .collect();
         new_sky.push(new_id);
-        let maintained = self.maintain_built_slots(version.epoch, &new_sky, None, |id| {
+        let maintained = self.maintain_built_index(version.epoch, &new_sky, None, |id| {
             if id == new_id {
                 point.coords()
             } else {
@@ -987,7 +931,7 @@ impl EclipseEngine {
         dataset.epoch += 1;
         let epoch = dataset.epoch;
         let len = dataset.points.len();
-        self.install_slots(epoch, maintained);
+        self.install_index(epoch, maintained);
         *self.skyline_cache.write().expect("skyline cache poisoned") =
             Some((epoch, Arc::new(new_sky)));
         drop(dataset);
@@ -999,13 +943,13 @@ impl EclipseEngine {
     }
 
     /// Deletes the point with index `id`, incrementally maintaining the
-    /// skyline and any built index arenas, and bumps the dataset epoch.
+    /// skyline and any built index, and bumps the dataset epoch.
     /// Point ids above `id` shift down by one, exactly as if the engine had
     /// been rebuilt from the mutated dataset.
     ///
     /// Maintenance rules (exact, duplicate-inclusive skyline):
     /// * `id` is not a skyline member → the skyline *point set* is unchanged
-    ///   ([`MutationOutcome::DeletedNonSkyline`]); built indexes are copied
+    ///   ([`MutationOutcome::DeletedNonSkyline`]); a built index is copied
     ///   with remapped ids.
     /// * `id` is a skyline member → exactly its exclusively-dominated points
     ///   are promoted ([`MutationOutcome::DeletedSkyline`]): candidates are
@@ -1013,7 +957,7 @@ impl EclipseEngine {
     ///   member dominates, and the promoted set is the skyline of the
     ///   survivors.  A remaining bit-identical duplicate promotes nothing.
     ///
-    /// Either way each built index keeps its arena and derives its
+    /// Either way a built index keeps its slab and derives its
     /// live-skyline overlay from the new skyline; a promoted point that was
     /// a base skyline row is revived, so deleting a skyline entrant empties
     /// the overlay its insert created.  The point vector is updated in
@@ -1096,7 +1040,7 @@ impl EclipseEngine {
                 *s -= 1;
             }
         }
-        let maintained = self.maintain_built_slots(version.epoch, &new_sky, Some(id), |post| {
+        let maintained = self.maintain_built_index(version.epoch, &new_sky, Some(id), |post| {
             version.points[if post >= id { post + 1 } else { post }].coords()
         });
         // As for a dominated insert: without this call's handle on the
@@ -1107,7 +1051,7 @@ impl EclipseEngine {
         dataset.epoch += 1;
         let epoch = dataset.epoch;
         let len = dataset.points.len();
-        self.install_slots(epoch, maintained);
+        self.install_index(epoch, maintained);
         *self.skyline_cache.write().expect("skyline cache poisoned") =
             Some((epoch, Arc::new(new_sky)));
         drop(dataset);
@@ -1118,66 +1062,29 @@ impl EclipseEngine {
         })
     }
 
-    /// The index slots currently built at `epoch`, as (kind, index) pairs.
-    fn built_slots(&self, epoch: u64) -> Vec<(IntersectionIndexKind, Arc<EclipseIndex>)> {
-        [
-            IntersectionIndexKind::Quadtree,
-            IntersectionIndexKind::CuttingTree,
-        ]
-        .iter()
-        .filter_map(|&kind| {
-            self.slot(kind)
-                .read()
-                .expect("index lock poisoned")
-                .as_ref()
-                .filter(|s| s.epoch == epoch)
-                .map(|s| (kind, Arc::clone(&s.index)))
-        })
-        .collect()
-    }
-
-    /// Maintains each index kind built at `epoch` across one mutation (see
-    /// [`EclipseIndex::with_live_skyline`]): `live_ids` is the
+    /// Maintains the index built at `epoch`, if any, across one mutation
+    /// (see [`EclipseIndex::with_live_skyline`]): `live_ids` is the
     /// post-mutation skyline, `deleted` the removed row and `coords` the
-    /// post-mutation coordinates of a dataset id.  Each result shares its
-    /// arena with its predecessor unless its overlay passed the bound and
-    /// it was compacted on the engine's execution context.
-    fn maintain_built_slots<'p>(
+    /// post-mutation coordinates of a dataset id.  The result shares its
+    /// slab with its predecessor unless its overlay passed the bound and it
+    /// was compacted on the engine's execution context.
+    fn maintain_built_index<'p>(
         &self,
         epoch: u64,
         live_ids: &[usize],
         deleted: Option<usize>,
         coords: impl Fn(usize) -> &'p [f64],
-    ) -> Vec<(IntersectionIndexKind, Arc<EclipseIndex>)> {
-        self.built_slots(epoch)
-            .into_iter()
-            .map(|(kind, index)| {
-                let maintained = index.with_live_skyline(live_ids, deleted, &coords, &self.exec);
-                (kind, Arc::new(maintained))
-            })
-            .collect()
+    ) -> Option<Arc<EclipseIndex>> {
+        self.index_at(epoch)
+            .map(|index| Arc::new(index.with_live_skyline(live_ids, deleted, &coords, &self.exec)))
     }
 
-    /// Installs `slots` at `epoch`, clearing built slots of kinds not in the
-    /// list (their arenas are stale).  Callers hold the dataset write lock,
-    /// so probes observe the dataset and its index slots move together.
-    fn install_slots(&self, epoch: u64, slots: Vec<(IntersectionIndexKind, Arc<EclipseIndex>)>) {
-        for kind in [
-            IntersectionIndexKind::Quadtree,
-            IntersectionIndexKind::CuttingTree,
-        ] {
-            let replacement = slots
-                .iter()
-                .find(|(k, _)| *k == kind)
-                .map(|(_, index)| IndexSlot {
-                    epoch,
-                    index: Arc::clone(index),
-                });
-            let mut slot = self.slot(kind).write().expect("index lock poisoned");
-            if replacement.is_some() || slot.is_some() {
-                *slot = replacement;
-            }
-        }
+    /// Installs `index` at `epoch`, or clears the slot when there is none
+    /// (a stale index must not be served).  Callers hold the dataset write
+    /// lock, so probes observe the dataset and its index move together.
+    fn install_index(&self, epoch: u64, index: Option<Arc<EclipseIndex>>) {
+        *self.index.write().expect("index lock poisoned") =
+            index.map(|index| IndexSlot { epoch, index });
     }
 }
 
@@ -1189,20 +1096,8 @@ impl std::fmt::Debug for EclipseEngine {
             .field("epoch", &version.epoch)
             .field("dim", &self.dim)
             .field(
-                "quad_index_built",
-                &self
-                    .quad_index
-                    .read()
-                    .expect("index lock poisoned")
-                    .is_some(),
-            )
-            .field(
-                "cutting_index_built",
-                &self
-                    .cutting_index
-                    .read()
-                    .expect("index lock poisoned")
-                    .is_some(),
+                "index_built",
+                &self.index.read().expect("index lock poisoned").is_some(),
             )
             .finish()
     }
@@ -1520,17 +1415,13 @@ mod tests {
     #[test]
     fn cached_index_accessor_never_builds() {
         let e = paper_engine();
-        assert!(e.cached_index(IntersectionIndexKind::Quadtree).is_none());
-        assert!(e.cached_index(IntersectionIndexKind::CuttingTree).is_none());
-        assert_eq!(
-            e.index_config().kind,
-            IndexConfig::default().kind,
-            "default config is exposed"
-        );
+        assert!(e.cached_index().is_none());
         let built = e.build_index(IntersectionIndexKind::Quadtree).unwrap();
-        let cached = e.cached_index(IntersectionIndexKind::Quadtree).unwrap();
+        let cached = e.cached_index().unwrap();
         assert!(Arc::ptr_eq(&built, &cached));
-        assert!(e.cached_index(IntersectionIndexKind::CuttingTree).is_none());
+        // Either kind label names the one index.
+        let other = e.build_index(IntersectionIndexKind::CuttingTree).unwrap();
+        assert!(Arc::ptr_eq(&built, &other));
     }
 
     #[test]
@@ -1586,10 +1477,9 @@ mod tests {
 
             // Warm-restore into a fresh engine over the same dataset.
             let fresh = EclipseEngine::new(pts.clone()).unwrap();
-            assert!(fresh.cached_index(kind).is_none());
+            assert!(fresh.cached_index().is_none());
             let restored = fresh.restore_index_snapshot(&bytes).unwrap();
-            assert_eq!(restored.config().kind, kind);
-            let cached = fresh.cached_index(kind).unwrap();
+            let cached = fresh.cached_index().unwrap();
             assert!(
                 Arc::ptr_eq(&restored, &cached),
                 "restore installs the index"
@@ -1600,7 +1490,7 @@ mod tests {
             let (label, cold) = EclipseEngine::from_snapshot(&bytes).unwrap();
             assert_eq!(label, "inde");
             assert_eq!(cold.len(), pts.len());
-            assert!(cold.cached_index(kind).is_some());
+            assert!(cold.cached_index().is_some());
             assert_eq!(cold.eclipse(&b).unwrap(), expected);
         }
     }
@@ -1638,9 +1528,8 @@ mod tests {
             })
         ));
 
-        // An incompatible index configuration is rejected even over the same
-        // dataset.
-        let tweaked = EclipseEngine::with_index_config(
+        // The index-config label plays no part: any config restores it.
+        let relabelled = EclipseEngine::with_index_config(
             pts,
             IndexConfig {
                 max_ratio: 4.0,
@@ -1648,10 +1537,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(matches!(
-            tweaked.restore_index_snapshot(&bytes),
-            Err(EclipseError::SnapshotMismatch { .. })
-        ));
+        relabelled.restore_index_snapshot(&bytes).unwrap();
 
         // Garbage bytes surface as snapshot errors, not panics.
         assert!(matches!(
@@ -1664,10 +1550,10 @@ mod tests {
         ));
     }
 
-    /// The snapshot bytes of the engine's cached index of `kind` — the
-    /// strictest observable identity between two indexes.
-    fn cached_index_bytes(e: &EclipseEngine, kind: IntersectionIndexKind) -> Vec<u8> {
-        e.cached_index(kind)
+    /// The snapshot bytes of the engine's cached index — the strictest
+    /// observable identity between two indexes.
+    fn cached_index_bytes(e: &EclipseEngine) -> Vec<u8> {
+        e.cached_index()
             .expect("index must be cached")
             .encode_snapshot()
     }
@@ -1683,7 +1569,7 @@ mod tests {
         assert_eq!(e.epoch(), 1);
         // The arena was re-tagged, not rebuilt: same allocation.
         let after = e
-            .cached_index(IntersectionIndexKind::Quadtree)
+            .cached_index()
             .expect("index stays cached across an absorbed insert");
         assert!(Arc::ptr_eq(&before, &after));
         // Results agree with a from-scratch engine on the mutated dataset.
@@ -1763,8 +1649,8 @@ mod tests {
         ] {
             rebuilt.build_index(kind).unwrap();
             assert_eq!(
-                cached_index_bytes(&e, kind),
-                cached_index_bytes(&rebuilt, kind),
+                cached_index_bytes(&e),
+                cached_index_bytes(&rebuilt),
                 "maintained {kind:?} arena must be byte-identical to a rebuild"
             );
         }
@@ -1793,7 +1679,7 @@ mod tests {
             entrant[cycle % 3] -= 1e-3;
             let summary = e.insert(Point::new(entrant)).unwrap();
             assert_eq!(summary.outcome, MutationOutcome::InsertedSkyline);
-            let during = e.cached_index(kind).unwrap();
+            let during = e.cached_index().unwrap();
             assert!(
                 during.shares_arena(&base),
                 "cycle {cycle}: insert compacted"
@@ -1801,7 +1687,7 @@ mod tests {
             assert!(during.overlay_rows() >= 2);
             let summary = e.delete(e.len() - 1).unwrap();
             assert_eq!(summary.outcome, MutationOutcome::DeletedSkyline);
-            let after = e.cached_index(kind).unwrap();
+            let after = e.cached_index().unwrap();
             assert!(after.shares_arena(&base), "cycle {cycle}: delete compacted");
             assert_eq!(after.overlay_rows(), 0);
             assert_eq!(after.heap_bytes(), base.heap_bytes());
@@ -1819,7 +1705,7 @@ mod tests {
                 rebuilt.eclipse_with(&b, Algorithm::IndexQuadtree).unwrap()
             );
         }
-        assert!(e.cached_index(kind).unwrap().shares_arena(&base));
+        assert!(e.cached_index().unwrap().shares_arena(&base));
     }
 
     #[test]
@@ -1828,20 +1714,17 @@ mod tests {
         let kind = IntersectionIndexKind::Quadtree;
         let base = e.build_index(kind).unwrap();
         e.insert(p(&[2.0, 3.0])).unwrap();
-        let maintained = e.cached_index(kind).unwrap();
+        let maintained = e.cached_index().unwrap();
         assert!(maintained.overlay_rows() > 0);
         let bytes = e.save_snapshot("compact", kind).unwrap();
-        let compacted = e.cached_index(kind).unwrap();
+        let compacted = e.cached_index().unwrap();
         assert_eq!(compacted.overlay_rows(), 0);
         assert!(!compacted.shares_arena(&base));
         let rebuilt = EclipseEngine::new(e.points().to_vec()).unwrap();
         rebuilt.build_index(kind).unwrap();
-        assert_eq!(
-            compacted.encode_snapshot(),
-            cached_index_bytes(&rebuilt, kind)
-        );
+        assert_eq!(compacted.encode_snapshot(), cached_index_bytes(&rebuilt));
         let (_, cold) = EclipseEngine::from_snapshot(&bytes).unwrap();
-        assert_eq!(cached_index_bytes(&cold, kind), compacted.encode_snapshot());
+        assert_eq!(cached_index_bytes(&cold), compacted.encode_snapshot());
     }
 
     #[test]
@@ -1869,8 +1752,8 @@ mod tests {
             ] {
                 rebuilt.build_index(kind).unwrap();
                 assert_eq!(
-                    cached_index_bytes(&e, kind),
-                    cached_index_bytes(&rebuilt, kind),
+                    cached_index_bytes(&e),
+                    cached_index_bytes(&rebuilt),
                     "delete({id}) {kind:?} arena must be byte-identical to a rebuild"
                 );
             }

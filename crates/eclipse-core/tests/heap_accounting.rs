@@ -6,13 +6,15 @@
 //! The accounting intentionally skips allocator headers and the `Arc`/lock
 //! control blocks (a handful of fixed-size allocations), so the accounted
 //! figure must be *at most* the measured delta and still capture the
-//! dominant share of it.
+//! dominant share of it.  Every buffer is sized exactly, so a fresh engine
+//! and its own snapshot's restore account the same bytes.
 //!
-//! Like `zero_alloc_probe`, this file holds a single test so no concurrent
-//! test case can disturb the counter.
+//! The tests take [`SERIAL`] so no concurrent test case can disturb the
+//! counter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use eclipse_core::exec::ExecutionContext;
 use eclipse_core::index::IntersectionIndexKind;
@@ -49,6 +51,9 @@ unsafe impl GlobalAlloc for ByteTrackingAllocator {
 #[global_allocator]
 static GLOBAL: ByteTrackingAllocator = ByteTrackingAllocator;
 
+/// Held by every test of this file: the live-byte counter is process-wide.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 fn dataset(n: usize, dim: usize, seed: u64) -> Vec<Point> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     (0..n)
@@ -56,8 +61,8 @@ fn dataset(n: usize, dim: usize, seed: u64) -> Vec<Point> {
         .collect()
 }
 
-/// Builds an engine with both index backends warm and the skyline cached —
-/// the fully-resident shape the serving layer accounts for.
+/// Builds an engine with the index warm (under both kind labels) and the
+/// skyline cached — the fully-resident shape the serving layer accounts for.
 fn build_full(points: Vec<Point>) -> EclipseEngine {
     let engine = EclipseEngine::new(points)
         .unwrap()
@@ -72,6 +77,7 @@ fn build_full(points: Vec<Point>) -> EclipseEngine {
 
 #[test]
 fn heap_bytes_matches_the_allocator_ground_truth() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // Warm-up: populate any lazily-initialised process-wide state (thread
     // locals, scratch pools, the default execution context) so the measured
     // build below only retains what the engine itself owns.
@@ -111,21 +117,16 @@ fn heap_bytes_matches_the_allocator_ground_truth() {
             "dropping the engine must return at least the accounted bytes"
         );
 
-        // The same bounds hold for an engine whose indexes carry a
+        // The same bounds hold for an engine whose index carries a
         // live-skyline overlay: a skyline-entering insert adds extra rows,
-        // dead base rows and overlay pairs beside the shared arenas.
+        // dead base rows and overlay pairs beside the shared slab.
         let before = LIVE_BYTES.load(Ordering::Relaxed);
         let engine = build_full(dataset(n, dim, seed));
         let member = engine.skyline()[0];
         let mut entrant = engine.points()[member].coords().to_vec();
         entrant[0] -= 1e-3;
         engine.insert(Point::new(entrant)).unwrap();
-        for kind in [
-            IntersectionIndexKind::Quadtree,
-            IntersectionIndexKind::CuttingTree,
-        ] {
-            assert!(engine.cached_index(kind).unwrap().overlay_rows() > 0);
-        }
+        assert!(engine.cached_index().unwrap().overlay_rows() > 0);
         let delta = LIVE_BYTES.load(Ordering::Relaxed) - before;
         let accounted = engine.heap_bytes();
         assert!(
@@ -142,5 +143,87 @@ fn heap_bytes_matches_the_allocator_ground_truth() {
             freed <= before + (delta - accounted),
             "dropping the overlay engine must return at least the accounted bytes"
         );
+    }
+}
+
+/// The three synthetic families of the paper's evaluation, in small: INDE
+/// (uniform), CORR (one latent quality plus jitter) and ANTI (points near
+/// the plane where the coordinates sum to `d / 2`).
+fn family(name: &str, n: usize, dim: usize, seed: u64) -> Vec<Point> {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| {
+            let coords: Vec<f64> = match name {
+                "inde" => (0..dim).map(|_| rng.gen_range(0.0..1.0)).collect(),
+                "corr" => {
+                    let q: f64 = rng.gen_range(0.0..1.0);
+                    (0..dim)
+                        .map(|_| (q + rng.gen_range(-0.05..0.05)).clamp(0.0, 1.0))
+                        .collect()
+                }
+                _ => {
+                    let raw: Vec<f64> = (0..dim).map(|_| rng.gen_range(0.0..1.0)).collect();
+                    let shift = (dim as f64 / 2.0 - raw.iter().sum::<f64>()) / dim as f64;
+                    raw.iter()
+                        .map(|c| (c + shift + rng.gen_range(-0.02..0.02)).clamp(0.0, 1.0))
+                        .collect()
+                }
+            };
+            Point::new(coords)
+        })
+        .collect()
+}
+
+/// A fresh engine and the engine restored from its own snapshot account
+/// the same heap bytes, under both kind labels, and so do a maintained
+/// engine whose snapshot compacted its overlay and that snapshot's restore
+/// (index for index; the restored engine equals a fresh build over the
+/// mutated points).
+#[test]
+fn fresh_and_restored_engines_account_the_same_bytes() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    for name in ["inde", "corr", "anti"] {
+        for dim in 2..=4usize {
+            let points = family(name, 300, dim, 2021 + dim as u64);
+            for kind in [
+                IntersectionIndexKind::Quadtree,
+                IntersectionIndexKind::CuttingTree,
+            ] {
+                let case = format!("{name} d={dim} {kind:?}");
+                let fresh = EclipseEngine::new(points.clone())
+                    .unwrap()
+                    .with_execution_context(ExecutionContext::serial());
+                fresh.build_index(kind).unwrap();
+                let bytes = fresh.save_snapshot("heap", kind).unwrap();
+                let (_, restored) = EclipseEngine::from_snapshot(&bytes).unwrap();
+                assert_eq!(fresh.heap_bytes(), restored.heap_bytes(), "{case}");
+
+                // A skyline entrant leaves an overlay; the snapshot compacts
+                // it into the cached index.
+                let member = fresh.skyline()[0];
+                let mut entrant = fresh.points()[member].coords().to_vec();
+                entrant[0] -= 1e-3;
+                fresh.insert(Point::new(entrant)).unwrap();
+                assert!(fresh.cached_index().unwrap().overlay_rows() > 0, "{case}");
+                let bytes = fresh.save_snapshot("heap", kind).unwrap();
+                let compacted = fresh.cached_index().unwrap();
+                assert_eq!(compacted.overlay_rows(), 0, "{case}");
+                let (_, restored) = EclipseEngine::from_snapshot(&bytes).unwrap();
+                assert_eq!(
+                    compacted.heap_bytes(),
+                    restored.cached_index().unwrap().heap_bytes(),
+                    "{case} compacted"
+                );
+                let rebuilt = EclipseEngine::new(fresh.points().to_vec())
+                    .unwrap()
+                    .with_execution_context(ExecutionContext::serial());
+                rebuilt.build_index(kind).unwrap();
+                assert_eq!(
+                    rebuilt.heap_bytes(),
+                    restored.heap_bytes(),
+                    "{case} compacted"
+                );
+            }
+        }
     }
 }

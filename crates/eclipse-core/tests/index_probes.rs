@@ -133,7 +133,7 @@ fn probes_match_the_oracle_with_and_without_an_overlay() {
         let built = engine.build_index(kind).unwrap();
         assert_probes_match(&built, &boxes, &expected, &format!("{kind:?} built"));
         engine.insert(Point::new(entrant.clone())).unwrap();
-        let maintained = engine.cached_index(kind).unwrap();
+        let maintained = engine.cached_index().unwrap();
         assert!(maintained.overlay_rows() > 0 && maintained.shares_arena(&built));
         assert_probes_match(
             &maintained,

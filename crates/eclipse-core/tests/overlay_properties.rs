@@ -137,7 +137,7 @@ fn assert_matches(
         context
     );
     let maintained = engine
-        .cached_index(kind)
+        .cached_index()
         .expect("mutations keep the index built");
     let fresh = rebuilt.build_index(kind).unwrap();
     assert_eq!(maintained.skyline_ids(), fresh.skyline_ids(), "{}", context);
@@ -212,7 +212,7 @@ proptest! {
                     .unwrap()
                     .with_execution_context(exec);
                 prop_assert_eq!(
-                    engine.cached_index(kind).unwrap().encode_snapshot(),
+                    engine.cached_index().unwrap().encode_snapshot(),
                     rebuilt.build_index(kind).unwrap().encode_snapshot(),
                     "snapshot bytes ({:?}, {} threads)", kind, threads
                 );
@@ -246,11 +246,11 @@ fn every_overlay_path_is_reached() {
         unreachable!()
     };
     engine.insert(entrant.clone()).unwrap();
-    let index = engine.cached_index(kind).unwrap();
+    let index = engine.cached_index().unwrap();
     assert!(index.overlay_rows() >= 2 && index.shares_arena(&base));
     check(&engine);
     engine.delete(engine.len() - 1).unwrap();
-    let index = engine.cached_index(kind).unwrap();
+    let index = engine.cached_index().unwrap();
     assert_eq!(index.overlay_rows(), 0);
     assert!(index.shares_arena(&base));
     check(&engine);
@@ -261,13 +261,13 @@ fn every_overlay_path_is_reached() {
             Step::Insert(p) => engine.insert(p).unwrap(),
             Step::Delete(id) => engine.delete(id).unwrap(),
         };
-        assert!(engine.cached_index(kind).unwrap().shares_arena(&base));
+        assert!(engine.cached_index().unwrap().shares_arena(&base));
         check(&engine);
     }
 
     // The origin dominates every member: the overlay passes its bound.
     engine.insert(Point::new(vec![0.0; d])).unwrap();
-    let index = engine.cached_index(kind).unwrap();
+    let index = engine.cached_index().unwrap();
     assert!(!index.shares_arena(&base));
     assert_eq!(index.overlay_rows(), 0);
     check(&engine);

@@ -1,5 +1,5 @@
 //! Property suite for index persistence: `load(save(idx))` answers every
-//! probe identically to the original — across dimensionalities, backends,
+//! probe identically to the original — across dimensionalities, config labels,
 //! duplicate points (degenerate hyperplane rows) and edge floats — and
 //! snapshot decoding is **total**: truncations, bit flips, garbage headers
 //! and hostile section counts all surface as typed errors, never panics and
@@ -8,7 +8,9 @@
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
-use eclipse_core::index::{EclipseIndex, IndexConfig, IntersectionIndexKind, SECTION_SKYLINE};
+use eclipse_core::index::{
+    EclipseIndex, IndexConfig, IntersectionIndexKind, SECTION_SKYLINE, SECTION_SLAB,
+};
 use eclipse_core::{EclipseEngine, EclipseError, Point, WeightRatioBox};
 use eclipse_persist::{enc, SnapshotReader, SnapshotWriter};
 
@@ -42,9 +44,9 @@ fn arbitrary_dataset(seed: u64) -> Vec<Point> {
     pts
 }
 
-/// Deterministic pseudo-random index configuration: both backends, tight and
-/// loose budgets (tight budgets exercise the breadth-first degradation
-/// paths), and two indexed-region sizes.
+/// Deterministic pseudo-random index configuration: both kind labels, tight
+/// and loose tree budgets, and two tree root cells.  The index reads none of
+/// it, so every config must snapshot and answer alike.
 fn arbitrary_config(seed: u64) -> IndexConfig {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5eed);
     let mut cfg = IndexConfig::with_kind(if rng.gen_range(0..2u32) == 0 {
@@ -218,6 +220,26 @@ fn hostile_section_counts_are_rejected_before_allocation() {
             assert!(m.contains("count") || m.contains("element"), "{m}")
         }
         other => panic!("expected a hostile-count rejection, got {other:?}"),
+    }
+
+    // The same for a slab section claiming u64::MAX rows of the right
+    // dimensionality: the row count is checked against the bytes present.
+    let mut hostile_slab = Vec::new();
+    enc::put_u32(&mut hostile_slab, 1);
+    enc::put_u64(&mut hostile_slab, u64::MAX);
+    let mut writer = SnapshotWriter::new();
+    for (tag, payload) in reader.sections() {
+        if tag == SECTION_SLAB {
+            writer.section(tag, hostile_slab.clone());
+        } else {
+            writer.section(tag, payload.to_vec());
+        }
+    }
+    match EclipseIndex::decode_snapshot(&writer.finish()) {
+        Err(EclipseError::Snapshot(m)) => {
+            assert!(m.contains("count") || m.contains("element"), "{m}")
+        }
+        other => panic!("expected a hostile slab-count rejection, got {other:?}"),
     }
 
     // A snapshot missing a required section is a typed error too.

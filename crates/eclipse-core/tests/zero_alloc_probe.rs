@@ -86,7 +86,7 @@ fn with_overlay(pts: &[Point], kind: IntersectionIndexKind) -> Arc<EclipseIndex>
     let mut entrant = engine.points()[member].coords().to_vec();
     entrant[0] -= 1e-3;
     engine.insert(Point::new(entrant)).unwrap();
-    engine.cached_index(kind).unwrap()
+    engine.cached_index().unwrap()
 }
 
 fn assert_steady_state_probes_do_not_allocate(

@@ -33,7 +33,6 @@
 //! DESIGN.md §4 for the substitution rationale.
 
 use eclipse_exec::ThreadPool;
-use eclipse_persist::{dec, enc, Cursor, PersistError, PersistResult};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -61,27 +60,6 @@ pub enum CutRule {
     /// to the widest axis's midpoint (no jitter) when nothing crosses the
     /// cell interior.  Consumes no randomness.
     MedianExtents,
-}
-
-impl CutRule {
-    /// Stable one-byte snapshot tag.
-    pub fn tag(self) -> u8 {
-        match self {
-            CutRule::SampledCrossings => 0,
-            CutRule::MedianExtents => 1,
-        }
-    }
-
-    /// Inverse of [`CutRule::tag`]; rejects unknown tags.
-    pub fn from_tag(tag: u8) -> PersistResult<Self> {
-        match tag {
-            0 => Ok(CutRule::SampledCrossings),
-            1 => Ok(CutRule::MedianExtents),
-            other => Err(PersistError::Malformed(format!(
-                "unknown cutting-tree cut-rule tag {other}"
-            ))),
-        }
-    }
 }
 
 /// Construction parameters for [`CuttingTree`].
@@ -126,10 +104,6 @@ impl Default for CuttingTreeConfig {
 /// Sentinel marking a leaf node (no children).
 const NO_CHILD: u32 = u32::MAX;
 
-/// Bytes of one encoded [`Node`]: `axis`, `at` (`f64`), `low`, `high` and
-/// the entry range, little-endian.
-const NODE_RECORD_BYTES: usize = 28;
-
 /// One arena node: an axis-aligned cut with its two children allocated as an
 /// adjacent pair (`low == high − 1`), or a leaf.
 ///
@@ -138,7 +112,7 @@ const NODE_RECORD_BYTES: usize = 28;
 /// exact candidate filtering; internal nodes use it to report their whole
 /// (deduplicated) subtree in one pass when their cell is fully contained in
 /// the query box.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 struct Node {
     /// Cut axis (meaningful for internal nodes only).
     axis: u32,
@@ -155,7 +129,7 @@ struct Node {
 
 /// A randomized cutting tree over hyperplanes in k-dimensional space, stored
 /// as a flat arena.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CuttingTree {
     slab: HyperplaneSlab,
     nodes: Vec<Node>,
@@ -197,9 +171,9 @@ impl CuttingTree {
     /// the entries are partitioned between the two halves — the expensive
     /// sign tests — into reusable flat scratch (in parallel when a pool is
     /// supplied), then *stitched* serially in frontier order (budget checks,
-    /// adjacent child-pair allocation, entry recording).  The arena, and
-    /// therefore the snapshot encoding and the buffers' capacities, is
-    /// identical for any thread count.
+    /// adjacent child-pair allocation, entry recording).  The arena, its
+    /// contents and its buffers' capacities, is identical for any thread
+    /// count.
     ///
     /// Levels are processed in budget-sized *chunks* (each cut allocates
     /// exactly two children, so a chunk never overruns `max_nodes` by more
@@ -428,144 +402,6 @@ impl CuttingTree {
                 }
             }
         }
-    }
-
-    /// Appends the tree's snapshot encoding: construction config (including
-    /// the sampling seed, so the provenance of the cuts is preserved), root
-    /// cell, reached depth, the hyperplane slab, then the three arena
-    /// buffers.  Construction is deterministic for a seed (and for any
-    /// thread count), so the same input data and config always produce the
-    /// same bytes.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        enc::put_usize(out, self.config.max_capacity);
-        enc::put_usize(out, self.config.max_depth);
-        enc::put_usize(out, self.config.sample_size);
-        enc::put_usize(out, self.config.max_nodes);
-        enc::put_usize(out, self.config.max_entries);
-        enc::put_u64(out, self.config.seed);
-        enc::put_u8(out, self.config.cut.tag());
-        self.root_cell.encode_into(out);
-        enc::put_usize(out, self.max_depth_reached);
-        self.slab.encode_into(out);
-        enc::put_usize(out, self.nodes.len());
-        for node in &self.nodes {
-            enc::put_u32(out, node.axis);
-            enc::put_f64(out, node.at);
-            enc::put_u32(out, node.low);
-            enc::put_u32(out, node.high);
-            enc::put_u32(out, node.entries_start);
-            enc::put_u32(out, node.entries_end);
-        }
-        // `cells` holds exactly 2k values per node, so no count is stored.
-        for &c in &self.cells {
-            enc::put_f64(out, c);
-        }
-        enc::put_usize(out, self.entries.len());
-        for &e in &self.entries {
-            enc::put_u32(out, e);
-        }
-    }
-
-    /// Decodes a tree previously written by [`CuttingTree::encode_into`],
-    /// consuming exactly its bytes from `cur` and re-validating every arena
-    /// invariant the query loop relies on (counts bounded by the remaining
-    /// bytes, children strictly forward so traversal terminates, cut axes
-    /// inside the ambient dimensionality, entry ranges and ids in bounds).
-    ///
-    /// # Errors
-    /// A typed [`PersistError`] for every defect; arbitrary input never
-    /// panics.
-    pub fn decode(cur: &mut Cursor<'_>) -> PersistResult<Self> {
-        let config = CuttingTreeConfig {
-            max_capacity: cur.usize64()?,
-            max_depth: cur.usize64()?,
-            sample_size: cur.usize64()?,
-            max_nodes: cur.usize64()?,
-            max_entries: cur.usize64()?,
-            seed: cur.u64()?,
-            cut: CutRule::from_tag(cur.u8()?)?,
-        };
-        let root_cell = BoundingBox::decode(cur)?;
-        let max_depth_reached = cur.usize64()?;
-        let slab = HyperplaneSlab::decode(cur)?;
-        let k = root_cell.dim();
-        if slab.dim() != k {
-            return Err(PersistError::Malformed(format!(
-                "slab dimensionality {} does not match the {k}-dimensional root cell",
-                slab.dim()
-            )));
-        }
-        let node_count = cur.count(NODE_RECORD_BYTES)?;
-        if node_count == 0 {
-            return Err(PersistError::Malformed(
-                "a cutting-tree arena needs at least its root node".to_string(),
-            ));
-        }
-        let nodes: Vec<Node> = cur
-            .records(node_count, NODE_RECORD_BYTES)?
-            .map(|r| Node {
-                axis: dec::u32_at(r, 0),
-                at: dec::f64_at(r, 4),
-                low: dec::u32_at(r, 12),
-                high: dec::u32_at(r, 16),
-                entries_start: dec::u32_at(r, 20),
-                entries_end: dec::u32_at(r, 24),
-            })
-            .collect();
-        let cells = cur.f64_vec(node_count.checked_mul(2 * k).ok_or_else(|| {
-            PersistError::Malformed(format!("{node_count} cells of dimension {k} overflow"))
-        })?)?;
-        let entry_count = cur.count(4)?;
-        let entries = cur.u32_vec(entry_count)?;
-        if let Some(&bad) = entries.iter().find(|&&e| e as usize >= slab.len()) {
-            return Err(PersistError::Malformed(format!(
-                "entry id {bad} out of range for {} hyperplanes",
-                slab.len()
-            )));
-        }
-        for (idx, node) in nodes.iter().enumerate() {
-            if node.entries_start > node.entries_end || node.entries_end as usize > entries.len() {
-                return Err(PersistError::Malformed(format!(
-                    "node {idx} entry range {}..{} escapes the {}-slot entry slab",
-                    node.entries_start,
-                    node.entries_end,
-                    entries.len()
-                )));
-            }
-            if node.low == NO_CHILD {
-                if node.high != NO_CHILD {
-                    return Err(PersistError::Malformed(format!(
-                        "node {idx} is half-leaf (low unset, high {})",
-                        node.high
-                    )));
-                }
-            } else if node.axis as usize >= k
-                || node.low as usize <= idx
-                || node.high as usize <= idx
-                || node.low as usize >= node_count
-                || node.high as usize >= node_count
-            {
-                // Children must point strictly forward (the builder allocates
-                // them after their parent), which is also what guarantees the
-                // iterative traversal terminates on decoded arenas; the cut
-                // axis must index the ambient space or the descent would
-                // read out of bounds.
-                return Err(PersistError::Malformed(format!(
-                    "node {idx} cut (axis {}, children {}/{}) is invalid for \
-                     {node_count} nodes of dimension {k}",
-                    node.axis, node.low, node.high
-                )));
-            }
-        }
-        Ok(CuttingTree {
-            slab,
-            nodes,
-            cells,
-            entries,
-            root_cell,
-            config,
-            max_depth_reached,
-        })
     }
 }
 
@@ -936,103 +772,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_byte_exactly() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2027);
-        let hs: Vec<Hyperplane> = (0..200)
-            .map(|_| {
-                line(
-                    rng.gen_range(-1.0..1.0),
-                    rng.gen_range(-1.0..1.0),
-                    rng.gen_range(-1.0..1.0),
-                )
-            })
-            .collect();
-        let root = BoundingBox::new(vec![-1.0, -1.0], vec![1.0, 1.0]);
-        let tree = CuttingTree::build(
-            &hs,
-            root,
-            CuttingTreeConfig {
-                max_capacity: 5,
-                ..CuttingTreeConfig::default()
-            },
-        );
-        let mut bytes = Vec::new();
-        tree.encode_into(&mut bytes);
-        let mut cur = Cursor::new(&bytes);
-        let back = CuttingTree::decode(&mut cur).unwrap();
-        cur.finish().unwrap();
-        assert_eq!(back.config(), tree.config());
-        assert_eq!(back.root_cell(), tree.root_cell());
-        assert_eq!(back.node_count(), tree.node_count());
-        assert_eq!(back.entry_count(), tree.entry_count());
-        assert_eq!(back.depth(), tree.depth());
-        for _ in 0..20 {
-            let x0 = rng.gen_range(-1.0..0.8);
-            let y0 = rng.gen_range(-1.0..0.8);
-            let q = BoundingBox::new(
-                vec![x0, y0],
-                vec![x0 + rng.gen_range(0.01..0.3), y0 + rng.gen_range(0.01..0.3)],
-            );
-            assert_eq!(back.query(&hs, &q), tree.query(&hs, &q), "box {q:?}");
-        }
-        let mut again = Vec::new();
-        back.encode_into(&mut again);
-        assert_eq!(again, bytes);
-    }
-
-    #[test]
-    fn snapshot_decode_is_total_on_hostile_input() {
-        // Kept deliberately tiny: the truncation sweep below decodes every
-        // proper prefix, which is quadratic in the snapshot size.  Horizontal
-        // lines separate cleanly under axis-aligned cuts, so the root
-        // subdivides even at this size.
-        let hs: Vec<Hyperplane> = (0..8).map(|i| line(0.0, 1.0, -0.1 * i as f64)).collect();
-        let tree = CuttingTree::build(
-            &hs,
-            unit_box(),
-            CuttingTreeConfig {
-                max_capacity: 2,
-                ..CuttingTreeConfig::default()
-            },
-        );
-        let mut bytes = Vec::new();
-        tree.encode_into(&mut bytes);
-        for cut in 0..bytes.len() {
-            assert!(
-                CuttingTree::decode(&mut Cursor::new(&bytes[..cut])).is_err(),
-                "prefix of {cut} bytes must not decode"
-            );
-        }
-        // Backward-pointing children (a traversal cycle) are refused.
-        let mut evil = Vec::new();
-        let evil_tree = {
-            let mut t = tree.clone();
-            assert!(t.nodes[0].low != NO_CHILD, "root subdivided");
-            t.nodes[0].low = 0;
-            t
-        };
-        evil_tree.encode_into(&mut evil);
-        assert!(matches!(
-            CuttingTree::decode(&mut Cursor::new(&evil)),
-            Err(PersistError::Malformed(m)) if m.contains("invalid")
-        ));
-        // A cut axis outside the ambient space is refused (the descent would
-        // index the query corners out of bounds).
-        let mut evil = Vec::new();
-        let evil_tree = {
-            let mut t = tree.clone();
-            t.nodes[0].axis = 7;
-            t
-        };
-        evil_tree.encode_into(&mut evil);
-        assert!(matches!(
-            CuttingTree::decode(&mut Cursor::new(&evil)),
-            Err(PersistError::Malformed(_))
-        ));
-    }
-
-    #[test]
     fn median_rule_agrees_with_brute_force_and_tracks_clusters() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(555);
@@ -1114,10 +853,7 @@ mod tests {
                 cfg,
                 Some(&pool),
             );
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            serial.encode_into(&mut a);
-            parallel.encode_into(&mut b);
-            assert_eq!(a, b, "cut rule {cut:?}");
+            assert_eq!(serial, parallel, "cut rule {cut:?}");
         }
     }
 

@@ -216,22 +216,21 @@ impl HyperplaneSlab {
     /// # Panics
     /// Panics if `dim` is zero.
     pub fn new(dim: usize) -> Self {
+        HyperplaneSlab::with_capacity(dim, 0)
+    }
+
+    /// An empty slab with capacity for exactly `n` rows.
+    ///
+    /// # Panics
+    /// Panics if `dim` is zero.
+    pub fn with_capacity(dim: usize, n: usize) -> Self {
         assert!(dim >= 1, "a HyperplaneSlab needs at least 1 dimension");
         HyperplaneSlab {
             dim,
-            coeffs: Vec::new(),
-            offsets: Vec::new(),
-            degenerate: Vec::new(),
+            coeffs: Vec::with_capacity(n * dim),
+            offsets: Vec::with_capacity(n),
+            degenerate: Vec::with_capacity(n),
         }
-    }
-
-    /// An empty slab with capacity for `n` rows.
-    pub fn with_capacity(dim: usize, n: usize) -> Self {
-        let mut slab = HyperplaneSlab::new(dim);
-        slab.coeffs.reserve(n * dim);
-        slab.offsets.reserve(n);
-        slab.degenerate.reserve(n);
-        slab
     }
 
     /// Builds a slab from a slice of hyperplanes (an empty slice yields a

@@ -392,46 +392,6 @@ impl BoundingBox {
             .sum()
     }
 
-    /// Appends the box's snapshot encoding: dimensionality, then both
-    /// corners as IEEE-754 bit patterns.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        eclipse_persist::enc::put_u32(out, self.dim() as u32);
-        for &v in self.lo.iter().chain(self.hi.iter()) {
-            eclipse_persist::enc::put_f64(out, v);
-        }
-    }
-
-    /// Decodes a box previously written by [`BoundingBox::encode_into`],
-    /// consuming exactly its bytes from `cur`.
-    ///
-    /// # Errors
-    /// A typed [`eclipse_persist::PersistError`] on truncation, a zero
-    /// dimensionality, or corners violating `lo ≤ hi` (including NaNs) —
-    /// the invariants [`BoundingBox::new`] would otherwise panic on.
-    pub fn decode(cur: &mut eclipse_persist::Cursor<'_>) -> eclipse_persist::PersistResult<Self> {
-        use eclipse_persist::PersistError;
-        let k = cur.u32()? as usize;
-        if k == 0 {
-            return Err(PersistError::Malformed(
-                "a BoundingBox needs at least 1 dimension".to_string(),
-            ));
-        }
-        let lo = cur.f64_vec(k)?;
-        let hi = cur.f64_vec(k)?;
-        for (l, h) in lo.iter().zip(hi.iter()) {
-            // NaN corners fail this too: `partial_cmp` is `None` for them.
-            if l.partial_cmp(h).is_none_or(std::cmp::Ordering::is_gt) {
-                return Err(PersistError::Malformed(format!(
-                    "BoundingBox corner {l} > {h} (or NaN)"
-                )));
-            }
-        }
-        Ok(BoundingBox {
-            lo: lo.into_boxed_slice(),
-            hi: hi.into_boxed_slice(),
-        })
-    }
-
     /// Returns the `2^d` corner points of the box.  Only intended for small
     /// `d` (the workspace never exceeds d = 8).
     pub fn corners(&self) -> Vec<Point> {

@@ -31,7 +31,6 @@
 //! worst case.
 
 use eclipse_exec::ThreadPool;
-use eclipse_persist::{dec, enc, Cursor, PersistError, PersistResult};
 use serde::{Deserialize, Serialize};
 
 use crate::build::{build_levels, median_inplace, ArenaTree, Limits, PlanScratch};
@@ -55,27 +54,6 @@ pub enum SplitRule {
     /// quadrant-style splits still land where the hyperplanes actually are.
     /// Deterministic — no randomness is consumed.
     Hybrid,
-}
-
-impl SplitRule {
-    /// Stable one-byte snapshot tag.
-    pub fn tag(self) -> u8 {
-        match self {
-            SplitRule::Midpoint => 0,
-            SplitRule::Hybrid => 1,
-        }
-    }
-
-    /// Inverse of [`SplitRule::tag`]; rejects unknown tags.
-    pub fn from_tag(tag: u8) -> PersistResult<Self> {
-        match tag {
-            0 => Ok(SplitRule::Midpoint),
-            1 => Ok(SplitRule::Hybrid),
-            other => Err(PersistError::Malformed(format!(
-                "unknown quadtree split-rule tag {other}"
-            ))),
-        }
-    }
 }
 
 /// Construction parameters for [`HyperplaneQuadtree`].
@@ -127,7 +105,7 @@ const NO_CHILDREN: u32 = u32::MAX;
 /// crossing its cell.  Leaves use the range for exact candidate filtering;
 /// internal nodes use it to report their whole (deduplicated) subtree in one
 /// pass when their cell is fully contained in the query box.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 struct Node {
     /// Arena index of the first child; [`NO_CHILDREN`] for leaves.
     first_child: u32,
@@ -139,9 +117,6 @@ struct Node {
     entries_end: u32,
 }
 
-/// Bytes of one encoded [`Node`]: four `u32le` fields.
-const NODE_RECORD_BYTES: usize = 16;
-
 /// A quadtree (2-D) / octree (k-D) over hyperplanes, stored as a flat arena.
 ///
 /// The tree owns its hyperplanes in [`HyperplaneSlab`] form; construction
@@ -152,7 +127,7 @@ const NODE_RECORD_BYTES: usize = 16;
 ///
 /// [`query`]: HyperplaneQuadtree::query
 /// [`query_into`]: HyperplaneQuadtree::query_into
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct HyperplaneQuadtree {
     slab: HyperplaneSlab,
     nodes: Vec<Node>,
@@ -197,9 +172,8 @@ impl HyperplaneQuadtree {
     /// flat scratch (in parallel when a pool is supplied), then *stitched*
     /// serially in frontier order (budget checks, contiguous child
     /// allocation, entry recording).  Planning is pure per node and the
-    /// stitch replays the exact serial order, so the arena — and therefore
-    /// the snapshot encoding and the buffers' capacities — is identical for
-    /// any thread count.
+    /// stitch replays the exact serial order, so the arena — its contents
+    /// and its buffers' capacities — is identical for any thread count.
     ///
     /// Level order also matters for the node budget: when `max_nodes` runs
     /// out, a BFS fills every region of the root cell to the same depth, so
@@ -442,137 +416,6 @@ impl HyperplaneQuadtree {
                 }
             }
         }
-    }
-
-    /// Appends the tree's snapshot encoding: construction config, root cell,
-    /// reached depth, the hyperplane slab, then the three arena buffers
-    /// (node records, flat cell corners, shared entry slab).  The encoding
-    /// is byte-stable: construction is deterministic (for any thread count),
-    /// so the same input data and config always produce the same bytes.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        enc::put_usize(out, self.config.max_capacity);
-        enc::put_usize(out, self.config.max_depth);
-        enc::put_usize(out, self.config.max_nodes);
-        enc::put_usize(out, self.config.max_entries);
-        enc::put_u8(out, self.config.split.tag());
-        self.root_cell.encode_into(out);
-        enc::put_usize(out, self.max_depth_reached);
-        self.slab.encode_into(out);
-        enc::put_usize(out, self.nodes.len());
-        for node in &self.nodes {
-            enc::put_u32(out, node.first_child);
-            enc::put_u32(out, node.child_count);
-            enc::put_u32(out, node.entries_start);
-            enc::put_u32(out, node.entries_end);
-        }
-        // `cells` holds exactly 2k values per node, so no count is stored.
-        for &c in &self.cells {
-            enc::put_f64(out, c);
-        }
-        enc::put_usize(out, self.entries.len());
-        for &e in &self.entries {
-            enc::put_u32(out, e);
-        }
-    }
-
-    /// Decodes a tree previously written by
-    /// [`HyperplaneQuadtree::encode_into`], consuming exactly its bytes from
-    /// `cur` and re-validating every arena invariant the query loop relies
-    /// on, so a crafted payload can neither panic a probe nor hang it:
-    ///
-    /// * element counts are checked against the remaining bytes before any
-    ///   buffer is reserved;
-    /// * child ranges stay inside the arena and point strictly forward
-    ///   (guaranteeing traversal termination);
-    /// * entry ranges stay inside the entry slab and every entry id indexes
-    ///   a slab row;
-    /// * the root cell and slab dimensionalities agree.
-    ///
-    /// # Errors
-    /// A typed [`PersistError`] for every defect; arbitrary input never
-    /// panics.
-    pub fn decode(cur: &mut Cursor<'_>) -> PersistResult<Self> {
-        let config = QuadtreeConfig {
-            max_capacity: cur.usize64()?,
-            max_depth: cur.usize64()?,
-            max_nodes: cur.usize64()?,
-            max_entries: cur.usize64()?,
-            split: SplitRule::from_tag(cur.u8()?)?,
-        };
-        let root_cell = BoundingBox::decode(cur)?;
-        let max_depth_reached = cur.usize64()?;
-        let slab = HyperplaneSlab::decode(cur)?;
-        let k = root_cell.dim();
-        if slab.dim() != k {
-            return Err(PersistError::Malformed(format!(
-                "slab dimensionality {} does not match the {k}-dimensional root cell",
-                slab.dim()
-            )));
-        }
-        let node_count = cur.count(NODE_RECORD_BYTES)?;
-        if node_count == 0 {
-            return Err(PersistError::Malformed(
-                "a quadtree arena needs at least its root node".to_string(),
-            ));
-        }
-        let nodes: Vec<Node> = cur
-            .records(node_count, NODE_RECORD_BYTES)?
-            .map(|r| Node {
-                first_child: dec::u32_at(r, 0),
-                child_count: dec::u32_at(r, 4),
-                entries_start: dec::u32_at(r, 8),
-                entries_end: dec::u32_at(r, 12),
-            })
-            .collect();
-        let cells = cur.f64_vec(node_count.checked_mul(2 * k).ok_or_else(|| {
-            PersistError::Malformed(format!("{node_count} cells of dimension {k} overflow"))
-        })?)?;
-        let entry_count = cur.count(4)?;
-        let entries = cur.u32_vec(entry_count)?;
-        if let Some(&bad) = entries.iter().find(|&&e| e as usize >= slab.len()) {
-            return Err(PersistError::Malformed(format!(
-                "entry id {bad} out of range for {} hyperplanes",
-                slab.len()
-            )));
-        }
-        for (idx, node) in nodes.iter().enumerate() {
-            if node.entries_start > node.entries_end || node.entries_end as usize > entries.len() {
-                return Err(PersistError::Malformed(format!(
-                    "node {idx} entry range {}..{} escapes the {}-slot entry slab",
-                    node.entries_start,
-                    node.entries_end,
-                    entries.len()
-                )));
-            }
-            if node.first_child == NO_CHILDREN {
-                if node.child_count != 0 {
-                    return Err(PersistError::Malformed(format!(
-                        "leaf node {idx} claims {} children",
-                        node.child_count
-                    )));
-                }
-            } else if node.child_count == 0
-                || node.first_child as usize <= idx
-                || u64::from(node.first_child) + u64::from(node.child_count) > node_count as u64
-            {
-                // Children must point strictly forward (the builder allocates
-                // them after their parent), which is also what guarantees the
-                // iterative traversal terminates on decoded arenas.
-                return Err(PersistError::Malformed(format!(
-                    "node {idx} child range {}+{} is invalid for {node_count} nodes",
-                    node.first_child, node.child_count
-                )));
-            }
-        }
-        Ok(HyperplaneQuadtree {
-            slab,
-            nodes,
-            cells,
-            entries,
-            root_cell,
-            config,
-            max_depth_reached,
-        })
     }
 }
 
@@ -1083,10 +926,7 @@ mod tests {
                 cfg,
                 Some(&pool),
             );
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            serial.encode_into(&mut a);
-            parallel.encode_into(&mut b);
-            assert_eq!(a, b, "split rule {split:?}");
+            assert_eq!(serial, parallel, "split rule {split:?}");
         }
     }
 
@@ -1107,102 +947,6 @@ mod tests {
         // Queries are exact regardless of where construction stopped.
         let q = BoundingBox::new(vec![0.1, 0.1], vec![0.9, 0.9]);
         assert_eq!(tree.query(&hs, &q), brute_force(&hs, &q));
-    }
-
-    #[test]
-    fn snapshot_round_trips_byte_exactly() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2026);
-        let hs: Vec<Hyperplane> = (0..150)
-            .map(|_| {
-                line(
-                    rng.gen_range(-1.0..1.0),
-                    rng.gen_range(-1.0..1.0),
-                    rng.gen_range(-1.0..1.0),
-                )
-            })
-            .collect();
-        let root = BoundingBox::new(vec![-1.0, -1.0], vec![1.0, 1.0]);
-        let tree = HyperplaneQuadtree::build(
-            &hs,
-            root,
-            QuadtreeConfig {
-                max_capacity: 4,
-                ..QuadtreeConfig::default()
-            },
-        );
-        let mut bytes = Vec::new();
-        tree.encode_into(&mut bytes);
-        let mut cur = Cursor::new(&bytes);
-        let back = HyperplaneQuadtree::decode(&mut cur).unwrap();
-        cur.finish().unwrap();
-        assert_eq!(back.config(), tree.config());
-        assert_eq!(back.root_cell(), tree.root_cell());
-        assert_eq!(back.node_count(), tree.node_count());
-        assert_eq!(back.entry_count(), tree.entry_count());
-        assert_eq!(back.depth(), tree.depth());
-        // The decoded tree answers every probe identically.
-        for _ in 0..20 {
-            let x0 = rng.gen_range(-1.0..0.8);
-            let y0 = rng.gen_range(-1.0..0.8);
-            let q = BoundingBox::new(
-                vec![x0, y0],
-                vec![x0 + rng.gen_range(0.01..0.3), y0 + rng.gen_range(0.01..0.3)],
-            );
-            assert_eq!(back.query(&hs, &q), tree.query(&hs, &q), "box {q:?}");
-        }
-        // Re-encoding reproduces the bytes exactly (the golden-file property).
-        let mut again = Vec::new();
-        back.encode_into(&mut again);
-        assert_eq!(again, bytes);
-    }
-
-    #[test]
-    fn snapshot_decode_is_total_on_hostile_input() {
-        let hs = vec![line(1.0, -1.0, 0.0), line(0.0, 1.0, -0.25)];
-        let tree = HyperplaneQuadtree::build(&hs, unit_box(), QuadtreeConfig::default());
-        let mut bytes = Vec::new();
-        tree.encode_into(&mut bytes);
-        // Every truncation errors cleanly.
-        for cut in 0..bytes.len() {
-            assert!(
-                HyperplaneQuadtree::decode(&mut Cursor::new(&bytes[..cut])).is_err(),
-                "prefix of {cut} bytes must not decode"
-            );
-        }
-        // A forward-pointing child range is required: rewire the root to
-        // reference itself and the decoder must refuse (this is what keeps
-        // traversal of decoded arenas terminating).
-        let mut evil = Vec::new();
-        let evil_tree = {
-            let mut t = tree.clone();
-            t.nodes[0].first_child = 0;
-            t.nodes[0].child_count = 1;
-            t
-        };
-        evil_tree.encode_into(&mut evil);
-        assert!(matches!(
-            HyperplaneQuadtree::decode(&mut Cursor::new(&evil)),
-            Err(PersistError::Malformed(m)) if m.contains("child range")
-        ));
-        // An entry id beyond the slab is rejected.
-        let mut evil = Vec::new();
-        let evil_tree = {
-            let mut t = tree.clone();
-            if t.entries.is_empty() {
-                t.entries.push(99);
-                t.nodes[0].entries_start = 0;
-                t.nodes[0].entries_end = 1;
-            } else {
-                t.entries[0] = 99;
-            }
-            t
-        };
-        evil_tree.encode_into(&mut evil);
-        assert!(matches!(
-            HyperplaneQuadtree::decode(&mut Cursor::new(&evil)),
-            Err(PersistError::Malformed(m)) if m.contains("out of range")
-        ));
     }
 
     #[test]

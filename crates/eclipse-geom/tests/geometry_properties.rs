@@ -276,11 +276,12 @@ proptest! {
         prop_assert_eq!(&walked, &expected);
     }
 
-    /// Parallel construction is byte-identical to serial construction: for
+    /// Parallel construction is identical to serial construction: for
     /// random hyperplane sets — including a clustered bundle dense enough to
     /// push deep levels past the parallel-dispatch threshold, and degenerate
-    /// all-zero rows — building on a 1-thread and a 4-thread pool yields the
-    /// same snapshot bytes under every split/cut rule, both unbounded and
+    /// all-zero rows — building on a 1-thread and a 4-thread pool yields
+    /// equal arenas (slab, nodes, cells, entries, root cell, config and
+    /// reached depth) under every split/cut rule, both unbounded and
     /// with node/entry budgets small enough to truncate a frontier level
     /// mid-chunk (the final-chunk case where `SampledCrossings` draws used
     /// to depend on how much budget earlier nodes had consumed).
@@ -324,23 +325,19 @@ proptest! {
                     QuadtreeConfig { max_capacity: cap, split, ..QuadtreeConfig::default() };
                 config.max_nodes = config.max_nodes.min(nodes_budget);
                 config.max_entries = config.max_entries.min(entries_budget);
-                let mut bytes = Vec::new();
-                HyperplaneQuadtree::build_from_slab_with(
+                let serial = HyperplaneQuadtree::build_from_slab_with(
                     HyperplaneSlab::from_hyperplanes(&hs),
                     root.clone(),
                     config,
                     Some(&single),
-                )
-                .encode_into(&mut bytes);
-                let mut par_bytes = Vec::new();
-                HyperplaneQuadtree::build_from_slab_with(
+                );
+                let pooled = HyperplaneQuadtree::build_from_slab_with(
                     HyperplaneSlab::from_hyperplanes(&hs),
                     root.clone(),
                     config,
                     Some(&quad_pool),
-                )
-                .encode_into(&mut par_bytes);
-                prop_assert_eq!(&bytes, &par_bytes, "quadtree {:?} budgets {:?}",
+                );
+                prop_assert!(serial == pooled, "quadtree {:?} budgets {:?}",
                     split, (nodes_budget, entries_budget));
             }
             for cut in [CutRule::SampledCrossings, CutRule::MedianExtents] {
@@ -348,23 +345,19 @@ proptest! {
                     CuttingTreeConfig { max_capacity: cap, cut, ..CuttingTreeConfig::default() };
                 config.max_nodes = config.max_nodes.min(nodes_budget);
                 config.max_entries = config.max_entries.min(entries_budget);
-                let mut bytes = Vec::new();
-                CuttingTree::build_from_slab_with(
+                let serial = CuttingTree::build_from_slab_with(
                     HyperplaneSlab::from_hyperplanes(&hs),
                     root.clone(),
                     config,
                     Some(&single),
-                )
-                .encode_into(&mut bytes);
-                let mut par_bytes = Vec::new();
-                CuttingTree::build_from_slab_with(
+                );
+                let pooled = CuttingTree::build_from_slab_with(
                     HyperplaneSlab::from_hyperplanes(&hs),
                     root.clone(),
                     config,
                     Some(&quad_pool),
-                )
-                .encode_into(&mut par_bytes);
-                prop_assert_eq!(&bytes, &par_bytes, "cutting {:?} budgets {:?}",
+                );
+                prop_assert!(serial == pooled, "cutting {:?} budgets {:?}",
                     cut, (nodes_budget, entries_budget));
             }
         }

@@ -56,9 +56,12 @@ pub const MAGIC: [u8; 8] = *b"ECLSNAP\0";
 /// * **4** — the section checksum became the 4-lane word hash of
 ///   [`section_checksum_versioned`] in place of byte-serial FNV-1a, so a
 ///   restore verifies at memory speed.
+/// * **5** — an index snapshot holds the skyline and its hyperplane slab
+///   only: the index-config and tree-arena sections are gone, since no probe
+///   reads a tree.
 ///
-/// Versions 1 to 3 are no longer read.
-pub const FORMAT_VERSION: u32 = 4;
+/// Versions 1 to 4 are no longer read.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Everything that can go wrong while decoding a snapshot.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -288,16 +291,6 @@ pub mod enc {
 /// Fixed-offset reads inside one fixed-width record (the reader side of a
 /// run of records taken with [`Cursor::records`]).
 pub mod dec {
-    /// The `u32le` at byte offset `at` of `record`.
-    ///
-    /// # Panics
-    /// Panics when `record` is shorter than `at + 4` bytes; record widths are
-    /// fixed by the decoder, never read from the input.
-    #[inline]
-    pub fn u32_at(record: &[u8], at: usize) -> u32 {
-        u32::from_le_bytes(record[at..at + 4].try_into().expect("4-byte field"))
-    }
-
     /// The `f64` (IEEE-754 bits, `u64le`) at byte offset `at` of `record`.
     ///
     /// # Panics
@@ -418,14 +411,6 @@ impl<'a> Cursor<'a> {
     /// [`PersistError::Truncated`] when fewer than `8·n` bytes remain.
     pub fn f64_vec(&mut self, n: usize) -> PersistResult<Vec<f64>> {
         Ok(self.records(n, 8)?.map(|r| dec::f64_at(r, 0)).collect())
-    }
-
-    /// Reads exactly `n` `u32`s.
-    ///
-    /// # Errors
-    /// [`PersistError::Truncated`] when fewer than `4·n` bytes remain.
-    pub fn u32_vec(&mut self, n: usize) -> PersistResult<Vec<u32>> {
-        Ok(self.records(n, 4)?.map(|r| dec::u32_at(r, 0)).collect())
     }
 
     /// Consumes `count` records of `width` bytes each in one bounds check and
@@ -706,7 +691,7 @@ mod tests {
         assert!(SnapshotReader::parse(&restamp(&sample(), FORMAT_VERSION))
             .unwrap()
             .has(0x01));
-        for found in [1, 2, 3, FORMAT_VERSION + 1] {
+        for found in [1, 2, 3, 4, FORMAT_VERSION + 1] {
             assert_eq!(
                 SnapshotReader::parse(&restamp(&sample(), found)),
                 Err(PersistError::UnsupportedVersion { found }),
@@ -720,8 +705,8 @@ mod tests {
         // The version participates in every section checksum, and the
         // reader accepts only the current version: rewriting the header
         // version without re-checksumming must fail, including the
-        // single-bit neighbours of 4 (0, 5 and 6).
-        for other in [0, 5, 6] {
+        // single-bit neighbours of 5 (1, 4 and 7).
+        for other in [1, 4, 7] {
             let mut bytes = sample();
             bytes[8..12].copy_from_slice(&u32::to_le_bytes(other));
             assert!(
@@ -809,7 +794,12 @@ mod tests {
         let decoded: Vec<(u32, u64)> = cur
             .records(2, 12)
             .unwrap()
-            .map(|r| (dec::u32_at(r, 0), dec::f64_at(r, 4).to_bits()))
+            .map(|r| {
+                (
+                    u32::from_le_bytes(r[..4].try_into().unwrap()),
+                    dec::f64_at(r, 4).to_bits(),
+                )
+            })
             .collect();
         assert_eq!(decoded, [(7, 1.5f64.to_bits()), (9, (-0.0f64).to_bits())]);
         assert_eq!(cur.u8().unwrap(), 0xaa);

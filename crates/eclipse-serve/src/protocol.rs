@@ -177,8 +177,12 @@ impl From<io::Error> for ProtocolError {
 /// Result alias for codec operations.
 pub type ProtocolResult<T> = std::result::Result<T, ProtocolError>;
 
-/// Which Intersection Index backs an engine's warm-up / explicit build, as
-/// spoken on the wire.
+/// The paper's Intersection Index kinds, as spoken on the wire.
+///
+/// A label: the server keeps one slab index per dataset, and every request
+/// carrying a kind (`LoadDataset`, `BuildIndex`, `SaveIndex`,
+/// `RestoreIndex`) accepts either kind for it.  The byte layout is that of
+/// protocol v2, unchanged.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum IndexKind {
     /// The line quadtree / hyperplane octree (the paper's QUAD).
@@ -256,14 +260,16 @@ pub enum Request {
         dim: u32,
         /// Row-major coordinates, `dim` per point.
         coords: Vec<f64>,
-        /// Which Intersection Index to build at registration.
+        /// Which Intersection Index to build at registration (a label:
+        /// either kind builds the one index).
         warm: IndexKind,
     },
-    /// Eagerly builds (and caches) the index of the given kind.
+    /// Eagerly builds (and caches) the dataset's index.
     BuildIndex {
         /// Dataset name.
         name: String,
-        /// Which index to build.
+        /// Which index to build (a label: either kind names the one index,
+        /// and it is echoed in the acknowledgement).
         kind: IndexKind,
     },
     /// A batch of eclipse queries, answered through the engine's batched
@@ -282,26 +288,28 @@ pub enum Request {
         /// One weight-ratio box per probe.
         boxes: Vec<WireBox>,
     },
-    /// Writes a versioned snapshot of the dataset plus its built index of
-    /// the given kind into the server's `--snapshot-dir` (building the
+    /// Writes a versioned snapshot of the dataset plus its built index into
+    /// the dataset's one file in the server's `--snapshot-dir` (building the
     /// index first if needed).  Answered with [`Response::SnapshotSaved`];
     /// an error if the server has no snapshot directory.
     SaveIndex {
         /// Dataset name.
         name: String,
-        /// Which index to snapshot.
+        /// Which index to snapshot (a label: either kind writes the same
+        /// file).
         kind: IndexKind,
     },
-    /// Restores a previously saved index of the given kind from the
-    /// server's `--snapshot-dir` into the named dataset's engine.  The
-    /// snapshot is validated against the registered dataset first — a
-    /// snapshot of different data or an incompatible configuration is
-    /// answered with an [`Response::Error`] instead of serving wrong
-    /// results.  Answered with [`Response::IndexBuilt`].
+    /// Restores the dataset's previously saved index from the server's
+    /// `--snapshot-dir` into the named dataset's engine.  The snapshot is
+    /// validated against the registered dataset first — a snapshot of
+    /// different data or another epoch is answered with an
+    /// [`Response::Error`] instead of serving wrong results.  Answered with
+    /// [`Response::IndexBuilt`].
     RestoreIndex {
         /// Dataset name.
         name: String,
-        /// Which index to restore.
+        /// Which index to restore (a label: either kind reads the same file,
+        /// and it is echoed in the acknowledgement).
         kind: IndexKind,
     },
     /// Scans the server's `--snapshot-dir` and restores **every** stored
@@ -423,15 +431,16 @@ pub struct DatasetSummary {
 /// The acknowledgement of a [`Request::BuildIndex`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IndexSummary {
-    /// Which index was built (or found cached).
+    /// The kind label of the request, echoed.
     pub kind: IndexKind,
     /// Skyline size.
     pub skyline_len: u64,
     /// Indexed intersection hyperplanes.
     pub intersections: u64,
-    /// Arena node count of the backing tree.
+    /// Always 0: the index holds no tree.  The field keeps the v2 byte
+    /// layout unchanged.
     pub nodes: u64,
-    /// Depth of the backing tree.
+    /// Always 0, like `nodes`.
     pub depth: u32,
 }
 
@@ -448,17 +457,18 @@ pub struct DatasetStats {
     pub skyline_len: u64,
     /// Intersection hyperplanes of the skyline.
     pub intersections: u64,
-    /// How many of those actually cross the indexed region of ratio space
-    /// (gathered by a sweep over the index's slab).
+    /// How many of those actually cross the region `[0, 16]^{d−1}` of ratio
+    /// space (gathered by a sweep over the index's slab).
     pub root_crossings: u64,
-    /// Whether the quadtree index is built.
+    /// Whether the dataset's index is built (reported under both kind
+    /// labels).
     pub quad_built: bool,
-    /// Whether the cutting-tree index is built.
+    /// Whether the dataset's index is built; always equal to `quad_built`.
     pub cutting_built: bool,
     /// Mutation epoch of the dataset: 0 at registration, +1 per applied
     /// insert/delete.
     pub epoch: u64,
-    /// Accounted heap bytes of the dataset's engine (points, cached indexes,
+    /// Accounted heap bytes of the dataset's engine (points, cached index,
     /// skyline cache); 0 while evicted.
     pub bytes: u64,
     /// `false` when the dataset is currently evicted to its snapshot under

@@ -26,7 +26,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use eclipse_core::exec::{ExecutionContext, QueryOptions};
-use eclipse_core::index::IntersectionIndexKind;
+use eclipse_core::index::EclipseIndex;
 use eclipse_core::point::Point;
 use eclipse_core::{EclipseEngine, EclipseError, WeightRatioBox};
 
@@ -36,7 +36,7 @@ use crate::protocol::{
 };
 
 /// One registered dataset in the residency tier: its engine while resident,
-/// or a summary of it while evicted to its snapshot files.
+/// or a summary of it while evicted to its snapshot file.
 struct DatasetSlot {
     name: String,
     /// Logical LRU stamp: the value of [`ServerState::lru_clock`] at the
@@ -57,29 +57,10 @@ enum Residency {
 /// directory already holds for it.
 struct ResidentDataset {
     engine: Arc<EclipseEngine>,
-    /// The dataset epoch the on-disk snapshot of each index kind covers
-    /// (`None`: no file written during this residency).  Eviction re-writes
-    /// a built kind's snapshot unless its entry matches the current epoch —
-    /// the snapshot-if-dirty check.
-    saved_quad: Option<u64>,
-    saved_cutting: Option<u64>,
-}
-
-impl ResidentDataset {
-    fn fresh(engine: Arc<EclipseEngine>) -> Self {
-        ResidentDataset {
-            engine,
-            saved_quad: None,
-            saved_cutting: None,
-        }
-    }
-
-    fn saved_mut(&mut self, kind: IndexKind) -> &mut Option<u64> {
-        match kind {
-            IndexKind::Quadtree => &mut self.saved_quad,
-            IndexKind::CuttingTree => &mut self.saved_cutting,
-        }
-    }
+    /// The dataset epoch the on-disk snapshot covers (`None`: no file
+    /// written during this residency).  Eviction re-writes the snapshot
+    /// unless this matches the current epoch — the snapshot-if-dirty check.
+    saved: Option<u64>,
 }
 
 /// What `Stats` reports about an evicted dataset.
@@ -89,10 +70,25 @@ struct EvictedStats {
     dim: u32,
     skyline_len: u64,
     intersections: u64,
-    quad_built: bool,
-    cutting_built: bool,
+    built: bool,
     epoch: u64,
 }
+
+/// The acknowledgement of a build or restore of the index under the `kind`
+/// label.  No tree exists, so `nodes` and `depth` are 0.
+fn index_summary(kind: IndexKind, index: &EclipseIndex) -> IndexSummary {
+    IndexSummary {
+        kind,
+        skyline_len: index.skyline_len() as u64,
+        intersections: index.num_intersections() as u64,
+        nodes: 0,
+        depth: 0,
+    }
+}
+
+/// `Stats` counts the intersection hyperplanes crossing `[0, 16]^{d−1}`,
+/// the region of ratio space the paper's trees index by default.
+const CROSSING_REGION_MAX_RATIO: f64 = 16.0;
 
 /// Internal error type of the request handlers: either an engine error
 /// (answered as [`Response::Error`]) or an already-typed response such as
@@ -214,7 +210,7 @@ impl ServerState {
     }
 
     /// The slot's engine, transparently restoring an evicted dataset from
-    /// its snapshot files.  The caller must hold the slot's state lock —
+    /// its snapshot file.  The caller must hold the slot's state lock —
     /// which is exactly what makes eviction safe against concurrent
     /// mutations (both sides take the same lock).
     fn make_resident(
@@ -238,10 +234,10 @@ impl ServerState {
     }
 
     /// Rebuilds a [`ResidentDataset`] for an evicted dataset from its
-    /// snapshot files (both index kinds when both exist).  Failing this —
-    /// no snapshot directory, no file, or undecodable bytes — is the one
-    /// condition the residency tier cannot hide, reported as the `Err`
-    /// reason of a [`Response::DatasetUnavailable`].
+    /// snapshot file.  Failing this — no snapshot directory, no file, or
+    /// undecodable bytes — is the one condition the residency tier cannot
+    /// hide, reported as the `Err` reason of a
+    /// [`Response::DatasetUnavailable`].
     fn restore_evicted(&self, name: &str) -> Result<ResidentDataset, String> {
         let Some(dir) = self
             .snapshot_dir
@@ -251,44 +247,22 @@ impl ServerState {
         else {
             return Err("evicted, and this server has no --snapshot-dir to restore from".into());
         };
-        let mut resident: Option<ResidentDataset> = None;
-        let mut attempts: Vec<String> = Vec::new();
-        for kind in [IndexKind::Quadtree, IndexKind::CuttingTree] {
-            let path = Self::snapshot_path(&dir, name, kind);
-            let bytes = match std::fs::read(&path) {
-                Ok(bytes) => bytes,
-                Err(e) => {
-                    attempts.push(format!("{}: {e}", path.display()));
-                    continue;
-                }
-            };
-            match &mut resident {
-                None => match EclipseEngine::from_snapshot(&bytes) {
-                    Ok((label, engine)) if label == name => {
-                        let engine = engine.with_execution_context(self.exec.clone());
-                        let epoch = engine.epoch();
-                        let mut r = ResidentDataset::fresh(Arc::new(engine));
-                        *r.saved_mut(kind) = Some(epoch);
-                        resident = Some(r);
-                    }
-                    Ok((label, _)) => {
-                        attempts.push(format!(
-                            "{}: holds dataset {label:?}, not {name:?}",
-                            path.display()
-                        ));
-                    }
-                    Err(e) => attempts.push(format!("{}: {e}", path.display())),
-                },
-                Some(r) => {
-                    // The second kind is best-effort: a stale companion file
-                    // must not fail the restore of a healthy dataset.
-                    if r.engine.restore_index_snapshot(&bytes).is_ok() {
-                        *r.saved_mut(kind) = Some(r.engine.epoch());
-                    }
-                }
+        let path = Self::snapshot_path(&dir, name);
+        let bytes = std::fs::read(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+        match EclipseEngine::from_snapshot(&bytes) {
+            Ok((label, engine)) if label == name => {
+                let engine = engine.with_execution_context(self.exec.clone());
+                Ok(ResidentDataset {
+                    saved: Some(engine.epoch()),
+                    engine: Arc::new(engine),
+                })
             }
+            Ok((label, _)) => Err(format!(
+                "{}: holds dataset {label:?}, not {name:?}",
+                path.display()
+            )),
+            Err(e) => Err(format!("{}: {e}", path.display())),
         }
-        resident.ok_or_else(|| format!("no restorable snapshot ({})", attempts.join("; ")))
     }
 
     /// Runs `f` against the named dataset's resident state, restoring it
@@ -378,35 +352,16 @@ impl ServerState {
             return Ok(());
         };
         let epoch = r.engine.epoch();
-        let quad_built = r
-            .engine
-            .cached_index(IntersectionIndexKind::Quadtree)
-            .is_some();
-        let cutting_built = r
-            .engine
-            .cached_index(IntersectionIndexKind::CuttingTree)
-            .is_some();
-        if quad_built && r.saved_quad != Some(epoch) {
-            self.write_snapshot(&r.engine, &slot.name, IndexKind::Quadtree)?;
-            r.saved_quad = Some(epoch);
+        // Snapshot unless the file already holds this epoch; with no index
+        // warm for the current epoch (possible after mutations left only a
+        // stale one), `save_snapshot` builds it.
+        if r.saved != Some(epoch) {
+            self.write_snapshot(&r.engine, &slot.name)?;
+            r.saved = Some(epoch);
         }
-        if cutting_built && r.saved_cutting != Some(epoch) {
-            self.write_snapshot(&r.engine, &slot.name, IndexKind::CuttingTree)?;
-            r.saved_cutting = Some(epoch);
-        }
-        if !quad_built && !cutting_built {
-            // No index is warm for the current epoch (possible after
-            // mutations left only stale slots): snapshot the engine's
-            // default kind — `save_snapshot` builds it as needed.
-            let kind = IndexKind::from(r.engine.index_config().kind);
-            self.write_snapshot(&r.engine, &slot.name, kind)?;
-            *r.saved_mut(kind) = Some(epoch);
-        }
-        let index = r
-            .engine
-            .cached_index(IntersectionIndexKind::Quadtree)
-            .or_else(|| r.engine.cached_index(IntersectionIndexKind::CuttingTree));
+        let index = r.engine.cached_index();
         let (skyline_len, intersections) = index
+            .as_ref()
             .map(|i| (i.skyline_len() as u64, i.num_intersections() as u64))
             .unwrap_or((0, 0));
         let stats = EvictedStats {
@@ -414,14 +369,7 @@ impl ServerState {
             dim: r.engine.dim() as u32,
             skyline_len,
             intersections,
-            quad_built: r
-                .engine
-                .cached_index(IntersectionIndexKind::Quadtree)
-                .is_some(),
-            cutting_built: r
-                .engine
-                .cached_index(IntersectionIndexKind::CuttingTree)
-                .is_some(),
+            built: index.is_some(),
             epoch,
         };
         *st = Residency::Evicted(stats);
@@ -457,7 +405,10 @@ impl ServerState {
         let slot = Arc::new(DatasetSlot {
             name: name.to_string(),
             last_used: AtomicU64::new(0),
-            state: Mutex::new(Residency::Resident(ResidentDataset::fresh(engine))),
+            state: Mutex::new(Residency::Resident(ResidentDataset {
+                engine,
+                saved: None,
+            })),
         });
         self.touch(&slot);
         self.datasets
@@ -485,7 +436,7 @@ impl ServerState {
             Request::BuildIndex { name, kind } => self.build_index(&name, kind),
             Request::QueryBatch { name, boxes } => self.query_batch(&name, &boxes),
             Request::CountBatch { name, boxes } => self.count_batch(&name, &boxes),
-            Request::SaveIndex { name, kind } => self.save_index(&name, kind),
+            Request::SaveIndex { name, .. } => self.save_index(&name),
             Request::RestoreIndex { name, kind } => self.restore_index(&name, kind),
             Request::LoadSnapshots => self
                 .load_snapshots()
@@ -537,16 +488,11 @@ impl ServerState {
     fn build_index(&self, name: &str, kind: IndexKind) -> Result<Response, ServeError> {
         let engine = self.engine(name)?;
         let index = engine.build_index(kind.into())?;
-        // A second backend can double the dataset's footprint; re-check the
-        // budget (the fresh build is protected as most-recently-used).
+        // A build after mutations left only a stale index grows the
+        // footprint; re-check the budget (the fresh build is protected as
+        // most-recently-used).
         self.enforce_budget(Some(name));
-        Ok(Response::IndexBuilt(IndexSummary {
-            kind,
-            skyline_len: index.skyline_len() as u64,
-            intersections: index.num_intersections() as u64,
-            nodes: index.backend_nodes() as u64,
-            depth: index.backend_depth() as u32,
-        }))
+        Ok(Response::IndexBuilt(index_summary(kind, &index)))
     }
 
     fn insert(&self, name: &str, coords: Vec<f64>) -> Result<Response, ServeError> {
@@ -616,13 +562,13 @@ impl ServerState {
         ))
     }
 
-    /// The on-disk file a dataset/kind pair snapshots to.  The dataset name
+    /// The on-disk file a dataset snapshots to.  The dataset name
     /// is sanitized for the filesystem — and when sanitization had to change
     /// anything, a hash of the raw name is appended so distinct names (e.g.
     /// `a/b` vs `a_b`) can never collide onto one file.  The authoritative
     /// name lives inside the snapshot and is re-read on
     /// [`ServerState::load_snapshots`].
-    fn snapshot_path(dir: &std::path::Path, name: &str, kind: IndexKind) -> PathBuf {
+    fn snapshot_path(dir: &std::path::Path, name: &str) -> PathBuf {
         let safe: String = name
             .chars()
             .map(|c| {
@@ -638,25 +584,16 @@ impl ServerState {
         } else {
             format!("-{:08x}", eclipse_persist::fnv1a(name.as_bytes()) as u32)
         };
-        let suffix = match kind {
-            IndexKind::Quadtree => "quad",
-            IndexKind::CuttingTree => "cutting",
-        };
-        dir.join(format!("{safe}{disambiguator}-{suffix}.eclsnap"))
+        dir.join(format!("{safe}{disambiguator}.eclsnap"))
     }
 
     /// Encodes and atomically writes one snapshot file, returning its size.
-    fn write_snapshot(
-        &self,
-        engine: &EclipseEngine,
-        name: &str,
-        kind: IndexKind,
-    ) -> Result<u64, EclipseError> {
+    fn write_snapshot(&self, engine: &EclipseEngine, name: &str) -> Result<u64, EclipseError> {
         let dir = self.snapshot_dir()?;
-        let bytes = engine.save_snapshot(name, kind.into())?;
+        let bytes = engine.save_snapshot(name, Default::default())?;
         std::fs::create_dir_all(&dir)
             .map_err(|e| EclipseError::Snapshot(format!("create {}: {e}", dir.display())))?;
-        let path = Self::snapshot_path(&dir, name, kind);
+        let path = Self::snapshot_path(&dir, name);
         // Write-then-rename so a crash mid-save can never leave a truncated
         // file at the canonical name (a torn snapshot would otherwise be
         // skipped — loudly — by every later warm restart).  The temp name is
@@ -675,13 +612,13 @@ impl ServerState {
         Ok(bytes.len() as u64)
     }
 
-    fn save_index(&self, name: &str, kind: IndexKind) -> Result<Response, ServeError> {
+    fn save_index(&self, name: &str) -> Result<Response, ServeError> {
         // Under the state lock mutations are excluded, so the epoch recorded
         // against the written file is exactly the epoch inside it.
         self.with_resident(name, |st, engine| {
-            let bytes = self.write_snapshot(&engine, name, kind)?;
+            let bytes = self.write_snapshot(&engine, name)?;
             if let Residency::Resident(r) = st {
-                *r.saved_mut(kind) = Some(engine.epoch());
+                r.saved = Some(engine.epoch());
             }
             Ok(Response::SnapshotSaved { bytes })
         })
@@ -690,42 +627,26 @@ impl ServerState {
     fn restore_index(&self, name: &str, kind: IndexKind) -> Result<Response, ServeError> {
         self.with_resident(name, |st, engine| {
             let dir = self.snapshot_dir()?;
-            let path = Self::snapshot_path(&dir, name, kind);
+            let path = Self::snapshot_path(&dir, name);
             let bytes = std::fs::read(&path)
                 .map_err(|e| EclipseError::Snapshot(format!("read {}: {e}", path.display())))?;
             let index = engine.restore_index_snapshot(&bytes)?;
-            if IndexKind::from(index.config().kind) != kind {
-                return Err(EclipseError::SnapshotMismatch {
-                    reason: format!(
-                        "snapshot at {} holds a {:?} index, {kind:?} was requested",
-                        path.display(),
-                        index.config().kind
-                    ),
-                }
-                .into());
-            }
             // The file just proved it matches the current dataset bits and
-            // epoch, so the on-disk copy of this kind is clean.
+            // epoch, so the on-disk copy is clean.
             if let Residency::Resident(r) = st {
-                *r.saved_mut(kind) = Some(engine.epoch());
+                r.saved = Some(engine.epoch());
             }
-            Ok(Response::IndexBuilt(IndexSummary {
-                kind,
-                skyline_len: index.skyline_len() as u64,
-                intersections: index.num_intersections() as u64,
-                nodes: index.backend_nodes() as u64,
-                depth: index.backend_depth() as u32,
-            }))
+            Ok(Response::IndexBuilt(index_summary(kind, &index)))
         })
     }
 
     /// Scans the snapshot directory and registers every `*.eclsnap` file —
     /// the warm-restart path: datasets and their built indexes come back
     /// without paying construction cost or needing `LoadDataset` traffic.
-    /// A second snapshot of an already-restored dataset (the other backend
-    /// kind) is restored into the existing engine after the same
-    /// dataset-identity validation the wire path uses; the label is peeked
-    /// cheaply first so each file is fully decoded exactly once.
+    /// A snapshot of an already-resident dataset is restored into the
+    /// existing engine after the same dataset-identity validation the wire
+    /// path uses; the label is peeked cheaply first so each file is fully
+    /// decoded exactly once.
     ///
     /// Restoration is per-file fault-tolerant: a corrupt, stale or
     /// inconsistent snapshot is **skipped** (reported in
@@ -771,24 +692,11 @@ impl ServerState {
             .cloned();
         let decode_fresh = |bytes: &[u8]| -> Result<ResidentDataset, EclipseError> {
             let (_, decoded) = EclipseEngine::from_snapshot(bytes)?;
-            let engine = Arc::new(decoded.with_execution_context(self.exec.clone()));
-            let epoch = engine.epoch();
-            let mut r = ResidentDataset::fresh(engine);
-            // Whatever kinds the file warm-loaded are, by construction, the
-            // on-disk state for this epoch.
-            if r.engine
-                .cached_index(IntersectionIndexKind::Quadtree)
-                .is_some()
-            {
-                r.saved_quad = Some(epoch);
-            }
-            if r.engine
-                .cached_index(IntersectionIndexKind::CuttingTree)
-                .is_some()
-            {
-                r.saved_cutting = Some(epoch);
-            }
-            Ok(r)
+            // The file is, by construction, the on-disk state for its epoch.
+            Ok(ResidentDataset {
+                saved: Some(decoded.epoch()),
+                engine: Arc::new(decoded.with_execution_context(self.exec.clone())),
+            })
         };
         let engine = match existing {
             Some(slot) => {
@@ -796,12 +704,11 @@ impl ServerState {
                 let mut st = slot.state.lock().expect("dataset slot poisoned");
                 match &mut *st {
                     Residency::Resident(r) => {
-                        // A second snapshot of a known dataset (the other
-                        // backend kind) restores into its engine instead of
-                        // replacing it, after the same identity validation
-                        // the wire path uses.
-                        let index = r.engine.restore_index_snapshot(&bytes)?;
-                        *r.saved_mut(IndexKind::from(index.config().kind)) = Some(r.engine.epoch());
+                        // A snapshot of a resident dataset restores into its
+                        // engine instead of replacing it, after the same
+                        // identity validation the wire path uses.
+                        r.engine.restore_index_snapshot(&bytes)?;
+                        r.saved = Some(r.engine.epoch());
                         Arc::clone(&r.engine)
                     }
                     Residency::Evicted(_) => {
@@ -829,11 +736,8 @@ impl ServerState {
                 engine
             }
         };
-        let kind = engine.index_config().kind;
         let index = engine
-            .cached_index(kind)
-            .or_else(|| engine.cached_index(IntersectionIndexKind::Quadtree))
-            .or_else(|| engine.cached_index(IntersectionIndexKind::CuttingTree))
+            .cached_index()
             .expect("a restored engine has a cached index");
         Ok((
             label,
@@ -847,8 +751,8 @@ impl ServerState {
     }
 
     fn stats(&self) -> StatsReport {
-        // Snapshot the registry first: the per-dataset numbers below walk
-        // whole index trees, which must not happen under the read lock (it
+        // Snapshot the registry first: the per-dataset numbers below sweep
+        // whole index slabs, which must not happen under the read lock (it
         // would block concurrent dataset registrations for the duration).
         // Stats never restores an evicted dataset (it reports the summary
         // captured at eviction) and never touches the LRU stamps — a
@@ -878,20 +782,14 @@ impl ServerState {
             };
             datasets.push(match row {
                 Row::Engine(engine) => {
-                    let quad = engine.cached_index(IntersectionIndexKind::Quadtree);
-                    let cutting = engine.cached_index(IntersectionIndexKind::CuttingTree);
-                    let quad_built = quad.is_some();
-                    let cutting_built = cutting.is_some();
-                    let index = quad.or(cutting);
+                    let index = engine.cached_index();
                     let (skyline_len, intersections, root_crossings) = match &index {
                         Some(idx) => {
-                            // The whole indexed region of ratio space (the
-                            // root node takes the contained-subtree fast
-                            // path), counted over the live skyline.
+                            // Counted over the live skyline.
                             let root = WeightRatioBox::uniform(
                                 engine.dim(),
                                 0.0,
-                                engine.index_config().max_ratio,
+                                CROSSING_REGION_MAX_RATIO,
                             )
                             .and_then(|b| idx.intersections_crossing(&b))
                             .unwrap_or(0);
@@ -908,8 +806,8 @@ impl ServerState {
                         skyline_len: skyline_len as u64,
                         intersections: intersections as u64,
                         root_crossings: root_crossings as u64,
-                        quad_built,
-                        cutting_built,
+                        quad_built: index.is_some(),
+                        cutting_built: index.is_some(),
                         epoch: engine.epoch(),
                         bytes,
                         resident: true,
@@ -921,11 +819,11 @@ impl ServerState {
                     dim: s.dim,
                     skyline_len: s.skyline_len,
                     intersections: s.intersections,
-                    // Computing crossings needs the tree; evicted rows
+                    // Computing crossings needs the slab; evicted rows
                     // report 0 rather than paying a restore.
                     root_crossings: 0,
-                    quad_built: s.quad_built,
-                    cutting_built: s.cutting_built,
+                    quad_built: s.built,
+                    cutting_built: s.built,
                     epoch: s.epoch,
                     bytes: 0,
                     resident: false,
@@ -1264,7 +1162,8 @@ mod tests {
         assert_eq!((d.points, d.dim), (4, 2));
         assert_eq!(d.skyline_len, 3);
         assert_eq!(d.intersections, 3);
-        assert!(d.quad_built && !d.cutting_built);
+        // Both flags report the one index.
+        assert!(d.quad_built && d.cutting_built);
         assert!(d.root_crossings <= d.intersections);
     }
 
@@ -1432,9 +1331,7 @@ mod tests {
             ),
             "{resp:?}"
         );
-        let index = engine
-            .cached_index(IntersectionIndexKind::Quadtree)
-            .unwrap();
+        let index = engine.cached_index().unwrap();
         assert!(index.overlay_rows() > 0, "the insert must leave an overlay");
         coords.extend_from_slice(&entrant);
         load("rebuilt", &coords);
@@ -1468,7 +1365,8 @@ mod tests {
         };
         assert_eq!(summary.kind, IndexKind::CuttingTree);
         assert_eq!(summary.skyline_len, 3);
-        assert!(summary.nodes >= 1);
+        // No tree exists: the v2 summary layout reports 0 nodes and depth.
+        assert_eq!((summary.nodes, summary.depth), (0, 0));
         let Response::Stats(report) = state.respond(Request::Stats) else {
             panic!("expected stats");
         };
@@ -1539,7 +1437,7 @@ mod tests {
             panic!("expected a snapshot ack, got {resp:?}");
         };
         assert!(bytes > 0);
-        assert!(dir.0.join("hotels-quad.eclsnap").exists());
+        assert!(dir.0.join("hotels.eclsnap").exists());
 
         // Restore into a fresh state that re-registered the same dataset.
         let fresh = loaded_state();
@@ -1603,6 +1501,7 @@ mod tests {
         });
         assert_eq!(resp, Response::QueryResults(vec![vec![0]]));
         // A missing snapshot file is an error response, not a panic.
+        std::fs::remove_file(dir.0.join("hotels.eclsnap")).unwrap();
         let resp = state.respond(Request::RestoreIndex {
             name: "hotels".to_string(),
             kind: IndexKind::CuttingTree,
@@ -1626,11 +1525,11 @@ mod tests {
         *cold.snapshot_dir.write().unwrap() = Some(dir.0.clone());
         let scan = cold.load_snapshots().unwrap();
         assert!(scan.skipped.is_empty(), "{:?}", scan.skipped);
-        assert_eq!(scan.restored.len(), 2, "one entry per snapshot file");
+        assert_eq!(scan.restored.len(), 1, "both kinds save one file");
         let Response::Stats(report) = cold.respond(Request::Stats) else {
             panic!("expected stats");
         };
-        assert_eq!(report.datasets.len(), 1, "both files restore one dataset");
+        assert_eq!(report.datasets.len(), 1);
         assert!(report.datasets[0].quad_built && report.datasets[0].cutting_built);
     }
 
@@ -1660,14 +1559,11 @@ mod tests {
     #[test]
     fn sanitized_name_collisions_cannot_overwrite_each_other() {
         let dir = PathBuf::from("/snapshots");
-        let a = ServerState::snapshot_path(&dir, "a/b", IndexKind::Quadtree);
-        let b = ServerState::snapshot_path(&dir, "a_b", IndexKind::Quadtree);
+        let a = ServerState::snapshot_path(&dir, "a/b");
+        let b = ServerState::snapshot_path(&dir, "a_b");
         assert_ne!(a, b, "distinct raw names must map to distinct files");
         // Deterministic: the same raw name always maps to the same file.
-        assert_eq!(
-            a,
-            ServerState::snapshot_path(&dir, "a/b", IndexKind::Quadtree)
-        );
+        assert_eq!(a, ServerState::snapshot_path(&dir, "a/b"));
     }
 
     #[test]
@@ -1675,14 +1571,14 @@ mod tests {
         let dir = PathBuf::from("/snapshots");
         // A name needing sanitization gets a hash disambiguator appended.
         let raw = "data/../set name";
-        let path = ServerState::snapshot_path(&dir, raw, IndexKind::Quadtree);
+        let path = ServerState::snapshot_path(&dir, raw);
         let expected = format!(
-            "data_.._set_name-{:08x}-quad.eclsnap",
+            "data_.._set_name-{:08x}.eclsnap",
             eclipse_persist::fnv1a(raw.as_bytes()) as u32
         );
         assert_eq!(path, dir.join(expected));
         // Already-safe names stay readable, with no disambiguator.
-        let path = ServerState::snapshot_path(&dir, "ok-1.2_x", IndexKind::CuttingTree);
-        assert_eq!(path, dir.join("ok-1.2_x-cutting.eclsnap"));
+        let path = ServerState::snapshot_path(&dir, "ok-1.2_x");
+        assert_eq!(path, dir.join("ok-1.2_x.eclsnap"));
     }
 }

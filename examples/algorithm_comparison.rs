@@ -1,5 +1,6 @@
-//! Algorithm comparison: run BASE, TRAN, QUAD and CUTTING on the same
-//! workload, verify they agree, and print a small timing table — a miniature,
+//! Algorithm comparison: run BASE, TRAN and the index-based algorithm (the
+//! paper's QUAD/CUTTING, answered by one slab index) on the same workload,
+//! verify they agree, and print a small timing table — a miniature,
 //! human-readable version of the paper's Figure 10 experiment.
 //!
 //! ```text
@@ -25,25 +26,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let algorithms = [
         ("BASE   (Algorithm 1)", Algorithm::Baseline),
         ("TRAN   (Algorithms 2-3)", Algorithm::Transform),
-        ("QUAD   (index, line quadtree)", Algorithm::IndexQuadtree),
-        ("CUTTING(index, cutting tree)", Algorithm::IndexCuttingTree),
+        (
+            "INDEX  (Algorithms 5-7, build + probe)",
+            Algorithm::IndexQuadtree,
+        ),
     ];
 
     let mut reference: Option<Vec<usize>> = None;
-    println!("{:<32} {:>12} {:>10}", "algorithm", "time", "results");
-    println!("{}", "-".repeat(58));
+    println!("{:<40} {:>12} {:>10}", "algorithm", "time", "results");
+    println!("{}", "-".repeat(66));
     for (label, alg) in algorithms {
         let start = Instant::now();
         let result = engine.eclipse_with(&ratio_box, alg)?;
         let elapsed = start.elapsed();
-        println!("{label:<32} {elapsed:>12.2?} {:>10}", result.len());
+        println!("{label:<40} {elapsed:>12.2?} {:>10}", result.len());
         match &reference {
             None => reference = Some(result),
             Some(expected) => assert_eq!(&result, expected, "{label} disagrees with BASE"),
         }
     }
     println!(
-        "\nall four algorithms returned the same {} eclipse points ✓",
+        "\nall three algorithms returned the same {} eclipse points ✓",
         reference.unwrap().len()
     );
 
@@ -53,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let start = Instant::now();
     let again = engine.eclipse_with(&narrow, Algorithm::IndexQuadtree)?;
     println!(
-        "re-querying the cached quadtree index with a narrower box: {:?} for {} points",
+        "re-querying the cached index with a narrower box: {:?} for {} points",
         start.elapsed(),
         again.len()
     );

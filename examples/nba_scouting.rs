@@ -27,13 +27,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &NBA_ATTRIBUTES[..d]
     );
 
-    // Build the quadtree index once: the scout will issue many queries.
+    // Build the index once: the scout will issue many queries.
     let index = engine.build_index(IntersectionIndexKind::Quadtree)?;
     println!(
-        "index: {} skyline players, {} intersection hyperplanes, depth {}\n",
+        "index: {} skyline players, {} intersection hyperplanes, {} KiB\n",
         index.skyline_len(),
         index.num_intersections(),
-        index.backend_depth()
+        index.heap_bytes() / 1024
     );
 
     let skyline = engine.skyline();

@@ -215,6 +215,16 @@ fn pre_v4_snapshots_are_unsupported_and_skipped_by_a_scan() {
         }
         std::fs::write(dir.path().join(format!("legacy{found}.eclsnap")), legacy).unwrap();
     }
+    // Format 4 (the last to hold a tree arena): the committed fixture.
+    std::fs::copy(
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/fixtures/inde-3d-v4.eclsnap"
+        ),
+        dir.path().join("legacy4.eclsnap"),
+    )
+    .unwrap();
+    let legacy_versions = [1u32, 2, 3, 4];
 
     // A warm-load scan skips every legacy file and still restores the
     // healthy one.

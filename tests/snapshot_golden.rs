@@ -1,7 +1,8 @@
 //! Golden-file suite for the snapshot format: small committed snapshot
-//! fixtures (per index backend, 2-D and 3-D) pin the byte-exact encoding
-//! across PRs, and decoding each fixture must answer queries identically to
-//! an index rebuilt from scratch.
+//! fixtures (2-D and 3-D) pin the byte-exact encoding across PRs, both kind
+//! labels write exactly those bytes, and decoding each fixture must answer
+//! queries identically to an index rebuilt from scratch.  A format-4
+//! fixture pins that older files are refused.
 //!
 //! If the format changes **deliberately** (bump
 //! [`eclipse_persist::FORMAT_VERSION`] and document the change in the README
@@ -22,7 +23,8 @@ use std::sync::OnceLock;
 
 use common::paper_hotels;
 use eclipse_core::index::IntersectionIndexKind;
-use eclipse_core::{EclipseEngine, Point, WeightRatioBox};
+use eclipse_core::{EclipseEngine, EclipseError, Point, WeightRatioBox};
+use eclipse_persist::PersistError;
 use rand::{Rng, SeedableRng};
 
 /// A deterministic 12-point 3-D dataset (fixed seed, vendored RNG), small
@@ -34,40 +36,19 @@ fn inde3d() -> Vec<Point> {
         .collect()
 }
 
-/// The fixture matrix: label, dataset, backend kind, fixture file name.
-fn cases() -> Vec<(
-    &'static str,
-    Vec<Point>,
-    IntersectionIndexKind,
-    &'static str,
-)> {
+/// The fixture matrix: label, dataset, fixture file name.
+fn cases() -> Vec<(&'static str, Vec<Point>, &'static str)> {
     vec![
-        (
-            "hotels",
-            paper_hotels(),
-            IntersectionIndexKind::Quadtree,
-            "hotels-2d-quad.eclsnap",
-        ),
-        (
-            "hotels",
-            paper_hotels(),
-            IntersectionIndexKind::CuttingTree,
-            "hotels-2d-cutting.eclsnap",
-        ),
-        (
-            "inde",
-            inde3d(),
-            IntersectionIndexKind::Quadtree,
-            "inde-3d-quad.eclsnap",
-        ),
-        (
-            "inde",
-            inde3d(),
-            IntersectionIndexKind::CuttingTree,
-            "inde-3d-cutting.eclsnap",
-        ),
+        ("hotels", paper_hotels(), "hotels-2d.eclsnap"),
+        ("inde", inde3d(), "inde-3d.eclsnap"),
     ]
 }
+
+/// Both kind labels, which must write the same bytes.
+const KINDS: [IntersectionIndexKind; 2] = [
+    IntersectionIndexKind::Quadtree,
+    IntersectionIndexKind::CuttingTree,
+];
 
 fn fixture_path(file: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -92,9 +73,9 @@ fn ensure_fixtures() {
         if std::env::var_os("ECLIPSE_UPDATE_FIXTURES").is_none() {
             return;
         }
-        for (label, points, kind, file) in cases() {
+        for (label, points, file) in cases() {
             let engine = EclipseEngine::new(points).unwrap();
-            let bytes = engine.save_snapshot(label, kind).unwrap();
+            let bytes = engine.save_snapshot(label, KINDS[0]).unwrap();
             let path = fixture_path(file);
             std::fs::create_dir_all(path.parent().unwrap()).unwrap();
             std::fs::write(&path, &bytes).unwrap();
@@ -115,16 +96,18 @@ fn read_fixture(file: &str) -> Vec<u8> {
 /// orphaning every snapshot in the field.
 #[test]
 fn encode_is_byte_identical_to_the_committed_fixtures() {
-    for (label, points, kind, file) in cases() {
+    for (label, points, file) in cases() {
         let golden = read_fixture(file);
-        let engine = EclipseEngine::new(points).unwrap();
-        let bytes = engine.save_snapshot(label, kind).unwrap();
-        assert_eq!(
-            bytes, golden,
-            "snapshot encoding of {label}/{kind:?} no longer matches {file}; if this is a \
-             deliberate format change, bump FORMAT_VERSION and regenerate with \
-             ECLIPSE_UPDATE_FIXTURES=1"
-        );
+        for kind in KINDS {
+            let engine = EclipseEngine::new(points.clone()).unwrap();
+            let bytes = engine.save_snapshot(label, kind).unwrap();
+            assert_eq!(
+                bytes, golden,
+                "snapshot encoding of {label}/{kind:?} no longer matches {file}; if this is a \
+                 deliberate format change, bump FORMAT_VERSION and regenerate with \
+                 ECLIPSE_UPDATE_FIXTURES=1"
+            );
+        }
     }
 }
 
@@ -133,14 +116,14 @@ fn encode_is_byte_identical_to_the_committed_fixtures() {
 /// engine rebuilt from the raw points.
 #[test]
 fn decoded_fixtures_answer_identically_to_fresh_rebuilds() {
-    for (label, points, kind, file) in cases() {
+    for (label, points, file) in cases() {
         let golden = read_fixture(file);
         let (stored_label, restored) = EclipseEngine::from_snapshot(&golden).unwrap();
         assert_eq!(stored_label, label);
-        assert!(restored.cached_index(kind).is_some(), "{file} warm-loads");
+        assert!(restored.cached_index().is_some(), "{file} warm-loads");
 
         let rebuilt = EclipseEngine::new(points).unwrap();
-        rebuilt.build_index(kind).unwrap();
+        rebuilt.build_index(KINDS[0]).unwrap();
         assert_eq!(restored.len(), rebuilt.len());
         assert_eq!(restored.dim(), rebuilt.dim());
         for b in probe_boxes(rebuilt.dim()) {
@@ -163,17 +146,33 @@ fn decoded_fixtures_answer_identically_to_fresh_rebuilds() {
 /// decode → encode is the identity on the on-disk representation.
 #[test]
 fn fixtures_re_encode_byte_exactly() {
-    for (label, _points, kind, file) in cases() {
+    for (label, _points, file) in cases() {
         let golden = read_fixture(file);
         let (stored_label, restored) = EclipseEngine::from_snapshot(&golden).unwrap();
-        assert_eq!(restored.save_snapshot(&stored_label, kind).unwrap(), golden);
+        for kind in KINDS {
+            assert_eq!(restored.save_snapshot(&stored_label, kind).unwrap(), golden);
+        }
         assert_eq!(stored_label, label);
     }
 }
 
-/// A deterministic 1024-point 3-D dataset: large enough that the arena
-/// buffers grow through many reallocations, so a change in how a builder
-/// fills them shows up in the accounted capacities.
+/// The committed format-4 snapshot of the 3-D dataset (a QUAD index with
+/// its tree arena) is refused as an unsupported version, in-process as on
+/// a server's warm-load scan (`serve_snapshot_restart`).
+#[test]
+fn format_4_fixture_is_an_unsupported_version() {
+    let v4 = read_fixture("inde-3d-v4.eclsnap");
+    let unsupported = PersistError::UnsupportedVersion { found: 4 }.to_string();
+    match EclipseEngine::from_snapshot(&v4) {
+        Err(EclipseError::Snapshot(m)) => assert_eq!(m, unsupported),
+        other => panic!("expected UnsupportedVersion, got {other:?}"),
+    }
+    assert!(EclipseEngine::snapshot_label(&v4).is_err());
+}
+
+/// A deterministic 1024-point 3-D dataset: large enough that the slab
+/// buffers hold hundreds of rows, so a change in how a build sizes them
+/// shows up in the accounted capacities.
 fn inde3d_1k() -> Vec<Point> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(20210619);
     (0..1024)
@@ -186,25 +185,23 @@ fn inde3d_1k() -> Vec<Point> {
 /// memory budget and resident figures see buffer *capacities*, which a
 /// builder can change without changing a single encoded byte.  The values
 /// are the index's and the whole engine's `heap_bytes()` right after
-/// `build_index`.
+/// `build_index`, and both kind labels account the same.
 #[test]
 fn fresh_build_heap_bytes_are_pinned() {
-    use IntersectionIndexKind::{CuttingTree, Quadtree};
-    let pinned: [(&str, Vec<Point>, IntersectionIndexKind, usize, usize); 6] = [
-        ("hotels", paper_hotels(), Quadtree, 320, 448),
-        ("hotels", paper_hotels(), CuttingTree, 384, 512),
-        ("inde", inde3d(), Quadtree, 392, 872),
-        ("inde", inde3d(), CuttingTree, 456, 936),
-        ("inde-1k", inde3d_1k(), Quadtree, 1_585_230, 1_626_190),
-        ("inde-1k", inde3d_1k(), CuttingTree, 2_895_950, 2_936_910),
+    let pinned: [(&str, Vec<Point>, usize, usize); 3] = [
+        ("hotels", paper_hotels(), 147, 275),
+        ("inde", inde3d(), 195, 675),
+        ("inde-1k", inde3d_1k(), 14_326, 55_286),
     ];
-    for (label, points, kind, index_bytes, engine_bytes) in pinned {
-        let engine = EclipseEngine::new(points).unwrap();
-        let index = engine.build_index(kind).unwrap();
-        assert_eq!(
-            (index.heap_bytes(), engine.heap_bytes()),
-            (index_bytes, engine_bytes),
-            "{label}/{kind:?}: (index, engine) heap bytes drifted"
-        );
+    for (label, points, index_bytes, engine_bytes) in pinned {
+        for kind in KINDS {
+            let engine = EclipseEngine::new(points.clone()).unwrap();
+            let index = engine.build_index(kind).unwrap();
+            assert_eq!(
+                (index.heap_bytes(), engine.heap_bytes()),
+                (index_bytes, engine_bytes),
+                "{label}/{kind:?}: (index, engine) heap bytes drifted"
+            );
+        }
     }
 }
