@@ -481,14 +481,6 @@ const PRE_ARENA_TREE_PROBE_SECS: [(&str, &str, usize, f64); 12] = [
     ("anti", "CUTTING", 100_000, 1.410_911e-3),
 ];
 
-/// Pre-arena end-to-end `EclipseIndex` single-probe latencies (INDE, d = 3).
-const PRE_ARENA_INDEX_PROBE_SECS: [(&str, usize, f64); 4] = [
-    ("QUAD", 1 << 13, 1.321_3e-5),
-    ("QUAD", 1 << 17, 7.420_1e-5),
-    ("CUTTING", 1 << 13, 1.403_9e-5),
-    ("CUTTING", 1 << 17, 8.137_6e-5),
-];
-
 fn kind_label(kind: IntersectionIndexKind) -> &'static str {
     match kind {
         IntersectionIndexKind::Quadtree => "QUAD",
@@ -496,11 +488,11 @@ fn kind_label(kind: IntersectionIndexKind) -> &'static str {
     }
 }
 
-/// Intersection-index probe sweep: tree-level single probes (the arena hot
-/// path) and end-to-end single vs batched `EclipseIndex` probes.  Writes the
-/// machine-readable BENCH_pr3.json next to the CSVs (or into the current
-/// directory without `--out`), including the frozen pre-arena baseline and
-/// the measured speedups.
+/// Intersection-index probe sweep: tree-level single probes (the paper's
+/// structures, against the frozen pre-arena baseline) and end-to-end single
+/// vs batched `EclipseIndex` probes.  Writes the machine-readable
+/// BENCH_pr3.json next to the CSVs (or into the current directory without
+/// `--out`).
 fn probes_sweep(opts: &Options) -> Vec<(String, (String, ResultTable))> {
     let sizes: &[usize] = if opts.quick {
         &[10_000]
@@ -586,80 +578,53 @@ fn probes_sweep(opts: &Options) -> Vec<(String, (String, ResultTable))> {
     };
     let ratio_probes = probe_ratio_boxes(100, 3, SEED + 2);
     let mut index_table = ResultTable::new(&[
-        "n",
-        "index",
-        "u",
-        "pairs",
-        "build_s",
-        "probe_s",
-        "batch1_s",
-        "batch4_s",
-        "pre_probe_s",
-        "speedup",
+        "n", "u", "pairs", "build_s", "probe_s", "batch1_s", "batch4_s",
     ]);
     json.push_str("  \"index_probes\": [\n");
     first = true;
     for &n in index_ns {
         let pts = DatasetFamily::Inde.generate(n, 3, SEED);
-        for kind in [
-            IntersectionIndexKind::Quadtree,
-            IntersectionIndexKind::CuttingTree,
-        ] {
-            let build_start = std::time::Instant::now();
-            let index =
-                EclipseIndex::build(&pts, IndexConfig::with_kind(kind)).expect("valid workload");
-            let build_secs = build_start.elapsed().as_secs_f64();
-            let single = run_index_probes(&index, &ratio_probes, reps);
-            let batch1 = run_index_probes_batched(
-                &index,
-                &ratio_probes,
-                &ExecutionContext::with_threads(1),
-                reps,
-            );
-            let batch4 = run_index_probes_batched(
-                &index,
-                &ratio_probes,
-                &ExecutionContext::with_threads(4),
-                reps,
-            );
-            let pre = PRE_ARENA_INDEX_PROBE_SECS
-                .iter()
-                .find(|(t, pn, _)| *t == kind_label(kind) && *pn == n)
-                .map(|(_, _, secs)| *secs);
-            let speedup = pre.map(|p| p / single.query_secs);
-            index_table.push_row(vec![
-                n.to_string(),
-                kind_label(kind).to_string(),
-                index.skyline_len().to_string(),
-                index.num_intersections().to_string(),
-                format_secs(build_secs),
-                format_secs(single.query_secs),
-                format_secs(batch1.query_secs),
-                format_secs(batch4.query_secs),
-                pre.map_or("-".to_string(), format_secs),
-                speedup.map_or("-".to_string(), |s| format!("{s:.2}x")),
-            ]);
-            if !first {
-                json.push_str(",\n");
-            }
-            first = false;
-            json.push_str(&format!(
-                "    {{\"dataset\": \"INDE\", \"n\": {}, \"index\": \"{}\", \"u\": {}, \
-                 \"pairs\": {}, \"build_secs\": {:.6}, \"probe_secs\": {:.9}, \
-                 \"batch_probe_secs_t1\": {:.9}, \"batch_probe_secs_t4\": {:.9}, \
-                 \"pre_arena_probe_secs\": {}, \"speedup\": {}}}",
-                n,
-                kind_label(kind),
-                index.skyline_len(),
-                index.num_intersections(),
-                build_secs,
-                single.query_secs,
-                batch1.query_secs,
-                batch4.query_secs,
-                pre.map_or("null".to_string(), |p| format!("{p:.9}")),
-                speedup.map_or("null".to_string(), |s| format!("{s:.3}")),
-            ));
+        let build_start = std::time::Instant::now();
+        let index = EclipseIndex::build(&pts, IndexConfig::default()).expect("valid workload");
+        let build_secs = build_start.elapsed().as_secs_f64();
+        let single = run_index_probes(&index, &ratio_probes, reps);
+        let batch1 = run_index_probes_batched(
+            &index,
+            &ratio_probes,
+            &ExecutionContext::with_threads(1),
+            reps,
+        );
+        let batch4 = run_index_probes_batched(
+            &index,
+            &ratio_probes,
+            &ExecutionContext::with_threads(4),
+            reps,
+        );
+        index_table.push_row(vec![
+            n.to_string(),
+            index.skyline_len().to_string(),
+            index.num_intersections().to_string(),
+            format_secs(build_secs),
+            format_secs(single.query_secs),
+            format_secs(batch1.query_secs),
+            format_secs(batch4.query_secs),
+        ]);
+        if !first {
+            json.push_str(",\n");
         }
+        first = false;
+        json.push_str(&format!(
+            "    {{\"dataset\": \"INDE\", \"n\": {}, \"u\": {}, \"pairs\": {}, \
+             \"build_secs\": {:.6}, \"probe_secs\": {:.9}, \
+             \"batch_probe_secs_t1\": {:.9}, \"batch_probe_secs_t4\": {:.9}}}",
+            n,
+            index.skyline_len(),
+            index.num_intersections(),
+            build_secs,
+            single.query_secs,
+            batch1.query_secs,
+            batch4.query_secs,
+        ));
     }
     json.push_str("\n  ]\n}\n");
 
@@ -926,15 +891,13 @@ fn serve_pipeline_sweep(opts: &Options) -> (String, ResultTable) {
 
 /// Incremental mutation vs full rebuild: applies an interleaved
 /// insert/delete schedule to a warm engine, timing each op, and compares
-/// per-op latency against rebuilding the engine (skyline + pairs + arena)
-/// from the mutated dataset.  Representative maintenance ops (dominated
+/// per-op latency against rebuilding the engine (skyline and index) from
+/// the mutated dataset.  Representative maintenance ops (dominated
 /// inserts, non-skyline deletes) and forced worst-case ops (skyline-entering
 /// inserts, skyline-member deletes) are timed separately.  The worst-case
-/// ops update the index's live-skyline overlay beside the arena; only a
-/// near-origin insert that kills more of the skyline than the overlay
-/// bound allows compacts it (a build over the small surviving skyline).  Every pass asserts the maintained engine is
-/// *exactly* the rebuilt one — identical probe answers and byte-identical
-/// index snapshots (snapshots encode the compacted index) — and that at
+/// ops copy the new skyline's rows into the index.  Every pass asserts the
+/// maintained engine is *exactly* the rebuilt one — identical probe answers
+/// and byte-identical index snapshots — and that at
 /// n = 100k the representative incremental path is at least 10x faster
 /// than the rebuild it replaces.
 fn mutate_sweep(opts: &Options) -> (String, ResultTable) {
@@ -949,7 +912,6 @@ fn mutate_sweep(opts: &Options) -> (String, ResultTable) {
     let opts_q = eclipse_core::exec::QueryOptions::default();
     let mut t = ResultTable::new(&[
         "n",
-        "index",
         "ops",
         "incr_op_s",
         "worst_op_s",
@@ -968,155 +930,144 @@ fn mutate_sweep(opts: &Options) -> (String, ResultTable) {
     for &n in ns {
         let pts = DatasetFamily::Inde.generate(n, 3, SEED);
         let inserts = DatasetFamily::Inde.generate(ops, 3, SEED + 9);
-        for kind in [
-            IntersectionIndexKind::Quadtree,
-            IntersectionIndexKind::CuttingTree,
-        ] {
-            let cfg = IndexConfig::with_kind(kind);
-            let engine = eclipse_core::EclipseEngine::with_index_config(pts.clone(), cfg)
-                .expect("valid workload");
-            engine.build_index(kind).expect("warm index");
-            // Interleaved schedule: even slots insert a fresh INDE point,
-            // odd slots delete a pseudo-random id (xorshift, deterministic).
-            let mut mirror = pts.clone();
-            let mut rng_state = SEED | 1;
-            let mut incr_total = 0.0f64;
-            let mut incr_count = 0usize;
-            let mut worst_total = 0.0f64;
-            let mut worst_count = 0usize;
-            let mut outcomes = [0usize; 4];
-            for (i, p) in inserts.iter().enumerate() {
-                rng_state ^= rng_state << 13;
-                rng_state ^= rng_state >> 7;
-                rng_state ^= rng_state << 17;
-                // Most ops take the cheap maintenance paths (dominated
-                // insert, non-skyline delete); every 8th pair is forced
-                // onto the skyline-touching ones — a near-origin insert that
-                // enters the skyline, and a delete of a current skyline
-                // member — timed into the separate `worst_op_s` column
-                // (they update the overlay, and compact it when the insert
-                // kills more members than its bound allows).
-                let p = if i % 8 == 0 {
-                    eclipse_core::Point::new(p.coords().iter().map(|c| c * 0.05).collect())
-                } else {
-                    p.clone()
-                };
-                let id = if i % 8 == 1 {
-                    let sky = engine.skyline();
-                    sky[(rng_state as usize) % sky.len()]
-                } else {
-                    (rng_state as usize) % mirror.len()
-                };
-                let start = std::time::Instant::now();
-                let summary = if i % 2 == 0 {
-                    engine.insert(p.clone()).expect("insert")
-                } else {
-                    engine.delete(id).expect("delete")
-                };
-                let elapsed = start.elapsed().as_secs_f64();
-                if i % 8 < 2 {
-                    worst_total += elapsed;
-                    worst_count += 1;
-                } else {
-                    incr_total += elapsed;
-                    incr_count += 1;
-                }
-                use eclipse_core::MutationOutcome::*;
-                match summary.outcome {
-                    InsertedSkyline => outcomes[0] += 1,
-                    InsertedDominated => outcomes[1] += 1,
-                    DeletedSkyline => outcomes[2] += 1,
-                    DeletedNonSkyline => outcomes[3] += 1,
-                }
-                if i % 2 == 0 {
-                    mirror.push(p.clone());
-                } else {
-                    mirror.remove(id);
-                }
+        let kind = IntersectionIndexKind::default();
+        let engine = eclipse_core::EclipseEngine::new(pts.clone()).expect("valid workload");
+        engine.build_index(kind).expect("warm index");
+        // Interleaved schedule: even slots insert a fresh INDE point,
+        // odd slots delete a pseudo-random id (xorshift, deterministic).
+        let mut mirror = pts.clone();
+        let mut rng_state = SEED | 1;
+        let mut incr_total = 0.0f64;
+        let mut incr_count = 0usize;
+        let mut worst_total = 0.0f64;
+        let mut worst_count = 0usize;
+        let mut outcomes = [0usize; 4];
+        for (i, p) in inserts.iter().enumerate() {
+            rng_state ^= rng_state << 13;
+            rng_state ^= rng_state >> 7;
+            rng_state ^= rng_state << 17;
+            // Most ops take the cheap maintenance paths (dominated
+            // insert, non-skyline delete); every 8th pair is forced
+            // onto the skyline-touching ones — a near-origin insert that
+            // enters the skyline, and a delete of a current skyline
+            // member — timed into the separate `worst_op_s` column.
+            let p = if i % 8 == 0 {
+                eclipse_core::Point::new(p.coords().iter().map(|c| c * 0.05).collect())
+            } else {
+                p.clone()
+            };
+            let id = if i % 8 == 1 {
+                let sky = engine.skyline();
+                sky[(rng_state as usize) % sky.len()]
+            } else {
+                (rng_state as usize) % mirror.len()
+            };
+            let start = std::time::Instant::now();
+            let summary = if i % 2 == 0 {
+                engine.insert(p.clone()).expect("insert")
+            } else {
+                engine.delete(id).expect("delete")
+            };
+            let elapsed = start.elapsed().as_secs_f64();
+            if i % 8 < 2 {
+                worst_total += elapsed;
+                worst_count += 1;
+            } else {
+                incr_total += elapsed;
+                incr_count += 1;
             }
-            let incr_op_secs = incr_total / incr_count as f64;
-            let worst_op_secs = worst_total / worst_count as f64;
-            assert_eq!(engine.epoch(), ops as u64, "every mutation bumps the epoch");
-            assert_eq!(engine.len(), mirror.len());
-            // Full rebuild over the mutated dataset: what the incremental
-            // path replaces (skyline recompute included).
-            let mut rebuild_secs = f64::INFINITY;
-            let mut rebuilt = None;
-            for _ in 0..reps {
-                let start = std::time::Instant::now();
-                let fresh = eclipse_core::EclipseEngine::with_index_config(mirror.clone(), cfg)
-                    .expect("valid workload");
-                fresh.build_index(kind).expect("rebuild index");
-                rebuild_secs = rebuild_secs.min(start.elapsed().as_secs_f64());
-                rebuilt = Some(fresh);
+            use eclipse_core::MutationOutcome::*;
+            match summary.outcome {
+                InsertedSkyline => outcomes[0] += 1,
+                InsertedDominated => outcomes[1] += 1,
+                DeletedSkyline => outcomes[2] += 1,
+                DeletedNonSkyline => outcomes[3] += 1,
             }
-            let rebuilt = rebuilt.expect("at least one rebuild pass");
-            // The acceptance gate, every pass: the maintained engine *is*
-            // the rebuilt engine — same answers, same arena bytes.
-            assert_eq!(
-                engine.eclipse_query_batch(&boxes, &opts_q).expect("probes"),
-                rebuilt
-                    .eclipse_query_batch(&boxes, &opts_q)
-                    .expect("rebuilt probes"),
-                "mutated engine must be query-identical to a rebuild (n = {n}, {kind:?})"
-            );
-            assert_eq!(
-                engine
-                    .build_index(kind)
-                    .expect("maintained index")
-                    .encode_snapshot(),
-                rebuilt
-                    .build_index(kind)
-                    .expect("rebuilt index")
-                    .encode_snapshot(),
-                "maintained arena must be byte-identical to a rebuild (n = {n}, {kind:?})"
-            );
-            let speedup = rebuild_secs / incr_op_secs;
-            if n == 100_000 {
-                assert!(
-                    speedup >= 10.0,
-                    "incremental mutation must beat a full rebuild 10x at n = 100k \
-                     ({kind:?}: {incr_op_secs:.6}s/op vs {rebuild_secs:.6}s rebuild)"
-                );
+            if i % 2 == 0 {
+                mirror.push(p.clone());
+            } else {
+                mirror.remove(id);
             }
-            t.push_row(vec![
-                n.to_string(),
-                kind_label(kind).to_string(),
-                ops.to_string(),
-                format_secs(incr_op_secs),
-                format_secs(worst_op_secs),
-                format_secs(rebuild_secs),
-                format!("{speedup:.1}x"),
-                outcomes[0].to_string(),
-                outcomes[1].to_string(),
-                outcomes[2].to_string(),
-                outcomes[3].to_string(),
-                "yes".to_string(),
-            ]);
-            if !first {
-                json.push_str(",\n");
-            }
-            first = false;
-            json.push_str(&format!(
-                "    {{\"n\": {}, \"index\": \"{}\", \"ops\": {}, \
-                 \"incr_op_secs\": {:.9}, \"worst_op_secs\": {:.9}, \
-                 \"rebuild_secs\": {:.6}, \"speedup_vs_rebuild\": {:.2}, \
-                 \"inserted_skyline\": {}, \"inserted_dominated\": {}, \
-                 \"deleted_skyline\": {}, \"deleted_non_skyline\": {}, \
-                 \"identical_to_rebuild\": true}}",
-                n,
-                kind_label(kind),
-                ops,
-                incr_op_secs,
-                worst_op_secs,
-                rebuild_secs,
-                speedup,
-                outcomes[0],
-                outcomes[1],
-                outcomes[2],
-                outcomes[3],
-            ));
         }
+        let incr_op_secs = incr_total / incr_count as f64;
+        let worst_op_secs = worst_total / worst_count as f64;
+        assert_eq!(engine.epoch(), ops as u64, "every mutation bumps the epoch");
+        assert_eq!(engine.len(), mirror.len());
+        // Full rebuild over the mutated dataset: what the incremental
+        // path replaces (skyline recompute included).
+        let mut rebuild_secs = f64::INFINITY;
+        let mut rebuilt = None;
+        for _ in 0..reps {
+            let start = std::time::Instant::now();
+            let fresh = eclipse_core::EclipseEngine::new(mirror.clone()).expect("valid workload");
+            fresh.build_index(kind).expect("rebuild index");
+            rebuild_secs = rebuild_secs.min(start.elapsed().as_secs_f64());
+            rebuilt = Some(fresh);
+        }
+        let rebuilt = rebuilt.expect("at least one rebuild pass");
+        // The acceptance gate, every pass: the maintained engine *is*
+        // the rebuilt engine — same answers, same arena bytes.
+        assert_eq!(
+            engine.eclipse_query_batch(&boxes, &opts_q).expect("probes"),
+            rebuilt
+                .eclipse_query_batch(&boxes, &opts_q)
+                .expect("rebuilt probes"),
+            "mutated engine must be query-identical to a rebuild (n = {n})"
+        );
+        assert_eq!(
+            engine
+                .build_index(kind)
+                .expect("maintained index")
+                .encode_snapshot(),
+            rebuilt
+                .build_index(kind)
+                .expect("rebuilt index")
+                .encode_snapshot(),
+            "maintained index must be byte-identical to a rebuild (n = {n})"
+        );
+        let speedup = rebuild_secs / incr_op_secs;
+        if n == 100_000 {
+            assert!(
+                speedup >= 10.0,
+                "incremental mutation must beat a full rebuild 10x at n = 100k \
+                 ({incr_op_secs:.6}s/op vs {rebuild_secs:.6}s rebuild)"
+            );
+        }
+        t.push_row(vec![
+            n.to_string(),
+            ops.to_string(),
+            format_secs(incr_op_secs),
+            format_secs(worst_op_secs),
+            format_secs(rebuild_secs),
+            format!("{speedup:.1}x"),
+            outcomes[0].to_string(),
+            outcomes[1].to_string(),
+            outcomes[2].to_string(),
+            outcomes[3].to_string(),
+            "yes".to_string(),
+        ]);
+        if !first {
+            json.push_str(",\n");
+        }
+        first = false;
+        json.push_str(&format!(
+            "    {{\"n\": {}, \"ops\": {}, \
+             \"incr_op_secs\": {:.9}, \"worst_op_secs\": {:.9}, \
+             \"rebuild_secs\": {:.6}, \"speedup_vs_rebuild\": {:.2}, \
+             \"inserted_skyline\": {}, \"inserted_dominated\": {}, \
+             \"deleted_skyline\": {}, \"deleted_non_skyline\": {}, \
+             \"identical_to_rebuild\": true}}",
+            n,
+            ops,
+            incr_op_secs,
+            worst_op_secs,
+            rebuild_secs,
+            speedup,
+            outcomes[0],
+            outcomes[1],
+            outcomes[2],
+            outcomes[3],
+        ));
     }
     json.push_str("\n  ]\n}\n");
     let dir = opts.out_dir.clone().unwrap_or_default();
@@ -1132,10 +1083,10 @@ fn mutate_sweep(opts: &Options) -> (String, ResultTable) {
     )
 }
 
-/// Snapshot cold-start sweep: full index rebuild (skyline, hyperplane slab
-/// and tree construction via `EclipseIndex::build`) vs snapshot restore
+/// Snapshot cold-start sweep: full index rebuild (the skyline pass of
+/// `EclipseIndex::build`) vs snapshot restore
 /// (`EclipseEngine::from_snapshot`, which additionally decodes and validates
-/// the whole dataset) at growing n, for both backends, with the container
+/// the whole dataset) at growing n, with the container
 /// verification (every section checksum) timed on its own.  The restored
 /// engine is asserted query-identical to the rebuilt one on every pass.
 /// Writes BENCH_snapshot.json next to the CSVs (or into the current
@@ -1150,7 +1101,6 @@ fn snapshot_sweep(opts: &Options) -> (String, ResultTable) {
     let boxes = probe_ratio_boxes(32, 3, SEED + 4);
     let mut t = ResultTable::new(&[
         "n",
-        "index",
         "u",
         "pairs",
         "rebuild_s",
@@ -1167,92 +1117,85 @@ fn snapshot_sweep(opts: &Options) -> (String, ResultTable) {
     let mut first = true;
     for &n in ns {
         let pts = DatasetFamily::Inde.generate(n, 3, SEED);
-        for kind in [
-            IntersectionIndexKind::Quadtree,
-            IntersectionIndexKind::CuttingTree,
-        ] {
-            let cfg = IndexConfig::with_kind(kind);
-            let mut rebuild_secs = f64::INFINITY;
-            for _ in 0..reps {
-                let start = std::time::Instant::now();
-                let idx = EclipseIndex::build(&pts, cfg).expect("valid workload");
-                rebuild_secs = rebuild_secs.min(start.elapsed().as_secs_f64());
-                std::hint::black_box(&idx);
-            }
-            let engine = eclipse_core::EclipseEngine::with_index_config(pts.clone(), cfg)
-                .expect("valid workload");
-            let mut save_secs = f64::INFINITY;
-            let mut bytes = Vec::new();
-            for _ in 0..reps {
-                let start = std::time::Instant::now();
-                bytes = engine
-                    .save_snapshot("inde", kind)
-                    .expect("snapshot encodes");
-                save_secs = save_secs.min(start.elapsed().as_secs_f64());
-            }
-            // Container verification alone: magic, section table and every
-            // section checksum, the first thing each restore does.
-            let mut verify_secs = f64::INFINITY;
-            for _ in 0..reps {
-                let start = std::time::Instant::now();
-                std::hint::black_box(
-                    eclipse_persist::SnapshotReader::parse(&bytes).expect("snapshot verifies"),
-                );
-                verify_secs = verify_secs.min(start.elapsed().as_secs_f64());
-            }
-            let mut load_secs = f64::INFINITY;
-            let mut restored = None;
-            for _ in 0..reps {
-                let start = std::time::Instant::now();
-                let (_, cold) =
-                    eclipse_core::EclipseEngine::from_snapshot(&bytes).expect("snapshot decodes");
-                load_secs = load_secs.min(start.elapsed().as_secs_f64());
-                restored = Some(cold);
-            }
-            let restored = restored.expect("at least one load pass");
-            // The acceptance gate: a restored index answers identically.
-            let opts_q = eclipse_core::exec::QueryOptions::default();
-            assert_eq!(
-                restored
-                    .eclipse_query_batch(&boxes, &opts_q)
-                    .expect("restored probes"),
-                engine.eclipse_query_batch(&boxes, &opts_q).expect("probes"),
-                "restored index must be query-identical (n = {n}, {kind:?})"
-            );
-            let index = engine.build_index(kind).expect("cached index");
-            let speedup = rebuild_secs / load_secs;
-            t.push_row(vec![
-                n.to_string(),
-                kind_label(kind).to_string(),
-                index.skyline_len().to_string(),
-                index.num_intersections().to_string(),
-                format_secs(rebuild_secs),
-                format_secs(save_secs),
-                format_secs(load_secs),
-                bytes.len().to_string(),
-                format!("{speedup:.1}x"),
-            ]);
-            if !first {
-                json.push_str(",\n");
-            }
-            first = false;
-            json.push_str(&format!(
-                "    {{\"n\": {}, \"index\": \"{}\", \"u\": {}, \"pairs\": {}, \
-                 \"rebuild_secs\": {:.6}, \"save_secs\": {:.6}, \"verify_secs\": {:.6}, \
-                 \"load_secs\": {:.6}, \"snapshot_bytes\": {}, \
-                 \"load_speedup_over_rebuild\": {:.2}}}",
-                n,
-                kind_label(kind),
-                index.skyline_len(),
-                index.num_intersections(),
-                rebuild_secs,
-                save_secs,
-                verify_secs,
-                load_secs,
-                bytes.len(),
-                speedup,
-            ));
+        let kind = IntersectionIndexKind::default();
+        let cfg = IndexConfig::default();
+        let mut rebuild_secs = f64::INFINITY;
+        for _ in 0..reps {
+            let start = std::time::Instant::now();
+            let idx = EclipseIndex::build(&pts, cfg).expect("valid workload");
+            rebuild_secs = rebuild_secs.min(start.elapsed().as_secs_f64());
+            std::hint::black_box(&idx);
         }
+        let engine = eclipse_core::EclipseEngine::new(pts.clone()).expect("valid workload");
+        let mut save_secs = f64::INFINITY;
+        let mut bytes = Vec::new();
+        for _ in 0..reps {
+            let start = std::time::Instant::now();
+            bytes = engine
+                .save_snapshot("inde", kind)
+                .expect("snapshot encodes");
+            save_secs = save_secs.min(start.elapsed().as_secs_f64());
+        }
+        // Container verification alone: magic, section table and every
+        // section checksum, the first thing each restore does.
+        let mut verify_secs = f64::INFINITY;
+        for _ in 0..reps {
+            let start = std::time::Instant::now();
+            std::hint::black_box(
+                eclipse_persist::SnapshotReader::parse(&bytes).expect("snapshot verifies"),
+            );
+            verify_secs = verify_secs.min(start.elapsed().as_secs_f64());
+        }
+        let mut load_secs = f64::INFINITY;
+        let mut restored = None;
+        for _ in 0..reps {
+            let start = std::time::Instant::now();
+            let (_, cold) =
+                eclipse_core::EclipseEngine::from_snapshot(&bytes).expect("snapshot decodes");
+            load_secs = load_secs.min(start.elapsed().as_secs_f64());
+            restored = Some(cold);
+        }
+        let restored = restored.expect("at least one load pass");
+        // The acceptance gate: a restored index answers identically.
+        let opts_q = eclipse_core::exec::QueryOptions::default();
+        assert_eq!(
+            restored
+                .eclipse_query_batch(&boxes, &opts_q)
+                .expect("restored probes"),
+            engine.eclipse_query_batch(&boxes, &opts_q).expect("probes"),
+            "restored index must be query-identical (n = {n})"
+        );
+        let index = engine.build_index(kind).expect("cached index");
+        let speedup = rebuild_secs / load_secs;
+        t.push_row(vec![
+            n.to_string(),
+            index.skyline_len().to_string(),
+            index.num_intersections().to_string(),
+            format_secs(rebuild_secs),
+            format_secs(save_secs),
+            format_secs(load_secs),
+            bytes.len().to_string(),
+            format!("{speedup:.1}x"),
+        ]);
+        if !first {
+            json.push_str(",\n");
+        }
+        first = false;
+        json.push_str(&format!(
+            "    {{\"n\": {}, \"u\": {}, \"pairs\": {}, \
+             \"rebuild_secs\": {:.6}, \"save_secs\": {:.6}, \"verify_secs\": {:.6}, \
+             \"load_secs\": {:.6}, \"snapshot_bytes\": {}, \
+             \"load_speedup_over_rebuild\": {:.2}}}",
+            n,
+            index.skyline_len(),
+            index.num_intersections(),
+            rebuild_secs,
+            save_secs,
+            verify_secs,
+            load_secs,
+            bytes.len(),
+            speedup,
+        ));
     }
     json.push_str("\n  ]\n}\n");
     let dir = opts.out_dir.clone().unwrap_or_default();

@@ -10,8 +10,7 @@
 //! 3. a spatial index over those hyperplanes (the **Intersection Index**):
 //!    in the paper either a line quadtree / hyperplane octree
 //!    ([`eclipse_geom::quadtree`], QUAD) or a cutting tree
-//!    ([`eclipse_geom::cutting`], CUTTING); here one sweep over the dense
-//!    hyperplane slab, which gathers the same hyperplanes faster,
+//!    ([`eclipse_geom::cutting`], CUTTING),
 //!
 //! so that a query only has to (a) rank the skyline points at one corner of
 //! the query box (the **Order Vector**), (b) fetch the intersection
@@ -20,9 +19,10 @@
 //!
 //! Two implementations are provided:
 //!
-//! * [`ndim::EclipseIndex`] — the production index for any `d ≥ 2`, with an
-//!   exact tie-aware replay (see the module docs for how it strengthens the
-//!   paper's general-position assumption),
+//! * [`ndim::EclipseIndex`] — the production index for any `d ≥ 2`: the
+//!   skyline rows alone, probed by an early-exit dominator search that
+//!   derives each pair's hyperplane from its two rows (see the module docs
+//!   for why no pair hyperplane is stored and how ties are decided),
 //! * [`dual2d::OrderVectorIndex2d`] — the verbatim two-dimensional structure
 //!   of Algorithm 4 (interval partition of the dual x-axis with one stored
 //!   order vector per interval), kept both as an executable rendition of the
@@ -33,6 +33,6 @@ pub mod ndim;
 
 pub use dual2d::OrderVectorIndex2d;
 pub use ndim::{
-    overlay_limit, EclipseIndex, IndexConfig, IntersectionIndexKind, ProbeScratch, SECTION_DATASET,
-    SECTION_INDEX_META, SECTION_SKYLINE, SECTION_SLAB,
+    EclipseIndex, IndexConfig, IntersectionIndexKind, ProbeScratch, SECTION_DATASET,
+    SECTION_INDEX_META, SECTION_SKYLINE,
 };

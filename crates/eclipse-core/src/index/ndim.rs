@@ -1,60 +1,50 @@
 //! The general (any `d ≥ 2`) index-based eclipse query engine.
 //!
-//! Build phase (Algorithm 6):
-//! 1. compute the skyline of the dataset (only skyline points can be eclipse
-//!    points);
-//! 2. for every pair of skyline points build the *score-difference
-//!    hyperplane* in `(d−1)`-dimensional weight-ratio space
-//!    (`f(r) = Σ_j (a[j] − b[j])·r_j + (a[d] − b[d])`, see
-//!    [`eclipse_geom::dual::score_difference_hyperplane`]) — assembled
-//!    directly into a [`HyperplaneSlab`] of dense coefficient rows;
+//! Build phase (Algorithm 6): compute the skyline of the dataset — only
+//! skyline points can be eclipse points — and keep its rows.  That is the
+//! whole index.  The paper goes on to build, for every pair of skyline
+//! points, the *score-difference hyperplane* in `(d−1)`-dimensional
+//! weight-ratio space (`f(r) = Σ_j (a[j] − b[j])·r_j + (a[d] − b[d])`, see
+//! [`eclipse_geom::dual::score_difference_hyperplane`]) and indexes those
+//! hyperplanes in a line quadtree (QUAD) or a cutting tree (CUTTING).  Each
+//! hyperplane is the difference of two stored rows, so a probe derives the
+//! ones it tests instead of storing `C(u, 2)` of them; the trees live on in
+//! [`eclipse_geom::quadtree`] and [`eclipse_geom::cutting`] as the paper's
+//! structures.
 //!
-//! The slab is the whole intersection index.  The paper fetches crossing
-//! hyperplanes through a line quadtree (QUAD) or a cutting tree (CUTTING);
-//! one sweep over the slab gathers the same hyperplanes faster at every
-//! measured size (see the README's "Sweep, not walk"), so no tree is built,
-//! held or persisted.  The trees live on in [`eclipse_geom::quadtree`] and
-//! [`eclipse_geom::cutting`] as the paper's structures.
+//! Query phase: a skyline row `p` is an eclipse point iff no other skyline
+//! row dominates it over the whole query box — the dominance test of the
+//! paper's TRAN, run over the `u` skyline rows instead of all `n` points.
+//! A probe
+//! 1. scores every row at the lower corner of the box and orders the rows
+//!    by ascending score, the presort of Sort-Filter-Skyline (Chomicki et
+//!    al., ICDE 2003), so the likeliest dominators come first;
+//! 2. for each row `p`, visits the rows in that order and stops at the
+//!    first one that counts against `p`; `p` is reported when none does.
 //!
-//! Query phase (Algorithms 5/7):
-//! 1. score all skyline points at the lower corner of the query box and rank
-//!    them (the initial Order Vector — the paper stores per-cell vectors; we
-//!    follow its own high-dimensional practical choice of computing the
-//!    vector at query time in O(u log u), which it notes "does not impact the
-//!    entire time complexity");
-//! 2. gather the hyperplanes crossing the query box with one branch-free
-//!    sweep over the slab — exactly the pairs whose relative order changes
-//!    inside the box;
-//! 3. replay those pairs.  The paper's replay assumes general position; ours
-//!    adjudicates every fetched pair exactly (does `a` dominate `b` over the
-//!    whole box, or vice versa, or neither?), so ties, duplicate points and
-//!    boundary contacts are handled without any assumption.
-//! 4. points whose final dominator count is zero are the eclipse points.
+//! Every pair is decided by one predicate over its difference row (see
+//! `counts_against`), so ties, duplicate points and boundary contacts need
+//! no general-position assumption, and no pair is counted by one test and
+//! taken back by another.
 //!
 //! The query phase is engineered for steady-state serving: every buffer a
 //! probe touches lives in a caller-provided [`ProbeScratch`], so
 //! [`EclipseIndex::query_with_scratch`] performs **zero heap allocations**
-//! once the buffers have grown to their high-water capacity — including the
-//! candidate list, the initial order vector (an incrementally reused sort
-//! buffer) and the result itself.  [`EclipseIndex::query_batch`] fans the
-//! probes out over an [`ExecutionContext`] with one scratch per worker.
+//! once the buffers have grown to their high-water capacity — the score
+//! order, the difference row and the result itself included.
+//! [`EclipseIndex::query_batch`] fans the probes out over an
+//! [`ExecutionContext`] with one scratch per worker.
 //!
-//! Maintenance: a mutation that changes the skyline does not rebuild the
-//! slab.  The maintained index shares it as a base and records the live
-//! skyline in an overlay (dead base rows, extra rows and their pairs),
-//! which the probe folds into steps 1–3; the probe is decomposable over
-//! any partition of the pair set, so answers are those of a rebuild.  Past
-//! [`overlay_limit`], and whenever the index is encoded, the overlay is
-//! compacted by an ordinary build over the live skyline.
-
-use std::sync::Arc;
+//! Maintenance: a mutation that changes the skyline copies the live rows
+//! into a new index in `O(u·d)`, so a maintained index is a rebuild over
+//! the mutated dataset by construction.
 
 use eclipse_persist::{enc, Cursor, SnapshotReader, SnapshotWriter};
 use serde::{Deserialize, Serialize};
 
 use eclipse_geom::approx::EPS;
 use eclipse_geom::cutting::CuttingTreeConfig;
-use eclipse_geom::hyperplane::HyperplaneSlab;
+use eclipse_geom::hyperplane::{min_max_of_row, row_intersects_box};
 use eclipse_geom::point::Point;
 use eclipse_geom::quadtree::QuadtreeConfig;
 
@@ -64,7 +54,7 @@ use crate::weights::WeightRatioBox;
 
 /// The paper's two Intersection Index structures, as a label.
 ///
-/// Every [`EclipseIndex`] is the same slab-only index whichever kind is
+/// Every [`EclipseIndex`] is the same skyline-only index whichever kind is
 /// named; the label is kept because the repository benchmark compiles
 /// against it (and the wire protocol still carries it).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -120,19 +110,17 @@ impl IndexConfig {
 // prepend a dataset section; the index-level codec ignores sections it does
 // not know, so both shapes decode with the same reader.
 
-/// Snapshot section: index metadata (dimensionality, skyline size, pair
-/// count) — decoded first so later sections can be cross-validated.
+/// Snapshot section: index metadata (dimensionality, skyline size) —
+/// decoded first so later sections can be cross-validated.
 pub const SECTION_INDEX_META: u8 = 0x01;
 /// Snapshot section: skyline ids (into the original dataset) and the flat
 /// skyline coordinate buffer.
 pub const SECTION_SKYLINE: u8 = 0x03;
 /// Snapshot section: dataset label, dimensionality and row-major coordinates
-/// (written by [`crate::query::EclipseEngine`]-level snapshots only).
+/// (written by [`crate::query::EclipseEngine`]-level snapshots only).  Tags
+/// 0x02, 0x04 and 0x06 held a tree config, a tree arena and a hyperplane
+/// slab up to format 5 and are not reused.
 pub const SECTION_DATASET: u8 = 0x05;
-/// Snapshot section: the hyperplane slab of the skyline pairs, in pair
-/// order.  (Tags 0x02 and 0x04 held the tree config and arena up to
-/// format 4 and are not reused.)
-pub const SECTION_SLAB: u8 = 0x06;
 
 /// Shorthand for a structural snapshot defect found by cross-validation.
 fn snapshot_err(reason: impl Into<String>) -> EclipseError {
@@ -141,29 +129,17 @@ fn snapshot_err(reason: impl Into<String>) -> EclipseError {
 
 /// Reusable buffers for the query (probe) path.
 ///
-/// One eclipse query scores all `u` skyline points, ranks them, gathers the
-/// candidate pairs from the intersection index and replays them; with fresh
-/// buffers that is half a dozen allocations per probe.  Callers answering
-/// many queries (servers, the bench harness, [`EclipseIndex::query_batch`])
-/// keep one `ProbeScratch` per thread and pass it to
-/// [`EclipseIndex::query_with_scratch`]: every buffer — scores, the reused
-/// sort buffer, the order vector, the query corners, the candidate list and
-/// the result itself — is then
-/// reused at its high-water capacity, so a steady-state probe allocates
-/// nothing.
+/// One eclipse query scores all `u` skyline points, orders them and tests
+/// pairs of them; with fresh buffers that is a handful of allocations per
+/// probe.  Callers answering many queries (servers, the bench harness,
+/// [`EclipseIndex::query_batch`]) keep one `ProbeScratch` per thread and
+/// pass it to [`EclipseIndex::query_with_scratch`]: every buffer — the
+/// query corners, the score order, the difference row and the result
+/// itself — is then reused at its high-water capacity, so a steady-state
+/// probe allocates nothing.
 #[derive(Clone, Debug, Default)]
 pub struct ProbeScratch {
-    /// Scores of the skyline points at the query's lower corner.
-    scores: Vec<f64>,
-    /// The same scores, sorted, for rank computation (incrementally reused).
-    sorted: Vec<f64>,
-    /// Dominator counts (the Order Vector).
-    ov: Vec<i64>,
-    /// Lower / upper query corner in ratio space.
-    qlo: Vec<f64>,
-    qhi: Vec<f64>,
-    /// Candidate pair ids gathered by the slab sweep.
-    candidates: Vec<usize>,
+    search: Search,
     /// The most recent query result (dataset indices, ascending).
     out: Vec<usize>,
 }
@@ -176,97 +152,35 @@ impl ProbeScratch {
     }
 }
 
-/// Index-based eclipse query engine over a fixed dataset.
-///
-/// The index is the skyline plus the hyperplane slab of its pairs.  An
-/// index maintained through mutations pairs the slab built for an earlier
-/// skyline (the *base*) with a live-skyline overlay holding the difference
-/// (see [`EclipseIndex::overlay_rows`]).
+/// The buffers of one dominator search.
+#[derive(Clone, Debug, Default)]
+struct Search {
+    /// Lower / upper query corner in ratio space.
+    qlo: Vec<f64>,
+    qhi: Vec<f64>,
+    /// Every skyline row with its score at the lower corner, in ascending
+    /// score order.
+    order: Vec<(f64, u32)>,
+    /// The difference row of the pair under test.
+    delta: Vec<f64>,
+}
+
+/// Index-based eclipse query engine over a fixed dataset: the skyline ids
+/// and rows, nothing else.
 #[derive(Clone, Debug)]
 pub struct EclipseIndex {
     dim: usize,
-    /// Indices (into the original dataset) of the base skyline points,
-    /// ascending; a base row whose point was deleted holds [`GONE`].
+    /// Indices (into the original dataset) of the skyline points, ascending.
     skyline_ids: Box<[usize]>,
-    /// Base skyline coordinates in one flat row-major buffer (`u` rows ×
-    /// `dim`) — the single owned copy of the skyline, shared by corner
-    /// scoring and hyperplane construction (the dataset points are never
+    /// Skyline coordinates in one flat row-major buffer (`u` rows × `dim`)
+    /// — the single owned copy of the skyline (the dataset points are never
     /// cloned).
     skyline_coords: Box<[f64]>,
-    /// Pairs of *local* skyline indices, aligned with `slab`.
-    pairs: Vec<(u32, u32)>,
-    /// The score-difference hyperplanes of `pairs`, shared by every
-    /// maintained copy of the index (mutations change ids and the overlay,
-    /// never the slab).
-    slab: Arc<HyperplaneSlab>,
-    /// The live skyline's difference from the base; `None` when they agree.
-    overlay: Option<Overlay>,
-}
-
-/// The base-row id of a row whose point was deleted: it never matches a
-/// live id again, so the row stays dead until the next compaction.
-const GONE: usize = usize::MAX;
-
-/// The ov entry of a dead base row: non-zero, so it is never reported.
-const DEAD_ROW: i64 = 1;
-
-/// The difference between the live skyline and the base an index's slab
-/// was built over, derived from the maintained skyline id list.
-///
-/// Rows are numbered base rows first (`0..u`), then extra rows (`u..`).  A
-/// probe ranks the corner scores of live rows only, drops candidates
-/// with a dead endpoint and replays the extra pairs that cross the box —
-/// the same pair set a rebuild over the live skyline would replay.
-#[derive(Clone, Debug)]
-struct Overlay {
-    /// The live skyline ids, ascending.
-    live_ids: Vec<usize>,
-    /// The row of each live id.
-    live_rows: Vec<u32>,
-    /// Per base row: `true` once it left the skyline (or was deleted).
-    dead: Vec<bool>,
-    /// Coordinates of the extra rows (live members missing from the base),
-    /// row-major in ascending id order.
-    extra_coords: Vec<f64>,
-    /// Row pairs of every extra row with every other live row, lower
-    /// dataset id first (the orientation a rebuild gives them), aligned
-    /// with `slab`.
-    pairs: Vec<(u32, u32)>,
-    /// The score-difference hyperplanes of `pairs`.
-    slab: HyperplaneSlab,
-}
-
-impl Overlay {
-    /// Heap bytes of the overlay's buffers, counted at capacity.
-    fn heap_bytes(&self) -> usize {
-        self.live_ids.capacity() * std::mem::size_of::<usize>()
-            + self.live_rows.capacity() * std::mem::size_of::<u32>()
-            + self.dead.capacity() * std::mem::size_of::<bool>()
-            + self.extra_coords.capacity() * std::mem::size_of::<f64>()
-            + self.pairs.capacity() * std::mem::size_of::<(u32, u32)>()
-            + self.slab.heap_bytes()
-    }
-}
-
-/// The largest overlay (dead base rows plus extra rows) a maintained index
-/// carries over a base of `base_rows` skyline rows: a quarter of the base,
-/// and at least four rows.  A mutation that leaves more compacts the index
-/// into a fresh slab.  The bound keeps the overlay's linear share of a
-/// probe (every extra row is paired with every live row and sign-tested)
-/// small next to the slab sweep, while a skyline entrant and its
-/// delete, or a few such changes, never pay a rebuild.
-pub const fn overlay_limit(base_rows: usize) -> usize {
-    let quarter = base_rows / 4;
-    if quarter > 4 {
-        quarter
-    } else {
-        4
-    }
 }
 
 impl EclipseIndex {
     /// Builds the index over `points`, using the process-wide default
-    /// execution context for the parallel phases.  `config` is a label the
+    /// execution context for the skyline pass.  `config` is a label the
     /// index does not read (see [`IndexConfig`]).
     ///
     /// # Errors
@@ -278,10 +192,8 @@ impl EclipseIndex {
     }
 
     /// [`EclipseIndex::build`] with an explicit execution context: the
-    /// skyline pass runs on the parallel divide-and-conquer executor and the
-    /// `C(u, 2)` score-difference hyperplanes are constructed row-parallel.
-    /// Both phases are deterministic, so the built index is identical to the
-    /// serial one.
+    /// skyline pass runs on the parallel divide-and-conquer executor.  It is
+    /// deterministic, so the built index is identical to the serial one.
     ///
     /// # Errors
     /// Same as [`EclipseIndex::build`].
@@ -290,16 +202,6 @@ impl EclipseIndex {
         _config: IndexConfig,
         ctx: &ExecutionContext,
     ) -> Result<Self> {
-        Self::validate_dataset(points)?;
-        // 1. Skyline points (forked divide step when the context has lanes).
-        // Only the ids and one flat coordinate buffer are kept: no `Point`
-        // clones.
-        let skyline_ids = eclipse_skyline::dc::skyline_dc_parallel(points, ctx.pool());
-        Self::build_from_skyline(points, skyline_ids, ctx)
-    }
-
-    /// The shared dataset validity requirements of every build entry point.
-    fn validate_dataset(points: &[Point]) -> Result<usize> {
         let Some(first) = points.first() else {
             return Err(EclipseError::EmptyDataset);
         };
@@ -317,108 +219,29 @@ impl EclipseIndex {
                 });
             }
         }
-        Ok(dim)
+        let skyline_ids = eclipse_skyline::dc::skyline_dc_parallel(points, ctx.pool());
+        Ok(Self::from_skyline(dim, &skyline_ids, |id| {
+            points[id].coords()
+        }))
     }
 
-    /// [`EclipseIndex::build_with`] with the skyline pass already done:
-    /// `skyline_ids` must be exactly what
-    /// [`eclipse_skyline::dc::skyline_dc_parallel`] would return for
-    /// `points` (the strictly ascending, duplicate-deduplicated skyline).
-    /// Everything downstream of the skyline pass is the plain build path, so
-    /// equal skyline id sets produce **byte-identical** slabs to a full
-    /// build.  Compaction of a maintained index's live-skyline overlay
-    /// runs this same path over the
-    /// maintained skyline, which is why a compacted index — and every
-    /// snapshot — is byte-identical to a rebuild (asserted by the mutation
-    /// suites and every `experiments -- mutate` pass).
-    ///
-    /// # Errors
-    /// Same dataset validation as [`EclipseIndex::build`], plus
-    /// [`EclipseError::Snapshot`]-free structural checks on the id list
-    /// (ascending, in range) surfaced as [`EclipseError::Unsupported`].
-    pub fn build_from_skyline(
-        points: &[Point],
-        skyline_ids: Vec<usize>,
-        ctx: &ExecutionContext,
-    ) -> Result<Self> {
-        let dim = Self::validate_dataset(points)?;
-        if !skyline_ids.windows(2).all(|w| w[0] < w[1])
-            || skyline_ids.last().is_some_and(|&id| id >= points.len())
-        {
-            return Err(EclipseError::Unsupported(
-                "skyline ids must be strictly ascending indices into the dataset".to_string(),
-            ));
-        }
-        let mut coords = Vec::with_capacity(skyline_ids.len() * dim);
-        for &i in &skyline_ids {
-            coords.extend_from_slice(points[i].coords());
-        }
-        Ok(Self::build_from_rows(
-            dim,
-            skyline_ids.into_boxed_slice(),
-            coords.into_boxed_slice(),
-            ctx,
-        ))
-    }
-
-    /// Phase 2 of a build over validated skyline rows: `skyline_ids`
-    /// strictly ascending and `skyline_coords` their rows, in that order.
-    fn build_from_rows(
+    /// The index over the skyline `skyline_ids` (strictly ascending), whose
+    /// rows `coords` returns: the last step of a build, and how a mutation
+    /// maintains an index — it copies the post-mutation skyline's rows, so
+    /// the copy is exactly what a build over the mutated dataset holds.
+    pub(crate) fn from_skyline<'p>(
         dim: usize,
-        skyline_ids: Box<[usize]>,
-        skyline_coords: Box<[f64]>,
-        ctx: &ExecutionContext,
+        skyline_ids: &[usize],
+        coords: impl Fn(usize) -> &'p [f64],
     ) -> Self {
-        let u = skyline_ids.len();
-
-        // 2. Intersection hyperplanes for every pair, assembled directly into
-        // a structure-of-arrays slab; row-parallel over `a` (results are
-        // concatenated in row order, so the layout is identical to the serial
-        // double loop).
-        let k = dim - 1;
-        let num_pairs = u * u.saturating_sub(1) / 2;
-        let mut pairs = Vec::with_capacity(num_pairs);
-        let mut slab = HyperplaneSlab::with_capacity(k, num_pairs);
-        let pair_row = |a: usize, row: &mut Vec<f64>, row_slab: &mut HyperplaneSlab| {
-            let pa = &skyline_coords[a * dim..(a + 1) * dim];
-            for b in a + 1..u {
-                let pb = &skyline_coords[b * dim..(b + 1) * dim];
-                row.clear();
-                row.extend((0..k).map(|j| pa[j] - pb[j]));
-                row_slab.push(row, pa[k] - pb[k]);
-            }
-        };
-        if ctx.threads() > 1 && u >= 128 {
-            let rows: Vec<usize> = (0..u).collect();
-            let built = ctx.pool().par_map(&rows, |&a| {
-                let mut row = Vec::with_capacity(k);
-                let mut row_slab = HyperplaneSlab::with_capacity(k, u - a - 1);
-                pair_row(a, &mut row, &mut row_slab);
-                row_slab
-            });
-            for (a, row_slab) in built.iter().enumerate() {
-                for b in a + 1..u {
-                    pairs.push((a as u32, b as u32));
-                }
-                slab.extend_from(row_slab);
-            }
-        } else {
-            let mut row = Vec::with_capacity(k);
-            for a in 0..u {
-                for b in a + 1..u {
-                    pairs.push((a as u32, b as u32));
-                }
-                pair_row(a, &mut row, &mut slab);
-            }
+        let mut rows = Vec::with_capacity(skyline_ids.len() * dim);
+        for &id in skyline_ids {
+            rows.extend_from_slice(coords(id));
         }
-
         EclipseIndex {
             dim,
-            skyline_ids,
-            skyline_coords,
-            pairs,
-            slab: Arc::new(slab),
-            overlay: None,
+            skyline_ids: skyline_ids.into(),
+            skyline_coords: rows.into_boxed_slice(),
         }
     }
 
@@ -427,193 +250,40 @@ impl EclipseIndex {
         self.dim
     }
 
-    /// Number of skyline points the index covers (the live skyline of a
-    /// maintained index).
+    /// Number of skyline points the index covers.
     pub fn skyline_len(&self) -> usize {
-        self.skyline_ids().len()
+        self.skyline_ids.len()
     }
 
     /// Indices (into the original dataset) of the skyline points,
-    /// ascending (the live skyline of a maintained index).
+    /// ascending.
     pub fn skyline_ids(&self) -> &[usize] {
-        match &self.overlay {
-            None => &self.skyline_ids,
-            Some(o) => &o.live_ids,
-        }
+        &self.skyline_ids
     }
 
-    /// Number of intersection hyperplanes of the skyline (`C(u, 2)`): the
-    /// pairs a rebuild over the live skyline would index.
+    /// Number of intersection hyperplanes of the skyline: one per pair,
+    /// `C(u, 2)`.
     pub fn num_intersections(&self) -> usize {
         let u = self.skyline_len();
         u * u.saturating_sub(1) / 2
     }
 
-    /// Diagnostic: rows of the live-skyline overlay — dead base rows plus
-    /// extra rows.  Zero right after a build, a compaction or a decode.
-    pub fn overlay_rows(&self) -> usize {
-        self.overlay.as_ref().map_or(0, |o| {
-            let extras = o.extra_coords.len() / self.dim;
-            self.skyline_ids.len() - (o.live_ids.len() - extras) + extras
-        })
+    /// The skyline rows, in id order.
+    fn rows(&self) -> std::slice::ChunksExact<'_, f64> {
+        self.skyline_coords.chunks_exact(self.dim)
     }
 
-    /// Diagnostic: whether two indexes share one slab — true across
-    /// mutations that did not compact.
-    pub fn shares_arena(&self, other: &EclipseIndex) -> bool {
-        Arc::ptr_eq(&self.slab, &other.slab)
+    /// The coordinates of skyline row `r`.
+    fn row(&self, r: usize) -> &[f64] {
+        &self.skyline_coords[r * self.dim..(r + 1) * self.dim]
     }
 
-    /// The index maintained across one mutation: `live_ids` is the
-    /// post-mutation skyline (strictly ascending), `deleted` the row the
-    /// mutation removed (ids above it shift down by one) and `coords` the
-    /// post-mutation coordinates of a dataset id.
-    ///
-    /// The copy shares the slab and carries the live skyline as an
-    /// overlay derived from `live_ids`: base rows whose id left the
-    /// skyline are dead, live ids missing from the base are extra rows
-    /// (paired with every other live row), and a base row that re-enters
-    /// the skyline is revived rather than added — so a skyline entrant
-    /// followed by its delete leaves the overlay empty again.  An overlay
-    /// past [`overlay_limit`] is compacted instead: the copy is then
-    /// [`EclipseIndex::build_from_skyline`] over the live skyline, built on
-    /// `ctx`.  Either way probes answer exactly as a rebuild over the
-    /// mutated dataset does.  Without an overlay the copy's
-    /// [`EclipseIndex::heap_bytes`] is the original's.
-    pub(crate) fn with_live_skyline<'p>(
-        &self,
-        live_ids: &[usize],
-        deleted: Option<usize>,
-        coords: impl Fn(usize) -> &'p [f64],
-        ctx: &ExecutionContext,
-    ) -> Self {
-        let d = self.dim;
-        let skyline_ids: Box<[usize]> = self
-            .skyline_ids
-            .iter()
-            .map(|&id| match deleted {
-                Some(gone) if id != GONE && id >= gone => {
-                    if id == gone {
-                        GONE
-                    } else {
-                        id - 1
-                    }
-                }
-                _ => id,
-            })
-            .collect();
-        // Match the live ids against the base rows: both ascending, and a
-        // gone row never matches.
-        let u = skyline_ids.len();
-        let mut dead = vec![true; u];
-        let mut live_rows = Vec::with_capacity(live_ids.len());
-        let mut extra_ids = Vec::new();
-        let mut extra_coords = Vec::new();
-        let mut base = skyline_ids
-            .iter()
-            .enumerate()
-            .filter(|&(_, &id)| id != GONE)
-            .peekable();
-        for &id in live_ids {
-            while base.next_if(|&(_, &b)| b < id).is_some() {}
-            if let Some((row, _)) = base.next_if(|&(_, &b)| b == id) {
-                dead[row] = false;
-                live_rows.push(row as u32);
-            } else {
-                live_rows.push((u + extra_ids.len()) as u32);
-                extra_ids.push(id);
-                extra_coords.extend_from_slice(coords(id));
-            }
-        }
-        let extras = extra_ids.len();
-        let dead_rows = u - (live_ids.len() - extras);
-        let row = |r: usize| row_coords(&self.skyline_coords, &extra_coords, d, r);
-        let overlay = if dead_rows + extras == 0 {
-            None
-        } else {
-            let id_of = |r: usize| {
-                if r < u {
-                    skyline_ids[r]
-                } else {
-                    extra_ids[r - u]
-                }
-            };
-            let k = d - 1;
-            let num_pairs =
-                extras * (live_ids.len() - extras) + extras * extras.saturating_sub(1) / 2;
-            let mut pairs = Vec::with_capacity(num_pairs);
-            let mut slab = HyperplaneSlab::with_capacity(k, num_pairs);
-            let mut coeffs = Vec::with_capacity(k);
-            for x in u..u + extras {
-                // Every live base row and every earlier extra row.
-                for &y in live_rows.iter().filter(|&&y| (y as usize) < x) {
-                    let y = y as usize;
-                    let (a, b) = if id_of(y) < id_of(x) { (y, x) } else { (x, y) };
-                    let (pa, pb) = (row(a), row(b));
-                    coeffs.clear();
-                    coeffs.extend((0..k).map(|j| pa[j] - pb[j]));
-                    slab.push(&coeffs, pa[k] - pb[k]);
-                    pairs.push((a as u32, b as u32));
-                }
-            }
-            Some(Overlay {
-                live_ids: live_ids.to_vec(),
-                live_rows,
-                dead,
-                extra_coords,
-                pairs,
-                slab,
-            })
-        };
-        let maintained = EclipseIndex {
-            dim: d,
-            skyline_ids,
-            skyline_coords: self.skyline_coords.clone(),
-            pairs: self.pairs.clone(),
-            slab: Arc::clone(&self.slab),
-            overlay,
-        };
-        if dead_rows + extras > overlay_limit(u) {
-            return maintained
-                .compacted(ctx)
-                .expect("an overlay past its limit is not empty");
-        }
-        maintained
-    }
-
-    /// The index with its overlay folded into a fresh slab over the live
-    /// skyline — what [`EclipseIndex::build_from_skyline`] builds from the
-    /// maintained skyline — or `None` when there is no overlay to fold.
-    pub(crate) fn compacted(&self, ctx: &ExecutionContext) -> Option<Self> {
-        let o = self.overlay.as_ref()?;
-        let d = self.dim;
-        let mut coords = Vec::with_capacity(o.live_rows.len() * d);
-        for &r in &o.live_rows {
-            coords.extend_from_slice(row_coords(
-                &self.skyline_coords,
-                &o.extra_coords,
-                d,
-                r as usize,
-            ));
-        }
-        Some(Self::build_from_rows(
-            d,
-            o.live_ids.as_slice().into(),
-            coords.into_boxed_slice(),
-            ctx,
-        ))
-    }
-
-    /// Heap bytes owned by the index: the skyline id/coordinate buffers, the
-    /// pair list, the hyperplane slab and the live-skyline overlay, if any.
-    /// Buffers with spare capacity are counted at capacity; allocator
-    /// headers and the inline struct itself are not included.
+    /// Heap bytes owned by the index: the skyline id and coordinate
+    /// buffers (both sized exactly).  Allocator headers and the inline
+    /// struct itself are not included.
     pub fn heap_bytes(&self) -> usize {
         self.skyline_ids.len() * std::mem::size_of::<usize>()
             + self.skyline_coords.len() * std::mem::size_of::<f64>()
-            + self.pairs.capacity() * std::mem::size_of::<(u32, u32)>()
-            + self.slab.heap_bytes()
-            + self.overlay.as_ref().map_or(0, Overlay::heap_bytes)
     }
 
     /// Answers an eclipse query, returning indices into the original dataset
@@ -642,25 +312,10 @@ impl EclipseIndex {
         ratio_box: &WeightRatioBox,
         scratch: &'s mut ProbeScratch,
     ) -> Result<&'s [usize]> {
-        self.probe_into(ratio_box, scratch)?;
-        let ProbeScratch { ov, out, .. } = scratch;
+        let ProbeScratch { search, out } = scratch;
         out.clear();
-        // Both id lists are ascending, so the result needs no sort.
-        match &self.overlay {
-            None => out.extend(
-                ov.iter()
-                    .enumerate()
-                    .filter(|&(_, &count)| count == 0)
-                    .map(|(k, _)| self.skyline_ids[k]),
-            ),
-            Some(o) => out.extend(
-                o.live_rows
-                    .iter()
-                    .zip(&o.live_ids)
-                    .filter(|&(&row, _)| ov[row as usize] == 0)
-                    .map(|(_, &id)| id),
-            ),
-        }
+        // Rows are in ascending id order, so the result needs no sort.
+        self.probe(ratio_box, search, |row| out.push(self.skyline_ids[row]))?;
         Ok(out)
     }
 
@@ -705,9 +360,9 @@ impl EclipseIndex {
 
     /// Answers an eclipse query with only the result **cardinality** — the
     /// number of eclipse points — computed without materializing a single
-    /// result id (the ROADMAP's count-only probe: the order vector is
-    /// replayed exactly as in [`EclipseIndex::query_with_scratch`], then the
-    /// zero-dominator entries are counted instead of being gathered).
+    /// result id: the search runs exactly as in
+    /// [`EclipseIndex::query_with_scratch`], and the undominated rows are
+    /// counted instead of being gathered.
     ///
     /// # Errors
     /// Same as [`EclipseIndex::query`].
@@ -727,24 +382,56 @@ impl EclipseIndex {
         ratio_box: &WeightRatioBox,
         scratch: &mut ProbeScratch,
     ) -> Result<usize> {
-        self.probe_into(ratio_box, scratch)?;
-        Ok(scratch.ov.iter().filter(|&&count| count == 0).count())
+        let mut count = 0;
+        self.probe(ratio_box, &mut scratch.search, |_| count += 1)?;
+        Ok(count)
     }
 
-    /// The shared core of a probe: validate the box, load its corners into
-    /// the scratch, gather the candidate pairs and replay them into the
-    /// order vector.  Callers then read the result (`query_with_scratch`)
-    /// or just count the zeros (`count_with_scratch`).
-    fn probe_into(&self, ratio_box: &WeightRatioBox, scratch: &mut ProbeScratch) -> Result<()> {
+    /// The shared core of a probe: validate the box, order the skyline rows
+    /// by their score at its lower corner, and hand every row that no other
+    /// row counts against to `eclipse_row`, in ascending row order.
+    fn probe(
+        &self,
+        ratio_box: &WeightRatioBox,
+        search: &mut Search,
+        mut eclipse_row: impl FnMut(usize),
+    ) -> Result<()> {
         self.validate_probe(ratio_box)?;
-        scratch.qlo.clear();
-        scratch.qhi.clear();
+        let Search {
+            qlo,
+            qhi,
+            order,
+            delta,
+        } = search;
+        qlo.clear();
+        qhi.clear();
         for r in ratio_box.ranges() {
-            scratch.qlo.push(r.lo());
-            scratch.qhi.push(r.hi());
+            qlo.push(r.lo());
+            qhi.push(r.hi());
         }
-        self.candidate_pairs(scratch);
-        self.replay(scratch);
+        order.clear();
+        order.extend(
+            self.rows()
+                .enumerate()
+                .map(|(a, row)| (corner_score(row, qlo), a as u32)),
+        );
+        // The order decides only how soon a dominator is found, never
+        // whether one is; the stable sort would allocate a merge buffer on
+        // every probe.
+        order.sort_unstable_by(|x, y| x.0.total_cmp(&y.0));
+        delta.resize(self.dim, 0.0);
+        for (p, row_p) in self.rows().enumerate() {
+            let dominated = order.iter().any(|&(_, a)| {
+                let a = a as usize;
+                a != p && {
+                    difference_into(delta, self.row(a), row_p);
+                    counts_against(delta, qlo, qhi)
+                }
+            });
+            if !dominated {
+                eclipse_row(p);
+            }
+        }
         Ok(())
     }
 
@@ -784,58 +471,36 @@ impl EclipseIndex {
     }
 
     /// Diagnostic: the number of intersection hyperplanes of the skyline
-    /// crossing `ratio_box` — the candidate-set size a probe of that box
-    /// replays.  Gathers the candidates exactly as a probe does (the slab
-    /// sweep) and, for a maintained index, counts the live ones: base pairs without a
-    /// dead endpoint plus the crossing overlay pairs.
+    /// crossing `ratio_box` — the pairs whose order changes inside the box
+    /// (with `EPS` tolerance), each derived from its two rows and tested as
+    /// a probe tests it.  Costs `O(u²·d)`.
     ///
     /// # Errors
     /// Same as [`EclipseIndex::query`].
     pub fn intersections_crossing(&self, ratio_box: &WeightRatioBox) -> Result<usize> {
         self.validate_probe(ratio_box)?;
-        let mut scratch = ProbeScratch {
-            qlo: ratio_box.lower_corner(),
-            qhi: ratio_box.upper_corner(),
-            ..ProbeScratch::default()
-        };
-        self.candidate_pairs(&mut scratch);
-        let ProbeScratch {
-            qlo,
-            qhi,
-            candidates,
-            ..
-        } = &scratch;
-        Ok(match &self.overlay {
-            None => candidates.len(),
-            Some(o) => {
-                candidates
-                    .iter()
-                    .filter(|&&ci| {
-                        let (a, b) = self.pairs[ci];
-                        !o.dead[a as usize] && !o.dead[b as usize]
-                    })
-                    .count()
-                    + (0..o.slab.len())
-                        .filter(|&j| o.slab.intersects_box(j, qlo, qhi))
-                        .count()
+        let (qlo, qhi) = (ratio_box.lower_corner(), ratio_box.upper_corner());
+        let k = self.dim - 1;
+        let mut delta = vec![0.0; self.dim];
+        let mut crossing = 0;
+        for (a, row_a) in self.rows().enumerate() {
+            for row_b in self.rows().skip(a + 1) {
+                difference_into(&mut delta, row_a, row_b);
+                let (row, offset) = (&delta[..k], delta[k]);
+                let (min, max) = min_max_of_row(row, offset, &qlo, &qhi);
+                crossing += usize::from(row_intersects_box(row, offset, min, max));
             }
-        })
+        }
+        Ok(crossing)
     }
 
-    /// Appends the index's snapshot sections (metadata, skyline, slab) to a
+    /// Appends the index's snapshot sections (metadata, skyline) to a
     /// container under construction — the engine-level snapshot composes
-    /// this with a dataset section.  An index carrying a live-skyline
-    /// overlay is compacted first, on the process-wide execution context.
+    /// this with a dataset section.
     pub fn encode_snapshot_into(&self, writer: &mut SnapshotWriter) {
-        // A maintained index encodes as its compaction, so snapshot bytes
-        // are exactly what a rebuild writes.
-        if let Some(compacted) = self.compacted(&ExecutionContext::default()) {
-            return compacted.encode_snapshot_into(writer);
-        }
         let mut meta = Vec::new();
         enc::put_u32(&mut meta, self.dim as u32);
         enc::put_usize(&mut meta, self.skyline_ids.len());
-        enc::put_usize(&mut meta, self.pairs.len());
         writer.section(SECTION_INDEX_META, meta);
 
         let mut skyline = Vec::new();
@@ -847,10 +512,6 @@ impl EclipseIndex {
             enc::put_f64(&mut skyline, c);
         }
         writer.section(SECTION_SKYLINE, skyline);
-
-        let mut slab = Vec::new();
-        self.slab.encode_into(&mut slab);
-        writer.section(SECTION_SLAB, slab);
     }
 
     /// Serializes the index into a standalone versioned snapshot (magic +
@@ -864,11 +525,9 @@ impl EclipseIndex {
     }
 
     /// Decodes an index from the sections of a parsed snapshot container,
-    /// re-validating everything the probe path relies on: the pair count is
-    /// `C(u, 2)`, the skyline ids ascend, and the slab is `(d − 1)`-
-    /// dimensional with one row per pair.  The slab is stored rather than
-    /// recomputed, so every buffer a decode allocates is bounded by the
-    /// bytes present.
+    /// re-validating everything the probe path relies on: the skyline size
+    /// agrees with the metadata and the skyline ids ascend.  Every buffer a
+    /// decode allocates is bounded by the bytes present.
     ///
     /// # Errors
     /// [`EclipseError::Snapshot`] for every structural defect; hostile input
@@ -877,17 +536,10 @@ impl EclipseIndex {
         let mut meta = Cursor::new(reader.section(SECTION_INDEX_META)?);
         let dim = meta.u32()? as usize;
         let u = meta.usize64()?;
-        let num_pairs = meta.usize64()?;
         meta.finish()?;
         if dim < 2 {
             return Err(snapshot_err(format!(
                 "index dimensionality {dim} is below the d ≥ 2 minimum"
-            )));
-        }
-        let expected_pairs = (u as u128 * u.saturating_sub(1) as u128) / 2;
-        if num_pairs as u128 != expected_pairs {
-            return Err(snapshot_err(format!(
-                "pair count {num_pairs} is not C({u}, 2)"
             )));
         }
 
@@ -913,40 +565,10 @@ impl EclipseIndex {
         let skyline_coords: Box<[f64]> = sky.f64_vec(coord_count)?.into_boxed_slice();
         sky.finish()?;
 
-        let mut rows = Cursor::new(reader.section(SECTION_SLAB)?);
-        let slab = HyperplaneSlab::decode(&mut rows)?;
-        rows.finish()?;
-        let k = dim - 1;
-        if slab.dim() != k {
-            return Err(snapshot_err(format!(
-                "slab dimensionality {} does not match the {k}-dimensional ratio space",
-                slab.dim()
-            )));
-        }
-        if slab.len() != num_pairs {
-            return Err(snapshot_err(format!(
-                "slab holds {} hyperplanes but the metadata says {num_pairs}",
-                slab.len()
-            )));
-        }
-
-        // The pair table is fully determined by the skyline size: pairs are
-        // laid out (a, b) for a < b in row order, exactly as construction
-        // emits them, so it is reconstructed rather than stored.
-        let mut pairs = Vec::with_capacity(num_pairs);
-        for a in 0..u {
-            for b in a + 1..u {
-                pairs.push((a as u32, b as u32));
-            }
-        }
-
         Ok(EclipseIndex {
             dim,
             skyline_ids: skyline_ids.into_boxed_slice(),
             skyline_coords,
-            pairs,
-            slab: Arc::new(slab),
-            overlay: None,
         })
     }
 
@@ -1043,102 +665,6 @@ impl EclipseIndex {
     fn validate_batch(&self, boxes: &[WeightRatioBox]) -> Result<()> {
         boxes.iter().try_for_each(|b| self.validate_probe(b))
     }
-
-    /// Fills `scratch.candidates` with the indices (into `self.pairs`) of the
-    /// candidate intersection hyperplanes for the query box in
-    /// `scratch.qlo/qhi`: exactly those intersecting the closed box, in
-    /// ascending order, from one branch-free sweep over the slab rows.
-    fn candidate_pairs(&self, scratch: &mut ProbeScratch) {
-        scratch.candidates.clear();
-        self.slab
-            .filter_all_intersecting_into(&scratch.qlo, &scratch.qhi, &mut scratch.candidates);
-    }
-
-    /// Computes the final dominator count of every skyline row into
-    /// `scratch.ov`: the initial order vector at the lower corner, adjusted
-    /// exactly for every candidate pair.  With an overlay, only live rows
-    /// are ranked, candidates with a dead endpoint are dropped, the overlay
-    /// pairs crossing the box are replayed too, and dead rows end at
-    /// [`DEAD_ROW`].
-    fn replay(&self, scratch: &mut ProbeScratch) {
-        let ProbeScratch {
-            scores,
-            sorted,
-            ov,
-            qlo,
-            qhi,
-            candidates,
-            ..
-        } = scratch;
-        let d = self.dim;
-        let qlo: &[f64] = qlo;
-        // Initial order vector: how many live rows score strictly lower at
-        // the lower corner.  All buffers are reused across probes.
-        scores.clear();
-        scores.extend(
-            self.skyline_coords
-                .chunks_exact(d)
-                .map(|row| corner_score(row, qlo)),
-        );
-        sorted.clear();
-        match &self.overlay {
-            None => sorted.extend_from_slice(scores),
-            Some(o) => {
-                scores.extend(
-                    o.extra_coords
-                        .chunks_exact(d)
-                        .map(|row| corner_score(row, qlo)),
-                );
-                sorted.extend(o.live_rows.iter().map(|&r| scores[r as usize]));
-            }
-        }
-        // Unstable sort: equal scores are interchangeable for ranking, and
-        // the stable sort would allocate a merge buffer on every probe.
-        sorted.sort_unstable_by(|a, b| a.total_cmp(b));
-        ov.clear();
-        ov.extend(
-            scores
-                .iter()
-                .map(|&s| sorted.partition_point(|&v| v + EPS < s) as i64),
-        );
-
-        // Exact adjustment for every pair whose order may change in the box.
-        let slab = &self.slab;
-        let Some(o) = &self.overlay else {
-            for &ci in candidates.iter() {
-                let (a, b) = self.pairs[ci];
-                adjust_pair(ov, scores, a, b, slab.min_max_over_box(ci, qlo, qhi));
-            }
-            return;
-        };
-        for (count, _) in ov.iter_mut().zip(&o.dead).filter(|(_, &dead)| dead) {
-            *count = DEAD_ROW;
-        }
-        for &ci in candidates.iter() {
-            let (a, b) = self.pairs[ci];
-            if !o.dead[a as usize] && !o.dead[b as usize] {
-                adjust_pair(ov, scores, a, b, slab.min_max_over_box(ci, qlo, qhi));
-            }
-        }
-        // The same closed-box filter the slab sweep applies: replaying
-        // a pair that does not cross the box can tip an EPS tie.
-        for (j, &(a, b)) in o.pairs.iter().enumerate() {
-            if o.slab.intersects_box(j, qlo, qhi) {
-                adjust_pair(ov, scores, a, b, o.slab.min_max_over_box(j, qlo, qhi));
-            }
-        }
-    }
-}
-
-/// The coordinates of row `r` in an overlay's numbering: base rows first,
-/// then extra rows.
-fn row_coords<'a>(base: &'a [f64], extra: &'a [f64], d: usize, r: usize) -> &'a [f64] {
-    let u = base.len() / d;
-    if r < u {
-        &base[r * d..(r + 1) * d]
-    } else {
-        &extra[(r - u) * d..(r - u + 1) * d]
-    }
 }
 
 /// The score of a skyline row at the weight-ratio vector `r`:
@@ -1148,28 +674,36 @@ fn corner_score(row: &[f64], r: &[f64]) -> f64 {
     row.iter().zip(r).map(|(p, r)| r * p).sum::<f64>() + row[r.len()]
 }
 
-/// Adjusts the dominator counts of rows `a` and `b` for their pair, given
-/// the min and max of `f(r) = S_a(r) − S_b(r)` over the box: a pair counted
-/// at the lower corner that does not dominate over the whole box is taken
-/// back, and a dominance the corner missed is added.
+/// Writes the difference row `a − b` into `delta`.
 #[inline]
-fn adjust_pair(ov: &mut [i64], scores: &[f64], a: u32, b: u32, (min_f, max_f): (f64, f64)) {
-    let (a, b) = (a as usize, b as usize);
-    let a_dominates_b = max_f <= EPS && min_f < -EPS;
-    let b_dominates_a = min_f >= -EPS && max_f > EPS;
-    let fl = scores[a] - scores[b];
-    let a_counted = fl + EPS < 0.0;
-    let b_counted = fl > EPS;
-
-    match (a_counted, a_dominates_b) {
-        (true, false) => ov[b] -= 1,
-        (false, true) => ov[b] += 1,
-        _ => {}
+fn difference_into(delta: &mut [f64], a: &[f64], b: &[f64]) {
+    for ((d, x), y) in delta.iter_mut().zip(a).zip(b) {
+        *d = x - y;
     }
-    match (b_counted, b_dominates_a) {
-        (true, false) => ov[a] -= 1,
-        (false, true) => ov[a] += 1,
-        _ => {}
+}
+
+/// Whether row `a` counts against row `p` for the box `[lo, hi]`, given
+/// their difference row `delta = a − p`, whose functional
+/// `f(r) = delta[..k]·r + delta[k]` is `S_a(r) − S_p(r)`:
+/// * where the pair's hyperplane `f = 0` crosses the box, `a` must
+///   dominate `p` over the whole box (`f ≤ EPS` everywhere and
+///   `f < −EPS` somewhere);
+/// * elsewhere `f` keeps its sign over the box, and `a` counts when it
+///   scores below `p` at the lower corner.
+///
+/// The min, max and crossing test are the slab kernels of
+/// `eclipse_geom::hyperplane`.  Subtraction, products and sums are exact
+/// under negation, so `a − p` is bit for bit the negated `p − a` row and
+/// the decision does not depend on which row of the pair comes first.
+#[inline]
+fn counts_against(delta: &[f64], lo: &[f64], hi: &[f64]) -> bool {
+    let k = lo.len();
+    let (row, offset) = (&delta[..k], delta[k]);
+    let (min, max) = min_max_of_row(row, offset, lo, hi);
+    if row_intersects_box(row, offset, min, max) {
+        max <= EPS && min < -EPS
+    } else {
+        row.iter().zip(lo).fold(0.0, |f, (c, r)| f + c * r) + offset < -EPS
     }
 }
 
@@ -1510,23 +1044,33 @@ mod tests {
 
     #[test]
     fn intersections_crossing_counts_candidates_exactly() {
+        use eclipse_geom::hyperplane::Hyperplane;
+        use eclipse_geom::point::BoundingBox;
         let mut rng = rand::rngs::StdRng::seed_from_u64(81);
         let pts: Vec<Point> = (0..250)
             .map(|_| Point::new((0..3).map(|_| rng.gen_range(0.0..1.0)).collect()))
             .collect();
         for cfg in both_kinds() {
             let idx = EclipseIndex::build(&pts, cfg).unwrap();
-            let slab_count = |b: &WeightRatioBox| {
-                let (qlo, qhi) = (b.lower_corner(), b.upper_corner());
-                (0..idx.num_intersections())
-                    .filter(|&i| idx.slab.intersects_box(i, &qlo, &qhi))
-                    .count()
+            // The per-object predicate over every pair's hyperplane.
+            let crossing = |b: &WeightRatioBox| {
+                let bbox = BoundingBox::new(b.lower_corner(), b.upper_corner());
+                let rows: Vec<&[f64]> = idx.rows().collect();
+                let mut count = 0;
+                for (a, pa) in rows.iter().enumerate() {
+                    for pb in &rows[a + 1..] {
+                        let coeffs = (0..2).map(|j| pa[j] - pb[j]).collect();
+                        let h = Hyperplane::new(coeffs, pa[2] - pb[2]);
+                        count += usize::from(h.intersects_box(&bbox));
+                    }
+                }
+                count
             };
             for (lo, hi) in [(0.36, 2.75), (0.9, 1.1), (0.5, 20.0), (0.0, 16.0)] {
                 let b = WeightRatioBox::uniform(3, lo, hi).unwrap();
                 assert_eq!(
                     idx.intersections_crossing(&b).unwrap(),
-                    slab_count(&b),
+                    crossing(&b),
                     "kind {:?}, box {b}",
                     cfg.kind
                 );
@@ -1635,177 +1179,22 @@ mod tests {
     }
 
     #[test]
-    fn id_remap_shares_the_arena_and_keeps_the_accounting() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(77);
-        let pts: Vec<Point> = (0..300)
-            .map(|_| Point::new((0..3).map(|_| rng.gen_range(0.0..1.0)).collect()))
-            .collect();
-        for cfg in both_kinds() {
-            let idx = EclipseIndex::build(&pts, cfg).unwrap();
-            let plain = (0..pts.len())
-                .find(|i| !idx.skyline_ids().contains(i))
-                .unwrap();
-            let shifted: Vec<usize> = idx
-                .skyline_ids()
-                .iter()
-                .map(|&i| if i > plain { i - 1 } else { i })
-                .collect();
-            let remapped = idx.with_live_skyline(
-                &shifted,
-                Some(plain),
-                |id| pts[if id >= plain { id + 1 } else { id }].coords(),
-                &ExecutionContext::serial(),
-            );
-            assert!(remapped.shares_arena(&idx));
-            assert_eq!(remapped.overlay_rows(), 0);
-            assert_eq!(remapped.heap_bytes(), idx.heap_bytes());
-            assert_eq!(remapped.skyline_ids(), shifted.as_slice());
-        }
-    }
-
-    /// Probe boxes for the overlay tests: in-region, escaping the indexed
-    /// region, narrow and degenerate.
-    fn overlay_boxes() -> Vec<WeightRatioBox> {
-        [
-            (0.2, 0.8),
-            (0.36, 2.75),
-            (0.9, 1.1),
-            (0.5, 20.0),
-            (1.0, 1.0),
-        ]
-        .into_iter()
-        .map(|(lo, hi)| WeightRatioBox::uniform(3, lo, hi).unwrap())
-        .collect()
-    }
-
-    /// Asserts `maintained` answers, counts and reports exactly like
-    /// `rebuilt`, and encodes to its bytes.
-    fn assert_same_index(maintained: &EclipseIndex, rebuilt: &EclipseIndex) {
-        assert_eq!(maintained.skyline_ids(), rebuilt.skyline_ids());
-        assert_eq!(maintained.skyline_len(), rebuilt.skyline_len());
-        assert_eq!(maintained.num_intersections(), rebuilt.num_intersections());
-        let mut scratch = ProbeScratch::new();
-        for b in overlay_boxes() {
-            let want = rebuilt.query(&b).unwrap();
-            assert_eq!(maintained.query(&b).unwrap(), want, "box {b}");
-            assert_eq!(
-                maintained.query_with_scratch(&b, &mut scratch).unwrap(),
-                &want[..]
-            );
-            assert_eq!(maintained.count(&b).unwrap(), want.len(), "box {b}");
-            assert_eq!(
-                maintained.intersections_crossing(&b).unwrap(),
-                rebuilt.intersections_crossing(&b).unwrap(),
-                "box {b}"
-            );
-        }
-        assert_eq!(maintained.encode_snapshot(), rebuilt.encode_snapshot());
-    }
-
-    #[test]
-    fn live_skyline_overlay_answers_like_a_rebuild_and_empties_on_revival() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(83);
-        let pts: Vec<Point> = (0..300)
-            .map(|_| Point::new((0..3).map(|_| rng.gen_range(0.0..1.0)).collect()))
-            .collect();
-        let ctx = ExecutionContext::serial();
-        for cfg in both_kinds() {
-            let idx = EclipseIndex::build_with(&pts, cfg, &ctx).unwrap();
-            // An entrant nudged below a member, appended at id n: the
-            // member dies and the entrant is an extra row.
-            let member = idx.skyline_ids()[idx.skyline_len() / 2];
-            let mut nudged = pts[member].coords().to_vec();
-            nudged[0] -= 1e-3;
-            let mut grown = pts.clone();
-            grown.push(Point::new(nudged));
-            let live = eclipse_skyline::dc::skyline_dc_parallel(&grown, ctx.pool());
-            let maintained = idx.with_live_skyline(&live, None, |id| grown[id].coords(), &ctx);
-            assert!(maintained.shares_arena(&idx));
-            assert!(maintained.overlay_rows() >= 2);
-            assert_same_index(
-                &maintained,
-                &EclipseIndex::build_with(&grown, cfg, &ctx).unwrap(),
-            );
-
-            // Deleting the entrant revives the member: the overlay empties
-            // and the copy accounts exactly what the base does.
-            let back = maintained.with_live_skyline(
-                idx.skyline_ids(),
-                Some(pts.len()),
-                |id| pts[id].coords(),
-                &ctx,
-            );
-            assert!(back.shares_arena(&idx));
-            assert_eq!(back.overlay_rows(), 0);
-            assert_eq!(back.heap_bytes(), idx.heap_bytes());
-            assert_same_index(&back, &idx);
-
-            // Deleting the dead member instead leaves it gone for good.
-            let shrunk: Vec<Point> = grown
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| i != member)
-                .map(|(_, p)| p.clone())
-                .collect();
-            let live = eclipse_skyline::dc::skyline_dc_parallel(&shrunk, ctx.pool());
-            let gone =
-                maintained.with_live_skyline(&live, Some(member), |id| shrunk[id].coords(), &ctx);
-            assert!(gone.shares_arena(&idx));
-            assert_same_index(
-                &gone,
-                &EclipseIndex::build_with(&shrunk, cfg, &ctx).unwrap(),
-            );
-        }
-    }
-
-    #[test]
-    fn overlay_pairs_that_miss_the_box_are_not_replayed() {
-        // `a` and `b` score exactly alike at the box's lower corner, while
-        // their hyperplane stays just below -EPS across the box: the pair
-        // does not cross the closed box, so a rebuild never replays it.
-        // Replaying it anyway would count `a` against `b` and drop `b`.
+    fn a_pair_that_misses_the_box_is_decided_at_the_lower_corner() {
+        // `a` and `b` score exactly alike at the box's lower corner when
+        // the scores are summed, while their difference row puts `a` just
+        // over `EPS` below `b` there and further below across the box: the
+        // pair's hyperplane misses the box, and `a` dominates `b` as BASE
+        // also finds.  Deciding the pair by the summed scores instead would
+        // keep `b`.
         let a = p(&[0.9101850589387533, 10000000.00000022]);
         let b = p(&[0.9103749086678694, 9999999.999810372]);
         let dominated = p(&[2.0, 2e7]);
         let bx = WeightRatioBox::uniform(2, 1.0, 2.0).unwrap();
-        let ctx = ExecutionContext::serial();
-        for cfg in both_kinds() {
-            let idx = EclipseIndex::build_with(&[a.clone(), dominated.clone()], cfg, &ctx).unwrap();
-            let grown = vec![a.clone(), dominated.clone(), b.clone()];
-            let maintained = idx.with_live_skyline(&[0, 2], None, |id| grown[id].coords(), &ctx);
-            assert_eq!(maintained.overlay_rows(), 1);
-            let rebuilt = EclipseIndex::build_with(&grown, cfg, &ctx).unwrap();
-            assert_eq!(rebuilt.query(&bx).unwrap(), vec![0, 2]);
-            assert_eq!(
-                maintained.query(&bx).unwrap(),
-                vec![0, 2],
-                "kind {:?}",
-                cfg.kind
-            );
-        }
-    }
-
-    #[test]
-    fn an_overlay_past_the_limit_compacts_into_a_rebuild() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(84);
-        let pts: Vec<Point> = (0..300)
-            .map(|_| Point::new((0..3).map(|_| rng.gen_range(0.0..1.0)).collect()))
-            .collect();
-        let ctx = ExecutionContext::serial();
-        for cfg in both_kinds() {
-            let idx = EclipseIndex::build_with(&pts, cfg, &ctx).unwrap();
-            assert!(idx.skyline_len() > overlay_limit(idx.skyline_len()));
-            // A point at the origin dominates the whole skyline.
-            let mut grown = pts.clone();
-            grown.push(Point::new(vec![0.0; 3]));
-            let maintained =
-                idx.with_live_skyline(&[pts.len()], None, |id| grown[id].coords(), &ctx);
-            assert!(!maintained.shares_arena(&idx));
-            assert_eq!(maintained.overlay_rows(), 0);
-            assert_same_index(
-                &maintained,
-                &EclipseIndex::build_with(&grown, cfg, &ctx).unwrap(),
-            );
-        }
+        let points = vec![a, dominated, b];
+        let want = eclipse_baseline(&points, &bx).unwrap();
+        assert_eq!(want, vec![0]);
+        let idx = EclipseIndex::build(&points, IndexConfig::default()).unwrap();
+        assert_eq!(idx.intersections_crossing(&bx).unwrap(), 0);
+        assert_eq!(idx.query(&bx).unwrap(), want);
     }
 }

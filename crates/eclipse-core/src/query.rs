@@ -28,16 +28,12 @@
 //! * a delete of a skyline member promotes exactly the points it exclusively
 //!   dominated (an `O(n·d)` candidate scan, not a full skyline recompute).
 //!
-//! A skyline change does not rebuild the built index either: it keeps its
-//! hyperplane slab as a shared base and carries the changed skyline
-//! in a small live-skyline overlay (dead base rows plus extra rows; see
-//! [`EclipseIndex::overlay_rows`]).  Only an overlay that grows past
-//! [`crate::index::overlay_limit`] is compacted — a build over the
-//! maintained skyline — and so is every index a snapshot encodes.
-//! Probes answer exactly as a fresh rebuild over the mutated dataset does
-//! at every epoch, and every compaction and snapshot is **byte-identical**
-//! to that rebuild (asserted by the mutation property suites and on every
-//! `experiments -- mutate` pass).
+//! The built index holds only the skyline rows, so a skyline change copies
+//! the live rows into a new index in `O(u·d)` instead of rebuilding: the
+//! copy is what a fresh build over the mutated dataset holds.  Probes
+//! answer exactly as that rebuild does at every epoch, and every snapshot
+//! is **byte-identical** to the rebuild's (asserted by the mutation
+//! property suites and on every `experiments -- mutate` pass).
 
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -70,10 +66,10 @@ pub enum Algorithm {
     /// TRAN — the transformation-based algorithm.
     Transform,
     /// QUAD — the paper's index-based algorithm with a line-quadtree
-    /// Intersection Index; answered by the engine's one slab index.
+    /// Intersection Index; answered by the engine's one skyline index.
     IndexQuadtree,
     /// CUTTING — the paper's index-based algorithm with a cutting-tree
-    /// Intersection Index; answered by the engine's one slab index.
+    /// Intersection Index; answered by the engine's one skyline index.
     IndexCuttingTree,
 }
 
@@ -85,15 +81,14 @@ pub enum MutationOutcome {
     /// the built index are unchanged (re-tagged with the new epoch).
     InsertedDominated,
     /// The inserted point entered the skyline, evicting the members it
-    /// dominates; the built index carries the change in its live-skyline
-    /// overlay.
+    /// dominates; the built index is copied over the new skyline.
     InsertedSkyline,
     /// The deleted row was not a skyline member: the skyline point-set is
     /// unchanged and the built index was copied with remapped ids.
     DeletedNonSkyline,
     /// The deleted row was a skyline member: its exclusively-dominated
-    /// points were promoted, and the built index carries the change in its
-    /// live-skyline overlay.
+    /// points were promoted, and the built index is copied over the new
+    /// skyline.
     DeletedSkyline,
 }
 
@@ -380,7 +375,7 @@ impl EclipseEngine {
     /// [`EclipseIndex::query_batch`]: probes are chunked over the shared
     /// `eclipse-exec` pool and answered with one reusable
     /// [`crate::index::ProbeScratch`] per worker, so the steady-state cost
-    /// per probe is an allocation-free slab sweep plus replay.  `Auto`
+    /// per probe is an allocation-free dominator search.  `Auto`
     /// uses the built index, building it once for the whole batch if
     /// needed; batches containing
     /// unbounded boxes fall back to per-box [`Algorithm::Auto`] answering.
@@ -480,8 +475,7 @@ impl EclipseEngine {
     }
 
     /// Serializes the dataset plus the built index into a versioned
-    /// snapshot (building and caching the index first if needed, and
-    /// compacting a maintained index's overlay into the cached index).
+    /// snapshot (building and caching the index first if needed).
     /// `kind` is a label: either kind writes the same bytes.
     /// `label` is stored alongside the dataset — servers use it to re-derive
     /// the dataset name on a warm restart — and so is the dataset **epoch**,
@@ -494,17 +488,8 @@ impl EclipseEngine {
         // Hold the mutation lock so the encoded (points, epoch, index)
         // triple is one consistent version.
         let _guard = self.mutation.lock().expect("mutation lock poisoned");
-        let mut index = self.index()?;
+        let index = self.index()?;
         let version = self.version();
-        // Compact a maintained index and keep the result: the held lock
-        // pins the epoch, and the next save encodes it as is.
-        if let Some(compacted) = index.compacted(&self.exec) {
-            index = Arc::new(compacted);
-            *self.index.write().expect("index lock poisoned") = Some(IndexSlot {
-                epoch: version.epoch,
-                index: Arc::clone(&index),
-            });
-        }
         let mut writer = SnapshotWriter::new();
         let mut dataset = Vec::new();
         enc::put_str(&mut dataset, label);
@@ -864,10 +849,9 @@ impl EclipseEngine {
     ///   ([`MutationOutcome::InsertedDominated`]); a built index is re-tagged
     ///   at the new epoch without rebuilding.
     /// * otherwise `p` enters the skyline and evicts exactly the members it
-    ///   dominates ([`MutationOutcome::InsertedSkyline`]); a built index
-    ///   keeps its slab and records the new skyline in its live-skyline
-    ///   overlay, compacting only past [`crate::index::overlay_limit`].
-    ///   Answers equal a from-scratch build's either way.
+    ///   dominates ([`MutationOutcome::InsertedSkyline`]); a built index is
+    ///   copied over the new skyline's rows.  Answers equal a from-scratch
+    ///   build's either way.
     ///
     /// The point vector is updated in place unless a probe still holds the
     /// previous version.
@@ -909,14 +893,14 @@ impl EclipseEngine {
             });
         }
         // Skyline-entering insert: evict the members the new point dominates
-        // and carry the change into the built index's overlay.
+        // and copy the built index over the new skyline.
         let mut new_sky: Vec<usize> = sky
             .iter()
             .copied()
             .filter(|&id| !dominates(&point, &version.points[id]))
             .collect();
         new_sky.push(new_id);
-        let maintained = self.maintain_built_index(version.epoch, &new_sky, None, |id| {
+        let maintained = self.maintain_built_index(version.epoch, &new_sky, |id| {
             if id == new_id {
                 point.coords()
             } else {
@@ -957,11 +941,10 @@ impl EclipseEngine {
     ///   member dominates, and the promoted set is the skyline of the
     ///   survivors.  A remaining bit-identical duplicate promotes nothing.
     ///
-    /// Either way a built index keeps its slab and derives its
-    /// live-skyline overlay from the new skyline; a promoted point that was
-    /// a base skyline row is revived, so deleting a skyline entrant empties
-    /// the overlay its insert created.  The point vector is updated in
-    /// place unless a probe still holds the previous version.
+    /// Either way a built index is copied over the new skyline's rows (for
+    /// a non-skyline delete, the same rows under shifted ids).  The point
+    /// vector is updated in place unless a probe still holds the previous
+    /// version.
     ///
     /// # Errors
     /// [`EclipseError::Unsupported`] for an out-of-range `id` or when the
@@ -1040,7 +1023,7 @@ impl EclipseEngine {
                 *s -= 1;
             }
         }
-        let maintained = self.maintain_built_index(version.epoch, &new_sky, Some(id), |post| {
+        let maintained = self.maintain_built_index(version.epoch, &new_sky, |post| {
             version.points[if post >= id { post + 1 } else { post }].coords()
         });
         // As for a dominated insert: without this call's handle on the
@@ -1062,21 +1045,17 @@ impl EclipseEngine {
         })
     }
 
-    /// Maintains the index built at `epoch`, if any, across one mutation
-    /// (see [`EclipseIndex::with_live_skyline`]): `live_ids` is the
-    /// post-mutation skyline, `deleted` the removed row and `coords` the
-    /// post-mutation coordinates of a dataset id.  The result shares its
-    /// slab with its predecessor unless its overlay passed the bound and it
-    /// was compacted on the engine's execution context.
+    /// Maintains the index built at `epoch`, if any, across one mutation by
+    /// copying the post-mutation skyline `live_ids`, whose post-mutation
+    /// coordinates `coords` returns.
     fn maintain_built_index<'p>(
         &self,
         epoch: u64,
         live_ids: &[usize],
-        deleted: Option<usize>,
         coords: impl Fn(usize) -> &'p [f64],
     ) -> Option<Arc<EclipseIndex>> {
         self.index_at(epoch)
-            .map(|index| Arc::new(index.with_live_skyline(live_ids, deleted, &coords, &self.exec)))
+            .map(|index| Arc::new(EclipseIndex::from_skyline(index.dim(), live_ids, coords)))
     }
 
     /// Installs `index` at `epoch`, or clears the slot when there is none
@@ -1567,7 +1546,7 @@ mod tests {
         assert_eq!(summary.epoch, 1);
         assert_eq!(summary.len, 5);
         assert_eq!(e.epoch(), 1);
-        // The arena was re-tagged, not rebuilt: same allocation.
+        // The index was re-tagged, not rebuilt: same allocation.
         let after = e
             .cached_index()
             .expect("index stays cached across an absorbed insert");
@@ -1651,18 +1630,18 @@ mod tests {
             assert_eq!(
                 cached_index_bytes(&e),
                 cached_index_bytes(&rebuilt),
-                "maintained {kind:?} arena must be byte-identical to a rebuild"
+                "maintained {kind:?} index must be byte-identical to a rebuild"
             );
         }
     }
 
     #[test]
-    fn entrant_and_delete_cycles_share_one_arena() {
+    fn entrant_and_delete_cycles_restore_the_index() {
         // The mutation cycle of a write-heavy serving load: a skyline
         // member nudged down enters the skyline, is deleted again, and
-        // dominated inserts and non-skyline deletes run in between.  No
-        // step compacts: the entrant's delete revives the member it
-        // killed, so the overlay empties and the arena stays the base.
+        // dominated inserts and non-skyline deletes run in between.  The
+        // entrant's delete revives the member it killed, so the index is
+        // again the one before the insert, down to its accounted bytes.
         let mut rng = rand::rngs::StdRng::seed_from_u64(108);
         let pts: Vec<Point> = (0..400)
             .map(|_| Point::new((0..3).map(|_| rng.gen_range(0.0..1.0)).collect()))
@@ -1670,27 +1649,28 @@ mod tests {
         let e = EclipseEngine::new(pts)
             .unwrap()
             .with_execution_context(ExecutionContext::serial());
-        let kind = IntersectionIndexKind::Quadtree;
-        let base = e.build_index(kind).unwrap();
+        e.build_index(IntersectionIndexKind::Quadtree).unwrap();
         let b = WeightRatioBox::uniform(3, 0.36, 2.75).unwrap();
         for cycle in 0..12 {
+            let before = e.cached_index().unwrap();
             let sky = e.skyline();
             let mut entrant = e.points()[sky[cycle % sky.len()]].coords().to_vec();
             entrant[cycle % 3] -= 1e-3;
             let summary = e.insert(Point::new(entrant)).unwrap();
             assert_eq!(summary.outcome, MutationOutcome::InsertedSkyline);
-            let during = e.cached_index().unwrap();
-            assert!(
-                during.shares_arena(&base),
-                "cycle {cycle}: insert compacted"
+            assert_ne!(
+                e.cached_index().unwrap().skyline_ids(),
+                before.skyline_ids()
             );
-            assert!(during.overlay_rows() >= 2);
             let summary = e.delete(e.len() - 1).unwrap();
             assert_eq!(summary.outcome, MutationOutcome::DeletedSkyline);
             let after = e.cached_index().unwrap();
-            assert!(after.shares_arena(&base), "cycle {cycle}: delete compacted");
-            assert_eq!(after.overlay_rows(), 0);
-            assert_eq!(after.heap_bytes(), base.heap_bytes());
+            assert_eq!(
+                after.encode_snapshot(),
+                before.encode_snapshot(),
+                "cycle {cycle}"
+            );
+            assert_eq!(after.heap_bytes(), before.heap_bytes(), "cycle {cycle}");
             let dominated = e.points()[sky[0]]
                 .coords()
                 .iter()
@@ -1705,26 +1685,23 @@ mod tests {
                 rebuilt.eclipse_with(&b, Algorithm::IndexQuadtree).unwrap()
             );
         }
-        assert!(e.cached_index().unwrap().shares_arena(&base));
     }
 
     #[test]
-    fn snapshots_compact_the_cached_index() {
+    fn snapshots_of_a_maintained_index_equal_a_rebuild() {
         let e = paper_engine();
         let kind = IntersectionIndexKind::Quadtree;
-        let base = e.build_index(kind).unwrap();
+        e.build_index(kind).unwrap();
         e.insert(p(&[2.0, 3.0])).unwrap();
         let maintained = e.cached_index().unwrap();
-        assert!(maintained.overlay_rows() > 0);
-        let bytes = e.save_snapshot("compact", kind).unwrap();
-        let compacted = e.cached_index().unwrap();
-        assert_eq!(compacted.overlay_rows(), 0);
-        assert!(!compacted.shares_arena(&base));
+        let bytes = e.save_snapshot("maintained", kind).unwrap();
+        // Saving leaves the cached index as it is.
+        assert!(Arc::ptr_eq(&maintained, &e.cached_index().unwrap()));
         let rebuilt = EclipseEngine::new(e.points().to_vec()).unwrap();
         rebuilt.build_index(kind).unwrap();
-        assert_eq!(compacted.encode_snapshot(), cached_index_bytes(&rebuilt));
+        assert_eq!(maintained.encode_snapshot(), cached_index_bytes(&rebuilt));
         let (_, cold) = EclipseEngine::from_snapshot(&bytes).unwrap();
-        assert_eq!(cached_index_bytes(&cold), compacted.encode_snapshot());
+        assert_eq!(cached_index_bytes(&cold), maintained.encode_snapshot());
     }
 
     #[test]
@@ -1754,7 +1731,7 @@ mod tests {
                 assert_eq!(
                     cached_index_bytes(&e),
                     cached_index_bytes(&rebuilt),
-                    "delete({id}) {kind:?} arena must be byte-identical to a rebuild"
+                    "delete({id}) {kind:?} index must be byte-identical to a rebuild"
                 );
             }
         }

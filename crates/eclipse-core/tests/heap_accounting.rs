@@ -18,7 +18,7 @@ use std::sync::Mutex;
 
 use eclipse_core::exec::ExecutionContext;
 use eclipse_core::index::IntersectionIndexKind;
-use eclipse_core::{EclipseEngine, Point};
+use eclipse_core::{EclipseEngine, MutationOutcome, Point};
 use rand::{Rng, SeedableRng};
 
 struct ByteTrackingAllocator;
@@ -117,31 +117,30 @@ fn heap_bytes_matches_the_allocator_ground_truth() {
             "dropping the engine must return at least the accounted bytes"
         );
 
-        // The same bounds hold for an engine whose index carries a
-        // live-skyline overlay: a skyline-entering insert adds extra rows,
-        // dead base rows and overlay pairs beside the shared slab.
+        // The same bounds hold for an engine whose index was maintained
+        // across a skyline-entering insert.
         let before = LIVE_BYTES.load(Ordering::Relaxed);
         let engine = build_full(dataset(n, dim, seed));
         let member = engine.skyline()[0];
         let mut entrant = engine.points()[member].coords().to_vec();
         entrant[0] -= 1e-3;
-        engine.insert(Point::new(entrant)).unwrap();
-        assert!(engine.cached_index().unwrap().overlay_rows() > 0);
+        let summary = engine.insert(Point::new(entrant)).unwrap();
+        assert_eq!(summary.outcome, MutationOutcome::InsertedSkyline);
         let delta = LIVE_BYTES.load(Ordering::Relaxed) - before;
         let accounted = engine.heap_bytes();
         assert!(
             accounted <= delta,
-            "n={n} dim={dim} overlay: accounted {accounted} exceeds live delta {delta}"
+            "n={n} dim={dim} maintained: accounted {accounted} exceeds live delta {delta}"
         );
         assert!(
             accounted * 10 >= delta * 8,
-            "n={n} dim={dim} overlay: accounted {accounted} is under 80% of live delta {delta}"
+            "n={n} dim={dim} maintained: accounted {accounted} is under 80% of live delta {delta}"
         );
         drop(engine);
         let freed = LIVE_BYTES.load(Ordering::Relaxed);
         assert!(
             freed <= before + (delta - accounted),
-            "dropping the overlay engine must return at least the accounted bytes"
+            "dropping the maintained engine must return at least the accounted bytes"
         );
     }
 }
@@ -176,9 +175,8 @@ fn family(name: &str, n: usize, dim: usize, seed: u64) -> Vec<Point> {
 
 /// A fresh engine and the engine restored from its own snapshot account
 /// the same heap bytes, under both kind labels, and so do a maintained
-/// engine whose snapshot compacted its overlay and that snapshot's restore
-/// (index for index; the restored engine equals a fresh build over the
-/// mutated points).
+/// engine's index and its snapshot's restore (index for index; the
+/// restored engine equals a fresh build over the mutated points).
 #[test]
 fn fresh_and_restored_engines_account_the_same_bytes() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -198,21 +196,19 @@ fn fresh_and_restored_engines_account_the_same_bytes() {
                 let (_, restored) = EclipseEngine::from_snapshot(&bytes).unwrap();
                 assert_eq!(fresh.heap_bytes(), restored.heap_bytes(), "{case}");
 
-                // A skyline entrant leaves an overlay; the snapshot compacts
-                // it into the cached index.
+                // A skyline entrant changes the skyline the index covers.
                 let member = fresh.skyline()[0];
                 let mut entrant = fresh.points()[member].coords().to_vec();
                 entrant[0] -= 1e-3;
-                fresh.insert(Point::new(entrant)).unwrap();
-                assert!(fresh.cached_index().unwrap().overlay_rows() > 0, "{case}");
+                let summary = fresh.insert(Point::new(entrant)).unwrap();
+                assert_eq!(summary.outcome, MutationOutcome::InsertedSkyline, "{case}");
                 let bytes = fresh.save_snapshot("heap", kind).unwrap();
-                let compacted = fresh.cached_index().unwrap();
-                assert_eq!(compacted.overlay_rows(), 0, "{case}");
+                let maintained = fresh.cached_index().unwrap();
                 let (_, restored) = EclipseEngine::from_snapshot(&bytes).unwrap();
                 assert_eq!(
-                    compacted.heap_bytes(),
+                    maintained.heap_bytes(),
                     restored.cached_index().unwrap().heap_bytes(),
-                    "{case} compacted"
+                    "{case} maintained"
                 );
                 let rebuilt = EclipseEngine::new(fresh.points().to_vec())
                     .unwrap()
@@ -221,7 +217,7 @@ fn fresh_and_restored_engines_account_the_same_bytes() {
                 assert_eq!(
                     rebuilt.heap_bytes(),
                     restored.heap_bytes(),
-                    "{case} compacted"
+                    "{case} maintained"
                 );
             }
         }

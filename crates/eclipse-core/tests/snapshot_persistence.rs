@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
 use eclipse_core::index::{
-    EclipseIndex, IndexConfig, IntersectionIndexKind, SECTION_SKYLINE, SECTION_SLAB,
+    EclipseIndex, IndexConfig, IntersectionIndexKind, SECTION_INDEX_META, SECTION_SKYLINE,
 };
 use eclipse_core::{EclipseEngine, EclipseError, Point, WeightRatioBox};
 use eclipse_persist::{enc, SnapshotReader, SnapshotWriter};
@@ -222,24 +222,22 @@ fn hostile_section_counts_are_rejected_before_allocation() {
         other => panic!("expected a hostile-count rejection, got {other:?}"),
     }
 
-    // The same for a slab section claiming u64::MAX rows of the right
-    // dimensionality: the row count is checked against the bytes present.
-    let mut hostile_slab = Vec::new();
-    enc::put_u32(&mut hostile_slab, 1);
-    enc::put_u64(&mut hostile_slab, u64::MAX);
+    // The same for metadata claiming a huge dimensionality: the coordinate
+    // run it implies is checked against the bytes present.
+    let mut hostile_meta = Vec::new();
+    enc::put_u32(&mut hostile_meta, u32::MAX);
+    enc::put_u64(&mut hostile_meta, idx.skyline_len() as u64);
     let mut writer = SnapshotWriter::new();
     for (tag, payload) in reader.sections() {
-        if tag == SECTION_SLAB {
-            writer.section(tag, hostile_slab.clone());
+        if tag == SECTION_INDEX_META {
+            writer.section(tag, hostile_meta.clone());
         } else {
             writer.section(tag, payload.to_vec());
         }
     }
     match EclipseIndex::decode_snapshot(&writer.finish()) {
-        Err(EclipseError::Snapshot(m)) => {
-            assert!(m.contains("count") || m.contains("element"), "{m}")
-        }
-        other => panic!("expected a hostile slab-count rejection, got {other:?}"),
+        Err(EclipseError::Snapshot(m)) => assert!(m.contains("truncated"), "{m}"),
+        other => panic!("expected a hostile-dimension rejection, got {other:?}"),
     }
 
     // A snapshot missing a required section is a typed error too.

@@ -15,7 +15,6 @@
 
 use std::ops::Range;
 
-use eclipse_persist::{enc, Cursor, PersistError, PersistResult};
 use serde::{Deserialize, Serialize};
 
 use crate::approx::EPS;
@@ -255,7 +254,7 @@ impl HyperplaneSlab {
         assert_eq!(coeffs.len(), self.dim, "row dimensionality mismatch");
         self.coeffs.extend_from_slice(coeffs);
         self.offsets.push(offset);
-        self.degenerate.push(coeffs.iter().all(|c| c.abs() <= EPS));
+        self.degenerate.push(is_degenerate_row(coeffs));
     }
 
     /// Appends all rows of another slab of the same dimensionality.
@@ -546,54 +545,6 @@ impl HyperplaneSlab {
     pub fn hyperplane(&self, i: usize) -> Hyperplane {
         Hyperplane::new(self.coeffs_row(i).to_vec(), self.offsets[i])
     }
-
-    /// Appends the slab's snapshot encoding: dimensionality, row count, the
-    /// coefficient buffer and the offsets, all as IEEE-754 bit patterns so
-    /// the byte image is stable across encode/decode cycles.  The degeneracy
-    /// flags are derived data and are recomputed on decode.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        enc::put_u32(out, self.dim as u32);
-        enc::put_usize(out, self.len());
-        for &c in &self.coeffs {
-            enc::put_f64(out, c);
-        }
-        for &o in &self.offsets {
-            enc::put_f64(out, o);
-        }
-    }
-
-    /// Decodes a slab previously written by [`HyperplaneSlab::encode_into`],
-    /// consuming exactly its bytes from `cur`.
-    ///
-    /// # Errors
-    /// A typed [`PersistError`] on truncation, a zero dimensionality or a
-    /// row count larger than the remaining bytes (which is validated before
-    /// any buffer is allocated); arbitrary input never panics.
-    pub fn decode(cur: &mut Cursor<'_>) -> PersistResult<Self> {
-        let dim = cur.u32()? as usize;
-        if dim == 0 {
-            return Err(PersistError::Malformed(
-                "hyperplane slab dimensionality must be ≥ 1".to_string(),
-            ));
-        }
-        // Every row occupies dim + 1 f64s; the count is validated against the
-        // bytes actually present before the buffers are reserved.
-        let n = cur.count((dim + 1).saturating_mul(8))?;
-        let coeffs = cur.f64_vec(n.checked_mul(dim).ok_or_else(|| {
-            PersistError::Malformed(format!("{n} rows of {dim} coefficients overflow"))
-        })?)?;
-        let offsets = cur.f64_vec(n)?;
-        let degenerate = coeffs
-            .chunks_exact(dim)
-            .map(|row| row.iter().all(|c| c.abs() <= EPS))
-            .collect();
-        Ok(HyperplaneSlab {
-            dim,
-            coeffs,
-            offsets,
-            degenerate,
-        })
-    }
 }
 
 /// Rows per chunk of the slab sweep: the size of its stack buffer of ids
@@ -647,9 +598,11 @@ fn max_f64(a: f64, b: f64) -> f64 {
 }
 
 /// Minimum and maximum of `row · x + offset` over the box `[lo, hi]`: axes
-/// in ascending order, offset added last.
+/// in ascending order, offset added last.  Every slab predicate runs this
+/// kernel; it is public for callers that hold a coefficient row outside a
+/// slab and must decide exactly as [`HyperplaneSlab::min_max_over_box`].
 #[inline(always)]
-fn min_max_of_row(row: &[f64], offset: f64, lo: &[f64], hi: &[f64]) -> (f64, f64) {
+pub fn min_max_of_row(row: &[f64], offset: f64, lo: &[f64], hi: &[f64]) -> (f64, f64) {
     let mut min = 0.0f64;
     let mut max = 0.0f64;
     for j in 0..row.len() {
@@ -666,6 +619,21 @@ fn min_max_of_row(row: &[f64], offset: f64, lo: &[f64], hi: &[f64]) -> (f64, f64
 #[inline(always)]
 fn crosses(min: f64, max: f64) -> bool {
     min <= EPS && max >= -EPS
+}
+
+/// Whether the hyperplane `row · x + offset = 0` intersects a closed box
+/// over which its functional spans `[min, max]` (from [`min_max_of_row`]):
+/// the rule of [`HyperplaneSlab::intersects_box`], for a row outside a slab.
+#[inline(always)]
+pub fn row_intersects_box(row: &[f64], offset: f64, min: f64, max: f64) -> bool {
+    row_hit(is_degenerate_row(row), offset, min, max)
+}
+
+/// Whether a coefficient row is degenerate: every coefficient is within
+/// `EPS` of zero, so the row is tested by its offset alone.
+#[inline(always)]
+fn is_degenerate_row(row: &[f64]) -> bool {
+    row.iter().all(|c| c.abs() <= EPS)
 }
 
 /// [`HyperplaneSlab::intersects_box`] without a branch: a degenerate row
@@ -792,61 +760,6 @@ mod tests {
                 }
                 assert_eq!(slab.hyperplane(i), *h);
             }
-        }
-    }
-
-    #[test]
-    fn slab_snapshot_round_trips_bit_exactly() {
-        let mut slab = HyperplaneSlab::new(3);
-        slab.push(&[1.0, -2.0, 0.5], 3.0);
-        slab.push(&[0.0, 0.0, 0.0], 0.0); // degenerate
-        slab.push(&[-0.0, f64::INFINITY, f64::NEG_INFINITY], -0.0); // edge floats
-        slab.push(&[f64::MIN_POSITIVE, 1e308, -1e-308], f64::MAX);
-        let mut bytes = Vec::new();
-        slab.encode_into(&mut bytes);
-        let mut cur = Cursor::new(&bytes);
-        let back = HyperplaneSlab::decode(&mut cur).unwrap();
-        cur.finish().unwrap();
-        assert_eq!(back.dim(), slab.dim());
-        assert_eq!(back.len(), slab.len());
-        for i in 0..slab.len() {
-            for (a, b) in back.coeffs_row(i).iter().zip(slab.coeffs_row(i)) {
-                assert_eq!(a.to_bits(), b.to_bits(), "row {i}");
-            }
-            assert_eq!(back.offset(i).to_bits(), slab.offset(i).to_bits());
-            assert_eq!(back.is_degenerate(i), slab.is_degenerate(i), "row {i}");
-        }
-        // Re-encoding the decoded slab reproduces the bytes exactly.
-        let mut again = Vec::new();
-        back.encode_into(&mut again);
-        assert_eq!(again, bytes);
-    }
-
-    #[test]
-    fn slab_decode_rejects_hostile_input() {
-        // Zero dimensionality.
-        let mut bytes = Vec::new();
-        enc::put_u32(&mut bytes, 0);
-        enc::put_usize(&mut bytes, 0);
-        assert!(HyperplaneSlab::decode(&mut Cursor::new(&bytes)).is_err());
-        // Row count far beyond the remaining bytes is rejected before any
-        // allocation.
-        let mut bytes = Vec::new();
-        enc::put_u32(&mut bytes, 2);
-        enc::put_u64(&mut bytes, u64::MAX);
-        assert!(matches!(
-            HyperplaneSlab::decode(&mut Cursor::new(&bytes)),
-            Err(PersistError::Malformed(_))
-        ));
-        // Truncated coefficient run.
-        let mut bytes = Vec::new();
-        HyperplaneSlab::from_hyperplanes(&[Hyperplane::new(vec![1.0, 2.0], 0.5)])
-            .encode_into(&mut bytes);
-        for cut in 0..bytes.len() {
-            assert!(
-                HyperplaneSlab::decode(&mut Cursor::new(&bytes[..cut])).is_err(),
-                "prefix of {cut} bytes must not decode"
-            );
         }
     }
 

@@ -59,9 +59,11 @@ pub const MAGIC: [u8; 8] = *b"ECLSNAP\0";
 /// * **5** — an index snapshot holds the skyline and its hyperplane slab
 ///   only: the index-config and tree-arena sections are gone, since no probe
 ///   reads a tree.
+/// * **6** — an index snapshot holds the skyline only: the slab section is
+///   gone, since a probe derives each pair's hyperplane from its two rows.
 ///
-/// Versions 1 to 4 are no longer read.
-pub const FORMAT_VERSION: u32 = 5;
+/// Versions 1 to 5 are no longer read.
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Everything that can go wrong while decoding a snapshot.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -691,7 +693,7 @@ mod tests {
         assert!(SnapshotReader::parse(&restamp(&sample(), FORMAT_VERSION))
             .unwrap()
             .has(0x01));
-        for found in [1, 2, 3, 4, FORMAT_VERSION + 1] {
+        for found in [1, 2, 3, 4, 5, FORMAT_VERSION + 1] {
             assert_eq!(
                 SnapshotReader::parse(&restamp(&sample(), found)),
                 Err(PersistError::UnsupportedVersion { found }),
@@ -705,8 +707,8 @@ mod tests {
         // The version participates in every section checksum, and the
         // reader accepts only the current version: rewriting the header
         // version without re-checksumming must fail, including the
-        // single-bit neighbours of 5 (1, 4 and 7).
-        for other in [1, 4, 7] {
+        // single-bit neighbours of 6 (2, 4 and 7) and the previous version.
+        for other in [2, 4, 5, 7] {
             let mut bytes = sample();
             bytes[8..12].copy_from_slice(&u32::to_le_bytes(other));
             assert!(

@@ -179,7 +179,7 @@ pub type ProtocolResult<T> = std::result::Result<T, ProtocolError>;
 
 /// The paper's Intersection Index kinds, as spoken on the wire.
 ///
-/// A label: the server keeps one slab index per dataset, and every request
+/// A label: the server keeps one skyline index per dataset, and every request
 /// carrying a kind (`LoadDataset`, `BuildIndex`, `SaveIndex`,
 /// `RestoreIndex`) accepts either kind for it.  The byte layout is that of
 /// protocol v2, unchanged.
@@ -458,7 +458,7 @@ pub struct DatasetStats {
     /// Intersection hyperplanes of the skyline.
     pub intersections: u64,
     /// How many of those actually cross the region `[0, 16]^{d−1}` of ratio
-    /// space (gathered by a sweep over the index's slab).
+    /// space (each pair tested from its two skyline rows).
     pub root_crossings: u64,
     /// Whether the dataset's index is built (reported under both kind
     /// labels).

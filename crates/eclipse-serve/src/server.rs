@@ -751,8 +751,8 @@ impl ServerState {
     }
 
     fn stats(&self) -> StatsReport {
-        // Snapshot the registry first: the per-dataset numbers below sweep
-        // whole index slabs, which must not happen under the read lock (it
+        // Snapshot the registry first: the per-dataset numbers below test
+        // every skyline pair, which must not happen under the read lock (it
         // would block concurrent dataset registrations for the duration).
         // Stats never restores an evicted dataset (it reports the summary
         // captured at eviction) and never touches the LRU stamps — a
@@ -768,7 +768,7 @@ impl ServerState {
         let mut datasets: Vec<DatasetStats> = Vec::with_capacity(snapshot.len());
         for slot in &snapshot {
             // Clone what we need under the slot lock, then compute outside
-            // it so a long slab sweep never blocks mutations or eviction.
+            // it so a long pair count never blocks mutations or eviction.
             enum Row {
                 Engine(Arc<EclipseEngine>),
                 Summary(EvictedStats),
@@ -819,7 +819,7 @@ impl ServerState {
                     dim: s.dim,
                     skyline_len: s.skyline_len,
                     intersections: s.intersections,
-                    // Computing crossings needs the slab; evicted rows
+                    // Computing crossings needs the skyline; evicted rows
                     // report 0 rather than paying a restore.
                     root_crossings: 0,
                     quad_built: s.built,
@@ -1296,9 +1296,8 @@ mod tests {
 
     #[test]
     fn stats_after_a_skyline_insert_match_a_rebuilt_dataset() {
-        // A skyline-entering insert leaves the cached index carrying a
-        // live-skyline overlay; Stats must report the live skyline exactly
-        // as a dataset loaded from the mutated points does.
+        // After a skyline-entering insert, Stats must report the mutated
+        // dataset exactly as a dataset loaded from the mutated points.
         let mut coords: Vec<f64> = (0..300u64)
             .map(|i| ((i * 7919 + 13) % 1000) as f64 / 1000.0)
             .collect();
@@ -1331,8 +1330,6 @@ mod tests {
             ),
             "{resp:?}"
         );
-        let index = engine.cached_index().unwrap();
-        assert!(index.overlay_rows() > 0, "the insert must leave an overlay");
         coords.extend_from_slice(&entrant);
         load("rebuilt", &coords);
         let Response::Stats(report) = state.respond(Request::Stats) else {

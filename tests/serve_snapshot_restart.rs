@@ -215,16 +215,19 @@ fn pre_v4_snapshots_are_unsupported_and_skipped_by_a_scan() {
         }
         std::fs::write(dir.path().join(format!("legacy{found}.eclsnap")), legacy).unwrap();
     }
-    // Format 4 (the last to hold a tree arena): the committed fixture.
-    std::fs::copy(
-        concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/tests/fixtures/inde-3d-v4.eclsnap"
-        ),
-        dir.path().join("legacy4.eclsnap"),
-    )
-    .unwrap();
-    let legacy_versions = [1u32, 2, 3, 4];
+    // Format 4 (the last to hold a tree arena) and format 5 (the last to
+    // hold a hyperplane slab): the committed fixtures.
+    for found in [4, 5] {
+        std::fs::copy(
+            format!(
+                "{}/tests/fixtures/inde-3d-v{found}.eclsnap",
+                env!("CARGO_MANIFEST_DIR")
+            ),
+            dir.path().join(format!("legacy{found}.eclsnap")),
+        )
+        .unwrap();
+    }
+    let legacy_versions = [1u32, 2, 3, 4, 5];
 
     // A warm-load scan skips every legacy file and still restores the
     // healthy one.

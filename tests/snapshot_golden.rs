@@ -1,8 +1,8 @@
 //! Golden-file suite for the snapshot format: small committed snapshot
 //! fixtures (2-D and 3-D) pin the byte-exact encoding across PRs, both kind
 //! labels write exactly those bytes, and decoding each fixture must answer
-//! queries identically to an index rebuilt from scratch.  A format-4
-//! fixture pins that older files are refused.
+//! queries identically to an index rebuilt from scratch.  Format-4 and
+//! format-5 fixtures pin that older files are refused.
 //!
 //! If the format changes **deliberately** (bump
 //! [`eclipse_persist::FORMAT_VERSION`] and document the change in the README
@@ -156,23 +156,35 @@ fn fixtures_re_encode_byte_exactly() {
     }
 }
 
+/// Asserts the committed fixture `file` is refused as format `found`.
+fn assert_unsupported_fixture(file: &str, found: u32) {
+    let bytes = read_fixture(file);
+    let unsupported = PersistError::UnsupportedVersion { found }.to_string();
+    match EclipseEngine::from_snapshot(&bytes) {
+        Err(EclipseError::Snapshot(m)) => assert_eq!(m, unsupported),
+        other => panic!("expected UnsupportedVersion for {file}, got {other:?}"),
+    }
+    assert!(EclipseEngine::snapshot_label(&bytes).is_err());
+}
+
 /// The committed format-4 snapshot of the 3-D dataset (a QUAD index with
 /// its tree arena) is refused as an unsupported version, in-process as on
 /// a server's warm-load scan (`serve_snapshot_restart`).
 #[test]
 fn format_4_fixture_is_an_unsupported_version() {
-    let v4 = read_fixture("inde-3d-v4.eclsnap");
-    let unsupported = PersistError::UnsupportedVersion { found: 4 }.to_string();
-    match EclipseEngine::from_snapshot(&v4) {
-        Err(EclipseError::Snapshot(m)) => assert_eq!(m, unsupported),
-        other => panic!("expected UnsupportedVersion, got {other:?}"),
-    }
-    assert!(EclipseEngine::snapshot_label(&v4).is_err());
+    assert_unsupported_fixture("inde-3d-v4.eclsnap", 4);
 }
 
-/// A deterministic 1024-point 3-D dataset: large enough that the slab
-/// buffers hold hundreds of rows, so a change in how a build sizes them
-/// shows up in the accounted capacities.
+/// The committed format-5 snapshot of the 3-D dataset (the skyline plus
+/// its hyperplane slab) is refused the same way.
+#[test]
+fn format_5_fixture_is_an_unsupported_version() {
+    assert_unsupported_fixture("inde-3d-v5.eclsnap", 5);
+}
+
+/// A deterministic 1024-point 3-D dataset: large enough that its skyline
+/// holds dozens of rows, so a change in how a build sizes the index
+/// buffers shows up in the accounted capacities.
 fn inde3d_1k() -> Vec<Point> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(20210619);
     (0..1024)
@@ -189,9 +201,9 @@ fn inde3d_1k() -> Vec<Point> {
 #[test]
 fn fresh_build_heap_bytes_are_pinned() {
     let pinned: [(&str, Vec<Point>, usize, usize); 3] = [
-        ("hotels", paper_hotels(), 147, 275),
-        ("inde", inde3d(), 195, 675),
-        ("inde-1k", inde3d_1k(), 14_326, 55_286),
+        ("hotels", paper_hotels(), 72, 200),
+        ("inde", inde3d(), 96, 576),
+        ("inde-1k", inde3d_1k(), 928, 41_888),
     ];
     for (label, points, index_bytes, engine_bytes) in pinned {
         for kind in KINDS {
