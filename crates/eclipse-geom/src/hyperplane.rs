@@ -257,17 +257,6 @@ impl HyperplaneSlab {
         self.degenerate.push(is_degenerate_row(coeffs));
     }
 
-    /// Appends all rows of another slab of the same dimensionality.
-    ///
-    /// # Panics
-    /// Panics if the dimensionalities differ.
-    pub fn extend_from(&mut self, other: &HyperplaneSlab) {
-        assert_eq!(other.dim, self.dim, "slab dimensionality mismatch");
-        self.coeffs.extend_from_slice(&other.coeffs);
-        self.offsets.extend_from_slice(&other.offsets);
-        self.degenerate.extend_from_slice(&other.degenerate);
-    }
-
     /// Number of hyperplane rows.
     #[inline]
     pub fn len(&self) -> usize {
@@ -813,12 +802,10 @@ mod tests {
     }
 
     #[test]
-    fn slab_push_and_extend() {
-        let mut a = HyperplaneSlab::new(2);
+    fn slab_push() {
+        let mut a = HyperplaneSlab::with_capacity(2, 2);
         a.push(&[1.0, 2.0], 3.0);
-        let mut b = HyperplaneSlab::with_capacity(2, 1);
-        b.push(&[0.0, 0.0], 0.5);
-        a.extend_from(&b);
+        a.push(&[0.0, 0.0], 0.5);
         assert_eq!(a.len(), 2);
         assert_eq!(a.coeffs_row(0), &[1.0, 2.0]);
         assert_eq!(a.offset(1), 0.5);

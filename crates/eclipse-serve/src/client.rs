@@ -131,6 +131,12 @@ pub type ClientResult<T> = std::result::Result<T, ClientError>;
 /// [`PipelinedClient::connect`] performs the `Hello` handshake and then
 /// speaks protocol v2: out-of-order responses and per-request deadlines.
 ///
+/// Submitted requests are buffered and sent before any read that would
+/// block: a read that finds a whole response frame already buffered runs
+/// no syscall and sends nothing, so requests queued while draining a burst
+/// of responses go out together in one write.  A caller who wants requests
+/// on the wire without reading calls [`PipelinedClient::flush`].
+///
 /// # Example
 ///
 /// ```no_run
@@ -153,8 +159,6 @@ pub struct PipelinedClient {
     pending: VecDeque<u64>,
     /// Responses read while waiting for a different id.
     ready: HashMap<u64, Response>,
-    /// Frames written but not yet flushed.
-    needs_flush: bool,
 }
 
 impl PipelinedClient {
@@ -203,7 +207,6 @@ impl PipelinedClient {
             next_id: 0,
             pending: VecDeque::new(),
             ready: HashMap::new(),
-            needs_flush: false,
         })
     }
 
@@ -293,20 +296,19 @@ impl PipelinedClient {
         }
         .with_body(&request.encode());
         write_frame(&mut self.writer, &payload)?;
-        self.needs_flush = true;
         self.pending.push_back(id);
         Ok(id)
     }
 
     /// Pushes buffered request frames to the socket without reading
-    /// anything.  [`PipelinedClient::recv`] flushes implicitly; this is for
-    /// getting requests onto the wire before doing something else.
+    /// anything.  [`PipelinedClient::recv`] (and a `submit` into a full
+    /// pipeline) sends them only before a read that would block; this is
+    /// for getting requests onto the wire without reading.
     ///
     /// # Errors
     /// Propagates transport errors.
     pub fn flush(&mut self) -> ClientResult<()> {
         self.writer.flush()?;
-        self.needs_flush = false;
         Ok(())
     }
 
@@ -347,12 +349,14 @@ impl PipelinedClient {
         }
     }
 
-    /// Reads the next response frame off the socket (flushing pending
-    /// writes first) and removes its id from the in-flight queue.
+    /// Reads the next response frame and removes its id from the in-flight
+    /// queue.  Pending request frames are flushed first unless the read
+    /// buffer already holds a whole frame: only then can the read neither
+    /// block nor run a syscall, so the client never waits on the socket
+    /// while requests are still unsent.
     fn read_one(&mut self) -> ClientResult<(u64, Response)> {
-        if self.needs_flush {
-            self.writer.flush()?;
-            self.needs_flush = false;
+        if !self.frame_buffered() {
+            self.flush()?;
         }
         match read_frame(&mut self.reader).map_err(ClientError::from)? {
             None => Err(ClientError::ConnectionClosed),
@@ -364,6 +368,15 @@ impl PipelinedClient {
                 }
                 Ok((header.request_id, response))
             }
+        }
+    }
+
+    /// Whether the read buffer holds a whole frame: a length prefix and
+    /// that many payload bytes.
+    fn frame_buffered(&self) -> bool {
+        match self.reader.buffer().split_first_chunk::<4>() {
+            Some((len, payload)) => payload.len() >= u32::from_le_bytes(*len) as usize,
+            None => false,
         }
     }
 

@@ -13,10 +13,12 @@
 //! * decoded requests are handed to an [`eclipse_exec::Dispatcher`] whose
 //!   workers run [`ServerState::respond`] and push the fully framed response
 //!   bytes onto a [`Completions`] queue; the loop drains that queue into the
-//!   per-connection write buffers.  When the server is otherwise idle, a
-//!   cheap request (`Ping`/`QueryBatch`/`CountBatch`) is answered **inline**
-//!   on the loop thread instead, so the unpipelined round trip pays no
-//!   handoff latency;
+//!   per-connection write buffers.  Whenever no request is dispatched to a
+//!   worker, a cheap request (`Ping`/`QueryBatch`/`CountBatch`) is answered
+//!   **inline** on the loop thread instead, skipping two thread handoffs.
+//!   An inline answer never raises the in-flight count, so pipelined cheap
+//!   requests run inline too; they go to the workers only while another
+//!   request (a write, a dataset load, `Stats`) is dispatched;
 //! * **admission control**: a per-connection in-flight cap (the negotiated
 //!   pipeline depth) and a global cap; a request over either limit is
 //!   answered immediately with [`Response::Overloaded`] — typed, counted,
@@ -544,8 +546,8 @@ fn handle_frame(ctx: &LoopCtx, id: u64, conn: &mut Conn, payload: &[u8]) {
 }
 
 /// Admission for one decoded request: malformed → typed error; over a cap →
-/// `Overloaded`; expired → `Timeout`; otherwise run inline (idle fast path)
-/// or dispatch to a worker.
+/// `Overloaded`; expired → `Timeout`; otherwise run inline (nothing
+/// dispatched) or dispatch to a worker.
 fn finish_decoded(
     ctx: &LoopCtx,
     id: u64,
@@ -597,10 +599,10 @@ fn finish_decoded(
     // saturated worker pool (which would read as a dead member to a
     // fail-fast health checker).
     //
-    // Idle fast path: with nothing in flight anywhere, answering cheap
-    // probes on the loop thread skips two thread handoffs — this is what
-    // keeps the unpipelined (depth-1) round trip as fast as the old
-    // blocking core.
+    // Inline fast path: with nothing dispatched anywhere, answering cheap
+    // probes on the loop thread skips two thread handoffs.  Inline answers
+    // never count as in flight, so this holds at any pipeline depth while
+    // no other request (a write, a dataset load, `Stats`) is dispatched.
     let inline = match request {
         Request::Ping => conn.in_flight == 0,
         Request::QueryBatch { .. } | Request::CountBatch { .. } => {

@@ -889,10 +889,13 @@ pub struct ServerConfig {
     /// How long a graceful shutdown waits for admitted requests to finish
     /// and their responses to flush before giving up.
     pub drain_timeout: Duration,
-    /// Answer cheap requests on the loop thread when the server is
-    /// otherwise idle (skips two thread handoffs per round trip).  On by
-    /// default; tests disable it to force every request through the
-    /// dispatcher queue.
+    /// Answer `QueryBatch`/`CountBatch` on the loop thread whenever no
+    /// request is dispatched to a worker (skips two thread handoffs per
+    /// request).  An inline answer never counts as in flight, so this holds
+    /// at any pipeline depth until a write, a dataset load or `Stats` is
+    /// dispatched.  (A `Ping` on a connection with nothing in flight is
+    /// answered inline regardless.)  On by default; tests disable it to
+    /// force every request through the dispatcher queue.
     pub inline_fast_path: bool,
     /// Half-open hygiene: a connection that completes the TCP accept but
     /// never delivers its *first* frame within this window is reaped, so a

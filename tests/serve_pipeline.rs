@@ -3,9 +3,14 @@
 //! clamp (and refuse any other first frame, at the server and the router),
 //! and the flow-control surface (deadlines, admission control,
 //! graceful drain, mid-batch server death) must fail *typed* — never with a
-//! panic, a wedged connection, or an opaque i/o error.
+//! panic, a wedged connection, or an opaque i/o error.  A scripted fake peer
+//! pins when the pipelined client sends: before any read that would block,
+//! and not before a read its buffer already answers.
 
-use std::net::{SocketAddr, TcpStream};
+use std::io::Write;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::mpsc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use eclipse_core::exec::ExecutionContext;
@@ -14,7 +19,7 @@ use eclipse_data::synthetic::{Distribution, SyntheticConfig};
 use eclipse_router::router::{Router, RouterConfig};
 use eclipse_serve::client::{Client, ClientError, PipelinedClient};
 use eclipse_serve::protocol::{
-    read_frame, write_frame, FrameHeader, IndexKind, Request, Response, PROTOCOL_V2,
+    read_frame, write_frame, FrameHeader, IndexKind, Request, Response, MAX_FRAME_LEN, PROTOCOL_V2,
 };
 use eclipse_serve::server::{Server, ServerConfig, ServerHandle};
 
@@ -437,4 +442,170 @@ fn abort_mid_blocking_call_is_typed_connection_closed() {
         matches!(err, ClientError::ConnectionClosed),
         "expected ConnectionClosed, got {err:?}"
     );
+}
+
+/// A hand-written protocol-v2 peer on a raw listener: it grants `pipe_size`
+/// to the client's `Hello` and then runs `script` on the accepted stream.
+fn fake_peer(
+    pipe_size: u32,
+    script: impl FnOnce(&mut TcpStream) + Send + 'static,
+) -> (SocketAddr, JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        read_frame(&mut stream).unwrap().expect("Hello frame");
+        let ack = Response::HelloAck {
+            version: PROTOCOL_V2,
+            pipe_size,
+            max_frame_len: MAX_FRAME_LEN,
+        };
+        write_frame(&mut stream, &ack.encode()).unwrap();
+        script(&mut stream)
+    });
+    (addr, peer)
+}
+
+/// Reads one v2 request frame and returns its id.
+fn read_request_id(stream: &mut TcpStream) -> u64 {
+    let payload = read_frame(stream).unwrap().expect("request frame");
+    FrameHeader::split(&payload).unwrap().0.request_id
+}
+
+/// The framed answer to request `id`: a `Counts` body echoing the id, so a
+/// reply handed to the wrong `recv` cannot pass for the right one.
+fn answer(id: u64) -> Vec<u8> {
+    let payload = FrameHeader {
+        request_id: id,
+        deadline_ms: 0,
+    }
+    .with_body(&Response::Counts(vec![id]).encode());
+    let mut frame = Vec::new();
+    write_frame(&mut frame, &payload).unwrap();
+    frame
+}
+
+/// Whether any request bytes are waiting on the peer's side of the socket.
+fn bytes_waiting(stream: &mut TcpStream) -> bool {
+    stream.set_nonblocking(true).unwrap();
+    let waiting = match stream.peek(&mut [0u8; 1]) {
+        Ok(n) => n > 0,
+        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => false,
+        Err(e) => panic!("peek failed: {e}"),
+    };
+    stream.set_nonblocking(false).unwrap();
+    waiting
+}
+
+/// Receives request `id` and checks it got the fake peer's answer to `id`.
+fn recv_answer(client: &mut PipelinedClient, id: u64) {
+    match client.recv(id) {
+        Ok(Response::Counts(counts)) => assert_eq!(counts, vec![id], "answer to request {id}"),
+        other => panic!("request {id}: expected its Counts answer, got {other:?}"),
+    }
+}
+
+/// The read buffer holds A's frame and only the start of B's when C is
+/// submitted; the peer sends the rest of B only after it has read C.  The
+/// client must send C before it waits for B's remaining bytes: a client
+/// that skipped the flush whenever its buffer held any bytes would time
+/// out here instead.
+#[test]
+fn pipelined_client_sends_before_reading_a_partial_frame() {
+    // Cut B's frame inside its length prefix, and just after it.
+    for cut in [2usize, 6] {
+        let (addr, peer) = fake_peer(8, move |stream| {
+            let (a, b) = (read_request_id(stream), read_request_id(stream));
+            let b_frame = answer(b);
+            let mut burst = answer(a);
+            burst.extend_from_slice(&b_frame[..cut]);
+            stream.write_all(&burst).unwrap();
+            let c = read_request_id(stream);
+            stream.write_all(&b_frame[cut..]).unwrap();
+            stream.write_all(&answer(c)).unwrap();
+        });
+        let mut client = PipelinedClient::connect(addr, 8).unwrap();
+        client.set_io_timeout(Some(Duration::from_secs(5))).unwrap();
+        let a = client.submit(&Request::Ping).unwrap();
+        let b = client.submit(&Request::Ping).unwrap();
+        recv_answer(&mut client, a);
+        let c = client.submit(&Request::Ping).unwrap();
+        recv_answer(&mut client, b);
+        recv_answer(&mut client, c);
+        peer.join().unwrap();
+    }
+}
+
+/// With B's whole frame already buffered, `recv(B)` reads it without
+/// sending C (nothing reaches the peer), and the next `recv`, which has to
+/// wait on the socket, sends C first.
+#[test]
+fn pipelined_client_defers_sending_while_a_whole_frame_is_buffered() {
+    let (ask, asked) = mpsc::channel::<()>();
+    let (tell, told) = mpsc::channel::<bool>();
+    let (addr, peer) = fake_peer(8, move |stream| {
+        let (a, b) = (read_request_id(stream), read_request_id(stream));
+        let mut burst = answer(a);
+        burst.extend_from_slice(&answer(b));
+        stream.write_all(&burst).unwrap();
+        asked.recv().unwrap();
+        tell.send(bytes_waiting(stream)).unwrap();
+        let c = read_request_id(stream);
+        stream.write_all(&answer(c)).unwrap();
+    });
+    let mut client = PipelinedClient::connect(addr, 8).unwrap();
+    client.set_io_timeout(Some(Duration::from_secs(5))).unwrap();
+    let a = client.submit(&Request::Ping).unwrap();
+    let b = client.submit(&Request::Ping).unwrap();
+    recv_answer(&mut client, a);
+    let c = client.submit(&Request::Ping).unwrap();
+    recv_answer(&mut client, b);
+    ask.send(()).unwrap();
+    assert!(
+        !told.recv().unwrap(),
+        "C was sent although B's answer was already buffered"
+    );
+    recv_answer(&mut client, c);
+    peer.join().unwrap();
+}
+
+/// A `submit` into a full pipeline reads one answer to make room: with the
+/// read buffer empty it sends the queued requests first (or both sides
+/// would wait forever), and with a whole frame buffered it reads that frame
+/// and sends nothing.
+#[test]
+fn pipelined_client_submit_into_a_full_pipeline_sends_before_blocking() {
+    let (ask, asked) = mpsc::channel::<()>();
+    let (tell, told) = mpsc::channel::<bool>();
+    let (addr, peer) = fake_peer(2, move |stream| {
+        let (a, b) = (read_request_id(stream), read_request_id(stream));
+        let mut burst = answer(a);
+        burst.extend_from_slice(&answer(b));
+        stream.write_all(&burst).unwrap();
+        asked.recv().unwrap();
+        tell.send(bytes_waiting(stream)).unwrap();
+        let (c, d) = (read_request_id(stream), read_request_id(stream));
+        let mut burst = answer(d);
+        burst.extend_from_slice(&answer(c));
+        stream.write_all(&burst).unwrap();
+    });
+    let mut client = PipelinedClient::connect(addr, 8).unwrap();
+    assert_eq!(client.pipe_size(), 2);
+    client.set_io_timeout(Some(Duration::from_secs(5))).unwrap();
+    let a = client.submit(&Request::Ping).unwrap();
+    let b = client.submit(&Request::Ping).unwrap();
+    // Full: reads A off the socket, which first sends A and B.
+    let c = client.submit(&Request::Ping).unwrap();
+    // Full again: B's frame is buffered, so it is read and C stays unsent.
+    let d = client.submit(&Request::Ping).unwrap();
+    ask.send(()).unwrap();
+    assert!(
+        !told.recv().unwrap(),
+        "C was sent although B's answer was already buffered"
+    );
+    recv_answer(&mut client, b);
+    recv_answer(&mut client, a);
+    recv_answer(&mut client, c);
+    recv_answer(&mut client, d);
+    peer.join().unwrap();
 }
