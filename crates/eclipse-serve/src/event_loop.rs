@@ -13,12 +13,11 @@
 //! * decoded requests are handed to an [`eclipse_exec::Dispatcher`] whose
 //!   workers run [`ServerState::respond`] and push the fully framed response
 //!   bytes onto a [`Completions`] queue; the loop drains that queue into the
-//!   per-connection write buffers.  Whenever no request is dispatched to a
-//!   worker, a cheap request (`Ping`/`QueryBatch`/`CountBatch`) is answered
-//!   **inline** on the loop thread instead, skipping two thread handoffs.
-//!   An inline answer never raises the in-flight count, so pipelined cheap
-//!   requests run inline too; they go to the workers only while another
-//!   request (a write, a dataset load, `Stats`) is dispatched;
+//!   per-connection write buffers.  Whenever nothing is dispatched, a
+//!   request of bounded cost (a write, a batch of at most
+//!   [`INLINE_MAX_BOXES`] boxes) runs **inline** on the loop thread instead,
+//!   skipping two thread handoffs ([`runs_inline`]); inline answers never
+//!   count as in flight, so requests run inline in order until one is not;
 //! * **admission control**: a per-connection in-flight cap (the negotiated
 //!   pipeline depth) and a global cap; a request over either limit is
 //!   answered immediately with [`Response::Overloaded`] — typed, counted,
@@ -41,7 +40,7 @@ use std::collections::{HashMap, HashSet};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use eclipse_exec::Dispatcher;
@@ -75,26 +74,21 @@ struct Completion {
 }
 
 /// The queue dispatcher workers push finished responses onto, plus the
-/// loop's thread handle so a push can `unpark` it out of its backoff.
+/// loop's thread handle (set when the loop starts) so a push can `unpark`
+/// it out of its backoff.
+#[derive(Default)]
 pub(crate) struct Completions {
     queue: Mutex<Vec<Completion>>,
-    loop_thread: Mutex<Option<std::thread::Thread>>,
+    loop_thread: OnceLock<std::thread::Thread>,
 }
 
 impl Completions {
-    fn new() -> Completions {
-        Completions {
-            queue: Mutex::new(Vec::new()),
-            loop_thread: Mutex::new(None),
-        }
-    }
-
     fn push(&self, done: Completion) {
         self.queue
             .lock()
             .expect("completion queue poisoned")
             .push(done);
-        if let Some(thread) = &*self.loop_thread.lock().expect("loop thread slot poisoned") {
+        if let Some(thread) = self.loop_thread.get() {
             thread.unpark();
         }
     }
@@ -249,19 +243,18 @@ impl EventLoop {
                 state,
                 config,
                 dispatcher: Dispatcher::new(workers),
-                completions: Arc::new(Completions::new()),
+                completions: Arc::default(),
             },
         }
     }
 
     /// Runs until `stop` (graceful drain) or `hard_stop` (abort) is set.
     pub(crate) fn run(mut self, stop: &AtomicBool, hard_stop: &AtomicBool) {
-        *self
-            .ctx
+        self.ctx
             .completions
             .loop_thread
-            .lock()
-            .expect("loop thread slot poisoned") = Some(std::thread::current());
+            .set(std::thread::current())
+            .expect("an event loop runs once");
         let mut scratch = vec![0u8; 64 << 10];
         let mut draining = false;
         let mut drain_deadline = Instant::now();
@@ -545,9 +538,40 @@ fn handle_frame(ctx: &LoopCtx, id: u64, conn: &mut Conn, payload: &[u8]) {
     }
 }
 
+/// Largest `QueryBatch`/`CountBatch`, in boxes, that runs inline.  A box is
+/// one probe of the `u`-row skyline: about 0.9 us at INDE n = 2^10 (u = 27),
+/// so 60 us for a full batch; 0.40 ms at n = 2^20 (u = 90).  No inline
+/// request holds the loop longer than a skyline `Delete`, O(n·u): 11–14 us
+/// at n = 2^10, about 20 ms (max 31 ms) at n = 2^20 (in process, 2-core host).
+const INLINE_MAX_BOXES: usize = 64;
+
+/// Whether `request` runs on the loop thread rather than a worker, given
+/// the requests dispatched and unanswered on its connection and in all.
+/// `Ping` runs inline when its connection is idle, so a health probe
+/// measures liveness instead of queueing behind a slow `LoadDataset`.
+/// Writes, batches up to the cap, `Hello` and `AllowPartial` run inline
+/// when nothing is dispatched: a mutation then never overlaps a dispatched
+/// job, and a connection's requests complete in arrival order.  The worst
+/// is a skyline `Delete`, about 20 ms at n = 2^20 ([`INLINE_MAX_BOXES`]).
+/// Loads, builds, snapshots, larger batches and `Stats` (which counts
+/// itself in flight) are dispatched.
+fn runs_inline(request: &Request, conn_in_flight: u32, global_in_flight: u64) -> bool {
+    match request {
+        Request::Ping => conn_in_flight == 0,
+        Request::QueryBatch { boxes, .. } | Request::CountBatch { boxes, .. } => {
+            global_in_flight == 0 && boxes.len() <= INLINE_MAX_BOXES
+        }
+        Request::Insert { .. }
+        | Request::Delete { .. }
+        | Request::Hello { .. }
+        | Request::AllowPartial { .. } => global_in_flight == 0,
+        _ => false,
+    }
+}
+
 /// Admission for one decoded request: malformed → typed error; over a cap →
-/// `Overloaded`; expired → `Timeout`; otherwise run inline (nothing
-/// dispatched) or dispatch to a worker.
+/// `Overloaded`; expired → `Timeout`; otherwise run inline
+/// ([`runs_inline`]) or dispatch to a worker.
 fn finish_decoded(
     ctx: &LoopCtx,
     id: u64,
@@ -593,24 +617,7 @@ fn finish_decoded(
         deliver_now(conn, Some(request_id), &response, &ctx.state);
         return;
     }
-    // Liveness fast path: a Ping on a connection with nothing in flight is
-    // always answered on the loop thread, so a health probe measures
-    // *liveness* instead of queueing behind a multi-second LoadDataset on a
-    // saturated worker pool (which would read as a dead member to a
-    // fail-fast health checker).
-    //
-    // Inline fast path: with nothing dispatched anywhere, answering cheap
-    // probes on the loop thread skips two thread handoffs.  Inline answers
-    // never count as in flight, so this holds at any pipeline depth while
-    // no other request (a write, a dataset load, `Stats`) is dispatched.
-    let inline = match request {
-        Request::Ping => conn.in_flight == 0,
-        Request::QueryBatch { .. } | Request::CountBatch { .. } => {
-            ctx.config.inline_fast_path && global == 0
-        }
-        _ => false,
-    };
-    if inline {
+    if runs_inline(&request, conn.in_flight, global) {
         let response = ctx.state.respond(request);
         deliver_now(conn, Some(request_id), &response, &ctx.state);
         return;
@@ -646,5 +653,93 @@ fn finish_decoded(
         ctx.state.errors.fetch_add(1, Ordering::Relaxed);
         let response = Response::Error("server is shutting down".to_string());
         deliver_now(conn, Some(request_id), &response, &ctx.state);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::IndexKind;
+
+    fn batch(boxes: usize, count: bool) -> Request {
+        let name = "d".to_string();
+        let boxes = vec![vec![(0.5, 2.0); 2]; boxes];
+        if count {
+            Request::CountBatch { name, boxes }
+        } else {
+            Request::QueryBatch { name, boxes }
+        }
+    }
+
+    /// Every request variant against the rule: whether it runs inline with
+    /// nothing dispatched, and with one request dispatched from another
+    /// connection (a heavy batch, say).  With its own connection busy,
+    /// nothing runs inline, a `Ping` included; so a write never overtakes
+    /// a dispatched request.
+    #[test]
+    fn rule_table_covers_every_request() {
+        let name = || "d".to_string();
+        let kind = IndexKind::Quadtree;
+        let table: Vec<(Request, bool, bool)> = vec![
+            (Request::Ping, true, true),
+            (
+                Request::Hello {
+                    max_version: 2,
+                    pipe_size: 8,
+                },
+                true,
+                false,
+            ),
+            (Request::AllowPartial { enabled: true }, true, false),
+            (
+                Request::Insert {
+                    name: name(),
+                    coords: vec![0.5; 3],
+                },
+                true,
+                false,
+            ),
+            (
+                Request::Delete {
+                    name: name(),
+                    id: 3,
+                },
+                true,
+                false,
+            ),
+            (batch(1, false), true, false),
+            (batch(INLINE_MAX_BOXES, false), true, false),
+            (batch(INLINE_MAX_BOXES + 1, false), false, false),
+            (batch(1, true), true, false),
+            (batch(INLINE_MAX_BOXES, true), true, false),
+            (batch(INLINE_MAX_BOXES + 1, true), false, false),
+            (
+                Request::LoadDataset {
+                    name: name(),
+                    dim: 3,
+                    coords: vec![0.5; 3],
+                    warm: kind,
+                },
+                false,
+                false,
+            ),
+            (Request::BuildIndex { name: name(), kind }, false, false),
+            (Request::SaveIndex { name: name(), kind }, false, false),
+            (Request::RestoreIndex { name: name(), kind }, false, false),
+            (Request::LoadSnapshots, false, false),
+            (Request::Stats, false, false),
+        ];
+        for (request, idle, other_busy) in &table {
+            assert_eq!(runs_inline(request, 0, 0), *idle, "{request:?}, idle");
+            assert_eq!(
+                runs_inline(request, 0, 1),
+                *other_busy,
+                "{request:?}, another connection busy"
+            );
+            assert!(
+                !runs_inline(request, 1, 1),
+                "{request:?}, own connection busy"
+            );
+        }
     }
 }

@@ -872,6 +872,9 @@ pub struct SnapshotScan {
 }
 
 /// Tuning knobs of the serving core ([`Server::bind_with_config`]).
+/// Where a request runs is not among them: the event loop answers writes
+/// and batches of at most 64 boxes itself whenever nothing is dispatched,
+/// and hands the rest to the `workers`.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Per-connection in-flight cap: the largest pipeline depth a `Hello`
@@ -889,14 +892,6 @@ pub struct ServerConfig {
     /// How long a graceful shutdown waits for admitted requests to finish
     /// and their responses to flush before giving up.
     pub drain_timeout: Duration,
-    /// Answer `QueryBatch`/`CountBatch` on the loop thread whenever no
-    /// request is dispatched to a worker (skips two thread handoffs per
-    /// request).  An inline answer never counts as in flight, so this holds
-    /// at any pipeline depth until a write, a dataset load or `Stats` is
-    /// dispatched.  (A `Ping` on a connection with nothing in flight is
-    /// answered inline regardless.)  On by default; tests disable it to
-    /// force every request through the dispatcher queue.
-    pub inline_fast_path: bool,
     /// Half-open hygiene: a connection that completes the TCP accept but
     /// never delivers its *first* frame within this window is reaped, so a
     /// peer that connects and goes silent cannot hold an event-loop slot
@@ -926,7 +921,6 @@ impl Default for ServerConfig {
             max_connections: 1024,
             workers: 0,
             drain_timeout: Duration::from_secs(5),
-            inline_fast_path: true,
             idle_timeout: Some(Duration::from_secs(30)),
             max_memory_bytes: None,
         }

@@ -59,13 +59,12 @@ fn heavy_count_n(name: &str, probes: usize) -> Request {
     }
 }
 
-/// One dispatcher worker and no inline fast path: every request goes
-/// through the queue, so a heavy request in front deterministically delays
-/// everything behind it.
+/// One dispatcher worker.  Heavy batches exceed the event loop's inline
+/// box cap, so they queue for that worker, and a heavy request in front
+/// deterministically delays everything behind it.
 fn queued_config() -> ServerConfig {
     ServerConfig {
         workers: 1,
-        inline_fast_path: false,
         ..ServerConfig::default()
     }
 }
@@ -119,6 +118,137 @@ fn pipelined_depths_match_blocking_at_1_and_4_threads() {
                 piped.count_many("inde", &probes, 1).unwrap(),
                 expected_counts,
                 "count_many, depth {depth}, {threads} threads"
+            );
+        }
+        handle.shutdown();
+    }
+}
+
+/// One step of a mixed read/write stream: a single-box probe or a write.
+enum Op {
+    Probe(WeightRatioBox),
+    Insert(Vec<f64>),
+    Delete(usize),
+}
+
+impl Op {
+    fn request(&self) -> Request {
+        let name = "inde".to_string();
+        match self {
+            Op::Probe(b) => Request::QueryBatch {
+                name,
+                boxes: vec![b.ranges().iter().map(|r| (r.lo(), r.hi())).collect()],
+            },
+            Op::Insert(coords) => Request::Insert {
+                name,
+                coords: coords.clone(),
+            },
+            Op::Delete(id) => Request::Delete {
+                name,
+                id: *id as u64,
+            },
+        }
+    }
+}
+
+/// A stream of single-box probes with a write every fifth step.  The
+/// writes cycle through an insert that dominates every point (each probe
+/// then answers only the new id), the delete of that point, an insert of
+/// an ordinary point, and the delete of a low id (every id above it
+/// shifts), so a probe that misses a write answers differently.
+fn mixed_ops(steps: usize, base_len: usize) -> Vec<Op> {
+    let mut len = base_len;
+    let mut writes = 0usize;
+    (0..steps)
+        .map(|i| {
+            if i % 5 != 4 {
+                return Op::Probe(probe(i));
+            }
+            writes += 1;
+            match writes % 4 {
+                1 => {
+                    len += 1;
+                    Op::Insert(vec![1e-6; 3])
+                }
+                2 => {
+                    len -= 1;
+                    Op::Delete(len)
+                }
+                3 => {
+                    len += 1;
+                    let x = (writes as f64 * 0.37).fract();
+                    Op::Insert(vec![x, 1.0 - x, 0.5])
+                }
+                _ => {
+                    len -= 1;
+                    Op::Delete(writes % 17)
+                }
+            }
+        })
+        .collect()
+}
+
+/// Writes pipelined among probes on one connection run in order: at depth
+/// 8, at 1 and at 4 executor threads (4 dispatcher workers), the answers
+/// and write acks equal a serial in-process replay of the same stream, so
+/// every probe sent after a write sees that write's epoch.
+#[test]
+fn pipelined_writes_and_probes_match_a_serial_replay() {
+    let ops = mixed_ops(400, dataset().len());
+    let replay = eclipse_core::EclipseEngine::new(dataset()).unwrap();
+    let replay_ids = |b: &WeightRatioBox| -> Vec<u64> {
+        let ids = replay.eclipse_query_batch(std::slice::from_ref(b), &Default::default());
+        ids.unwrap()[0].iter().map(|&i| i as u64).collect()
+    };
+    let mutated = |summary: eclipse_core::Result<eclipse_core::MutationSummary>| {
+        let summary = summary.unwrap();
+        Response::Mutated {
+            kind: summary.outcome.into(),
+            epoch: summary.epoch,
+            len: summary.len as u64,
+        }
+    };
+    let mut expected = Vec::with_capacity(ops.len());
+    let mut changed_by_write = 0;
+    for (step, op) in ops.iter().enumerate() {
+        // The probe right after a write, answered before the write runs.
+        let next_probe = match (op, ops.get(step + 1)) {
+            (Op::Probe(_), _) => None,
+            (_, Some(Op::Probe(b))) => Some(b),
+            _ => None,
+        };
+        let before = next_probe.map(replay_ids);
+        expected.push(match op {
+            Op::Probe(b) => Response::QueryResults(vec![replay_ids(b)]),
+            Op::Insert(coords) => mutated(replay.insert(eclipse_core::Point::new(coords.clone()))),
+            Op::Delete(id) => mutated(replay.delete(*id)),
+        });
+        if next_probe.map(replay_ids) != before {
+            changed_by_write += 1;
+        }
+    }
+    let writes = ops.iter().filter(|op| !matches!(op, Op::Probe(_))).count();
+    assert!(
+        changed_by_write * 2 >= writes,
+        "only {changed_by_write} of {writes} writes change the next probe's answer"
+    );
+
+    for threads in [1usize, 4] {
+        let (handle, addr) = spawn_server(
+            ExecutionContext::with_threads(threads),
+            ServerConfig::default(),
+        );
+        let mut client = PipelinedClient::connect(addr, 8).unwrap();
+        assert_eq!(client.pipe_size(), 8);
+        let ids: Vec<u64> = ops
+            .iter()
+            .map(|op| client.submit(&op.request()).unwrap())
+            .collect();
+        for (step, (id, want)) in ids.into_iter().zip(&expected).enumerate() {
+            assert_eq!(
+                &client.recv(id).unwrap(),
+                want,
+                "step {step}, {threads} threads"
             );
         }
         handle.shutdown();
@@ -272,7 +402,6 @@ fn overload_rejection_is_typed_counted_and_recoverable() {
         ServerConfig {
             max_pipeline: 2,
             workers: 1,
-            inline_fast_path: false,
             ..ServerConfig::default()
         },
     );
