@@ -1,13 +1,11 @@
 //! Intersection-index hot-path bench: single-probe and batched query
 //! throughput of the arena-backed QUAD/CUTTING trees.
 //!
-//! Two levels are measured, matching `experiments -- probes`:
+//! Three levels are measured:
 //!
 //! * **tree level** — synthetic hyperplane sets (uniform / clustered /
 //!   anticorrelated, n ∈ {10k, 100k}) probed with small boxes through the
-//!   zero-alloc `query_into` path.  The 100k clustered single-probe number is
-//!   the acceptance benchmark of the arena refactor (≥2x over the pre-arena
-//!   boxed trees, see BENCH_pr3.json).
+//!   zero-alloc `query_into` path.
 //! * **eclipse level** — end-to-end `EclipseIndex` probes on INDE data
 //!   (bounded skyline), single scratch-reusing probes vs `query_batch`.
 //! * **sweep vs walk** — the candidate gather a probe makes (one sweep over

@@ -1,10 +1,10 @@
-//! Timing harness used by the `experiments` binary.
+//! Timing harness used by the `experiments` binary and the regression
+//! gates (`tests/regression_gates.rs`).
 //!
 //! Criterion benches (under `benches/`) give statistically rigorous
 //! micro-benchmarks per figure; this harness complements them with a
 //! coarse-grained wall-clock runner that prints each table/figure of the
-//! paper as one aligned text block (and optionally CSV), which is what
-//! EXPERIMENTS.md records.
+//! paper as one aligned text block (and optionally CSV).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -256,31 +256,10 @@ pub struct TreeProbeMeasurement {
     pub depth: usize,
 }
 
-/// Builds a QUAD or CUTTING tree over `planes` with the default configs and
+/// Builds a QUAD or CUTTING tree over `planes` with the given configs and
 /// times `repetitions` passes over `probes` through the zero-alloc
 /// `query_into` path.
 pub fn run_tree_probes(
-    kind: IntersectionIndexKind,
-    planes: &[Hyperplane],
-    cell: BoundingBox,
-    probes: &[BoundingBox],
-    repetitions: usize,
-) -> TreeProbeMeasurement {
-    run_tree_probes_configured(
-        kind,
-        planes,
-        cell,
-        probes,
-        repetitions,
-        QuadtreeConfig::default(),
-        CuttingTreeConfig::default(),
-    )
-}
-
-/// [`run_tree_probes`] with explicit tree configs, so sweeps can compare
-/// split/cut strategies (e.g. the legacy midpoint rules vs the adaptive
-/// defaults) on the same workload.
-pub fn run_tree_probes_configured(
     kind: IntersectionIndexKind,
     planes: &[Hyperplane],
     cell: BoundingBox,
@@ -331,60 +310,6 @@ pub fn run_tree_probes_configured(
         mean_hits: hits as f64 / probes.len() as f64,
         nodes,
         depth,
-    }
-}
-
-/// Seconds per probe (minimum over repetition passes) answering `boxes` one
-/// at a time through the scratch-reusing single-probe path.
-pub fn run_index_probes(
-    index: &EclipseIndex,
-    boxes: &[WeightRatioBox],
-    repetitions: usize,
-) -> Measurement {
-    assert!(repetitions > 0, "repetitions must be positive");
-    assert!(!boxes.is_empty(), "probe set must be non-empty");
-    let mut scratch = ProbeScratch::new();
-    let mut size = 0usize;
-    let mut best_pass = f64::INFINITY;
-    for _ in 0..repetitions {
-        let start = Instant::now();
-        for b in boxes {
-            size = index
-                .query_with_scratch(b, &mut scratch)
-                .expect("valid workload")
-                .len();
-        }
-        best_pass = best_pass.min(start.elapsed().as_secs_f64());
-    }
-    Measurement {
-        query_secs: best_pass / boxes.len() as f64,
-        build_secs: 0.0,
-        result_size: size,
-    }
-}
-
-/// Seconds per probe (minimum over repetition passes) answering `boxes` as
-/// one batch per repetition through [`EclipseIndex::query_batch`] on `ctx`.
-pub fn run_index_probes_batched(
-    index: &EclipseIndex,
-    boxes: &[WeightRatioBox],
-    ctx: &ExecutionContext,
-    repetitions: usize,
-) -> Measurement {
-    assert!(repetitions > 0, "repetitions must be positive");
-    assert!(!boxes.is_empty(), "probe set must be non-empty");
-    let mut size = 0usize;
-    let mut best_pass = f64::INFINITY;
-    for _ in 0..repetitions {
-        let start = Instant::now();
-        let results = index.query_batch(boxes, ctx).expect("valid workload");
-        best_pass = best_pass.min(start.elapsed().as_secs_f64());
-        size = results.last().map_or(0, Vec::len);
-    }
-    Measurement {
-        query_secs: best_pass / boxes.len() as f64,
-        build_secs: 0.0,
-        result_size: size,
     }
 }
 
@@ -451,35 +376,29 @@ mod tests {
     #[test]
     fn probe_runners_agree_across_paths() {
         use crate::workloads::{
-            hyperplane_workload, probe_boxes, probe_ratio_boxes, probe_root_cell, HyperplaneFamily,
+            hyperplane_workload, probe_boxes, probe_root_cell, HyperplaneFamily,
         };
         let planes = hyperplane_workload(HyperplaneFamily::Uniform, 400, 2, 5);
         let probes = probe_boxes(10, 2, 0.1, 6);
-        let quad = run_tree_probes(
+        let [quad, cutting] = [
             IntersectionIndexKind::Quadtree,
-            &planes,
-            probe_root_cell(2),
-            &probes,
-            2,
-        );
-        let cutting = run_tree_probes(
             IntersectionIndexKind::CuttingTree,
-            &planes,
-            probe_root_cell(2),
-            &probes,
-            2,
-        );
+        ]
+        .map(|kind| {
+            run_tree_probes(
+                kind,
+                &planes,
+                probe_root_cell(2),
+                &probes,
+                2,
+                QuadtreeConfig::default(),
+                CuttingTreeConfig::default(),
+            )
+        });
         // Both backends are exact, so they report identical hit counts.
         assert_eq!(quad.mean_hits, cutting.mean_hits);
         assert!(quad.build_secs > 0.0 && cutting.build_secs > 0.0);
         assert!(quad.nodes >= 1 && cutting.nodes >= 1);
-
-        let pts = DatasetFamily::Inde.generate(300, 3, 11);
-        let idx = EclipseIndex::build(&pts, IndexConfig::default()).expect("valid workload");
-        let boxes = probe_ratio_boxes(8, 3, 12);
-        let single = run_index_probes(&idx, &boxes, 2);
-        let batched = run_index_probes_batched(&idx, &boxes, &ExecutionContext::serial(), 2);
-        assert_eq!(single.result_size, batched.result_size);
     }
 
     #[test]

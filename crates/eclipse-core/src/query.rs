@@ -33,7 +33,8 @@
 //! copy is what a fresh build over the mutated dataset holds.  Probes
 //! answer exactly as that rebuild does at every epoch, and every snapshot
 //! is **byte-identical** to the rebuild's (asserted by the mutation
-//! property suites and on every `experiments -- mutate` pass).
+//! property suites and, at n = 100k, by `eclipse-bench`'s regression
+//! gates).
 
 use std::sync::{Arc, Mutex, RwLock};
 

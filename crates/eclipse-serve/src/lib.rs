@@ -31,8 +31,8 @@
 //! * [`client`] — the pipelining [`PipelinedClient`] (up to `pipe_size`
 //!   requests in flight, replies correlated by request id) and the blocking
 //!   [`Client`], a depth-1 wrapper over the same machinery
-//!   used by the integration tests, the examples and the
-//!   `experiments -- serve` throughput sweeps.
+//!   used by the integration tests, the examples and the `perfbench`
+//!   benchmark.
 //!
 //! The `eclipse-serve` binary (this crate's `src/main.rs`) wraps
 //! [`server::Server`] with address/thread/flow-control/preload flags.

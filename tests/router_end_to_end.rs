@@ -143,15 +143,6 @@ fn hashed_placement_shards_datasets_and_merges_identically_to_one_server() {
 
 #[test]
 fn replicated_probe_partitioning_merges_in_probe_order() {
-    let backends = spawn_backends(3, 2);
-    let router = router_over(
-        &backends,
-        RouterConfig {
-            replicated: vec!["rep".to_string()],
-            ..RouterConfig::default()
-        },
-    );
-
     let points = SyntheticConfig::new(600, 3, Distribution::Independent, 21).generate();
     let reference = Server::bind("127.0.0.1:0", ExecutionContext::with_threads(2))
         .unwrap()
@@ -162,38 +153,51 @@ fn replicated_probe_partitioning_merges_in_probe_order() {
         .load_dataset("rep", &points, IndexKind::Quadtree)
         .unwrap();
 
-    let mut client = Client::connect(router.addr()).unwrap();
-    client
-        .load_dataset("rep", &points, IndexKind::Quadtree)
-        .unwrap();
-
-    // Replication is real: every backend holds the dataset.
-    for (i, backend) in backends.iter().enumerate() {
-        let mut direct = Client::connect(backend.addr()).unwrap();
-        let report = direct.stats().unwrap();
-        assert_eq!(report.datasets.len(), 1, "backend {i}");
-        assert_eq!(report.datasets[0].name, "rep", "backend {i}");
-    }
-
-    // Batches around the chunking edges: fewer probes than members, an
-    // exact multiple, a remainder, and the empty batch.
-    for n in [0usize, 1, 2, 3, 10] {
-        let boxes = probe_boxes(n);
-        assert_eq!(
-            client.query_batch("rep", &boxes).unwrap(),
-            ref_client.query_batch("rep", &boxes).unwrap(),
-            "batch of {n}"
+    for members in 1..=4 {
+        let backends = spawn_backends(members, 2);
+        let router = router_over(
+            &backends,
+            RouterConfig {
+                replicated: vec!["rep".to_string()],
+                ..RouterConfig::default()
+            },
         );
-        assert_eq!(
-            client.count_batch("rep", &boxes).unwrap(),
-            ref_client.count_batch("rep", &boxes).unwrap(),
-            "batch of {n}"
-        );
-    }
+        let mut client = Client::connect(router.addr()).unwrap();
+        client
+            .load_dataset("rep", &points, IndexKind::Quadtree)
+            .unwrap();
 
-    router.shutdown();
-    for b in backends {
-        b.shutdown();
+        // Replication is real: every backend holds the dataset.
+        for (i, backend) in backends.iter().enumerate() {
+            let mut direct = Client::connect(backend.addr()).unwrap();
+            let report = direct.stats().unwrap();
+            assert_eq!(report.datasets.len(), 1, "{members} members, backend {i}");
+            assert_eq!(
+                report.datasets[0].name, "rep",
+                "{members} members, backend {i}"
+            );
+        }
+
+        // Batches around the chunking edges: fewer probes than members, an
+        // exact multiple, a remainder, the empty batch and a long one.
+        for n in [0usize, 1, 2, 3, 4, 10, 32] {
+            let boxes = probe_boxes(n);
+            assert_eq!(
+                client.query_batch("rep", &boxes).unwrap(),
+                ref_client.query_batch("rep", &boxes).unwrap(),
+                "{members} members, batch of {n}"
+            );
+            assert_eq!(
+                client.count_batch("rep", &boxes).unwrap(),
+                ref_client.count_batch("rep", &boxes).unwrap(),
+                "{members} members, batch of {n}"
+            );
+        }
+
+        router.shutdown();
+        for b in backends {
+            b.shutdown();
+        }
     }
     reference.shutdown();
 }
