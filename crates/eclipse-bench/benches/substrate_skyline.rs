@@ -1,7 +1,9 @@
 //! Ablation bench for the skyline substrate: BNL vs SFS vs divide-and-conquer
 //! on the three synthetic distributions, plus the transformation mapping cost
-//! in isolation.  Not a figure of the paper, but it backs the design choice
-//! (DESIGN.md §6) of using the divide-and-conquer skyline inside TRAN.
+//! in isolation.  Not a figure of the paper, but it backs the choice of
+//! skyline algorithm behind TRAN's `SkylineBackend::Auto` (SFS above two
+//! mapped dimensions) and the divide-and-conquer skyline the engine and the
+//! index compute.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

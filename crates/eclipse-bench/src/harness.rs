@@ -12,22 +12,18 @@ use std::time::Instant;
 use eclipse_core::algo::baseline::eclipse_baseline;
 use eclipse_core::algo::transform::{eclipse_transform, eclipse_transform_with, SkylineBackend};
 use eclipse_core::exec::ExecutionContext;
-use eclipse_core::index::{EclipseIndex, IndexConfig, IntersectionIndexKind, ProbeScratch};
-use eclipse_core::point::{BoundingBox, Point};
+use eclipse_core::index::{EclipseIndex, IndexConfig, ProbeScratch};
+use eclipse_core::point::Point;
 use eclipse_core::weights::WeightRatioBox;
 use eclipse_exec::ThreadPool;
-use eclipse_geom::cutting::{CuttingTree, CuttingTreeConfig};
-use eclipse_geom::hyperplane::Hyperplane;
-use eclipse_geom::quadtree::{HyperplaneQuadtree, QuadtreeConfig};
-use eclipse_geom::traverse::TraversalScratch;
 use eclipse_skyline::exec::{
     ParallelBnl, ParallelDc, ParallelSfs, SerialBnl, SerialDc, SerialSfs, SkylineExecutor,
 };
 
 /// The algorithms of the paper's evaluation.  The paper's QUAD and CUTTING
 /// differ only in the tree that fetches crossing hyperplanes; the index
-/// fetches them with one slab sweep instead, so both are one competitor
-/// here.  The trees themselves are compared by [`run_tree_probes`].
+/// needs neither tree, so both are one competitor here.  The trees
+/// themselves are timed by the `index_query` bench.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Competitor {
     /// BASE — Algorithm 1.
@@ -236,83 +232,6 @@ pub fn run_tran_at_threads(
     }
 }
 
-/// One tree-level probe measurement: construction time plus steady-state
-/// single-probe latency over a fixed probe set (reused traversal scratch, the
-/// serving-loop configuration).  Probe latencies are the **minimum** over the
-/// repetition passes — the standard noise-robust estimator on shared
-/// hardware.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TreeProbeMeasurement {
-    /// Tree construction time in seconds.
-    pub build_secs: f64,
-    /// Mean wall-clock seconds per probe.
-    pub probe_secs: f64,
-    /// Mean number of reported hyperplanes per probe (result-size sanity
-    /// check across backends).
-    pub mean_hits: f64,
-    /// Arena node count (diagnostic).
-    pub nodes: usize,
-    /// Tree depth (diagnostic; tracks the quadtree's clustered degradation).
-    pub depth: usize,
-}
-
-/// Builds a QUAD or CUTTING tree over `planes` with the given configs and
-/// times `repetitions` passes over `probes` through the zero-alloc
-/// `query_into` path.
-pub fn run_tree_probes(
-    kind: IntersectionIndexKind,
-    planes: &[Hyperplane],
-    cell: BoundingBox,
-    probes: &[BoundingBox],
-    repetitions: usize,
-    quad_config: QuadtreeConfig,
-    cutting_config: CuttingTreeConfig,
-) -> TreeProbeMeasurement {
-    assert!(repetitions > 0, "repetitions must be positive");
-    assert!(!probes.is_empty(), "probe set must be non-empty");
-    enum Tree {
-        Quad(HyperplaneQuadtree),
-        Cutting(CuttingTree),
-    }
-    let build_start = Instant::now();
-    let tree = match kind {
-        IntersectionIndexKind::Quadtree => {
-            Tree::Quad(HyperplaneQuadtree::build(planes, cell, quad_config))
-        }
-        IntersectionIndexKind::CuttingTree => {
-            Tree::Cutting(CuttingTree::build(planes, cell, cutting_config))
-        }
-    };
-    let build_secs = build_start.elapsed().as_secs_f64();
-    let (nodes, depth) = match &tree {
-        Tree::Quad(t) => (t.node_count(), t.depth()),
-        Tree::Cutting(t) => (t.node_count(), t.depth()),
-    };
-    let mut scratch = TraversalScratch::new();
-    let mut out = Vec::new();
-    let mut hits = 0usize;
-    let mut best_pass = f64::INFINITY;
-    for _ in 0..repetitions {
-        hits = 0;
-        let start = Instant::now();
-        for b in probes {
-            match &tree {
-                Tree::Quad(t) => t.query_into(b.lo(), b.hi(), &mut scratch, &mut out),
-                Tree::Cutting(t) => t.query_into(b.lo(), b.hi(), &mut scratch, &mut out),
-            }
-            hits += out.len();
-        }
-        best_pass = best_pass.min(start.elapsed().as_secs_f64());
-    }
-    TreeProbeMeasurement {
-        build_secs,
-        probe_secs: best_pass / probes.len() as f64,
-        mean_hits: hits as f64 / probes.len() as f64,
-        nodes,
-        depth,
-    }
-}
-
 /// Formats a duration in seconds the way the paper's log-scale plots are
 /// usually read (3 significant digits, scientific for very small values).
 pub fn format_secs(secs: f64) -> String {
@@ -371,34 +290,6 @@ mod tests {
         let t1 = run_tran_at_threads(&pts, &b, 1, 1);
         let t4 = run_tran_at_threads(&pts, &b, 4, 1);
         assert_eq!(t1.result_size, t4.result_size);
-    }
-
-    #[test]
-    fn probe_runners_agree_across_paths() {
-        use crate::workloads::{
-            hyperplane_workload, probe_boxes, probe_root_cell, HyperplaneFamily,
-        };
-        let planes = hyperplane_workload(HyperplaneFamily::Uniform, 400, 2, 5);
-        let probes = probe_boxes(10, 2, 0.1, 6);
-        let [quad, cutting] = [
-            IntersectionIndexKind::Quadtree,
-            IntersectionIndexKind::CuttingTree,
-        ]
-        .map(|kind| {
-            run_tree_probes(
-                kind,
-                &planes,
-                probe_root_cell(2),
-                &probes,
-                2,
-                QuadtreeConfig::default(),
-                CuttingTreeConfig::default(),
-            )
-        });
-        // Both backends are exact, so they report identical hit counts.
-        assert_eq!(quad.mean_hits, cutting.mean_hits);
-        assert!(quad.build_secs > 0.0 && cutting.build_secs > 0.0);
-        assert!(quad.nodes >= 1 && cutting.nodes >= 1);
     }
 
     #[test]

@@ -118,8 +118,7 @@ pub fn probe_root_cell(k: usize) -> BoundingBox {
 
 /// Shapes of synthetic hyperplane sets exercising the Intersection Index
 /// directly (without going through a dataset): the tree-level counterpart of
-/// [`DatasetFamily`], used by the `index_query` bench and the quadtree
-/// regression gate.
+/// [`DatasetFamily`], used by the `index_query` bench.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HyperplaneFamily {
     /// Random orientations anchored uniformly in the cell.

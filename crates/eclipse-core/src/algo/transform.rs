@@ -10,7 +10,7 @@
 //! `c = (p[1] + p[2]/h,  l·p[1] + p[2])` and the equivalence is exact; the
 //! 2-D O(n log n) sweep computes the skyline of the mapped points.
 //!
-//! **Higher dimensions — a correction to the paper (see DESIGN.md §6).**
+//! **Higher dimensions — a correction to the paper.**
 //! Theorem 6 of the paper keeps only `d` of the `2^{d−1}` corner vectors
 //! (chosen so the corresponding matrix has rank `d`) and claims the resulting
 //! `d`-dimensional mapping is still equivalent.  The rank argument shows the
@@ -137,7 +137,8 @@ impl CornerTable {
 /// of the `2^{d−1}` corner ratio vectors of the box, in
 /// [`WeightRatioBox::corner_ratios`] order.  Eclipse dominance of the original
 /// points is exactly skyline dominance of these vectors (Theorem 2 plus the
-/// strictness convention of DESIGN.md §1).
+/// strict convention of [`crate::dominance`]: `≤` at every corner, `<` at
+/// one).
 ///
 /// # Panics
 /// Panics if the point and box dimensionalities disagree or the box is

@@ -1,6 +1,6 @@
 //! 1NN-, skyline- and eclipse-dominance predicates (Definitions 1–3).
 //!
-//! The strictness convention is spelled out in DESIGN.md §1: `p ≺e p′`
+//! The strictness convention: `p ≺e p′`
 //! ("p eclipse-dominates p′") holds when `S(p) ≤ S(p′)` for **every** ratio
 //! vector in the box and `S(p) < S(p′)` for **at least one** — identical
 //! points therefore never dominate each other, which keeps the relation

@@ -63,7 +63,6 @@ fn arbitrary_config(seed: u64) -> IndexConfig {
     cfg.quadtree.max_depth = rng.gen_range(3..12usize);
     cfg.cutting.max_capacity = rng.gen_range(1..9usize);
     cfg.cutting.max_depth = rng.gen_range(3..16usize);
-    cfg.cutting.sample_size = rng.gen_range(1..20usize);
     if rng.gen_range(0..4u32) == 0 {
         // Starved budgets: construction stops early, queries stay exact.
         cfg.quadtree.max_nodes = 16;

@@ -5,7 +5,8 @@
 //!   the paper's evaluation, plus the clustered worst-case generator used for
 //!   Figs. 13–14,
 //! * [`nba`] — a synthetic NBA-like league standing in for the real
-//!   2384-player dataset (see DESIGN.md §4 for the substitution rationale),
+//!   2384-player dataset, which is not redistributable (the module docs
+//!   list the statistical shape the substitute keeps),
 //! * [`io`] — CSV reading/writing of datasets and experiment results,
 //! * [`stats`] — summary statistics (mean, percentiles, correlation),
 //! * [`survey`] — the user-study simulator regenerating Table V.

@@ -4,8 +4,7 @@
 //! career-total attributes — Points, Rebounds, Assists, Steals and Blocks —
 //! scraped from stats.nba.com in 2015.  That file is not redistributable and
 //! is unavailable offline, so this module generates a synthetic league whose
-//! statistical *shape* matches what the experiments actually depend on (see
-//! DESIGN.md §4):
+//! statistical *shape* matches what the experiments actually depend on:
 //!
 //! * heavy-tailed, non-negative career totals (log-normal-ish marginals: many
 //!   journeymen, a few superstars);

@@ -5,7 +5,8 @@
 //! hotel-reservation interface among five systems: skyline, top-k,
 //! eclipse-ratio, eclipse-weight and eclipse-category.  Humans are not
 //! available to a reproduction, so this module replaces them with an explicit
-//! utility model (see DESIGN.md §4): each simulated respondent weighs three
+//! utility model (Table V of the paper is the target it reproduces): each
+//! simulated respondent weighs three
 //! concerns — how much parameter-specification effort a system demands, how
 //! large/noisy its result set is, and how much control it still offers — and
 //! picks the system with the highest noisy utility.  The concern weights are

@@ -44,11 +44,11 @@ const PARALLEL_BUILD_MIN_ENTRIES: usize = 4096;
 /// never changes the arena (see the module docs).
 const LANE_CHUNK_ENTRIES: usize = 1 << 16;
 
-/// Cap on the entries whose crossings the adaptive rules measure per node: a
-/// deterministic strided subset (every `len/256`-th entry), plenty for a
-/// robust median while keeping cut selection O(1) per node instead of O(n) —
-/// without it, adaptive construction on large dense nodes costs more than
-/// the probe time it saves.
+/// Cap on the entries whose crossings the cutting tree's cut rule measures
+/// per node: a deterministic strided subset (every `len/256`-th entry),
+/// plenty for a robust median while keeping cut selection O(1) per node
+/// instead of O(n) — without it, construction on large dense nodes costs
+/// more than the probe time it saves.
 const CROSSING_SAMPLE_CAP: usize = 256;
 
 /// Depth and budget limits of one build (see the trees' configs).
@@ -80,12 +80,12 @@ pub(crate) trait ArenaTree: Sync {
     fn reach_depth(&mut self, depth: usize);
     /// Appends `entries` to the entry slab as node `node`'s range.
     fn record_entries(&mut self, node: u32, entries: &[u32]);
-    /// Plans the split of node `node` (cell `[lo, hi]`, `entries` crossing
-    /// it): pushes the children into `scratch` and returns the split, or
-    /// returns `None` with `scratch` unchanged when the node stays a leaf.
+    /// Plans the split of the node with cell `[lo, hi]` and `entries`
+    /// crossing it: pushes the children into `scratch` and returns the
+    /// split, or returns `None` with `scratch` unchanged when the node stays
+    /// a leaf.
     fn plan(
         &self,
-        node: u32,
         lo: &[f64],
         hi: &[f64],
         entries: &[u32],
@@ -123,7 +123,7 @@ pub(crate) struct PlanScratch {
     /// [`PlanScratch::census`].
     pub(crate) crossings: Vec<Vec<f64>>,
     /// The centre of the cell the last census measured.
-    pub(crate) center: Vec<f64>,
+    center: Vec<f64>,
 }
 
 impl PlanScratch {
@@ -131,14 +131,13 @@ impl PlanScratch {
     /// ([`crossing_sample`]) cross the line through the centre of the cell
     /// `[lo, hi]` parallel to that axis, keeping the crossings strictly
     /// inside the cell (`EPS` margin) in [`PlanScratch::crossings`].
-    /// Returns the number of sampled entries.
     pub(crate) fn census(
         &mut self,
         slab: &HyperplaneSlab,
         lo: &[f64],
         hi: &[f64],
         entries: &[u32],
-    ) -> usize {
+    ) {
         let k = lo.len();
         self.center.clear();
         self.center
@@ -147,9 +146,7 @@ impl PlanScratch {
         for axis in &mut self.crossings {
             axis.clear();
         }
-        let mut sampled = 0usize;
         for e in crossing_sample(entries) {
-            sampled += 1;
             let row = slab.coeffs_row(e as usize);
             let offset = slab.offset(e as usize);
             for axis in 0..k {
@@ -169,7 +166,6 @@ impl PlanScratch {
                 }
             }
         }
-        sampled
     }
 
     /// Partitions `entries` among the children of the cell `[lo, hi]` cut
@@ -275,7 +271,7 @@ impl<S: Copy> Worker<S> {
                 let (lo, hi) = tree.cells()[base..base + 2 * dim].split_at(dim);
                 let entries = &tree.entries()[start..end];
                 let first_child = self.scratch.children.len();
-                tree.plan(node, lo, hi, entries, &mut self.scratch)
+                tree.plan(lo, hi, entries, &mut self.scratch)
                     .map(|split| Plan {
                         split,
                         first_child,

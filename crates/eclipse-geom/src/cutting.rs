@@ -1,19 +1,22 @@
-//! The cutting-tree Intersection Index (§IV-B of the paper) — randomized,
-//! sampling-based implementation.
+//! The cutting-tree Intersection Index (§IV-B of the paper) — a
+//! deterministic, data-adaptive implementation.
 //!
 //! Chazelle's deterministic (1/t)-cuttings give the textbook worst-case
 //! guarantee but, as the paper itself notes, "are theoretical in nature and
 //! involve large constant factors"; the paper therefore implements the index
 //! with a probabilistic scheme (random sampling of intersection vertices and
 //! a Voronoi partition of the sampled points).  We follow the same spirit
-//! with a structure that is easier to make *exact*:
+//! with a structure that is easier to make *exact*, because every cell is an
+//! axis-aligned box and the hyperplane-box test is a sign test:
 //!
 //! * the space is partitioned by a binary tree of axis-aligned cuts;
-//! * at every node the cut coordinate is chosen from a **random sample of the
-//!   hyperplanes crossing the cell** (the median of their zero-crossings along
-//!   the widest axis, measured through the cell centre), so regions dense in
-//!   hyperplanes are cut more finely — the property the paper's Voronoi
-//!   sampling is after;
+//! * at every node the cut is measured from the hyperplanes crossing the
+//!   cell: along every axis, through the cell centre, the zero-crossings of
+//!   a deterministic strided sample of the cell's entries (every entry up to
+//!   256, then every `len/256`-th) are collected, and the axis carrying the
+//!   most crossings is cut at their median — so regions dense in hyperplanes
+//!   are cut more finely, the property the paper's Voronoi sampling is
+//!   after, and the tree is a pure function of its input;
 //! * leaves store the hyperplanes crossing their cell, and queries gather
 //!   candidates from the leaves intersecting the query box and filter them
 //!   with an exact hyperplane-box test.
@@ -27,15 +30,11 @@
 //! allocations.
 //!
 //! Unlike the quadtree, the depth of this tree is bounded by `max_depth`
-//! *and* the data-adaptive median splits keep it balanced even when all
-//! hyperplanes crowd into one corner of the root cell — which is exactly the
-//! worst-case scenario of Figs. 13–14 where CUTTING must beat QUAD.  See
-//! DESIGN.md §4 for the substitution rationale.
+//! *and* the median splits keep it balanced even when all hyperplanes crowd
+//! into one corner of the root cell — which is exactly the worst-case
+//! scenario of Figs. 13–14 where CUTTING must beat QUAD.
 
 use eclipse_exec::ThreadPool;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::approx::EPS;
@@ -44,24 +43,6 @@ use crate::hyperplane::{Hyperplane, HyperplaneSlab};
 use crate::point::BoundingBox;
 use crate::traverse::{classify_cell, CellRelation, TraversalScratch};
 
-/// How the cut coordinate of an overfull cell is chosen.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CutRule {
-    /// The historical randomized rule: widest axis, median zero-crossing of
-    /// a `sample_size`-element random sample of the cell's entries, jittered
-    /// midpoint fallback.
-    SampledCrossings,
-    /// Deterministic adaptive rule: per axis, the in-cell zero-crossings of
-    /// a strided entry sample (every entry up to 256, then every
-    /// `len/256`-th) are measured; the cut axis is the one carrying the most
-    /// crossings (ties to the wider extent, then the earlier axis) and the
-    /// cut lands on the median crossing, so dense clusters are split through
-    /// their mass instead of through a 16-element random guess.  Falls back
-    /// to the widest axis's midpoint (no jitter) when nothing crosses the
-    /// cell interior.  Consumes no randomness.
-    MedianExtents,
-}
-
 /// Construction parameters for [`CuttingTree`].
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CuttingTreeConfig {
@@ -69,10 +50,6 @@ pub struct CuttingTreeConfig {
     pub max_capacity: usize,
     /// Hard depth limit.
     pub max_depth: usize,
-    /// Number of hyperplanes sampled per node to choose the cut (the paper's
-    /// parameter `t`; higher values give better balanced cuts at higher
-    /// construction cost).
-    pub sample_size: usize,
     /// Global budget on the number of tree nodes; once exhausted the
     /// remaining cells stay leaves (queries remain exact).
     pub max_nodes: usize,
@@ -80,11 +57,6 @@ pub struct CuttingTreeConfig {
     /// the hyperplanes crossing its cell); see
     /// [`crate::quadtree::QuadtreeConfig::max_entries`].
     pub max_entries: usize,
-    /// Seed for the sampling RNG so index construction is reproducible
-    /// (consumed only under [`CutRule::SampledCrossings`]).
-    pub seed: u64,
-    /// How cut coordinates are chosen; see [`CutRule`].
-    pub cut: CutRule,
 }
 
 impl Default for CuttingTreeConfig {
@@ -92,11 +64,8 @@ impl Default for CuttingTreeConfig {
         CuttingTreeConfig {
             max_capacity: 8,
             max_depth: 24,
-            sample_size: 16,
             max_nodes: 1 << 16,
             max_entries: 1 << 22,
-            seed: 0x5eed_cafe,
-            cut: CutRule::MedianExtents,
         }
     }
 }
@@ -127,7 +96,7 @@ struct Node {
     entries_end: u32,
 }
 
-/// A randomized cutting tree over hyperplanes in k-dimensional space, stored
+/// A cutting tree over hyperplanes in k-dimensional space, stored
 /// as a flat arena.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CuttingTree {
@@ -180,17 +149,6 @@ impl CuttingTree {
     /// than one node's pair) and capped in entries so the planning scratch
     /// stays small; the level where a budget fills shrinks its chunks so at
     /// most one chunk of planning is thrown away.
-    ///
-    /// The random draws of [`CutRule::SampledCrossings`] are a pure function
-    /// of `(config.seed, node id)` (`node_rng`): every node streams from
-    /// its own splitmix64-derived RNG, so chunk boundaries, budget
-    /// truncation, and thread count cannot shift the draws of any other
-    /// node.  (The historical single sequential stream made the final chunk
-    /// of budget-truncated builds depend on how many earlier nodes had
-    /// consumed draws — arenas differed across `max_nodes`/`max_entries`
-    /// settings even for the nodes both builds shared, and planning-only
-    /// draws for cuts later discarded by the stitch shifted everything
-    /// after them.)
     ///
     /// Level order also matters for the node budget: when `max_nodes` runs
     /// out, a BFS fills every region of the root cell to the same depth, so
@@ -438,25 +396,18 @@ impl ArenaTree for CuttingTree {
         node.entries_end = self.entries.len() as u32;
     }
 
-    /// Chooses the node's cut under the configured [`CutRule`] and
-    /// partitions its entries between the two halves; `None` when the cell
-    /// cannot be cut, a half would be degenerate, or every entry crosses
-    /// both halves (a cut that separates nothing would recurse forever).
+    /// Chooses the node's cut ([`choose_cut_median`]) and partitions its
+    /// entries between the two halves; `None` when the cell cannot be cut,
+    /// a half would be degenerate, or every entry crosses both halves (a
+    /// cut that separates nothing would recurse forever).
     fn plan(
         &self,
-        idx: u32,
         lo: &[f64],
         hi: &[f64],
         entries: &[u32],
         scratch: &mut PlanScratch,
     ) -> Option<(usize, f64)> {
-        let (axis, at) = match self.config.cut {
-            CutRule::SampledCrossings => {
-                let mut rng = node_rng(self.config.seed, idx);
-                choose_cut(&self.slab, lo, hi, entries, &self.config, &mut rng, scratch)
-            }
-            CutRule::MedianExtents => choose_cut_median(&self.slab, lo, hi, entries, scratch),
-        }?;
+        let (axis, at) = choose_cut_median(&self.slab, lo, hi, entries, scratch)?;
         // Guard against non-progress cuts (degenerate halves).
         let clamped = at.max(lo[axis]).min(hi[axis]);
         if clamped - lo[axis] <= EPS || hi[axis] - clamped <= EPS {
@@ -483,15 +434,14 @@ impl ArenaTree for CuttingTree {
     }
 }
 
-/// The deterministic [`CutRule::MedianExtents`] cut of the cell `[lo, hi]`:
-/// measures the in-cell zero-crossings of a strided entry sample along every
-/// axis (through the cell centre — see [`PlanScratch::census`]), cuts the
-/// axis carrying the most crossings — ties broken towards the wider extent,
-/// then the earlier axis — at their median.  With no interior crossings at
-/// all, falls back to the midpoint of the widest axis (no jitter; a
-/// fruitless midpoint cut is caught by the builder's no-progress guard, so
-/// termination does not need it).  Returns `None` only when the cell is
-/// degenerate on every axis.
+/// The cut of the cell `[lo, hi]`: measures the in-cell zero-crossings of a
+/// strided entry sample along every axis (through the cell centre — see
+/// [`PlanScratch::census`]), cuts the axis carrying the most crossings —
+/// ties broken towards the wider extent, then the earlier axis — at their
+/// median.  With no interior crossings at all, falls back to the midpoint
+/// of the widest axis (a fruitless midpoint cut is caught by the builder's
+/// no-progress guard).  Returns `None` only when the cell is degenerate on
+/// every axis.
 fn choose_cut_median(
     slab: &HyperplaneSlab,
     lo: &[f64],
@@ -528,101 +478,6 @@ fn choose_cut_median(
         return None;
     }
     Some((axis, 0.5 * (lo[axis] + hi[axis])))
-}
-
-/// The [`CutRule::SampledCrossings`] RNG of one node: seeded purely from
-/// `(config seed, arena node id)` via splitmix64, so a node's draws are
-/// reproducible no matter how the build was chunked, how much of a budget
-/// was left, or how many other nodes drew before it.  Node ids are
-/// allocated in deterministic BFS stitch order, so two builds that agree
-/// on a node's id agree on its sample.
-fn node_rng(seed: u64, node: u32) -> StdRng {
-    StdRng::seed_from_u64(splitmix64(
-        seed ^ u64::from(node).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-    ))
-}
-
-/// SplitMix64: a tiny, well-distributed bijection — the standard way to
-/// spread correlated seeds (`seed ^ f(node)`) across the u64 space before
-/// feeding a stream RNG.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Chooses an axis and a cut coordinate for the cell `[lo, hi]` under
-/// [`CutRule::SampledCrossings`].
-///
-/// The axis is the widest axis of the cell; the coordinate is the median of
-/// the zero-crossings (along that axis, through the cell centre) of a random
-/// sample of the hyperplanes crossing the cell.  Falls back to the cell
-/// midpoint when no sampled hyperplane yields a usable crossing.
-fn choose_cut(
-    slab: &HyperplaneSlab,
-    lo: &[f64],
-    hi: &[f64],
-    entries: &[u32],
-    config: &CuttingTreeConfig,
-    rng: &mut StdRng,
-    scratch: &mut PlanScratch,
-) -> Option<(usize, f64)> {
-    let k = lo.len();
-    let extent = |axis: usize| hi[axis] - lo[axis];
-    // Pick the widest splittable axis.
-    let axis = (0..k).max_by(|&a, &b| extent(a).total_cmp(&extent(b)))?;
-    if extent(axis) <= EPS {
-        return None;
-    }
-
-    let center = &mut scratch.center;
-    center.clear();
-    center.extend(lo.iter().zip(hi).map(|(l, h)| 0.5 * (l + h)));
-    scratch.crossings.resize_with(1, Vec::new);
-    let crossings = &mut scratch.crossings[0];
-    crossings.clear();
-    let mut measure = |i: u32| {
-        let row = slab.coeffs_row(i as usize);
-        let coeff = row[axis];
-        if coeff.abs() <= EPS {
-            return;
-        }
-        // Solve h(x) = 0 with all coordinates fixed at the cell centre except
-        // `axis`.
-        let mut rest = 0.0;
-        for (j, c) in row.iter().enumerate() {
-            if j != axis {
-                rest += c * center[j];
-            }
-        }
-        let x = -(rest + slab.offset(i as usize)) / coeff;
-        if x > lo[axis] + EPS && x < hi[axis] - EPS {
-            crossings.push(x);
-        }
-    };
-    let sample_count = config.sample_size.min(entries.len()).max(1);
-    if entries.len() <= sample_count {
-        entries.iter().for_each(|&i| measure(i));
-    } else {
-        entries
-            .choose_multiple(rng, sample_count)
-            .for_each(|&i| measure(i));
-    }
-
-    let at = if crossings.is_empty() {
-        // No informative crossing in the sample: fall back to the midpoint,
-        // possibly jittered slightly so repeated fallbacks still make progress.
-        let mid = 0.5 * (lo[axis] + hi[axis]);
-        let jitter = extent(axis) * rng.gen_range(-0.05..0.05);
-        (mid + jitter).clamp(lo[axis], hi[axis])
-    } else {
-        // Crossings equal under `total_cmp` are bit-identical, so an
-        // unstable sort yields the same median as a stable one.
-        crossings.sort_unstable_by(|a, b| a.total_cmp(b));
-        crossings[crossings.len() / 2]
-    };
-    Some((axis, at))
 }
 
 #[cfg(test)]
@@ -719,7 +574,7 @@ mod tests {
     #[test]
     fn clustered_lines_stay_balanced() {
         // The same clustered worst case that makes the quadtree degenerate:
-        // the cutting tree's sampled-median cuts keep the depth far below the
+        // the cutting tree's median cuts keep the depth far below the
         // hyperplane count.
         let hs: Vec<Hyperplane> = (0..256)
             .map(|i| line(1.0, -1.0, -1e-4 * i as f64))
@@ -740,12 +595,13 @@ mod tests {
     }
 
     #[test]
-    fn construction_is_deterministic_for_a_seed() {
+    fn two_builds_are_equal() {
+        // The cut rule consumes no randomness: building twice over the same
+        // rows yields the same arena.
         let hs: Vec<Hyperplane> = (0..50).map(|i| line(1.0, -0.5, -0.01 * i as f64)).collect();
         let a = CuttingTree::build(&hs, unit_box(), CuttingTreeConfig::default());
         let b = CuttingTree::build(&hs, unit_box(), CuttingTreeConfig::default());
-        assert_eq!(a.node_count(), b.node_count());
-        assert_eq!(a.depth(), b.depth());
+        assert_eq!(a, b);
         let q = BoundingBox::new(vec![0.1, 0.1], vec![0.3, 0.3]);
         assert_eq!(a.query(&hs, &q), b.query(&hs, &q));
     }
@@ -788,27 +644,21 @@ mod tests {
         }
         hs.push(Hyperplane::new(vec![0.0, 0.0], 0.0));
         hs.push(Hyperplane::new(vec![0.0, 0.0], 1.0));
-        let mk = |cut| {
-            CuttingTree::build(
-                &hs,
-                unit_box(),
-                CuttingTreeConfig {
-                    max_capacity: 4,
-                    max_depth: 40,
-                    cut,
-                    ..CuttingTreeConfig::default()
-                },
-            )
-        };
-        let median = mk(CutRule::MedianExtents);
-        let sampled = mk(CutRule::SampledCrossings);
-        // The 256-element strided median can only balance better than the
-        // 16-element sampled guess.
+        let median = CuttingTree::build(
+            &hs,
+            unit_box(),
+            CuttingTreeConfig {
+                max_capacity: 4,
+                max_depth: 40,
+                ..CuttingTreeConfig::default()
+            },
+        );
+        // The median cuts split the bundle through its mass, so the depth
+        // stays far below the 128 clustered lines (16 at this input).
         assert!(
-            median.depth() <= sampled.depth(),
-            "median depth {} vs sampled depth {}",
-            median.depth(),
-            sampled.depth()
+            median.depth() <= 20,
+            "median cuts should keep clustered input shallow, got {}",
+            median.depth()
         );
         for _ in 0..30 {
             let x0 = rng.gen_range(0.0..0.9);
@@ -838,23 +688,20 @@ mod tests {
             })
             .collect();
         let root = BoundingBox::new(vec![-1.0, -1.0], vec![1.0, 1.0]);
-        for cut in [CutRule::SampledCrossings, CutRule::MedianExtents] {
-            let cfg = CuttingTreeConfig {
-                max_capacity: 16,
-                max_depth: 14,
-                cut,
-                ..CuttingTreeConfig::default()
-            };
-            let serial = CuttingTree::build(&hs, root.clone(), cfg);
-            let pool = ThreadPool::with_threads(4);
-            let parallel = CuttingTree::build_from_slab_with(
-                HyperplaneSlab::from_hyperplanes(&hs),
-                root.clone(),
-                cfg,
-                Some(&pool),
-            );
-            assert_eq!(serial, parallel, "cut rule {cut:?}");
-        }
+        let cfg = CuttingTreeConfig {
+            max_capacity: 16,
+            max_depth: 14,
+            ..CuttingTreeConfig::default()
+        };
+        let serial = CuttingTree::build(&hs, root.clone(), cfg);
+        let pool = ThreadPool::with_threads(4);
+        let parallel = CuttingTree::build_from_slab_with(
+            HyperplaneSlab::from_hyperplanes(&hs),
+            root,
+            cfg,
+            Some(&pool),
+        );
+        assert_eq!(serial, parallel);
     }
 
     #[test]

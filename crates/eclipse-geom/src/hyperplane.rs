@@ -13,8 +13,6 @@
 //!   are represented this way, as are the cells tests used by the line
 //!   quadtree and the cutting tree.
 
-use std::ops::Range;
-
 use serde::{Deserialize, Serialize};
 
 use crate::approx::EPS;
@@ -436,128 +434,22 @@ impl HyperplaneSlab {
     }
 
     /// Appends to `out` the id of every row intersecting the closed box
-    /// `[lo, hi]`, in ascending order: one pass over the whole slab.  It
-    /// seeds tree construction with the rows crossing the root cell, and it
-    /// is every probe's candidate gather.
-    ///
-    /// The pass has no data-dependent branch.  It takes the rows 256 at a time:
-    /// each row's id is written at a cursor into a stack buffer and the cursor
-    /// advances by the row's hit bit (selection without branches, as in Ross,
-    /// "Selection Conditions in Main Memory", TODS 2004), then the chunk's hits
-    /// are appended to `out`.  So the cost does not depend on how many rows
-    /// hit, and `out` grows by the hits only.  Degenerate rows take the offset
-    /// test through the same bit arithmetic.  `k = 2` (the paper's `d = 3`) and
-    /// `k = 3` run loops unrolled to their row width (unrolling `k = 4`
-    /// measured no faster than the general loop); every `k` makes the decisions
-    /// of [`HyperplaneSlab::intersects_box`], bit for bit.  Once `out` has room
-    /// for the hits the pass allocates nothing.
-    pub fn filter_all_intersecting_into<I: RowId>(&self, lo: &[f64], hi: &[f64], out: &mut Vec<I>) {
+    /// `[lo, hi]`, in ascending order: one pass of
+    /// [`HyperplaneSlab::intersects_box`] over the whole slab.  It seeds tree
+    /// construction with the rows crossing the root cell.
+    pub fn filter_all_intersecting_into(&self, lo: &[f64], hi: &[f64], out: &mut Vec<u32>) {
         // An empty slab keeps its placeholder dimensionality (1), so the
         // corner check only applies when there are rows to test.
         debug_assert!(
             self.is_empty() || (lo.len() == self.dim && hi.len() == self.dim),
             "corner dimensionality mismatch"
         );
-        let mut slots = [I::default(); SWEEP_CHUNK];
-        for first in (0..self.len()).step_by(SWEEP_CHUNK) {
-            let rows = first..self.len().min(first + SWEEP_CHUNK);
-            let hits = match self.dim {
-                2 => self.sweep_rows::<2, I>(rows, lo, hi, &mut slots),
-                3 => self.sweep_rows::<3, I>(rows, lo, hi, &mut slots),
-                _ => self.sweep_rows_any(rows, lo, hi, &mut slots),
-            };
-            out.extend_from_slice(&slots[..hits]);
-        }
-    }
-
-    /// The body of [`HyperplaneSlab::filter_all_intersecting_into`] over
-    /// `rows` of a slab of `K` coefficients per row (`K` is its
-    /// dimensionality): the per-row sums unroll fully.  Writes every row id
-    /// into `slots` at the hit cursor and returns the number of hits.
-    #[inline(always)]
-    fn sweep_rows<const K: usize, I: RowId>(
-        &self,
-        rows: Range<usize>,
-        lo: &[f64],
-        hi: &[f64],
-        slots: &mut [I; SWEEP_CHUNK],
-    ) -> usize {
-        let lo: &[f64; K] = lo.try_into().expect("corner dimensionality mismatch");
-        let hi: &[f64; K] = hi.try_into().expect("corner dimensionality mismatch");
-        let first = rows.start;
-        let chunk = self.coeffs[rows.start * K..rows.end * K]
-            .chunks_exact(K)
-            .zip(&self.offsets[rows.clone()])
-            .zip(&self.degenerate[rows]);
-        let mut hits = 0;
-        for (i, ((row, &offset), &degenerate)) in chunk.enumerate() {
-            // Axes in ascending order, offset last; starting from the first
-            // term instead of zero changes at most the sign of a zero sum.
-            let (a, b) = (row[0] * lo[0], row[0] * hi[0]);
-            let (mut min, mut max) = (min_f64(a, b), max_f64(a, b));
-            for j in 1..K {
-                let (a, b) = (row[j] * lo[j], row[j] * hi[j]);
-                min += min_f64(a, b);
-                max += max_f64(a, b);
-            }
-            slots[hits] = I::from_row(first + i);
-            hits += row_hit(degenerate, offset, min + offset, max + offset) as usize;
-        }
-        hits
-    }
-
-    /// [`HyperplaneSlab::sweep_rows`] for any dimensionality, with the
-    /// per-row sum as a loop.
-    fn sweep_rows_any<I: RowId>(
-        &self,
-        rows: Range<usize>,
-        lo: &[f64],
-        hi: &[f64],
-        slots: &mut [I; SWEEP_CHUNK],
-    ) -> usize {
-        let d = self.dim;
-        let first = rows.start;
-        let chunk = self.coeffs[rows.start * d..rows.end * d]
-            .chunks_exact(d)
-            .zip(&self.offsets[rows.clone()])
-            .zip(&self.degenerate[rows]);
-        let mut hits = 0;
-        for (i, ((row, &offset), &degenerate)) in chunk.enumerate() {
-            let (min, max) = min_max_of_row(row, offset, lo, hi);
-            slots[hits] = I::from_row(first + i);
-            hits += row_hit(degenerate, offset, min, max) as usize;
-        }
-        hits
+        out.extend((0..self.len() as u32).filter(|&i| self.intersects_box(i as usize, lo, hi)));
     }
 
     /// Materializes row `i` as an owned [`Hyperplane`].
     pub fn hyperplane(&self, i: usize) -> Hyperplane {
         Hyperplane::new(self.coeffs_row(i).to_vec(), self.offsets[i])
-    }
-}
-
-/// Rows per chunk of the slab sweep: the size of its stack buffer of ids
-/// (2 KiB of `usize`), so a pass holds no more than one chunk of misses.
-const SWEEP_CHUNK: usize = 256;
-
-/// A row id the slab sweep can emit: `u32` for the trees' entry lists,
-/// `usize` for a probe's candidate list.
-pub trait RowId: Copy + Default {
-    /// The id of row `i`, which is below the slab's row count.
-    fn from_row(i: usize) -> Self;
-}
-
-impl RowId for u32 {
-    #[inline]
-    fn from_row(i: usize) -> Self {
-        i as u32
-    }
-}
-
-impl RowId for usize {
-    #[inline]
-    fn from_row(i: usize) -> Self {
-        i
     }
 }
 

@@ -5,7 +5,9 @@
 //! difference* hyperplanes of pairs of skyline points, living in the
 //! `(d−1)`-dimensional weight-ratio space) inside a recursively subdivided
 //! axis-aligned cell hierarchy.  Every internal node has `2^k` children (the
-//! quadrants / octants of its cell); a cell is subdivided when more than
+//! quadrants / octants of its cell, every axis halved at its midpoint — the
+//! classic rule; a data-adaptive median-crossing rule built 1.3–2.5x slower
+//! and probed no faster overall); a cell is subdivided when more than
 //! `max_capacity` hyperplanes cross it and the maximum depth has not been
 //! reached.  Queries report exactly the stored hyperplanes intersecting an
 //! axis-aligned query box (candidates are gathered from the leaves whose cells
@@ -33,28 +35,10 @@
 use eclipse_exec::ThreadPool;
 use serde::{Deserialize, Serialize};
 
-use crate::build::{build_levels, median_inplace, ArenaTree, Limits, PlanScratch};
+use crate::build::{build_levels, ArenaTree, Limits, PlanScratch};
 use crate::hyperplane::{Hyperplane, HyperplaneSlab};
 use crate::point::BoundingBox;
 use crate::traverse::{classify_cell, CellRelation, TraversalScratch};
-
-/// How an overfull cell is partitioned into children.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SplitRule {
-    /// The classic quadtree rule: halve every non-degenerate axis at its
-    /// midpoint, producing `2^k` congruent children.
-    Midpoint,
-    /// Data-adaptive rule: per node, the in-cell zero-crossings of the
-    /// entries are measured along every axis.  When one axis carries nearly
-    /// all of the crossing signal the cell is cut once, on that axis, at the
-    /// median crossing (a cutting-tree-style split that tracks clustered,
-    /// near-axis-perpendicular bundles instead of blindly halving space);
-    /// otherwise every splittable axis is split at its median crossing
-    /// (falling back to the midpoint on axes without crossings), so
-    /// quadrant-style splits still land where the hyperplanes actually are.
-    /// Deterministic — no randomness is consumed.
-    Hybrid,
-}
 
 /// Construction parameters for [`HyperplaneQuadtree`].
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -79,8 +63,6 @@ pub struct QuadtreeConfig {
     /// (the slab may overshoot by the entries of cells already queued for
     /// subdivision, a small constant factor).
     pub max_entries: usize,
-    /// How overfull cells are partitioned; see [`SplitRule`].
-    pub split: SplitRule,
 }
 
 impl Default for QuadtreeConfig {
@@ -90,7 +72,6 @@ impl Default for QuadtreeConfig {
             max_depth: 16,
             max_nodes: 1 << 15,
             max_entries: 1 << 22,
-            split: SplitRule::Hybrid,
         }
     }
 }
@@ -180,45 +161,7 @@ impl HyperplaneQuadtree {
     /// the partially built tree prunes uniformly — a depth-first order would
     /// instead spend the whole budget on the first quadrant's subtree and
     /// leave the remaining quadrants as giant unpruned leaves.
-    ///
-    /// # Per-build midpoint fallback for [`SplitRule::Hybrid`]
-    ///
-    /// When most entries pass near one shared point (the clustered worst
-    /// case), the census medians land on that point and every child of
-    /// every cut inherits most of its parent's entries.  Each such split
-    /// looks locally fine — it makes progress — but the duplication
-    /// compounds level over level and exhausts `max_entries` well before
-    /// the midpoint rule would, leaving a shallower, slower arena.  No
-    /// per-node heuristic can see this (the damage is global), so the
-    /// builder checks the *finished* tree instead: if a Hybrid build ran
-    /// out of entry budget, the midpoint tree is built too and the arena
-    /// with more nodes — the one whose budget went into pruning rather
-    /// than duplication — wins (ties keep the census tree).  The fallback
-    /// arena still advertises `SplitRule::Hybrid`, since this check is part
-    /// of the rule: rebuilding from the carried config reproduces it
-    /// byte-for-byte.  Builds that stay within budget never pay for it.
     pub fn build_from_slab_with(
-        slab: HyperplaneSlab,
-        cell: BoundingBox,
-        config: QuadtreeConfig,
-        pool: Option<&ThreadPool>,
-    ) -> Self {
-        let tree = Self::build_arena(slab, cell.clone(), config, pool);
-        if tree.config.split == SplitRule::Hybrid && tree.entries.len() >= tree.config.max_entries {
-            let mut midpoint_config = tree.config;
-            midpoint_config.split = SplitRule::Midpoint;
-            let mut midpoint = Self::build_arena(tree.slab.clone(), cell, midpoint_config, pool);
-            if midpoint.nodes.len() > tree.nodes.len() {
-                midpoint.config.split = SplitRule::Hybrid;
-                return midpoint;
-            }
-        }
-        tree
-    }
-
-    /// One budget-bounded level-synchronous arena build with the configured
-    /// split rule, no fallback; see [`HyperplaneQuadtree::build_from_slab_with`].
-    fn build_arena(
         slab: HyperplaneSlab,
         cell: BoundingBox,
         config: QuadtreeConfig,
@@ -451,34 +394,16 @@ impl ArenaTree for HyperplaneQuadtree {
         node.entries_end = self.entries.len() as u32;
     }
 
-    /// Plans the subdivision of one node: `None` when the cell cannot split
-    /// (degenerate on every axis) or no partition makes progress (every
-    /// child would inherit every entry).
-    ///
-    /// Under [`SplitRule::Hybrid`] a census partition that makes no progress
-    /// — every median landing exactly on a point shared by all entries, so
-    /// every child inherits every entry — is retried with the midpoint
-    /// partition before the node is frozen into an oversized leaf.  Censuses
-    /// that make *poor* progress (medians merely *near* a shared point, each
-    /// child keeping most of the parent) are not second-guessed here: no
-    /// per-node greedy rule can see that such cuts starve the whole build of
-    /// entry budget, so that pathology is handled a level up by the
-    /// per-build midpoint fallback in
-    /// [`HyperplaneQuadtree::build_from_slab_with`].
+    /// Plans the subdivision of one node into its midpoint quadrants:
+    /// `None` when the cell cannot split (degenerate on every axis) or the
+    /// split makes no progress (every child would inherit every entry).
     fn plan(
         &self,
-        _idx: u32,
         lo: &[f64],
         hi: &[f64],
         entries: &[u32],
         scratch: &mut PlanScratch,
     ) -> Option<()> {
-        if self.config.split == SplitRule::Hybrid
-            && hybrid_cuts(&self.slab, lo, hi, entries, scratch)
-            && scratch.partition(&self.slab, lo, hi, entries)
-        {
-            return Some(());
-        }
         midpoint_cuts(lo, hi, &mut scratch.cuts);
         scratch.partition(&self.slab, lo, hi, entries).then_some(())
     }
@@ -495,71 +420,10 @@ impl ArenaTree for HyperplaneQuadtree {
     }
 }
 
-/// Chooses the [`SplitRule::Hybrid`] cuts of the cell `[lo, hi]` into
-/// `scratch.cuts`, or returns `false` when the census saw no crossing at all
-/// (the midpoint rule then applies).
-///
-/// The census ([`PlanScratch::census`]) collects, per axis, the in-cell
-/// zero-crossings of a strided entry sample, solved along the axis through
-/// the cell centre — the same measurement the cutting tree's
-/// [`crate::cutting`] cut selection uses.  When a single axis carries at
-/// least 90% of all crossings *and* at least half the sampled entries cross
-/// it, the bundle is effectively perpendicular to that axis and one median
-/// cut separates it best (2 children); otherwise every splittable axis
-/// splits at its own median crossing — midpoint when the axis saw no
-/// crossings — which keeps the quadrant structure (needed to separate
-/// diagonal bundles, which no single-axis cut can) while placing the split
-/// planes where the data is.  When the measured cuts fail to separate
-/// anything — a bundle through one shared point puts every median on that
-/// point — the node is retried with the midpoint partition before giving
-/// up.
-fn hybrid_cuts(
-    slab: &HyperplaneSlab,
-    lo: &[f64],
-    hi: &[f64],
-    entries: &[u32],
-    scratch: &mut PlanScratch,
-) -> bool {
-    let sampled = scratch.census(slab, lo, hi, entries);
-    let crossings = &mut scratch.crossings;
-    let total: usize = crossings.iter().map(Vec::len).sum();
-    if total == 0 {
-        return false;
-    }
-    let mut dominant = 0;
-    for axis in 1..crossings.len() {
-        if crossings[axis].len() > crossings[dominant].len() {
-            dominant = axis;
-        }
-    }
-    let dominant_count = crossings[dominant].len();
-    scratch.cuts.clear();
-    if dominant_count * 10 >= total * 9 && dominant_count * 2 >= sampled {
-        // Crossings are strictly interior (EPS margin), so both halves keep
-        // positive extent and the no-progress guard sees a genuine cut.
-        scratch
-            .cuts
-            .push((dominant, median_inplace(&mut crossings[dominant])));
-        return true;
-    }
-    for (axis, axis_crossings) in crossings.iter_mut().enumerate() {
-        if hi[axis] - lo[axis] <= 0.0 {
-            continue;
-        }
-        let at = if axis_crossings.is_empty() {
-            0.5 * (lo[axis] + hi[axis])
-        } else {
-            median_inplace(axis_crossings)
-        };
-        scratch.cuts.push((axis, at));
-    }
-    true
-}
-
-/// The [`SplitRule::Midpoint`] cuts of the cell `[lo, hi]`: every axis of
-/// positive extent halved at its midpoint (`2^k` congruent children).  Axes
-/// with zero extent are not split; with every axis degenerate `cuts` stays
-/// empty and the cell cannot be subdivided.
+/// The midpoint cuts of the cell `[lo, hi]`: every axis of positive extent
+/// halved at its midpoint (`2^k` congruent children).  Axes with zero extent
+/// are not split; with every axis degenerate `cuts` stays empty and the cell
+/// cannot be subdivided.
 fn midpoint_cuts(lo: &[f64], hi: &[f64], cuts: &mut Vec<(usize, f64)>) {
     cuts.clear();
     for axis in 0..lo.len() {
@@ -622,47 +486,6 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_census_falls_back_to_midpoint_on_shared_point_bundles() {
-        // A pencil of lines through the single interior point (1.6, 1.6):
-        // three vertical, three horizontal, two diagonal.  The crossing
-        // census measures both per-axis medians at exactly 1.6, so the
-        // hybrid quadrant corner lands on the shared point and every child
-        // inherits every line — the clustered worst case.  The rule must
-        // fall back to the midpoint partition (which sheds the axis-aligned
-        // lines immediately) instead of freezing the root into one leaf.
-        let hs = vec![
-            line(1.0, 0.0, -1.6),
-            line(1.0, 0.0, -1.6),
-            line(1.0, 0.0, -1.6),
-            line(0.0, 1.0, -1.6),
-            line(0.0, 1.0, -1.6),
-            line(0.0, 1.0, -1.6),
-            line(1.0, -1.0, 0.0),
-            line(1.0, 1.0, -3.2),
-        ];
-        let cell = BoundingBox::new(vec![0.0, 0.0], vec![4.0, 4.0]);
-        let config = QuadtreeConfig {
-            split: SplitRule::Hybrid,
-            max_capacity: 2,
-            ..QuadtreeConfig::default()
-        };
-        let tree = HyperplaneQuadtree::build(&hs, cell.clone(), config);
-        assert!(
-            tree.node_count() > 1,
-            "inconclusive census must fall back to midpoint, not freeze the root"
-        );
-        // Probes stay exact, and a probe away from the pencil point no
-        // longer scans the whole slab.
-        for q in [
-            BoundingBox::new(vec![0.1, 0.1], vec![0.4, 0.4]),
-            BoundingBox::new(vec![3.0, 0.1], vec![3.4, 0.5]),
-            BoundingBox::new(vec![1.5, 1.5], vec![1.7, 1.7]),
-        ] {
-            assert_eq!(tree.query(&hs, &q), brute_force(&hs, &q));
-        }
-    }
-
-    #[test]
     fn query_whole_root_returns_everything_crossing_it() {
         let hs: Vec<Hyperplane> = (0..50)
             .map(|i| line(1.0, -1.0, -(i as f64) / 50.0))
@@ -708,33 +531,87 @@ mod tests {
     fn query_agrees_with_brute_force_randomized() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-        let hs: Vec<Hyperplane> = (0..200)
-            .map(|_| {
-                line(
-                    rng.gen_range(-1.0..1.0),
-                    rng.gen_range(-1.0..1.0),
-                    rng.gen_range(-1.0..1.0),
-                )
-            })
+        let random_line = |rng: &mut rand::rngs::StdRng| {
+            line(
+                rng.gen_range(-1.0..1.0),
+                rng.gen_range(-1.0..1.0),
+                rng.gen_range(-1.0..1.0),
+            )
+        };
+        let square = |lo: f64, hi: f64| BoundingBox::new(vec![lo, lo], vec![hi, hi]);
+        let random: Vec<Hyperplane> = (0..200).map(|_| random_line(&mut rng)).collect();
+        // Random lines plus two degenerate rows and a near-vertical bundle.
+        let mut mixed: Vec<Hyperplane> = (0..200).map(|_| random_line(&mut rng)).collect();
+        mixed.push(Hyperplane::new(vec![0.0, 0.0], 0.0));
+        mixed.push(Hyperplane::new(vec![0.0, 0.0], 1.0));
+        mixed.extend((0..40).map(|i| line(1.0, 1e-6, -0.3 - 1e-5 * i as f64)));
+        // A pencil of lines through the single interior point (1.6, 1.6):
+        // three vertical, three horizontal, two diagonal.
+        let mut pencil = vec![line(1.0, 0.0, -1.6); 3];
+        pencil.extend(vec![line(0.0, 1.0, -1.6); 3]);
+        pencil.extend([line(1.0, -1.0, 0.0), line(1.0, 1.0, -3.2)]);
+        // A tight bundle of near-vertical lines at x ≈ 0.3, and a diagonal
+        // one hugging y = x.
+        let vertical: Vec<Hyperplane> = (0..64)
+            .map(|i| line(1.0, 0.0, -0.3 - 1e-4 * i as f64))
             .collect();
-        let root = BoundingBox::new(vec![-1.0, -1.0], vec![1.0, 1.0]);
-        let tree = HyperplaneQuadtree::build(
-            &hs,
-            root,
-            QuadtreeConfig {
-                max_capacity: 6,
-                max_depth: 10,
+        let diagonal: Vec<Hyperplane> =
+            (0..64).map(|i| line(1.0, -1.0, -1e-4 * i as f64)).collect();
+        let cases = [
+            (random, square(-1.0, 1.0), 6, 10, vec![]),
+            (mixed, square(-1.0, 1.0), 4, 12, vec![]),
+            (
+                pencil,
+                square(0.0, 4.0),
+                2,
+                16,
+                vec![
+                    square(0.1, 0.4),
+                    BoundingBox::new(vec![3.0, 0.1], vec![3.4, 0.5]),
+                    square(1.5, 1.7),
+                ],
+            ),
+            (
+                vertical,
+                unit_box(),
+                2,
+                20,
+                vec![
+                    BoundingBox::new(vec![0.29, 0.4], vec![0.31, 0.6]),
+                    square(0.0, 0.01),
+                ],
+            ),
+            (diagonal, unit_box(), 2, 20, vec![square(0.4, 0.6)]),
+        ];
+        for (hs, root, max_capacity, max_depth, fixed) in cases {
+            let config = QuadtreeConfig {
+                max_capacity,
+                max_depth,
                 ..QuadtreeConfig::default()
-            },
-        );
-        for _ in 0..25 {
-            let x0 = rng.gen_range(-1.0..0.9);
-            let y0 = rng.gen_range(-1.0..0.9);
-            let q = BoundingBox::new(
-                vec![x0, y0],
-                vec![x0 + rng.gen_range(0.01..0.1), y0 + rng.gen_range(0.01..0.1)],
-            );
-            assert_eq!(tree.query(&hs, &q), brute_force(&hs, &q));
+            };
+            let tree = HyperplaneQuadtree::build(&hs, root.clone(), config);
+            assert!(tree.node_count() > 1, "the root must subdivide");
+            // Query boxes stay inside the root cell: hyperplanes crossing a
+            // box only outside the indexed region are by contract never
+            // reported.
+            let (lo, hi) = (root.lo()[0], root.hi()[0]);
+            let extent = hi - lo;
+            let mut boxes = fixed;
+            boxes.push(root.clone());
+            for _ in 0..30 {
+                let x0 = lo + extent * rng.gen_range(0.0..0.85);
+                let y0 = lo + extent * rng.gen_range(0.0..0.85);
+                boxes.push(BoundingBox::new(
+                    vec![x0, y0],
+                    vec![
+                        (x0 + extent * rng.gen_range(0.005..0.15)).min(hi),
+                        (y0 + extent * rng.gen_range(0.005..0.15)).min(hi),
+                    ],
+                ));
+            }
+            for q in boxes {
+                assert_eq!(tree.query(&hs, &q), brute_force(&hs, &q), "box {q:?}");
+            }
         }
     }
 
@@ -775,14 +652,13 @@ mod tests {
 
     #[test]
     fn clustered_lines_drive_depth_up() {
-        // All lines pass very close to the same corner: under the classic
-        // midpoint rule the quadtree keeps subdividing towards that corner
-        // (the paper's worst case — pinned here to the rule it describes).
+        // All lines pass very close to the same corner: the midpoint
+        // quadtree keeps subdividing towards that corner (the paper's worst
+        // case).
         let hs: Vec<Hyperplane> = (0..64).map(|i| line(1.0, -1.0, -1e-4 * i as f64)).collect();
         let cfg = QuadtreeConfig {
             max_capacity: 2,
             max_depth: 20,
-            split: SplitRule::Midpoint,
             ..QuadtreeConfig::default()
         };
         let tree = HyperplaneQuadtree::build(&hs, unit_box(), cfg);
@@ -794,104 +670,6 @@ mod tests {
         // Queries remain exact even in the degenerate case.
         let q = BoundingBox::new(vec![0.4, 0.4], vec![0.6, 0.6]);
         assert_eq!(tree.query(&hs, &q), brute_force(&hs, &q));
-    }
-
-    #[test]
-    fn hybrid_split_tames_axis_aligned_clusters() {
-        // A tight bundle of near-vertical lines at x ≈ 0.3: the midpoint
-        // rule needs to bisect its way down to the 1e-4 spacing before
-        // leaves thin out, while the hybrid rule sees all crossings on one
-        // axis and cuts straight through the bundle's median every level.
-        let hs: Vec<Hyperplane> = (0..64)
-            .map(|i| line(1.0, 0.0, -0.3 - 1e-4 * i as f64))
-            .collect();
-        let build = |split| {
-            HyperplaneQuadtree::build(
-                &hs,
-                unit_box(),
-                QuadtreeConfig {
-                    max_capacity: 2,
-                    max_depth: 20,
-                    split,
-                    ..QuadtreeConfig::default()
-                },
-            )
-        };
-        let midpoint = build(SplitRule::Midpoint);
-        let hybrid = build(SplitRule::Hybrid);
-        assert!(
-            hybrid.depth() < midpoint.depth(),
-            "hybrid depth {} should undercut midpoint depth {}",
-            hybrid.depth(),
-            midpoint.depth()
-        );
-        for q in [
-            BoundingBox::new(vec![0.29, 0.4], vec![0.31, 0.6]),
-            BoundingBox::new(vec![0.0, 0.0], vec![0.01, 0.01]),
-            unit_box(),
-        ] {
-            assert_eq!(hybrid.query(&hs, &q), brute_force(&hs, &q), "box {q:?}");
-        }
-        // The diagonal worst case stays exact under the hybrid rule too
-        // (no axis-aligned rule can separate a diagonal bundle faster, but
-        // correctness must not depend on the split geometry).
-        let diag: Vec<Hyperplane> = (0..64).map(|i| line(1.0, -1.0, -1e-4 * i as f64)).collect();
-        let tree = HyperplaneQuadtree::build(
-            &diag,
-            unit_box(),
-            QuadtreeConfig {
-                max_capacity: 2,
-                max_depth: 20,
-                split: SplitRule::Hybrid,
-                ..QuadtreeConfig::default()
-            },
-        );
-        let q = BoundingBox::new(vec![0.4, 0.4], vec![0.6, 0.6]);
-        assert_eq!(tree.query(&diag, &q), brute_force(&diag, &q));
-    }
-
-    #[test]
-    fn hybrid_split_agrees_with_brute_force_randomized() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(77);
-        // Mix of diagonal, near-vertical and degenerate rows.
-        let mut hs: Vec<Hyperplane> = (0..200)
-            .map(|_| {
-                line(
-                    rng.gen_range(-1.0..1.0),
-                    rng.gen_range(-1.0..1.0),
-                    rng.gen_range(-1.0..1.0),
-                )
-            })
-            .collect();
-        hs.push(Hyperplane::new(vec![0.0, 0.0], 0.0));
-        hs.push(Hyperplane::new(vec![0.0, 0.0], 1.0));
-        for i in 0..40 {
-            hs.push(line(1.0, 1e-6, -0.3 - 1e-5 * i as f64));
-        }
-        let root = BoundingBox::new(vec![-1.0, -1.0], vec![1.0, 1.0]);
-        let tree = HyperplaneQuadtree::build(
-            &hs,
-            root,
-            QuadtreeConfig {
-                max_capacity: 4,
-                max_depth: 12,
-                split: SplitRule::Hybrid,
-                ..QuadtreeConfig::default()
-            },
-        );
-        for _ in 0..40 {
-            // Query boxes stay inside the root cell: hyperplanes crossing a
-            // box only outside the indexed region are by contract never
-            // reported.
-            let x0 = rng.gen_range(-1.0..0.7);
-            let y0 = rng.gen_range(-1.0..0.7);
-            let q = BoundingBox::new(
-                vec![x0, y0],
-                vec![x0 + rng.gen_range(0.01..0.3), y0 + rng.gen_range(0.01..0.3)],
-            );
-            assert_eq!(tree.query(&hs, &q), brute_force(&hs, &q), "box {q:?}");
-        }
     }
 
     #[test]
@@ -911,23 +689,20 @@ mod tests {
             })
             .collect();
         let root = BoundingBox::new(vec![-1.0, -1.0], vec![1.0, 1.0]);
-        for split in [SplitRule::Midpoint, SplitRule::Hybrid] {
-            let cfg = QuadtreeConfig {
-                max_capacity: 16,
-                max_depth: 10,
-                split,
-                ..QuadtreeConfig::default()
-            };
-            let serial = HyperplaneQuadtree::build(&hs, root.clone(), cfg);
-            let pool = ThreadPool::with_threads(4);
-            let parallel = HyperplaneQuadtree::build_from_slab_with(
-                HyperplaneSlab::from_hyperplanes(&hs),
-                root.clone(),
-                cfg,
-                Some(&pool),
-            );
-            assert_eq!(serial, parallel, "split rule {split:?}");
-        }
+        let cfg = QuadtreeConfig {
+            max_capacity: 16,
+            max_depth: 10,
+            ..QuadtreeConfig::default()
+        };
+        let serial = HyperplaneQuadtree::build(&hs, root.clone(), cfg);
+        let pool = ThreadPool::with_threads(4);
+        let parallel = HyperplaneQuadtree::build_from_slab_with(
+            HyperplaneSlab::from_hyperplanes(&hs),
+            root,
+            cfg,
+            Some(&pool),
+        );
+        assert_eq!(serial, parallel);
     }
 
     #[test]

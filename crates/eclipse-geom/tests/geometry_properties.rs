@@ -5,13 +5,13 @@
 use proptest::prelude::*;
 
 use eclipse_exec::ThreadPool;
-use eclipse_geom::cutting::{CutRule, CuttingTree, CuttingTreeConfig};
+use eclipse_geom::cutting::{CuttingTree, CuttingTreeConfig};
 use eclipse_geom::dual::{score, score_difference_hyperplane, DualHyperplane};
 use eclipse_geom::hyperplane::{DualLine, Hyperplane, HyperplaneSlab};
 use eclipse_geom::linalg::Matrix;
 use eclipse_geom::lp::{Constraint, LinearProgram, LpOutcome};
 use eclipse_geom::point::{BoundingBox, Point};
-use eclipse_geom::quadtree::{HyperplaneQuadtree, QuadtreeConfig, SplitRule};
+use eclipse_geom::quadtree::{HyperplaneQuadtree, QuadtreeConfig};
 use eclipse_geom::traverse::TraversalScratch;
 
 fn point_strategy(d: usize) -> impl Strategy<Value = Point> {
@@ -250,13 +250,10 @@ proptest! {
             .filter(|&i| slab.intersects_box(i, &qlo, &qhi))
             .collect();
 
-        let mut swept: Vec<usize> = vec![usize::MAX];
+        let mut swept: Vec<u32> = vec![u32::MAX];
         slab.filter_all_intersecting_into(&qlo, &qhi, &mut swept);
-        prop_assert_eq!(swept[0], usize::MAX);
-        prop_assert_eq!(&swept[1..], &expected[..]);
-        let mut swept32: Vec<u32> = Vec::new();
-        slab.filter_all_intersecting_into(&qlo, &qhi, &mut swept32);
-        prop_assert!(swept32.iter().map(|&i| i as usize).eq(expected.iter().copied()));
+        prop_assert_eq!(swept[0], u32::MAX);
+        prop_assert!(swept[1..].iter().map(|&i| i as usize).eq(expected.iter().copied()));
 
         let quad = HyperplaneQuadtree::build(
             &hs,
@@ -281,10 +278,8 @@ proptest! {
     /// push deep levels past the parallel-dispatch threshold, and degenerate
     /// all-zero rows — building on a 1-thread and a 4-thread pool yields
     /// equal arenas (slab, nodes, cells, entries, root cell, config and
-    /// reached depth) under every split/cut rule, both unbounded and
-    /// with node/entry budgets small enough to truncate a frontier level
-    /// mid-chunk (the final-chunk case where `SampledCrossings` draws used
-    /// to depend on how much budget earlier nodes had consumed).
+    /// reached depth) for both trees, both unbounded and with node/entry
+    /// budgets small enough to truncate a frontier level mid-chunk.
     #[test]
     fn parallel_build_matches_serial_bytes(
         rows in proptest::collection::vec(
@@ -320,46 +315,41 @@ proptest! {
         // drawn pair is tight enough that the clustered bundle truncates a
         // level mid-chunk.
         for (nodes_budget, entries_budget) in [(usize::MAX, usize::MAX), (max_nodes, max_entries)] {
-            for split in [SplitRule::Midpoint, SplitRule::Hybrid] {
-                let mut config =
-                    QuadtreeConfig { max_capacity: cap, split, ..QuadtreeConfig::default() };
-                config.max_nodes = config.max_nodes.min(nodes_budget);
-                config.max_entries = config.max_entries.min(entries_budget);
-                let serial = HyperplaneQuadtree::build_from_slab_with(
-                    HyperplaneSlab::from_hyperplanes(&hs),
-                    root.clone(),
-                    config,
-                    Some(&single),
-                );
-                let pooled = HyperplaneQuadtree::build_from_slab_with(
-                    HyperplaneSlab::from_hyperplanes(&hs),
-                    root.clone(),
-                    config,
-                    Some(&quad_pool),
-                );
-                prop_assert!(serial == pooled, "quadtree {:?} budgets {:?}",
-                    split, (nodes_budget, entries_budget));
-            }
-            for cut in [CutRule::SampledCrossings, CutRule::MedianExtents] {
-                let mut config =
-                    CuttingTreeConfig { max_capacity: cap, cut, ..CuttingTreeConfig::default() };
-                config.max_nodes = config.max_nodes.min(nodes_budget);
-                config.max_entries = config.max_entries.min(entries_budget);
-                let serial = CuttingTree::build_from_slab_with(
-                    HyperplaneSlab::from_hyperplanes(&hs),
-                    root.clone(),
-                    config,
-                    Some(&single),
-                );
-                let pooled = CuttingTree::build_from_slab_with(
-                    HyperplaneSlab::from_hyperplanes(&hs),
-                    root.clone(),
-                    config,
-                    Some(&quad_pool),
-                );
-                prop_assert!(serial == pooled, "cutting {:?} budgets {:?}",
-                    cut, (nodes_budget, entries_budget));
-            }
+            let mut config = QuadtreeConfig { max_capacity: cap, ..QuadtreeConfig::default() };
+            config.max_nodes = config.max_nodes.min(nodes_budget);
+            config.max_entries = config.max_entries.min(entries_budget);
+            let serial = HyperplaneQuadtree::build_from_slab_with(
+                HyperplaneSlab::from_hyperplanes(&hs),
+                root.clone(),
+                config,
+                Some(&single),
+            );
+            let pooled = HyperplaneQuadtree::build_from_slab_with(
+                HyperplaneSlab::from_hyperplanes(&hs),
+                root.clone(),
+                config,
+                Some(&quad_pool),
+            );
+            prop_assert!(serial == pooled, "quadtree budgets {:?}",
+                (nodes_budget, entries_budget));
+            let mut config =
+                CuttingTreeConfig { max_capacity: cap, ..CuttingTreeConfig::default() };
+            config.max_nodes = config.max_nodes.min(nodes_budget);
+            config.max_entries = config.max_entries.min(entries_budget);
+            let serial = CuttingTree::build_from_slab_with(
+                HyperplaneSlab::from_hyperplanes(&hs),
+                root.clone(),
+                config,
+                Some(&single),
+            );
+            let pooled = CuttingTree::build_from_slab_with(
+                HyperplaneSlab::from_hyperplanes(&hs),
+                root.clone(),
+                config,
+                Some(&quad_pool),
+            );
+            prop_assert!(serial == pooled, "cutting budgets {:?}",
+                (nodes_budget, entries_budget));
         }
     }
 

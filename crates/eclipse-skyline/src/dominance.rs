@@ -5,7 +5,9 @@
 //! values are better** (closer to the query).  A point `p` skyline-dominates
 //! `p′` when it is at least as close on every dimension and strictly closer
 //! on at least one (Definition 2 together with the standard skyline
-//! literature; see DESIGN.md §1 for the strictness discussion).
+//! literature).  The strict part keeps the relation asymmetric: identical
+//! points never dominate each other, so duplicates of a skyline point all
+//! stay in the skyline.
 
 use eclipse_geom::approx::EPS;
 use eclipse_geom::point::Point;

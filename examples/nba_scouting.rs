@@ -64,7 +64,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Result-budget mode: "give me at most 8 candidates and tell me how much
-    // preference slack that budget buys" (k-eclipse, DESIGN.md §2 item 22).
+    // preference slack that budget buys" (k-eclipse: the largest centred
+    // shrink of the ratio box whose eclipse set fits the budget).
     let budgeted = engine.eclipse_top_k(&[1.0, 1.0], 8)?;
     println!(
         "\nbudget of 8 around r = <1,1>: {} players within relaxation margin ±{:.0}% ({})",
