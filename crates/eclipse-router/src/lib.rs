@@ -12,8 +12,9 @@
 //!   thresholds, half-open probation);
 //! * [`retry`] — capped exponential backoff with deterministic jitter,
 //!   idempotent-only rules, and a global retry budget;
-//! * [`router`] — the router itself: placement, scatter/gather, the active
-//!   health loop, and standby promotion with timed snapshot re-warm;
+//! * [`router`] — the router itself, served from eclipse-serve's event
+//!   loop: placement, scatter/gather, the active health loop, and standby
+//!   promotion with timed snapshot re-warm;
 //! * [`fault`] — a deterministic frame-aware fault-injection proxy used by
 //!   the integration suites and the failover benchmark.
 

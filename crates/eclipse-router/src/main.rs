@@ -65,8 +65,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // The accept and health loops run on background threads; the main
-    // thread just keeps the process alive (and reports failovers and
+    // The event loop and the health loop run on background threads; the
+    // main thread just keeps the process alive (and reports failovers and
     // standbys dropped as non-viable).
     let mut reported = 0usize;
     let mut standby_pool = handle.standbys();

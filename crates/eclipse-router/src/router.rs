@@ -1,7 +1,14 @@
-//! The shard router: speaks the eclipse-serve wire protocol to clients
-//! (the `Hello` handshake, then protocol v2), partitions datasets across N
-//! backend eclipse-serve processes, scatters probe batches over pipelined
-//! connections, and merges replies in probe order.
+//! The shard router: speaks the eclipse-serve wire protocol to clients,
+//! partitions datasets across N backend eclipse-serve processes, scatters
+//! probe batches over pipelined connections, and merges replies in probe
+//! order.
+//!
+//! Clients reach the router through eclipse-serve's own event loop: the
+//! router is a [`Handler`], so it shares the server's handshake,
+//! admission control (`Overloaded`), deadlines, graceful drain, half-open
+//! reaping and out-of-order completion.  A connection's requests run on
+//! the loop's dispatcher workers, [`RouterConfig::pipe_size`] of them, and
+//! may run at the same time, as on a server with more than one worker.
 //!
 //! # Placement
 //!
@@ -13,7 +20,10 @@
 //!   holds the full dataset, and a probe batch is *probe-space
 //!   partitioned* — contiguous chunks of the batch scatter across all
 //!   routable members in parallel and merge back in probe order.  Any
-//!   chunk can be retried on any other member.
+//!   chunk can be retried on any other member.  Loads and mutations fan
+//!   out under one lock, so every replica applies them in the same order,
+//!   and run to completion on every replica once started: the client's
+//!   deadline is checked once, before the first replica.
 //!
 //! # Robustness
 //!
@@ -23,6 +33,9 @@
 //! * per-request retries use capped exponential backoff with
 //!   deterministic jitter, are **idempotent-only**, and draw from a global
 //!   [`RetryBudget`] so retries cannot amplify an overload;
+//! * every other backend call carries the time left of the client's
+//!   deadline, and a request whose deadline passes is answered
+//!   [`Response::Timeout`];
 //! * when a member dies and a standby is configured, the router re-warms
 //!   the standby from the shared snapshot directory (`LoadSnapshots`) and
 //!   promotes it into the dead member's slot, recording a timed
@@ -31,9 +44,8 @@
 //!   [`Response::PartialResults`]/[`Response::PartialCounts`] — per-box
 //!   `None` for shards that are down — instead of hard errors.
 
-use std::collections::HashMap;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -41,8 +53,9 @@ use std::time::{Duration, Instant};
 
 use eclipse_persist::fnv1a;
 use eclipse_serve::client::{Client, ClientError, PipelinedClient};
-use eclipse_serve::protocol::{
-    negotiate, write_frame, FrameHeader, Request, Response, StatsReport, MAX_FRAME_LEN,
+use eclipse_serve::protocol::{Request, Response, StatsReport};
+use eclipse_serve::server::{
+    spawn_handler, Handler, LoopStats, RequestCtx, ServerConfig, ServerHandle,
 };
 
 use crate::health::{HealthMachine, HealthPolicy, HealthState, Transition};
@@ -60,7 +73,7 @@ pub struct RouterConfig {
     /// Dataset names served by **every** member with probe-space
     /// partitioning, instead of hash placement on one member.
     pub replicated: Vec<String>,
-    /// Pipeline depth of each backend connection.
+    /// Dispatcher workers: the requests the router serves at once.
     pub pipe_size: u32,
     /// TCP connect budget per backend dial.
     pub connect_timeout: Duration,
@@ -124,10 +137,12 @@ pub struct FailoverEvent {
 /// when a standby is promoted into it.
 struct Member {
     addr: Mutex<String>,
-    /// Bumped on every address swap; serving threads drop cached
-    /// connections whose epoch is stale.
+    /// Bumped on every address swap or in-place recovery; pooled
+    /// connections dialed at an older epoch are dropped.
     epoch: AtomicU64,
     health: Mutex<HealthMachine>,
+    /// Idle connections to this member, shared by the router's workers.
+    idle: Mutex<Vec<Pooled>>,
 }
 
 impl Member {
@@ -136,6 +151,7 @@ impl Member {
             addr: Mutex::new(addr),
             epoch: AtomicU64::new(0),
             health: Mutex::new(HealthMachine::new()),
+            idle: Mutex::new(Vec::new()),
         }
     }
 
@@ -148,7 +164,14 @@ impl Member {
     }
 }
 
-/// State shared by the accept loop, serving threads, and the health loop.
+/// A backend connection checked out of a member's pool, tagged with the
+/// member epoch it was dialed at.
+struct Pooled {
+    epoch: u64,
+    conn: PipelinedClient,
+}
+
+/// State shared by the serving workers and the health loop.
 struct Shared {
     config: RouterConfig,
     members: Vec<Member>,
@@ -157,6 +180,13 @@ struct Shared {
     failovers: Mutex<Vec<FailoverEvent>>,
     /// Monotone counter seeding retry jitter deterministically.
     retry_seq: AtomicU64,
+    /// Held across every fan of a load or mutation of a replicated dataset
+    /// (and of `LoadSnapshots`), so all replicas apply them in one order.
+    fan: Mutex<()>,
+    /// The router's event-loop counters, plus the timeouts it answers
+    /// itself; merged into `Stats`.
+    stats: Arc<LoopStats>,
+    /// Stops the health loop.
     stop: AtomicBool,
 }
 
@@ -181,15 +211,6 @@ impl Shared {
             .collect()
     }
 
-    /// Slots a dataset's non-probe operations fan out to.
-    fn placement_slots(&self, name: &str) -> Vec<usize> {
-        if self.replicated(name) {
-            self.routable_slots()
-        } else {
-            vec![self.owner_slot(name)]
-        }
-    }
-
     fn note_success(&self, slot: usize) {
         self.members[slot]
             .health
@@ -206,6 +227,39 @@ impl Shared {
             .lock()
             .expect("member health poisoned")
             .on_failure(&self.config.health);
+    }
+
+    /// An idle connection to `slot` dialed at the member's current epoch,
+    /// or a fresh one.
+    fn checkout(&self, slot: usize) -> Result<Pooled, ClientError> {
+        let member = &self.members[slot];
+        let epoch = member.epoch.load(Ordering::Acquire);
+        {
+            let mut idle = member.idle.lock().expect("backend pool poisoned");
+            idle.retain(|pooled| pooled.epoch == epoch);
+            if let Some(pooled) = idle.pop() {
+                return Ok(pooled);
+            }
+        }
+        let addr = member.addr();
+        // A checked-out connection carries one request at a time.
+        let mut conn =
+            PipelinedClient::connect_timeout(addr.as_str(), 1, self.config.connect_timeout)?;
+        conn.set_io_timeout(Some(self.config.io_timeout))?;
+        Ok(Pooled { epoch, conn })
+    }
+
+    /// Returns a connection to its pool after a call that left it in sync;
+    /// one with requests still in flight, or from an older epoch, closes.
+    fn checkin(&self, slot: usize, pooled: Pooled) {
+        let member = &self.members[slot];
+        if pooled.conn.in_flight() == 0 && pooled.epoch == member.epoch.load(Ordering::Acquire) {
+            member
+                .idle
+                .lock()
+                .expect("backend pool poisoned")
+                .push(pooled);
+        }
     }
 }
 
@@ -242,6 +296,8 @@ impl Router {
                 budget,
                 failovers: Mutex::new(Vec::new()),
                 retry_seq: AtomicU64::new(0),
+                fan: Mutex::new(()),
+                stats: Arc::default(),
                 stop: AtomicBool::new(false),
             }),
         })
@@ -255,37 +311,38 @@ impl Router {
         self.listener.local_addr()
     }
 
-    /// Starts the accept loop and the health loop on background threads.
+    /// Serves clients from eclipse-serve's event loop, with
+    /// [`RouterConfig::pipe_size`] dispatcher workers and the server's
+    /// default flow control, and starts the health loop.
     ///
     /// # Errors
     /// Propagates socket errors.
     pub fn spawn(self) -> io::Result<RouterHandle> {
-        let addr = self.listener.local_addr()?;
-        self.listener.set_nonblocking(true)?;
-        let accept_thread = {
-            let shared = Arc::clone(&self.shared);
-            let listener = self.listener;
-            std::thread::spawn(move || accept_loop(&listener, &shared))
+        let config = ServerConfig {
+            workers: self.shared.config.pipe_size as usize,
+            ..ServerConfig::default()
         };
+        let stats = Arc::clone(&self.shared.stats);
+        let server = spawn_handler(self.listener, Arc::clone(&self.shared), stats, config)?;
         let health_thread = {
             let shared = Arc::clone(&self.shared);
             std::thread::spawn(move || health_loop(&shared))
         };
         Ok(RouterHandle {
-            addr,
+            addr: server.addr(),
+            server: Some(server),
             shared: self.shared,
-            accept_thread: Some(accept_thread),
             health_thread: Some(health_thread),
         })
     }
 }
 
 /// A running router; dropping it (or calling [`RouterHandle::shutdown`])
-/// stops both loops and joins every serving thread.
+/// drains its event loop and stops the health loop.
 pub struct RouterHandle {
     addr: SocketAddr,
+    server: Option<ServerHandle>,
     shared: Arc<Shared>,
-    accept_thread: Option<JoinHandle<()>>,
     health_thread: Option<JoinHandle<()>>,
 }
 
@@ -330,16 +387,17 @@ impl RouterHandle {
         self.shared.budget.available()
     }
 
-    /// Stops accepting, tears down serving threads, and joins the loops.
+    /// Stops accepting, answers every admitted request (the server's
+    /// graceful drain), then stops the health loop.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
 
     fn stop_and_join(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+        if let Some(server) = self.server.take() {
+            server.shutdown();
         }
+        self.shared.stop.store(true, Ordering::Release);
         if let Some(t) = self.health_thread.take() {
             let _ = t.join();
         }
@@ -353,220 +411,20 @@ impl Drop for RouterHandle {
 }
 
 // ---------------------------------------------------------------------------
-// Accept + per-client serving
+// Backend calls
 // ---------------------------------------------------------------------------
-
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    let mut serving: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared = Arc::clone(shared);
-                serving.push(std::thread::spawn(move || serve_client(&shared, stream)));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => break,
-        }
-        serving.retain(|t| !t.is_finished());
-    }
-    for t in serving {
-        let _ = t.join();
-    }
-}
-
-/// Client-facing framing, mirroring the server: the first frame must be a
-/// `Hello` for protocol v2 ([`negotiate`], with a depth cap of 128), and
-/// anything else is answered with a typed error before the connection
-/// closes.  Requests are processed strictly in order; the parallelism lives
-/// in the scatter across backends.
-fn serve_client(shared: &Arc<Shared>, stream: TcpStream) {
-    if stream.set_nodelay(true).is_err() {
-        return;
-    }
-    // Short read timeout so the thread notices shutdown promptly; the
-    // accumulating reader makes timeouts between bytes harmless.
-    if stream
-        .set_read_timeout(Some(Duration::from_millis(50)))
-        .is_err()
-    {
-        return;
-    }
-    let mut writer = match stream.try_clone() {
-        Ok(w) => io::BufWriter::new(w),
-        Err(_) => return,
-    };
-    let mut reader = ClientFrames::new(stream);
-    let Ok(Some(first)) = reader.next_frame(&shared.stop) else {
-        return;
-    };
-    let (reply, granted) = negotiate(&first, 128);
-    let sent = write_frame(&mut writer, &reply.encode()).and_then(|()| writer.flush());
-    if sent.is_err() || granted.is_none() {
-        return;
-    }
-    let mut conns = BackendConns::default();
-    let mut allow_partial = false;
-    loop {
-        let payload = match reader.next_frame(&shared.stop) {
-            Ok(Some(payload)) => payload,
-            Ok(None) | Err(_) => return,
-        };
-        let read_at = Instant::now();
-        let Ok((header, body)) = FrameHeader::split(&payload) else {
-            return;
-        };
-        let deadline_ms = header.deadline_ms;
-        let response = match Request::decode(body) {
-            Err(e) => Response::Error(format!("malformed request: {e}")),
-            Ok(request) => {
-                let expired = deadline_ms > 0
-                    && read_at.elapsed() >= Duration::from_millis(u64::from(deadline_ms));
-                if expired {
-                    Response::Timeout { deadline_ms }
-                } else {
-                    handle_request(shared, &mut conns, &mut allow_partial, request)
-                }
-            }
-        };
-        let wire = FrameHeader {
-            request_id: header.request_id,
-            deadline_ms: 0,
-        }
-        .with_body(&response.encode());
-        if write_frame(&mut writer, &wire)
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
-            return;
-        }
-    }
-}
-
-/// Accumulating frame reader for the client-facing socket: timeouts
-/// between reads are polling ticks (stop-flag checks), not errors, and a
-/// frame split across reads is reassembled.
-struct ClientFrames {
-    stream: TcpStream,
-    buf: Vec<u8>,
-    pos: usize,
-}
-
-impl ClientFrames {
-    fn new(stream: TcpStream) -> ClientFrames {
-        ClientFrames {
-            stream,
-            buf: Vec::new(),
-            pos: 0,
-        }
-    }
-
-    fn next_frame(&mut self, stop: &AtomicBool) -> io::Result<Option<Vec<u8>>> {
-        let mut scratch = [0u8; 16 << 10];
-        loop {
-            if let Some(frame) = self.take_buffered()? {
-                return Ok(Some(frame));
-            }
-            if stop.load(Ordering::Acquire) {
-                return Ok(None);
-            }
-            match self.stream.read(&mut scratch) {
-                Ok(0) => return Ok(None),
-                Ok(n) => self.buf.extend_from_slice(&scratch[..n]),
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut
-                        || e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    fn take_buffered(&mut self) -> io::Result<Option<Vec<u8>>> {
-        let avail = self.buf.len() - self.pos;
-        if avail < 4 {
-            return Ok(None);
-        }
-        let len_bytes: [u8; 4] = self.buf[self.pos..self.pos + 4]
-            .try_into()
-            .expect("4-byte slice");
-        let len = u32::from_le_bytes(len_bytes);
-        if len > MAX_FRAME_LEN {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "frame exceeds cap",
-            ));
-        }
-        let len = len as usize;
-        if avail < 4 + len {
-            return Ok(None);
-        }
-        let start = self.pos + 4;
-        let frame = self.buf[start..start + len].to_vec();
-        self.pos = start + len;
-        if self.pos == self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-        }
-        Ok(Some(frame))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Backend connections
-// ---------------------------------------------------------------------------
-
-/// Per-serving-thread cache of pipelined backend connections, keyed by
-/// slot and validated against the member's epoch (a promoted standby bumps
-/// the epoch, so stale connections to the dead address are dropped).
-#[derive(Default)]
-struct BackendConns {
-    map: HashMap<usize, (u64, PipelinedClient)>,
-}
-
-impl BackendConns {
-    fn get_or_connect(
-        &mut self,
-        shared: &Shared,
-        slot: usize,
-    ) -> Result<&mut PipelinedClient, ClientError> {
-        let member = &shared.members[slot];
-        let epoch = member.epoch.load(Ordering::Acquire);
-        if self
-            .map
-            .get(&slot)
-            .is_some_and(|(cached, _)| *cached != epoch)
-        {
-            self.map.remove(&slot);
-        }
-        if let std::collections::hash_map::Entry::Vacant(entry) = self.map.entry(slot) {
-            let addr = member.addr();
-            let mut client = PipelinedClient::connect_timeout(
-                addr.as_str(),
-                shared.config.pipe_size,
-                shared.config.connect_timeout,
-            )?;
-            client.set_io_timeout(Some(shared.config.io_timeout))?;
-            entry.insert((epoch, client));
-        }
-        Ok(&mut self.map.get_mut(&slot).expect("just inserted").1)
-    }
-
-    /// Drops a connection whose transport failed (it may be desynced).
-    fn discard(&mut self, slot: usize) {
-        self.map.remove(&slot);
-    }
-}
 
 /// How a backend failure routes.
 enum Failure {
     /// The backend executed and answered an error — deterministic; return
     /// it to the client, never retry, no health penalty.
     Deterministic(String),
-    /// Typed flow control (`Overloaded`/`Timeout`): the backend is alive;
-    /// retryable without a health penalty.
+    /// Typed `Overloaded`: the backend is alive; retryable without a
+    /// health penalty.
     FlowControl(String),
+    /// Typed `Timeout`: the client's deadline, forwarded, passed on the
+    /// backend; answered `Timeout`, no health penalty.
+    Expired,
     /// Transport-level (timeout, closed, garbage): health penalty, the
     /// connection is discarded, retryable.
     Transport(String),
@@ -581,9 +439,8 @@ fn classify(e: &ClientError) -> Failure {
         ClientError::Server(m) => Failure::Deterministic(m.clone()),
         ClientError::InvalidRequest(m) => Failure::Deterministic(m.clone()),
         ClientError::UnexpectedResponse(_) => Failure::Deterministic(e.to_string()),
-        ClientError::Overloaded { .. } | ClientError::TimedOut { .. } => {
-            Failure::FlowControl(e.to_string())
-        }
+        ClientError::Overloaded { .. } => Failure::FlowControl(e.to_string()),
+        ClientError::TimedOut { .. } => Failure::Expired,
         ClientError::DatasetUnavailable { name, reason } => Failure::DatasetUnavailable {
             name: name.clone(),
             reason: reason.clone(),
@@ -603,9 +460,49 @@ enum RouteError {
     /// healthy but cannot restore the named evicted dataset. Re-emitted
     /// typed so clients can distinguish it from a routing failure.
     DatasetUnavailable { name: String, reason: String },
+    /// The client's deadline passed, here or on a backend.
+    TimedOut,
     /// No member could serve it: every candidate down, retries exhausted,
     /// or the retry budget refused.
     Unavailable(String),
+}
+
+/// The client-facing answer to a routed call that gave up.
+fn route_error(e: RouteError, ctx: &RequestCtx) -> Response {
+    match e {
+        RouteError::Deterministic(m) => Response::Error(m),
+        RouteError::DatasetUnavailable { name, reason } => {
+            Response::DatasetUnavailable { name, reason }
+        }
+        RouteError::TimedOut => timeout(ctx),
+        RouteError::Unavailable(m) => Response::Error(format!("shard unavailable: {m}")),
+    }
+}
+
+/// The `Timeout` for a deadline that passed before a backend was asked,
+/// counted here (a backend counts the ones it answers).
+fn expired(shared: &Shared, ctx: &RequestCtx) -> Response {
+    shared.stats.timeouts.fetch_add(1, Ordering::Relaxed);
+    timeout(ctx)
+}
+
+fn timeout(ctx: &RequestCtx) -> Response {
+    Response::Timeout {
+        deadline_ms: ctx.deadline.map_or(0, |(_, ms)| ms),
+    }
+}
+
+/// The `deadline_ms` a backend frame carries: the time left of the client's
+/// deadline, rounded up to whole milliseconds (0 without a deadline), or
+/// `None` once it has passed.
+fn time_left_ms(ctx: &RequestCtx) -> Option<u32> {
+    let Some((at, _)) = ctx.deadline else {
+        return Some(0);
+    };
+    let left = at
+        .checked_duration_since(Instant::now())
+        .filter(|left| !left.is_zero())?;
+    Some(u32::try_from(left.as_micros().div_ceil(1000)).unwrap_or(u32::MAX))
 }
 
 /// Heavy operations (engine builds, snapshot encodes/decodes) get the
@@ -622,26 +519,30 @@ fn is_heavy(request: &Request) -> bool {
     )
 }
 
-/// One attempt against one slot.
+/// One attempt against one slot, on a pooled connection.
 fn execute_on(
     shared: &Shared,
-    conns: &mut BackendConns,
     slot: usize,
     request: &Request,
+    deadline_ms: u32,
 ) -> Result<Response, ClientError> {
     let heavy = is_heavy(request);
-    let conn = conns.get_or_connect(shared, slot)?;
+    let mut pooled = shared.checkout(slot)?;
     if heavy {
-        conn.set_io_timeout(Some(shared.config.rewarm_timeout))?;
+        pooled
+            .conn
+            .set_io_timeout(Some(shared.config.rewarm_timeout))?;
     }
-    let result = conn.call(request);
+    let result = pooled
+        .conn
+        .submit_with_deadline(request, deadline_ms)
+        .and_then(|id| pooled.conn.recv(id));
     if heavy {
-        let _ = conn.set_io_timeout(Some(shared.config.io_timeout));
+        let _ = pooled.conn.set_io_timeout(Some(shared.config.io_timeout));
     }
-    if let Err(e) = &result {
-        if matches!(classify(e), Failure::Transport(_)) {
-            conns.discard(slot);
-        }
+    // A transport failure may leave the stream desynced: drop it.
+    if !matches!(&result, Err(e) if matches!(classify(e), Failure::Transport(_))) {
+        shared.checkin(slot, pooled);
     }
     result
 }
@@ -650,9 +551,9 @@ fn execute_on(
 /// attempts, spends the budget, and applies the idempotent-only rule.
 fn call_with_retry(
     shared: &Shared,
-    conns: &mut BackendConns,
     candidates: &[usize],
     request: &Request,
+    ctx: &RequestCtx,
 ) -> Result<Response, RouteError> {
     shared.budget.deposit();
     if candidates.is_empty() {
@@ -669,8 +570,12 @@ fn call_with_retry(
     let seed = shared.retry_seq.fetch_add(1, Ordering::Relaxed);
     let mut last = String::new();
     for attempt in 1..=max_attempts {
+        let Some(deadline_ms) = time_left_ms(ctx) else {
+            shared.stats.timeouts.fetch_add(1, Ordering::Relaxed);
+            return Err(RouteError::TimedOut);
+        };
         let slot = candidates[(attempt as usize - 1) % candidates.len()];
-        match execute_on(shared, conns, slot, request) {
+        match execute_on(shared, slot, request, deadline_ms) {
             Ok(response) => {
                 shared.note_success(slot);
                 return Ok(response);
@@ -680,6 +585,7 @@ fn call_with_retry(
                 Failure::DatasetUnavailable { name, reason } => {
                     return Err(RouteError::DatasetUnavailable { name, reason })
                 }
+                Failure::Expired => return Err(RouteError::TimedOut),
                 Failure::FlowControl(m) => last = m,
                 Failure::Transport(m) => {
                     shared.note_failure(slot);
@@ -703,90 +609,93 @@ fn call_with_retry(
 // Request handling
 // ---------------------------------------------------------------------------
 
-fn handle_request(
-    shared: &Shared,
-    conns: &mut BackendConns,
-    allow_partial: &mut bool,
-    request: Request,
-) -> Response {
-    match request {
-        Request::Ping => Response::Pong,
-        Request::Hello { .. } => {
-            Response::Error("Hello must be the first frame of a connection".to_string())
-        }
-        Request::AllowPartial { enabled } => {
-            *allow_partial = enabled;
-            Response::PartialAck { enabled }
-        }
-        Request::Stats => merged_stats(shared, conns),
-        Request::LoadSnapshots => fan_load_snapshots(shared, conns),
-        Request::QueryBatch {
-            ref name,
-            ref boxes,
-        } => route_probes(shared, conns, *allow_partial, &request, name, boxes.len()),
-        Request::CountBatch {
-            ref name,
-            ref boxes,
-        } => route_probes(shared, conns, *allow_partial, &request, name, boxes.len()),
-        // Mutations route exactly like the other placement-scoped dataset
-        // operations, but are classified non-idempotent by the retry layer:
-        // a transport failure mid-mutation surfaces as a typed error instead
-        // of a silent replay that could double-apply.
-        Request::LoadDataset { ref name, .. }
-        | Request::BuildIndex { ref name, .. }
-        | Request::RestoreIndex { ref name, .. }
-        | Request::Insert { ref name, .. }
-        | Request::Delete { ref name, .. } => {
-            let name = name.clone();
-            fan_to_placement(shared, conns, &name, &request)
-        }
-        Request::SaveIndex { ref name, .. } => {
-            // One copy in the shared snapshot dir is enough: the owner for
-            // hashed placement, any routable member for replicated.
-            let slot = if shared.replicated(name) {
-                match shared.routable_slots().first().copied() {
-                    Some(slot) => slot,
-                    None => return Response::Error("no routable member".to_string()),
-                }
-            } else {
-                shared.owner_slot(name)
-            };
-            match call_with_retry(shared, conns, &[slot], &request) {
-                Ok(response) => response,
-                Err(RouteError::Deterministic(m)) => Response::Error(m),
-                Err(RouteError::DatasetUnavailable { name, reason }) => {
-                    Response::DatasetUnavailable { name, reason }
-                }
-                Err(RouteError::Unavailable(m)) => {
-                    Response::Error(format!("shard unavailable: {m}"))
-                }
+impl Handler for Shared {
+    fn respond(&self, request: Request, ctx: RequestCtx) -> Response {
+        match request {
+            Request::Ping => Response::Pong,
+            Request::Stats => merged_stats(self, &ctx),
+            Request::LoadSnapshots => fan_load_snapshots(self, &ctx),
+            Request::QueryBatch {
+                ref name,
+                ref boxes,
+            }
+            | Request::CountBatch {
+                ref name,
+                ref boxes,
+            } => route_probes(self, &ctx, &request, name, boxes.len()),
+            // Mutations route exactly like the other placement-scoped dataset
+            // operations, but are classified non-idempotent by the retry
+            // layer: a transport failure mid-mutation surfaces as a typed
+            // error instead of a silent replay that could double-apply.
+            Request::LoadDataset { ref name, .. }
+            | Request::BuildIndex { ref name, .. }
+            | Request::RestoreIndex { ref name, .. }
+            | Request::Insert { ref name, .. }
+            | Request::Delete { ref name, .. } => fan_to_placement(self, &ctx, name, &request),
+            Request::SaveIndex { ref name, .. } => {
+                // One copy in the shared snapshot dir is enough: the owner for
+                // hashed placement, any routable member for replicated.
+                let slot = if self.replicated(name) {
+                    match self.routable_slots().first().copied() {
+                        Some(slot) => slot,
+                        None => return Response::Error("no routable member".to_string()),
+                    }
+                } else {
+                    self.owner_slot(name)
+                };
+                call_with_retry(self, &[slot], &request, &ctx)
+                    .unwrap_or_else(|e| route_error(e, &ctx))
+            }
+            Request::Hello { .. } | Request::AllowPartial { .. } => {
+                unreachable!("the event loop answers Hello and AllowPartial itself")
             }
         }
     }
+
+    /// Only `Ping`, answered here without a backend, runs on the loop
+    /// thread (when its connection is idle); everything else waits on a
+    /// backend and is dispatched.
+    fn runs_inline(&self, request: &Request, conn_in_flight: u32, _global_in_flight: u64) -> bool {
+        matches!(request, Request::Ping) && conn_in_flight == 0
+    }
 }
 
-/// Non-probe dataset operations fan to every placement slot (owner, or all
-/// routable members for replicated datasets); the first summary answers.
+/// Non-probe dataset operations go to the owner of a hashed dataset, or
+/// fan to every routable member of a replicated one; the first summary
+/// answers.
 ///
-/// The fan is all-or-typed-error: every slot is attempted even after a
-/// failure (aborting mid-loop would leave replicas desynced with the caller
-/// none the wiser), and if any member missed the operation the caller gets
-/// an error naming exactly which members applied it and which did not.
-fn fan_to_placement(
-    shared: &Shared,
-    conns: &mut BackendConns,
-    name: &str,
-    request: &Request,
-) -> Response {
-    let slots = shared.placement_slots(name);
-    if slots.is_empty() {
-        return Response::Error("no routable member".to_string());
+/// A replicated fan runs under the fan lock and checks the client's
+/// deadline once, before the first member; its backend calls carry none,
+/// so a member misses the operation only through a transport failure or
+/// its own error.  The fan is all-or-typed-error: every slot is attempted
+/// even after a failure (aborting mid-loop would leave replicas desynced
+/// with the caller none the wiser), and if any member missed the operation
+/// the caller gets an error naming exactly which members applied it and
+/// which did not.
+fn fan_to_placement(shared: &Shared, ctx: &RequestCtx, name: &str, request: &Request) -> Response {
+    if !shared.replicated(name) {
+        return on_one_slot(shared, shared.owner_slot(name), request, ctx);
     }
+    let _order = shared.fan.lock().expect("fan lock poisoned");
+    if time_left_ms(ctx).is_none() {
+        return expired(shared, ctx);
+    }
+    let ctx = &RequestCtx {
+        deadline: None,
+        ..*ctx
+    };
+    let slots = shared.routable_slots();
     let total = slots.len();
+    if total <= 1 {
+        return slots.first().map_or_else(
+            || Response::Error("no routable member".to_string()),
+            |&slot| on_one_slot(shared, slot, request, ctx),
+        );
+    }
     let mut first: Option<Response> = None;
     let mut failures: Vec<(usize, RouteError)> = Vec::new();
     for slot in slots {
-        match call_with_retry(shared, conns, &[slot], request) {
+        match call_with_retry(shared, &[slot], request, ctx) {
             Ok(response) => {
                 first.get_or_insert(response);
             }
@@ -796,19 +705,6 @@ fn fan_to_placement(
     if failures.is_empty() {
         return first.expect("at least one slot answered");
     }
-    // Single-member placement: nothing was partially applied, so the lone
-    // failure passes through with its original shape (typed stays typed).
-    if total == 1 {
-        return match failures.remove(0) {
-            (_, RouteError::Deterministic(m)) => Response::Error(m),
-            (_, RouteError::DatasetUnavailable { name, reason }) => {
-                Response::DatasetUnavailable { name, reason }
-            }
-            (slot, RouteError::Unavailable(m)) => {
-                Response::Error(format!("shard {slot} unavailable: {m}"))
-            }
-        };
-    }
     let applied = total - failures.len();
     let detail: Vec<String> = failures
         .iter()
@@ -817,6 +713,7 @@ fn fan_to_placement(
             RouteError::DatasetUnavailable { reason, .. } => {
                 format!("shard {slot}: dataset unavailable: {reason}")
             }
+            RouteError::TimedOut => format!("shard {slot}: deadline passed"),
             RouteError::Unavailable(m) => format!("shard {slot}: unavailable: {m}"),
         })
         .collect();
@@ -827,8 +724,26 @@ fn fan_to_placement(
     ))
 }
 
-/// `LoadSnapshots` fans to every routable member and merges the scans.
-fn fan_load_snapshots(shared: &Shared, conns: &mut BackendConns) -> Response {
+/// An operation on one member: nothing can be partially applied, so a
+/// failure passes through with its own shape (typed stays typed).
+fn on_one_slot(shared: &Shared, slot: usize, request: &Request, ctx: &RequestCtx) -> Response {
+    call_with_retry(shared, &[slot], request, ctx).unwrap_or_else(|e| match e {
+        RouteError::Unavailable(m) => Response::Error(format!("shard {slot} unavailable: {m}")),
+        e => route_error(e, ctx),
+    })
+}
+
+/// `LoadSnapshots` fans to every routable member and merges the scans, under
+/// the fan lock and with the deadline checked once, like a replicated fan.
+fn fan_load_snapshots(shared: &Shared, ctx: &RequestCtx) -> Response {
+    let _order = shared.fan.lock().expect("fan lock poisoned");
+    if time_left_ms(ctx).is_none() {
+        return expired(shared, ctx);
+    }
+    let ctx = &RequestCtx {
+        deadline: None,
+        ..*ctx
+    };
     let slots = shared.routable_slots();
     if slots.is_empty() {
         return Response::Error("no routable member".to_string());
@@ -836,7 +751,7 @@ fn fan_load_snapshots(shared: &Shared, conns: &mut BackendConns) -> Response {
     let mut restored = Vec::new();
     let mut skipped = Vec::new();
     for slot in slots {
-        match call_with_retry(shared, conns, &[slot], &Request::LoadSnapshots) {
+        match call_with_retry(shared, &[slot], &Request::LoadSnapshots, ctx) {
             Ok(Response::SnapshotsLoaded {
                 restored: r,
                 skipped: s,
@@ -853,29 +768,24 @@ fn fan_load_snapshots(shared: &Shared, conns: &mut BackendConns) -> Response {
                 }
             }
             Ok(_) => return Response::Error("unexpected response to LoadSnapshots".to_string()),
-            Err(RouteError::Deterministic(m)) => return Response::Error(m),
-            Err(RouteError::DatasetUnavailable { name, reason }) => {
-                return Response::DatasetUnavailable { name, reason }
-            }
-            Err(RouteError::Unavailable(m)) => {
-                return Response::Error(format!("shard unavailable: {m}"))
-            }
+            Err(e) => return route_error(e, ctx),
         }
     }
     Response::SnapshotsLoaded { restored, skipped }
 }
 
 /// `Stats` merges every reachable member's report (members that cannot
-/// answer are skipped — stats are observability, not correctness).
-fn merged_stats(shared: &Shared, conns: &mut BackendConns) -> Response {
+/// answer are skipped — stats are observability, not correctness) with the
+/// errors, timeouts and `Overloaded` rejections the router answered itself.
+fn merged_stats(shared: &Shared, ctx: &RequestCtx) -> Response {
     let mut merged = StatsReport {
         query_batches: 0,
         count_batches: 0,
         probes: 0,
-        errors: 0,
+        errors: shared.stats.errors.load(Ordering::Relaxed),
         in_flight: 0,
-        timeouts: 0,
-        rejected: 0,
+        timeouts: shared.stats.timeouts.load(Ordering::Relaxed),
+        rejected: shared.stats.rejected.load(Ordering::Relaxed),
         conn_queue_depths: Vec::new(),
         total_bytes: 0,
         memory_budget: 0,
@@ -884,8 +794,7 @@ fn merged_stats(shared: &Shared, conns: &mut BackendConns) -> Response {
         datasets: Vec::new(),
     };
     for slot in shared.routable_slots() {
-        if let Ok(Response::Stats(report)) =
-            call_with_retry(shared, conns, &[slot], &Request::Stats)
+        if let Ok(Response::Stats(report)) = call_with_retry(shared, &[slot], &Request::Stats, ctx)
         {
             merged.query_batches += report.query_batches;
             merged.count_batches += report.count_batches;
@@ -952,12 +861,11 @@ fn response_rows(response: Response, expected: usize) -> Result<ChunkRows, Strin
 
 /// Probe routing: hashed datasets go whole-batch to their owner;
 /// replicated datasets are probe-space partitioned across every routable
-/// member, scattered in parallel over the pipelined connections, retried
-/// per chunk, and merged in probe order.
+/// member, scattered in parallel over pooled connections, retried per
+/// chunk, and merged in probe order.
 fn route_probes(
     shared: &Shared,
-    conns: &mut BackendConns,
-    allow_partial: bool,
+    ctx: &RequestCtx,
     request: &Request,
     name: &str,
     n_boxes: usize,
@@ -967,6 +875,7 @@ fn route_probes(
         Request::CountBatch { boxes, .. } => (false, boxes),
         _ => unreachable!("route_probes only sees probe batches"),
     };
+    let allow_partial = ctx.allow_partial;
     if !shared.replicated(name) {
         let owner = shared.owner_slot(name);
         let candidates: Vec<usize> = if shared.members[owner]
@@ -979,15 +888,12 @@ fn route_probes(
         } else {
             Vec::new()
         };
-        return match call_with_retry(shared, conns, &candidates, request) {
+        return match call_with_retry(shared, &candidates, request, ctx) {
             Ok(response) => response,
-            Err(RouteError::Deterministic(m)) => Response::Error(m),
-            Err(RouteError::DatasetUnavailable { name, reason }) => {
-                Response::DatasetUnavailable { name, reason }
-            }
             Err(RouteError::Unavailable(m)) => {
                 degraded_or_error(allow_partial, is_query, n_boxes, &m)
             }
+            Err(e) => route_error(e, ctx),
         };
     }
 
@@ -1022,32 +928,33 @@ fn route_probes(
         }
     };
 
-    // Phase 1 — optimistic scatter: submit every chunk on its member's
-    // pipelined connection, flush, then collect.
-    let mut submitted: Vec<Option<u64>> = vec![None; chunks.len()];
-    for (i, (slot, range)) in chunks.iter().enumerate() {
+    // Phase 1 — optimistic scatter: send every chunk on a connection of its
+    // member, then collect.
+    let Some(deadline_ms) = time_left_ms(ctx) else {
+        return expired(shared, ctx);
+    };
+    let mut sent: Vec<Option<(Pooled, u64)>> = Vec::with_capacity(chunks.len());
+    for (slot, range) in &chunks {
         if range.is_empty() {
+            sent.push(None);
             continue;
         }
         let request = sub_request(range);
-        if let Ok(conn) = conns.get_or_connect(shared, *slot) {
-            if let Ok(id) = conn.submit(&request) {
-                submitted[i] = Some(id);
-                continue;
-            }
-        }
-        shared.note_failure(*slot);
-        conns.discard(*slot);
-    }
-    for (slot, _) in &chunks {
-        if let Some((_, conn)) = conns.map.get_mut(slot) {
-            if conn.flush().is_err() {
-                conns.discard(*slot);
+        let submitted = shared.checkout(*slot).and_then(|mut pooled| {
+            let id = pooled.conn.submit_with_deadline(&request, deadline_ms)?;
+            pooled.conn.flush()?;
+            Ok((pooled, id))
+        });
+        match submitted {
+            Ok(lease) => sent.push(Some(lease)),
+            Err(_) => {
+                shared.note_failure(*slot);
+                sent.push(None);
             }
         }
     }
     let mut rows: Vec<Option<ChunkRows>> = Vec::with_capacity(chunks.len());
-    for (i, (slot, range)) in chunks.iter().enumerate() {
+    for ((slot, range), lease) in chunks.iter().zip(sent) {
         if range.is_empty() {
             rows.push(Some(if is_query {
                 ChunkRows::Query(Vec::new())
@@ -1056,34 +963,32 @@ fn route_probes(
             }));
             continue;
         }
-        let received = submitted[i].and_then(|id| {
-            let (_, conn) = conns.map.get_mut(slot)?;
-            match conn.recv(id) {
-                Ok(response) => Some(Ok(response)),
-                Err(e) => Some(Err(e)),
-            }
-        });
-        match received {
-            Some(Ok(response)) => match response_rows(response, range.len()) {
+        let Some((mut pooled, id)) = lease else {
+            rows.push(None);
+            continue;
+        };
+        let received = pooled.conn.recv(id);
+        let failure = received.as_ref().err().map(classify);
+        if let Some(Failure::Transport(_)) = failure {
+            shared.note_failure(*slot);
+            rows.push(None);
+            continue;
+        }
+        shared.checkin(*slot, pooled);
+        match (received, failure) {
+            (Ok(response), _) => match response_rows(response, range.len()) {
                 Ok(chunk_rows) => {
                     shared.note_success(*slot);
                     rows.push(Some(chunk_rows));
                 }
                 Err(m) => return Response::Error(m),
             },
-            Some(Err(e)) => match classify(&e) {
-                Failure::Deterministic(m) => return Response::Error(m),
-                Failure::DatasetUnavailable { name, reason } => {
-                    return Response::DatasetUnavailable { name, reason }
-                }
-                Failure::FlowControl(_) => rows.push(None),
-                Failure::Transport(_) => {
-                    shared.note_failure(*slot);
-                    conns.discard(*slot);
-                    rows.push(None);
-                }
-            },
-            None => rows.push(None),
+            (Err(_), Some(Failure::Deterministic(m))) => return Response::Error(m),
+            (Err(_), Some(Failure::DatasetUnavailable { name, reason })) => {
+                return Response::DatasetUnavailable { name, reason }
+            }
+            (Err(_), Some(Failure::Expired)) => return timeout(ctx),
+            (Err(_), _) => rows.push(None),
         }
     }
 
@@ -1094,16 +999,13 @@ fn route_probes(
         }
         let request = sub_request(range);
         let candidates = shared.routable_slots();
-        match call_with_retry(shared, conns, &candidates, &request) {
+        match call_with_retry(shared, &candidates, &request, ctx) {
             Ok(response) => match response_rows(response, range.len()) {
                 Ok(chunk_rows) => rows[i] = Some(chunk_rows),
                 Err(m) => return Response::Error(m),
             },
-            Err(RouteError::Deterministic(m)) => return Response::Error(m),
-            Err(RouteError::DatasetUnavailable { name, reason }) => {
-                return Response::DatasetUnavailable { name, reason }
-            }
             Err(RouteError::Unavailable(_)) => {}
+            Err(e) => return route_error(e, ctx),
         }
     }
 

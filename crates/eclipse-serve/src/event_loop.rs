@@ -1,9 +1,7 @@
-//! The readiness-driven server core: one thread owning every socket,
-//! non-blocking I/O, and a completion queue fed by dispatcher workers.
-//!
-//! The previous serving core was thread-per-connection with strictly
-//! serialized request/response pairs — pipelining was structurally
-//! impossible.  This loop replaces it:
+//! The readiness-driven serving core: one thread owning every socket,
+//! non-blocking I/O, and a completion queue fed by dispatcher workers.  It
+//! serves any [`Handler`]: the dataset server's state and the shard
+//! router's both run on it.
 //!
 //! * the listener and every connection socket are **non-blocking**; the loop
 //!   polls them round-robin, with an adaptive backoff (spin → yield →
@@ -11,20 +9,22 @@
 //!   the loop the moment a response is ready (std only — no `epoll`, no
 //!   external crates, no `unsafe`);
 //! * decoded requests are handed to an [`eclipse_exec::Dispatcher`] whose
-//!   workers run [`ServerState::respond`] and push the fully framed response
+//!   workers run [`Handler::respond`] and push the fully framed response
 //!   bytes onto a [`Completions`] queue; the loop drains that queue into the
-//!   per-connection write buffers.  Whenever nothing is dispatched, a
-//!   request of bounded cost (a write, a batch of at most
-//!   [`INLINE_MAX_BOXES`] boxes) runs **inline** on the loop thread instead,
-//!   skipping two thread handoffs ([`runs_inline`]); inline answers never
-//!   count as in flight, so requests run inline in order until one is not;
+//!   per-connection write buffers.  A request the handler's
+//!   [`Handler::runs_inline`] rule accepts runs **inline** on the loop
+//!   thread instead, skipping two thread handoffs; inline answers never
+//!   count as in flight;
 //! * **admission control**: a per-connection in-flight cap (the negotiated
 //!   pipeline depth) and a global cap; a request over either limit is
 //!   answered immediately with [`Response::Overloaded`] — typed, counted,
 //!   connection stays usable;
 //! * **handshake**: a connection's first frame must be a `Hello` for
 //!   protocol v2 ([`negotiate`] decides); anything else is answered with one
-//!   typed error and the connection closes once it has flushed;
+//!   typed error and the connection closes once it has flushed.  A later
+//!   `Hello` is a typed error, and `AllowPartial` sets the connection's
+//!   flag that every later request's [`RequestCtx`] carries: the loop
+//!   answers both itself;
 //! * **deadlines**: a frame's `deadline_ms` is measured from the read that
 //!   delivered its bytes; a request whose deadline has passed when
 //!   execution would start (inline, at admission, or on the worker) is
@@ -39,14 +39,88 @@
 use std::collections::{HashMap, HashSet};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use eclipse_exec::Dispatcher;
 
 use crate::protocol::{negotiate, FrameHeader, Request, Response, MAX_FRAME_LEN, V2_HEADER_LEN};
-use crate::server::{ServerConfig, ServerState};
+use crate::server::ServerConfig;
+
+/// What the event loop serves: the answer to each admitted request, and
+/// whether it runs on the loop thread.  The loop calls both with requests
+/// other than `Hello` and `AllowPartial`, which it answers itself.
+pub trait Handler: Send + Sync + 'static {
+    /// Answers one request.  Infallible: every failure is a typed response,
+    /// so the connection stays alive.
+    fn respond(&self, request: Request, ctx: RequestCtx) -> Response;
+
+    /// Whether `request` runs on the loop thread rather than a dispatcher
+    /// worker, given the requests dispatched and unanswered on its
+    /// connection and in all.  An inline request holds every connection
+    /// until it returns, so only requests of bounded cost qualify.
+    fn runs_inline(&self, request: &Request, conn_in_flight: u32, global_in_flight: u64) -> bool;
+}
+
+/// What the loop knows about a request beyond its body.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct RequestCtx {
+    /// The connection opted into partial results with `AllowPartial`.
+    pub allow_partial: bool,
+    /// When the request's deadline passes, and the `deadline_ms` it
+    /// carried; `None` without a deadline.
+    pub deadline: Option<(Instant, u32)>,
+}
+
+/// What the loop counts, shared with the handler so `Stats` can report it.
+/// A handler counts the errors and timeouts it answers itself into the
+/// same counters.
+#[derive(Default)]
+pub struct LoopStats {
+    /// Requests answered with an error, by the loop or the handler.
+    pub errors: AtomicU64,
+    /// Requests admitted and dispatched but not yet answered.
+    pub(crate) in_flight: AtomicU64,
+    /// Requests answered with [`Response::Timeout`].
+    pub timeouts: AtomicU64,
+    /// Requests rejected with [`Response::Overloaded`].
+    pub rejected: AtomicU64,
+    /// Per-connection in-flight gauges, so `Stats` (answered on a worker)
+    /// can report live queue depths.
+    conn_gauges: Mutex<HashMap<u64, Arc<AtomicU32>>>,
+}
+
+impl LoopStats {
+    fn register_conn(&self, id: u64) -> Arc<AtomicU32> {
+        let gauge = Arc::new(AtomicU32::new(0));
+        self.conn_gauges
+            .lock()
+            .expect("conn gauge registry poisoned")
+            .insert(id, Arc::clone(&gauge));
+        gauge
+    }
+
+    fn unregister_conn(&self, id: u64) {
+        self.conn_gauges
+            .lock()
+            .expect("conn gauge registry poisoned")
+            .remove(&id);
+    }
+
+    /// Every open connection's in-flight count, deepest first.
+    pub(crate) fn queue_depths(&self) -> Vec<u32> {
+        let mut depths: Vec<u32> = self
+            .conn_gauges
+            .lock()
+            .expect("conn gauge registry poisoned")
+            .values()
+            .map(|gauge| gauge.load(Ordering::Relaxed))
+            .collect();
+        depths.sort_unstable_by(|a, b| b.cmp(a));
+        depths
+    }
+}
 
 /// Idle iterations spent on `yield_now` before the loop starts parking.
 /// Yields keep wake-up latency in the microseconds while any peer thread is
@@ -106,6 +180,8 @@ struct Conn {
     greeted: bool,
     /// Negotiated per-connection in-flight cap.
     pipe_limit: u32,
+    /// Set by `AllowPartial`; handed to the handler in [`RequestCtx`].
+    allow_partial: bool,
     /// Read buffer: bytes `[rpos..]` are un-parsed.
     rbuf: Vec<u8>,
     rpos: usize,
@@ -136,6 +212,7 @@ impl Conn {
             stream,
             greeted: false,
             pipe_limit: 1,
+            allow_partial: false,
             rbuf: Vec::new(),
             rpos: 0,
             read_at: Instant::now(),
@@ -170,7 +247,7 @@ impl Conn {
 /// reply (`None`).  A response too large for one frame is replaced by a
 /// typed error — the client must not lose the connection over an oversized
 /// batch result.
-fn encode_wire(request_id: Option<u64>, response: &Response, state: &ServerState) -> Vec<u8> {
+fn encode_wire(request_id: Option<u64>, response: &Response, stats: &LoopStats) -> Vec<u8> {
     let header_len = if request_id.is_some() {
         V2_HEADER_LEN
     } else {
@@ -178,7 +255,7 @@ fn encode_wire(request_id: Option<u64>, response: &Response, state: &ServerState
     };
     let mut body = response.encode();
     if header_len + body.len() > MAX_FRAME_LEN as usize {
-        state.errors.fetch_add(1, Ordering::Relaxed);
+        stats.errors.fetch_add(1, Ordering::Relaxed);
         body = Response::Error(format!(
             "response of {} bytes exceeds the {MAX_FRAME_LEN} byte frame cap; \
              split the batch into smaller requests",
@@ -202,47 +279,46 @@ fn encode_wire(request_id: Option<u64>, response: &Response, state: &ServerState
 
 /// Delivers a response produced on the loop thread (handshakes, rejections,
 /// inline executions) straight into the write buffer.
-fn deliver_now(conn: &mut Conn, request_id: Option<u64>, response: &Response, state: &ServerState) {
-    let wire = encode_wire(request_id, response, state);
+fn deliver_now(conn: &mut Conn, request_id: Option<u64>, response: &Response, stats: &LoopStats) {
+    let wire = encode_wire(request_id, response, stats);
     conn.wbuf.extend_from_slice(&wire);
 }
 
 /// Everything the per-connection handlers need besides the connection map —
 /// split out so the loop can borrow `conns` mutably alongside it.
-struct LoopCtx {
-    state: Arc<ServerState>,
+struct LoopCtx<H> {
+    handler: Arc<H>,
+    stats: Arc<LoopStats>,
     config: ServerConfig,
     dispatcher: Dispatcher,
     completions: Arc<Completions>,
 }
 
-/// The server core: owns the listener, every connection, and the dispatcher.
-pub(crate) struct EventLoop {
+/// The serving core: owns the listener, every connection, and the
+/// dispatcher (`config.workers` workers, at least one).
+pub(crate) struct EventLoop<H> {
     listener: Option<TcpListener>,
     conns: HashMap<u64, Conn>,
     next_conn_id: u64,
-    ctx: LoopCtx,
+    ctx: LoopCtx<H>,
 }
 
-impl EventLoop {
+impl<H: Handler> EventLoop<H> {
     pub(crate) fn new(
         listener: TcpListener,
-        state: Arc<ServerState>,
+        handler: Arc<H>,
+        stats: Arc<LoopStats>,
         config: ServerConfig,
-    ) -> EventLoop {
-        let workers = if config.workers == 0 {
-            state.exec().threads()
-        } else {
-            config.workers
-        };
+    ) -> EventLoop<H> {
         EventLoop {
             listener: Some(listener),
             conns: HashMap::new(),
             next_conn_id: 0,
             ctx: LoopCtx {
-                state,
+                handler,
+                stats,
+                dispatcher: Dispatcher::new(config.workers),
                 config,
-                dispatcher: Dispatcher::new(workers),
                 completions: Arc::default(),
             },
         }
@@ -255,6 +331,7 @@ impl EventLoop {
             .loop_thread
             .set(std::thread::current())
             .expect("an event loop runs once");
+        let stats = Arc::clone(&self.ctx.stats);
         let mut scratch = vec![0u8; 64 << 10];
         let mut draining = false;
         let mut drain_deadline = Instant::now();
@@ -279,7 +356,7 @@ impl EventLoop {
             // 1. Finished requests → write buffers, in completion order.
             for done in self.ctx.completions.take() {
                 progress = true;
-                self.ctx.state.in_flight.fetch_sub(1, Ordering::Relaxed);
+                stats.in_flight.fetch_sub(1, Ordering::Relaxed);
                 if let Some(conn) = self.conns.get_mut(&done.conn_id) {
                     conn.set_in_flight(conn.in_flight.saturating_sub(1));
                     conn.live_ids.remove(&done.request_id);
@@ -300,7 +377,7 @@ impl EventLoop {
                             }
                             let id = self.next_conn_id;
                             self.next_conn_id += 1;
-                            let gauge = self.ctx.state.register_conn(id);
+                            let gauge = stats.register_conn(id);
                             self.conns.insert(id, Conn::new(stream, gauge));
                         }
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -321,7 +398,6 @@ impl EventLoop {
             //    that accepts and goes silent cannot hold a slot (of
             //    max_connections) forever.  A greeted connection is never
             //    idle-reaped.
-            let state = &self.ctx.state;
             let idle_timeout = self.ctx.config.idle_timeout;
             let now = Instant::now();
             self.conns.retain(|id, conn| {
@@ -329,14 +405,14 @@ impl EventLoop {
                     && idle_timeout.is_some_and(|t| now.duration_since(conn.created) >= t);
                 let keep = !conn.dead && !conn.finished() && !half_open_expired;
                 if !keep {
-                    state.unregister_conn(*id);
+                    stats.unregister_conn(*id);
                 }
                 keep
             });
 
             // 5. Drain exit: every admitted request answered and flushed.
             if draining {
-                let quiet = self.ctx.state.in_flight.load(Ordering::Relaxed) == 0
+                let quiet = stats.in_flight.load(Ordering::Relaxed) == 0
                     && self.conns.values().all(Conn::flushed);
                 if quiet || Instant::now() >= drain_deadline {
                     break;
@@ -368,7 +444,12 @@ impl EventLoop {
 /// One connection's turn: pull bytes, parse complete frames, admit or
 /// reject each request, then push out whatever is writable.  Returns
 /// whether anything happened (for the loop's backoff).
-fn service_conn(ctx: &LoopCtx, id: u64, conn: &mut Conn, scratch: &mut [u8]) -> bool {
+fn service_conn<H: Handler>(
+    ctx: &LoopCtx<H>,
+    id: u64,
+    conn: &mut Conn,
+    scratch: &mut [u8],
+) -> bool {
     let mut progress = false;
     if !conn.closed_read && !conn.dead && conn.wbuf.len() - conn.wpos < WBUF_SOFT_CAP {
         progress |= read_some(conn, scratch);
@@ -380,10 +461,11 @@ fn service_conn(ctx: &LoopCtx, id: u64, conn: &mut Conn, scratch: &mut [u8]) -> 
                     // The length prefix itself is garbage: the byte stream
                     // can no longer be trusted.  Best-effort typed error,
                     // then close once it (and any pending work) flushes.
-                    ctx.state.errors.fetch_add(1, Ordering::Relaxed);
+                    let stats = &ctx.stats;
+                    stats.errors.fetch_add(1, Ordering::Relaxed);
                     let response = Response::Error(format!("frame of {len} bytes exceeds the cap"));
                     let request_id = conn.greeted.then_some(0);
-                    deliver_now(conn, request_id, &response, &ctx.state);
+                    deliver_now(conn, request_id, &response, stats);
                     conn.closed_read = true;
                     break;
                 }
@@ -489,19 +571,20 @@ fn take_frame(conn: &mut Conn) -> Result<Option<Vec<u8>>, u64> {
 
 /// Answers the handshake on an ungreeted connection; otherwise splits the
 /// frame header and admits the request.
-fn handle_frame(ctx: &LoopCtx, id: u64, conn: &mut Conn, payload: &[u8]) {
+fn handle_frame<H: Handler>(ctx: &LoopCtx<H>, id: u64, conn: &mut Conn, payload: &[u8]) {
+    let stats = &ctx.stats;
     if !conn.greeted {
         // The handshake reply is bare-framed: the client only switches to
         // headed frames after reading it.
         let (reply, granted) = negotiate(payload, ctx.config.max_pipeline);
-        deliver_now(conn, None, &reply, &ctx.state);
+        deliver_now(conn, None, &reply, stats);
         if let Some(depth) = granted {
             conn.greeted = true;
             conn.pipe_limit = depth;
         } else {
             // Close once the rejection flushes; frames already buffered
             // behind the bad first frame are dropped unread.
-            ctx.state.errors.fetch_add(1, Ordering::Relaxed);
+            stats.errors.fetch_add(1, Ordering::Relaxed);
             conn.closed_read = true;
             conn.rbuf.clear();
             conn.rpos = 0;
@@ -511,12 +594,12 @@ fn handle_frame(ctx: &LoopCtx, id: u64, conn: &mut Conn, payload: &[u8]) {
     match FrameHeader::split(payload) {
         Ok((header, body)) => {
             if !conn.live_ids.is_empty() && conn.live_ids.contains(&header.request_id) {
-                ctx.state.errors.fetch_add(1, Ordering::Relaxed);
+                stats.errors.fetch_add(1, Ordering::Relaxed);
                 let response = Response::Error(format!(
                     "request id {} is already in flight on this connection",
                     header.request_id
                 ));
-                deliver_now(conn, Some(header.request_id), &response, &ctx.state);
+                deliver_now(conn, Some(header.request_id), &response, stats);
                 return;
             }
             finish_decoded(
@@ -530,114 +613,110 @@ fn handle_frame(ctx: &LoopCtx, id: u64, conn: &mut Conn, payload: &[u8]) {
         }
         Err(_) => {
             // Shorter than the frame header: framing is out of sync; close.
-            ctx.state.errors.fetch_add(1, Ordering::Relaxed);
+            stats.errors.fetch_add(1, Ordering::Relaxed);
             let response = Response::Error("v2 frame shorter than its 12-byte header".to_string());
-            deliver_now(conn, Some(0), &response, &ctx.state);
+            deliver_now(conn, Some(0), &response, stats);
             conn.closed_read = true;
         }
     }
 }
 
-/// Largest `QueryBatch`/`CountBatch`, in boxes, that runs inline.  A box is
-/// one probe of the `u`-row skyline: about 0.9 us at INDE n = 2^10 (u = 27),
-/// so 60 us for a full batch; 0.40 ms at n = 2^20 (u = 90).  No inline
-/// request holds the loop longer than a skyline `Delete`, O(n·u): 11–14 us
-/// at n = 2^10, about 20 ms (max 31 ms) at n = 2^20 (in process, 2-core host).
-const INLINE_MAX_BOXES: usize = 64;
-
-/// Whether `request` runs on the loop thread rather than a worker, given
-/// the requests dispatched and unanswered on its connection and in all.
-/// `Ping` runs inline when its connection is idle, so a health probe
-/// measures liveness instead of queueing behind a slow `LoadDataset`.
-/// Writes, batches up to the cap, `Hello` and `AllowPartial` run inline
-/// when nothing is dispatched: a mutation then never overlaps a dispatched
-/// job, and a connection's requests complete in arrival order.  The worst
-/// is a skyline `Delete`, about 20 ms at n = 2^20 ([`INLINE_MAX_BOXES`]).
-/// Loads, builds, snapshots, larger batches and `Stats` (which counts
-/// itself in flight) are dispatched.
-fn runs_inline(request: &Request, conn_in_flight: u32, global_in_flight: u64) -> bool {
-    match request {
-        Request::Ping => conn_in_flight == 0,
-        Request::QueryBatch { boxes, .. } | Request::CountBatch { boxes, .. } => {
-            global_in_flight == 0 && boxes.len() <= INLINE_MAX_BOXES
-        }
-        Request::Insert { .. }
-        | Request::Delete { .. }
-        | Request::Hello { .. }
-        | Request::AllowPartial { .. } => global_in_flight == 0,
-        _ => false,
-    }
-}
-
 /// Admission for one decoded request: malformed → typed error; over a cap →
-/// `Overloaded`; expired → `Timeout`; otherwise run inline
-/// ([`runs_inline`]) or dispatch to a worker.
-fn finish_decoded(
-    ctx: &LoopCtx,
+/// `Overloaded`; expired → `Timeout`; `Hello` and `AllowPartial` → answered
+/// here; otherwise run inline ([`Handler::runs_inline`]) or [`dispatch`]ed
+/// to a worker.
+fn finish_decoded<H: Handler>(
+    ctx: &LoopCtx<H>,
     id: u64,
     conn: &mut Conn,
     decoded: Result<Request, crate::protocol::ProtocolError>,
     request_id: u64,
     deadline_ms: u32,
 ) {
+    let stats = &ctx.stats;
     let request = match decoded {
         Ok(request) => request,
         Err(e) => {
-            ctx.state.errors.fetch_add(1, Ordering::Relaxed);
+            stats.errors.fetch_add(1, Ordering::Relaxed);
             let response = Response::Error(format!("malformed request: {e}"));
-            deliver_now(conn, Some(request_id), &response, &ctx.state);
+            deliver_now(conn, Some(request_id), &response, stats);
             return;
         }
     };
     // Per-connection, then global admission control.
     if conn.in_flight >= conn.pipe_limit {
-        ctx.state.rejected.fetch_add(1, Ordering::Relaxed);
+        stats.rejected.fetch_add(1, Ordering::Relaxed);
         let response = Response::Overloaded {
             in_flight: conn.in_flight,
             limit: conn.pipe_limit,
         };
-        deliver_now(conn, Some(request_id), &response, &ctx.state);
+        deliver_now(conn, Some(request_id), &response, stats);
         return;
     }
-    let global = ctx.state.in_flight.load(Ordering::Relaxed);
+    let global = stats.in_flight.load(Ordering::Relaxed);
     if global >= u64::from(ctx.config.max_in_flight) {
-        ctx.state.rejected.fetch_add(1, Ordering::Relaxed);
+        stats.rejected.fetch_add(1, Ordering::Relaxed);
         let response = Response::Overloaded {
             in_flight: global.min(u64::from(u32::MAX)) as u32,
             limit: ctx.config.max_in_flight,
         };
-        deliver_now(conn, Some(request_id), &response, &ctx.state);
+        deliver_now(conn, Some(request_id), &response, stats);
         return;
     }
     let deadline =
         (deadline_ms > 0).then(|| conn.read_at + Duration::from_millis(u64::from(deadline_ms)));
     if deadline.is_some_and(|d| Instant::now() >= d) {
-        ctx.state.timeouts.fetch_add(1, Ordering::Relaxed);
+        stats.timeouts.fetch_add(1, Ordering::Relaxed);
         let response = Response::Timeout { deadline_ms };
-        deliver_now(conn, Some(request_id), &response, &ctx.state);
+        deliver_now(conn, Some(request_id), &response, stats);
         return;
     }
-    if runs_inline(&request, conn.in_flight, global) {
-        let response = ctx.state.respond(request);
-        deliver_now(conn, Some(request_id), &response, &ctx.state);
-        return;
-    }
-    // Dispatch: the worker frames the response and pushes it onto the
-    // completion queue, which unparks the loop.
+    let request_ctx = RequestCtx {
+        allow_partial: conn.allow_partial,
+        deadline: deadline.map(|d| (d, deadline_ms)),
+    };
+    let response = match request {
+        Request::AllowPartial { enabled } => {
+            conn.allow_partial = enabled;
+            Response::PartialAck { enabled }
+        }
+        Request::Hello { .. } => {
+            stats.errors.fetch_add(1, Ordering::Relaxed);
+            Response::Error("Hello must be the first frame of a connection".to_string())
+        }
+        request if ctx.handler.runs_inline(&request, conn.in_flight, global) => {
+            ctx.handler.respond(request, request_ctx)
+        }
+        request => return dispatch(ctx, id, conn, request, request_id, request_ctx),
+    };
+    deliver_now(conn, Some(request_id), &response, stats);
+}
+
+/// Hands an admitted request to a worker, which frames the response and
+/// pushes it onto the completion queue, unparking the loop.
+fn dispatch<H: Handler>(
+    ctx: &LoopCtx<H>,
+    id: u64,
+    conn: &mut Conn,
+    request: Request,
+    request_id: u64,
+    request_ctx: RequestCtx,
+) {
     conn.live_ids.insert(request_id);
     conn.set_in_flight(conn.in_flight + 1);
-    ctx.state.in_flight.fetch_add(1, Ordering::Relaxed);
-    let state = Arc::clone(&ctx.state);
+    ctx.stats.in_flight.fetch_add(1, Ordering::Relaxed);
+    let handler = Arc::clone(&ctx.handler);
+    let stats = Arc::clone(&ctx.stats);
     let completions = Arc::clone(&ctx.completions);
     let submitted = ctx.dispatcher.submit(move || {
-        let response = match deadline {
-            Some(d) if Instant::now() >= d => {
-                state.timeouts.fetch_add(1, Ordering::Relaxed);
+        let response = match request_ctx.deadline {
+            Some((d, deadline_ms)) if Instant::now() >= d => {
+                stats.timeouts.fetch_add(1, Ordering::Relaxed);
                 Response::Timeout { deadline_ms }
             }
-            _ => state.respond(request),
+            _ => handler.respond(request, request_ctx),
         };
-        let wire = encode_wire(Some(request_id), &response, &state);
+        let wire = encode_wire(Some(request_id), &response, &stats);
         completions.push(Completion {
             conn_id: id,
             request_id,
@@ -647,12 +726,13 @@ fn finish_decoded(
     if !submitted {
         // Shutting down between the drain decision and this frame: answer
         // typed instead of going silent.
-        ctx.state.in_flight.fetch_sub(1, Ordering::Relaxed);
+        let stats = &ctx.stats;
+        stats.in_flight.fetch_sub(1, Ordering::Relaxed);
         conn.set_in_flight(conn.in_flight.saturating_sub(1));
         conn.live_ids.remove(&request_id);
-        ctx.state.errors.fetch_add(1, Ordering::Relaxed);
+        stats.errors.fetch_add(1, Ordering::Relaxed);
         let response = Response::Error("server is shutting down".to_string());
-        deliver_now(conn, Some(request_id), &response, &ctx.state);
+        deliver_now(conn, Some(request_id), &response, stats);
     }
 }
 
@@ -660,6 +740,8 @@ fn finish_decoded(
 mod tests {
     use super::*;
     use crate::protocol::IndexKind;
+    use crate::server::{ServerState, INLINE_MAX_BOXES};
+    use eclipse_core::exec::ExecutionContext;
 
     fn batch(boxes: usize, count: bool) -> Request {
         let name = "d".to_string();
@@ -671,26 +753,19 @@ mod tests {
         }
     }
 
-    /// Every request variant against the rule: whether it runs inline with
-    /// nothing dispatched, and with one request dispatched from another
-    /// connection (a heavy batch, say).  With its own connection busy,
-    /// nothing runs inline, a `Ping` included; so a write never overtakes
-    /// a dispatched request.
+    /// Every request variant the server's rule sees against it: whether it
+    /// runs inline with nothing dispatched, and with one request dispatched
+    /// from another connection (a heavy batch, say).  With its own
+    /// connection busy, nothing runs inline, a `Ping` included; so a write
+    /// never overtakes a dispatched request.  `Hello` and `AllowPartial`
+    /// never reach a rule: the loop answers them itself.
     #[test]
     fn rule_table_covers_every_request() {
+        let state = ServerState::new(ExecutionContext::serial());
         let name = || "d".to_string();
         let kind = IndexKind::Quadtree;
         let table: Vec<(Request, bool, bool)> = vec![
             (Request::Ping, true, true),
-            (
-                Request::Hello {
-                    max_version: 2,
-                    pipe_size: 8,
-                },
-                true,
-                false,
-            ),
-            (Request::AllowPartial { enabled: true }, true, false),
             (
                 Request::Insert {
                     name: name(),
@@ -730,14 +805,14 @@ mod tests {
             (Request::Stats, false, false),
         ];
         for (request, idle, other_busy) in &table {
-            assert_eq!(runs_inline(request, 0, 0), *idle, "{request:?}, idle");
+            assert_eq!(state.runs_inline(request, 0, 0), *idle, "{request:?}, idle");
             assert_eq!(
-                runs_inline(request, 0, 1),
+                state.runs_inline(request, 0, 1),
                 *other_busy,
                 "{request:?}, another connection busy"
             );
             assert!(
-                !runs_inline(request, 1, 1),
+                !state.runs_inline(request, 1, 1),
                 "{request:?}, own connection busy"
             );
         }

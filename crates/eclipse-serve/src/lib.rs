@@ -25,7 +25,8 @@
 //!   deadlines answered with `Timeout`, per-connection and global in-flight
 //!   caps answered with `Overloaded`, and graceful shutdown that drains
 //!   admitted requests before closing ([`ServerConfig`] holds the knobs).
-//!   With a snapshot directory configured (`--snapshot-dir`), `SaveIndex`
+//!   The loop serves any [`Handler`] ([`spawn_handler`]); the shard router
+//!   runs on it too.  With a snapshot directory configured (`--snapshot-dir`), `SaveIndex`
 //!   persists versioned dataset+index snapshots and a restarted server
 //!   warm-loads them instead of rebuilding;
 //! * [`client`] — the pipelining [`PipelinedClient`] (up to `pipe_size`
@@ -78,4 +79,6 @@ pub mod server;
 
 pub use client::{Client, ClientError, PipelinedClient};
 pub use protocol::{IndexKind, MutationAck, MutationKind, Request, Response, StatsReport};
-pub use server::{Server, ServerConfig, ServerHandle, SnapshotScan};
+pub use server::{
+    spawn_handler, Handler, LoopStats, RequestCtx, Server, ServerConfig, ServerHandle, SnapshotScan,
+};

@@ -4,6 +4,8 @@
 //! All sockets are owned by one readiness-driven event loop (see the
 //! `event_loop` module) that parses frames, enforces admission control and
 //! deadlines, and hands decoded requests to a pool of dispatcher workers.
+//! The loop serves any [`Handler`]; [`spawn_handler`] starts it, for the
+//! dataset server here and for the shard router alike.
 //! Every engine shares one `eclipse-exec` pool (the [`ExecutionContext`] the
 //! server was bound with), so a `QueryBatch` fans its probes out over the
 //! same workers regardless of which connection it arrived on — the
@@ -20,7 +22,7 @@ use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -29,6 +31,8 @@ use eclipse_core::exec::{ExecutionContext, QueryOptions};
 use eclipse_core::index::EclipseIndex;
 use eclipse_core::point::Point;
 use eclipse_core::{EclipseEngine, EclipseError, WeightRatioBox};
+
+pub use crate::event_loop::{Handler, LoopStats, RequestCtx};
 
 use crate::event_loop::EventLoop;
 use crate::protocol::{
@@ -128,20 +132,12 @@ pub(crate) struct ServerState {
     query_batches: AtomicU64,
     count_batches: AtomicU64,
     probes: AtomicU64,
-    pub(crate) errors: AtomicU64,
-    /// Requests admitted by the event loop but not yet answered.
-    pub(crate) in_flight: AtomicU64,
-    /// Requests answered with [`Response::Timeout`].
-    pub(crate) timeouts: AtomicU64,
-    /// Requests rejected with [`Response::Overloaded`].
-    pub(crate) rejected: AtomicU64,
-    /// Per-connection in-flight gauges, registered by the event loop so
-    /// `Stats` (answered on a worker) can report live queue depths.
-    conn_gauges: Mutex<HashMap<u64, Arc<AtomicU32>>>,
+    /// The event loop's counters; failed requests count in its `errors`.
+    loop_stats: Arc<LoopStats>,
 }
 
 impl ServerState {
-    fn new(exec: ExecutionContext) -> Self {
+    pub(crate) fn new(exec: ExecutionContext) -> Self {
         ServerState {
             exec,
             datasets: RwLock::new(HashMap::new()),
@@ -154,32 +150,8 @@ impl ServerState {
             query_batches: AtomicU64::new(0),
             count_batches: AtomicU64::new(0),
             probes: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            in_flight: AtomicU64::new(0),
-            timeouts: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            conn_gauges: Mutex::new(HashMap::new()),
+            loop_stats: Arc::default(),
         }
-    }
-
-    pub(crate) fn exec(&self) -> &ExecutionContext {
-        &self.exec
-    }
-
-    pub(crate) fn register_conn(&self, id: u64) -> Arc<AtomicU32> {
-        let gauge = Arc::new(AtomicU32::new(0));
-        self.conn_gauges
-            .lock()
-            .expect("conn gauge registry poisoned")
-            .insert(id, Arc::clone(&gauge));
-        gauge
-    }
-
-    pub(crate) fn unregister_conn(&self, id: u64) {
-        self.conn_gauges
-            .lock()
-            .expect("conn gauge registry poisoned")
-            .remove(&id);
     }
 
     fn snapshot_dir(&self) -> Result<PathBuf, EclipseError> {
@@ -417,53 +389,6 @@ impl ServerState {
             .insert(name.to_string(), slot);
         self.enforce_budget(Some(name));
         Ok(summary)
-    }
-
-    /// Answers one decoded request.  Infallible by construction: every
-    /// failure becomes a [`Response::Error`], so the connection stays alive.
-    pub(crate) fn respond(&self, request: Request) -> Response {
-        let result = match request {
-            Request::Hello { .. } => Err(ServeError::Engine(EclipseError::Unsupported(
-                "Hello must be the first frame of a connection".to_string(),
-            ))),
-            Request::Ping => Ok(Response::Pong),
-            Request::LoadDataset {
-                name,
-                dim,
-                coords,
-                warm,
-            } => self.load_dataset(&name, dim, coords, warm),
-            Request::BuildIndex { name, kind } => self.build_index(&name, kind),
-            Request::QueryBatch { name, boxes } => self.query_batch(&name, &boxes),
-            Request::CountBatch { name, boxes } => self.count_batch(&name, &boxes),
-            Request::SaveIndex { name, .. } => self.save_index(&name),
-            Request::RestoreIndex { name, kind } => self.restore_index(&name, kind),
-            Request::LoadSnapshots => self
-                .load_snapshots()
-                .map(|scan| Response::SnapshotsLoaded {
-                    restored: scan.restored,
-                    skipped: scan
-                        .skipped
-                        .into_iter()
-                        .map(|(path, e)| (path.display().to_string(), e.to_string()))
-                        .collect(),
-                })
-                .map_err(ServeError::from),
-            // A single-process server always answers with complete results;
-            // the ack still matters so a router (which *can* degrade) and a
-            // plain server present one contract to opted-in clients.
-            Request::AllowPartial { enabled } => Ok(Response::PartialAck { enabled }),
-            Request::Stats => Ok(Response::Stats(self.stats())),
-            Request::Insert { name, coords } => self.insert(&name, coords),
-            Request::Delete { name, id } => self.delete(&name, id),
-        };
-        result.unwrap_or_else(|e| {
-            self.errors.fetch_add(1, Ordering::Relaxed);
-            match e {
-                ServeError::Typed(response) => *response,
-                ServeError::Engine(e) => Response::Error(e.to_string()),
-            }
-        })
     }
 
     fn load_dataset(
@@ -831,28 +756,90 @@ impl ServerState {
             });
         }
         datasets.sort_by(|a, b| a.name.cmp(&b.name));
-        let mut conn_queue_depths: Vec<u32> = self
-            .conn_gauges
-            .lock()
-            .expect("conn gauge registry poisoned")
-            .values()
-            .map(|gauge| gauge.load(Ordering::Relaxed))
-            .collect();
-        conn_queue_depths.sort_unstable_by(|a, b| b.cmp(a));
+        let counts = &self.loop_stats;
         StatsReport {
             query_batches: self.query_batches.load(Ordering::Relaxed),
             count_batches: self.count_batches.load(Ordering::Relaxed),
             probes: self.probes.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            in_flight: self.in_flight.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            conn_queue_depths,
+            errors: counts.errors.load(Ordering::Relaxed),
+            in_flight: counts.in_flight.load(Ordering::Relaxed),
+            timeouts: counts.timeouts.load(Ordering::Relaxed),
+            rejected: counts.rejected.load(Ordering::Relaxed),
+            conn_queue_depths: counts.queue_depths(),
             total_bytes,
             memory_budget: self.memory_budget.unwrap_or(0),
             evictions: self.evictions.load(Ordering::Relaxed),
             reloads: self.reloads.load(Ordering::Relaxed),
             datasets,
+        }
+    }
+}
+
+/// Largest `QueryBatch`/`CountBatch`, in boxes, that runs inline.  A box is
+/// one probe of the `u`-row skyline: about 0.9 us at INDE n = 2^10 (u = 27),
+/// so 60 us for a full batch; 0.40 ms at n = 2^20 (u = 90).  No inline
+/// request holds the loop longer than a skyline `Delete`, O(n·u): 11–14 us
+/// at n = 2^10, about 20 ms (max 31 ms) at n = 2^20 (in process, 2-core host).
+pub(crate) const INLINE_MAX_BOXES: usize = 64;
+
+impl Handler for ServerState {
+    fn respond(&self, request: Request, _ctx: RequestCtx) -> Response {
+        let result = match request {
+            Request::Ping => Ok(Response::Pong),
+            Request::LoadDataset {
+                name,
+                dim,
+                coords,
+                warm,
+            } => self.load_dataset(&name, dim, coords, warm),
+            Request::BuildIndex { name, kind } => self.build_index(&name, kind),
+            Request::QueryBatch { name, boxes } => self.query_batch(&name, &boxes),
+            Request::CountBatch { name, boxes } => self.count_batch(&name, &boxes),
+            Request::SaveIndex { name, .. } => self.save_index(&name),
+            Request::RestoreIndex { name, kind } => self.restore_index(&name, kind),
+            Request::LoadSnapshots => self
+                .load_snapshots()
+                .map(|scan| Response::SnapshotsLoaded {
+                    restored: scan.restored,
+                    skipped: scan
+                        .skipped
+                        .into_iter()
+                        .map(|(path, e)| (path.display().to_string(), e.to_string()))
+                        .collect(),
+                })
+                .map_err(ServeError::from),
+            Request::Stats => Ok(Response::Stats(self.stats())),
+            Request::Insert { name, coords } => self.insert(&name, coords),
+            Request::Delete { name, id } => self.delete(&name, id),
+            Request::Hello { .. } | Request::AllowPartial { .. } => {
+                unreachable!("the event loop answers Hello and AllowPartial itself")
+            }
+        };
+        result.unwrap_or_else(|e| {
+            self.loop_stats.errors.fetch_add(1, Ordering::Relaxed);
+            match e {
+                ServeError::Typed(response) => *response,
+                ServeError::Engine(e) => Response::Error(e.to_string()),
+            }
+        })
+    }
+
+    /// `Ping` runs inline when its connection is idle, so a health probe
+    /// measures liveness instead of queueing behind a slow `LoadDataset`.
+    /// Writes and batches up to [`INLINE_MAX_BOXES`] run inline when nothing
+    /// is dispatched: a mutation then never overlaps a dispatched job, and a
+    /// connection's requests complete in arrival order.  The worst is a
+    /// skyline `Delete`, about 20 ms at n = 2^20.  Loads, builds, snapshots,
+    /// larger batches and `Stats` (which counts itself in flight) are
+    /// dispatched.
+    fn runs_inline(&self, request: &Request, conn_in_flight: u32, global_in_flight: u64) -> bool {
+        match request {
+            Request::Ping => conn_in_flight == 0,
+            Request::QueryBatch { boxes, .. } | Request::CountBatch { boxes, .. } => {
+                global_in_flight == 0 && boxes.len() <= INLINE_MAX_BOXES
+            }
+            Request::Insert { .. } | Request::Delete { .. } => global_in_flight == 0,
+            _ => false,
         }
     }
 }
@@ -887,7 +874,8 @@ pub struct ServerConfig {
     /// Most connections held open at once; beyond it, accepting pauses.
     pub max_connections: usize,
     /// Dispatcher worker threads executing requests (0 = one per thread of
-    /// the server's [`ExecutionContext`]).
+    /// the server's [`ExecutionContext`] under [`Server::spawn`]; one for
+    /// any other handler).
     pub workers: usize,
     /// How long a graceful shutdown waits for admitted requests to finish
     /// and their responses to flush before giving up.
@@ -1024,18 +1012,18 @@ impl Server {
         Ok(())
     }
 
-    /// Serves connections forever on the calling thread (the binary's main
-    /// loop).
+    /// Serves connections forever (the binary's main loop): the event loop
+    /// of [`Server::spawn`], joined by the calling thread.
     ///
     /// # Errors
     /// [`io::ErrorKind::InvalidInput`] for a memory budget without a
     /// snapshot directory; otherwise propagates socket setup errors.
     pub fn run(self) -> io::Result<()> {
-        self.check_budget()?;
-        self.listener.set_nonblocking(true)?;
-        let event_loop = EventLoop::new(self.listener, self.state, self.config);
-        event_loop.run(&AtomicBool::new(false), &AtomicBool::new(false));
-        Ok(())
+        let mut handle = self.spawn()?;
+        let thread = handle.thread.take().expect("a spawned server has a thread");
+        thread
+            .join()
+            .map_err(|_| io::Error::other("the event loop panicked"))
     }
 
     /// Serves connections on a background event-loop thread and returns a
@@ -1046,22 +1034,44 @@ impl Server {
     /// As [`Server::run`].
     pub fn spawn(self) -> io::Result<ServerHandle> {
         self.check_budget()?;
-        let addr = self.local_addr()?;
-        self.listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let hard_stop = Arc::new(AtomicBool::new(false));
-        let event_loop = EventLoop::new(self.listener, self.state, self.config);
-        let (loop_stop, loop_hard) = (Arc::clone(&stop), Arc::clone(&hard_stop));
-        let thread = std::thread::spawn(move || event_loop.run(&loop_stop, &loop_hard));
-        let loop_thread = thread.thread().clone();
-        Ok(ServerHandle {
-            addr,
-            stop,
-            hard_stop,
-            loop_thread,
-            thread: Some(thread),
-        })
+        let mut config = self.config;
+        if config.workers == 0 {
+            config.workers = self.state.exec.threads();
+        }
+        let stats = Arc::clone(&self.state.loop_stats);
+        spawn_handler(self.listener, self.state, stats, config)
     }
+}
+
+/// Serves `handler` on `listener` from a background event loop, with the
+/// loop's admission control, deadlines, drain and half-open reaping; the
+/// loop counts into `stats`, which the handler may hold to report them.
+/// `config.workers` sizes the dispatcher.  [`Server::spawn`] runs the
+/// dataset server through it.
+///
+/// # Errors
+/// Propagates socket errors.
+pub fn spawn_handler<H: Handler>(
+    listener: TcpListener,
+    handler: Arc<H>,
+    stats: Arc<LoopStats>,
+    config: ServerConfig,
+) -> io::Result<ServerHandle> {
+    let addr = listener.local_addr()?;
+    listener.set_nonblocking(true)?;
+    let stop = Arc::new(AtomicBool::new(false));
+    let hard_stop = Arc::new(AtomicBool::new(false));
+    let event_loop = EventLoop::new(listener, handler, stats, config);
+    let (loop_stop, loop_hard) = (Arc::clone(&stop), Arc::clone(&hard_stop));
+    let thread = std::thread::spawn(move || event_loop.run(&loop_stop, &loop_hard));
+    let loop_thread = thread.thread().clone();
+    Ok(ServerHandle {
+        addr,
+        stop,
+        hard_stop,
+        loop_thread,
+        thread: Some(thread),
+    })
 }
 
 impl std::fmt::Debug for Server {
@@ -1132,13 +1142,21 @@ impl Drop for ServerHandle {
 mod tests {
     use super::*;
 
+    impl ServerState {
+        /// `respond` on a connection that sent no `AllowPartial`, with no
+        /// deadline.
+        fn answer(&self, request: Request) -> Response {
+            self.respond(request, RequestCtx::default())
+        }
+    }
+
     fn paper_coords() -> Vec<f64> {
         vec![1.0, 6.0, 4.0, 4.0, 6.0, 1.0, 8.0, 5.0]
     }
 
     fn loaded_state() -> ServerState {
         let state = ServerState::new(ExecutionContext::serial());
-        let resp = state.respond(Request::LoadDataset {
+        let resp = state.answer(Request::LoadDataset {
             name: "hotels".to_string(),
             dim: 2,
             coords: paper_coords(),
@@ -1151,7 +1169,7 @@ mod tests {
     #[test]
     fn load_warms_the_index_and_reports_sizes() {
         let state = loaded_state();
-        let Response::Stats(report) = state.respond(Request::Stats) else {
+        let Response::Stats(report) = state.answer(Request::Stats) else {
             panic!("expected stats");
         };
         assert_eq!(report.datasets.len(), 1);
@@ -1168,17 +1186,17 @@ mod tests {
     fn query_and_count_batches_answer_the_paper_example() {
         let state = loaded_state();
         let boxes = vec![vec![(0.25, 2.0)], vec![(2.0, 2.0)]];
-        let resp = state.respond(Request::QueryBatch {
+        let resp = state.answer(Request::QueryBatch {
             name: "hotels".to_string(),
             boxes: boxes.clone(),
         });
         assert_eq!(resp, Response::QueryResults(vec![vec![0, 1, 2], vec![0]]));
-        let resp = state.respond(Request::CountBatch {
+        let resp = state.answer(Request::CountBatch {
             name: "hotels".to_string(),
             boxes,
         });
         assert_eq!(resp, Response::Counts(vec![3, 1]));
-        let Response::Stats(report) = state.respond(Request::Stats) else {
+        let Response::Stats(report) = state.answer(Request::Stats) else {
             panic!("expected stats");
         };
         assert_eq!(report.query_batches, 1);
@@ -1191,19 +1209,19 @@ mod tests {
     fn failures_become_error_responses_and_count() {
         let state = loaded_state();
         // Unknown dataset.
-        let resp = state.respond(Request::QueryBatch {
+        let resp = state.answer(Request::QueryBatch {
             name: "nope".to_string(),
             boxes: vec![vec![(0.5, 1.0)]],
         });
         assert!(matches!(resp, Response::Error(m) if m.contains("unknown dataset")));
         // Invalid range (lo > hi).
-        let resp = state.respond(Request::QueryBatch {
+        let resp = state.answer(Request::QueryBatch {
             name: "hotels".to_string(),
             boxes: vec![vec![(2.0, 0.5)]],
         });
         assert!(matches!(resp, Response::Error(_)));
         // Mismatched coordinate count.
-        let resp = state.respond(Request::LoadDataset {
+        let resp = state.answer(Request::LoadDataset {
             name: "bad".to_string(),
             dim: 3,
             coords: vec![1.0, 2.0],
@@ -1211,14 +1229,14 @@ mod tests {
         });
         assert!(matches!(resp, Response::Error(_)));
         // Non-finite coordinates are rejected at the boundary.
-        let resp = state.respond(Request::LoadDataset {
+        let resp = state.answer(Request::LoadDataset {
             name: "bad".to_string(),
             dim: 2,
             coords: vec![1.0, f64::NAN],
             warm: IndexKind::Quadtree,
         });
         assert!(matches!(resp, Response::Error(m) if m.contains("finite")));
-        let Response::Stats(report) = state.respond(Request::Stats) else {
+        let Response::Stats(report) = state.answer(Request::Stats) else {
             panic!("expected stats");
         };
         assert_eq!(report.errors, 4);
@@ -1229,7 +1247,7 @@ mod tests {
     fn mutations_maintain_results_and_bump_the_stats_epoch() {
         let state = loaded_state();
         // A skyline-entering insert: (2.0, 3.0) dominates (4.0, 4.0).
-        let resp = state.respond(Request::Insert {
+        let resp = state.answer(Request::Insert {
             name: "hotels".to_string(),
             coords: vec![2.0, 3.0],
         });
@@ -1242,7 +1260,7 @@ mod tests {
             }
         );
         // Delete the evicted point (id 1 = (4.0, 4.0), now non-skyline).
-        let resp = state.respond(Request::Delete {
+        let resp = state.answer(Request::Delete {
             name: "hotels".to_string(),
             id: 1,
         });
@@ -1257,12 +1275,12 @@ mod tests {
         // Queries answer over the mutated dataset (ids shifted down): the
         // inserted (2.0, 3.0) eclipse-dominates (1.0, 6.0) over the whole
         // box, leaving (6.0, 1.0) (id 1) and itself (id 3).
-        let resp = state.respond(Request::QueryBatch {
+        let resp = state.answer(Request::QueryBatch {
             name: "hotels".to_string(),
             boxes: vec![vec![(0.25, 2.0)]],
         });
         assert_eq!(resp, Response::QueryResults(vec![vec![1, 3]]));
-        let Response::Stats(report) = state.respond(Request::Stats) else {
+        let Response::Stats(report) = state.answer(Request::Stats) else {
             panic!("expected stats");
         };
         assert_eq!(report.datasets[0].epoch, 2);
@@ -1286,7 +1304,7 @@ mod tests {
                 id: 0,
             },
         ] {
-            let resp = state.respond(req);
+            let resp = state.answer(req);
             assert!(matches!(resp, Response::Error(_)), "{resp:?}");
         }
     }
@@ -1300,7 +1318,7 @@ mod tests {
             .collect();
         let state = ServerState::new(ExecutionContext::serial());
         let load = |name: &str, coords: &[f64]| {
-            let resp = state.respond(Request::LoadDataset {
+            let resp = state.answer(Request::LoadDataset {
                 name: name.to_string(),
                 dim: 3,
                 coords: coords.to_vec(),
@@ -1313,7 +1331,7 @@ mod tests {
         let member = engine.skyline()[0];
         let mut entrant = engine.points()[member].coords().to_vec();
         entrant[0] -= 1e-3;
-        let resp = state.respond(Request::Insert {
+        let resp = state.answer(Request::Insert {
             name: "live".to_string(),
             coords: entrant.clone(),
         });
@@ -1329,7 +1347,7 @@ mod tests {
         );
         coords.extend_from_slice(&entrant);
         load("rebuilt", &coords);
-        let Response::Stats(report) = state.respond(Request::Stats) else {
+        let Response::Stats(report) = state.answer(Request::Stats) else {
             panic!("expected stats");
         };
         let row = |name: &str| {
@@ -1350,7 +1368,7 @@ mod tests {
     #[test]
     fn build_index_adds_the_second_backend() {
         let state = loaded_state();
-        let resp = state.respond(Request::BuildIndex {
+        let resp = state.answer(Request::BuildIndex {
             name: "hotels".to_string(),
             kind: IndexKind::CuttingTree,
         });
@@ -1361,7 +1379,7 @@ mod tests {
         assert_eq!(summary.skyline_len, 3);
         // No tree exists: the v2 summary layout reports 0 nodes and depth.
         assert_eq!((summary.nodes, summary.depth), (0, 0));
-        let Response::Stats(report) = state.respond(Request::Stats) else {
+        let Response::Stats(report) = state.answer(Request::Stats) else {
             panic!("expected stats");
         };
         assert!(report.datasets[0].cutting_built);
@@ -1370,7 +1388,7 @@ mod tests {
     #[test]
     fn reloading_a_dataset_replaces_it() {
         let state = loaded_state();
-        let resp = state.respond(Request::LoadDataset {
+        let resp = state.answer(Request::LoadDataset {
             name: "hotels".to_string(),
             dim: 2,
             coords: vec![1.0, 1.0, 2.0, 2.0],
@@ -1380,7 +1398,7 @@ mod tests {
             panic!("expected load ack");
         };
         assert_eq!(summary.points, 2);
-        let resp = state.respond(Request::QueryBatch {
+        let resp = state.answer(Request::QueryBatch {
             name: "hotels".to_string(),
             boxes: vec![vec![(0.5, 2.0)]],
         });
@@ -1390,7 +1408,7 @@ mod tests {
     #[test]
     fn ping_pongs() {
         let state = ServerState::new(ExecutionContext::serial());
-        assert_eq!(state.respond(Request::Ping), Response::Pong);
+        assert_eq!(state.answer(Request::Ping), Response::Pong);
     }
 
     /// RAII temp directory for the snapshot tests.
@@ -1416,14 +1434,14 @@ mod tests {
         let dir = TempDir::new("roundtrip");
         let state = loaded_state();
         // Without a snapshot dir, the surface answers errors.
-        let resp = state.respond(Request::SaveIndex {
+        let resp = state.answer(Request::SaveIndex {
             name: "hotels".to_string(),
             kind: IndexKind::Quadtree,
         });
         assert!(matches!(resp, Response::Error(m) if m.contains("--snapshot-dir")),);
         *state.snapshot_dir.write().unwrap() = Some(dir.0.clone());
 
-        let resp = state.respond(Request::SaveIndex {
+        let resp = state.answer(Request::SaveIndex {
             name: "hotels".to_string(),
             kind: IndexKind::Quadtree,
         });
@@ -1436,7 +1454,7 @@ mod tests {
         // Restore into a fresh state that re-registered the same dataset.
         let fresh = loaded_state();
         *fresh.snapshot_dir.write().unwrap() = Some(dir.0.clone());
-        let resp = fresh.respond(Request::RestoreIndex {
+        let resp = fresh.answer(Request::RestoreIndex {
             name: "hotels".to_string(),
             kind: IndexKind::Quadtree,
         });
@@ -1454,7 +1472,7 @@ mod tests {
         assert_eq!(scan.restored.len(), 1);
         assert_eq!(scan.restored[0].0, "hotels");
         assert_eq!(scan.restored[0].1.points, 4);
-        let resp = cold.respond(Request::QueryBatch {
+        let resp = cold.answer(Request::QueryBatch {
             name: "hotels".to_string(),
             boxes: vec![vec![(0.25, 2.0)]],
         });
@@ -1466,21 +1484,21 @@ mod tests {
         let dir = TempDir::new("mismatch");
         let state = loaded_state();
         *state.snapshot_dir.write().unwrap() = Some(dir.0.clone());
-        let resp = state.respond(Request::SaveIndex {
+        let resp = state.answer(Request::SaveIndex {
             name: "hotels".to_string(),
             kind: IndexKind::Quadtree,
         });
         assert!(matches!(resp, Response::SnapshotSaved { .. }));
 
         // Replace the dataset under the same name with different points.
-        let resp = state.respond(Request::LoadDataset {
+        let resp = state.answer(Request::LoadDataset {
             name: "hotels".to_string(),
             dim: 2,
             coords: vec![1.0, 1.0, 2.0, 2.0],
             warm: IndexKind::Quadtree,
         });
         assert!(matches!(resp, Response::DatasetLoaded(_)));
-        let resp = state.respond(Request::RestoreIndex {
+        let resp = state.answer(Request::RestoreIndex {
             name: "hotels".to_string(),
             kind: IndexKind::Quadtree,
         });
@@ -1489,14 +1507,14 @@ mod tests {
             "a stale snapshot must be rejected, got {resp:?}"
         );
         // The connection-level state still answers correctly afterwards.
-        let resp = state.respond(Request::QueryBatch {
+        let resp = state.answer(Request::QueryBatch {
             name: "hotels".to_string(),
             boxes: vec![vec![(0.5, 2.0)]],
         });
         assert_eq!(resp, Response::QueryResults(vec![vec![0]]));
         // A missing snapshot file is an error response, not a panic.
         std::fs::remove_file(dir.0.join("hotels.eclsnap")).unwrap();
-        let resp = state.respond(Request::RestoreIndex {
+        let resp = state.answer(Request::RestoreIndex {
             name: "hotels".to_string(),
             kind: IndexKind::CuttingTree,
         });
@@ -1509,7 +1527,7 @@ mod tests {
         let state = loaded_state();
         *state.snapshot_dir.write().unwrap() = Some(dir.0.clone());
         for kind in [IndexKind::Quadtree, IndexKind::CuttingTree] {
-            let resp = state.respond(Request::SaveIndex {
+            let resp = state.answer(Request::SaveIndex {
                 name: "hotels".to_string(),
                 kind,
             });
@@ -1520,7 +1538,7 @@ mod tests {
         let scan = cold.load_snapshots().unwrap();
         assert!(scan.skipped.is_empty(), "{:?}", scan.skipped);
         assert_eq!(scan.restored.len(), 1, "both kinds save one file");
-        let Response::Stats(report) = cold.respond(Request::Stats) else {
+        let Response::Stats(report) = cold.answer(Request::Stats) else {
             panic!("expected stats");
         };
         assert_eq!(report.datasets.len(), 1);
@@ -1532,7 +1550,7 @@ mod tests {
         let dir = TempDir::new("skip");
         let state = loaded_state();
         *state.snapshot_dir.write().unwrap() = Some(dir.0.clone());
-        let resp = state.respond(Request::SaveIndex {
+        let resp = state.answer(Request::SaveIndex {
             name: "hotels".to_string(),
             kind: IndexKind::Quadtree,
         });

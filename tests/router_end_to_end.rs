@@ -11,7 +11,7 @@ use eclipse_core::WeightRatioBox;
 use eclipse_data::synthetic::{Distribution, SyntheticConfig};
 use eclipse_persist::fnv1a;
 use eclipse_router::router::{Router, RouterConfig};
-use eclipse_serve::client::{Client, PipelinedClient};
+use eclipse_serve::client::{Client, ClientError, PipelinedClient};
 use eclipse_serve::protocol::{IndexKind, Request, Response};
 use eclipse_serve::server::{Server, ServerHandle};
 
@@ -208,7 +208,7 @@ fn replicated_mutations_fan_to_every_member_and_stats_merge_by_name() {
     let router = router_over(
         &backends,
         RouterConfig {
-            replicated: vec!["rep".to_string()],
+            replicated: vec!["rep".to_string(), "rep8".to_string()],
             ..RouterConfig::default()
         },
     );
@@ -221,15 +221,16 @@ fn replicated_mutations_fan_to_every_member_and_stats_merge_by_name() {
 
     // Interleaved inserts and deletes through the router, mirrored on a
     // local reference engine.
-    let engine = eclipse_core::EclipseEngine::new(points).unwrap();
-    for i in 0..4 {
-        let coords = [0.15 + 0.1 * i as f64, 0.2, 0.25];
-        client.insert("rep", &coords).unwrap();
+    let inserts: Vec<[f64; 3]> = (0..4).map(|i| [0.15 + 0.1 * i as f64, 0.2, 0.25]).collect();
+    let deletes = [7u64, 301, 3];
+    let engine = eclipse_core::EclipseEngine::new(points.clone()).unwrap();
+    for coords in &inserts {
+        client.insert("rep", coords).unwrap();
         engine
             .insert(eclipse_core::Point::new(coords.to_vec()))
             .unwrap();
     }
-    for id in [7u64, 301, 3] {
+    for id in deletes {
         client.delete("rep", id).unwrap();
         engine.delete(id as usize).unwrap();
     }
@@ -262,6 +263,54 @@ fn replicated_mutations_fan_to_every_member_and_stats_merge_by_name() {
     assert_eq!(rep_rows[0].bytes, member_bytes);
     assert!(rep_rows[0].resident);
     assert_eq!(report.total_bytes, member_bytes);
+
+    // The same mutations on a second replicated dataset, pipelined at
+    // depth 8: the router may run them at the same time and in any order,
+    // but every replica applies them in one order.
+    client
+        .load_dataset("rep8", &points, IndexKind::Quadtree)
+        .unwrap();
+    let mut pipelined = PipelinedClient::connect(router.addr(), 8).unwrap();
+    let mutations = inserts
+        .iter()
+        .map(|coords| Request::Insert {
+            name: "rep8".to_string(),
+            coords: coords.to_vec(),
+        })
+        .chain(deletes.iter().map(|&id| Request::Delete {
+            name: "rep8".to_string(),
+            id,
+        }));
+    let ids: Vec<u64> = mutations
+        .map(|request| pipelined.submit(&request).unwrap())
+        .collect();
+    for id in ids {
+        // A delete that ran before the inserts it counts on is refused.
+        match pipelined.recv(id) {
+            Ok(Response::Mutated { .. }) | Err(ClientError::Server(_)) => {}
+            other => panic!("expected a mutation ack or refusal, got {other:?}"),
+        }
+    }
+    let replica = |backend: &ServerHandle| {
+        let mut direct = Client::connect(backend.addr()).unwrap();
+        let answers = direct.query_batch("rep8", &boxes).unwrap();
+        let report = direct.stats().unwrap();
+        let epoch = report
+            .datasets
+            .iter()
+            .find(|d| d.name == "rep8")
+            .expect("every replica holds rep8")
+            .epoch;
+        (answers, epoch)
+    };
+    let first = replica(&backends[0]);
+    for (i, backend) in backends.iter().enumerate().skip(1) {
+        assert_eq!(
+            replica(backend),
+            first,
+            "replica {i} diverged from replica 0"
+        );
+    }
 
     router.shutdown();
     for b in backends {

@@ -11,7 +11,7 @@ use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use eclipse_core::exec::ExecutionContext;
 use eclipse_core::WeightRatioBox;
@@ -303,7 +303,8 @@ fn server_rejects_a_non_hello_or_v1_first_frame() {
     handle.shutdown();
 }
 
-/// The router applies the same handshake rule as the server.
+/// The router applies the same handshake rule as the server, and its
+/// merged `Stats` counts the refusals with its members' errors.
 #[test]
 fn router_rejects_a_non_hello_or_v1_first_frame() {
     let (backend, backend_addr) = spawn_server(ExecutionContext::serial(), ServerConfig::default());
@@ -316,6 +317,8 @@ fn router_rejects_a_non_hello_or_v1_first_frame() {
     }
     // A v2 client still gets through.
     Client::connect(router.addr()).unwrap().ping().unwrap();
+    let report = Client::connect(router.addr()).unwrap().stats().unwrap();
+    assert_eq!(report.errors, 2);
     router.shutdown();
     backend.shutdown();
 }
@@ -428,15 +431,26 @@ fn overload_rejection_is_typed_counted_and_recoverable() {
     }
 
     // Eight heavy requests back to back: the first two are admitted (cap
-    // 2), the other six must be rejected before execution.
-    let body = heavy_count("inde").encode();
+    // 2), the other six must be rejected before execution.  That needs the
+    // loop to read all eight before the first batch finishes and frees a
+    // slot: they go out in one write, and on an anti-correlated dataset a
+    // batch takes about 18 ms in release (about 3 ms on `inde`, which a
+    // loop thread waiting for a CPU can outlast).
+    let slow = SyntheticConfig::new(64, 3, Distribution::AntiCorrelated, 5).generate();
+    Client::connect(addr)
+        .unwrap()
+        .load_dataset("slow", &slow, IndexKind::Quadtree)
+        .unwrap();
+    let body = heavy_count("slow").encode();
+    let mut frames = Vec::new();
     for id in 1..=8u64 {
         let header = FrameHeader {
             request_id: id,
             deadline_ms: 0,
         };
-        write_frame(&mut stream, &header.with_body(&body)).unwrap();
+        write_frame(&mut frames, &header.with_body(&body)).unwrap();
     }
+    stream.write_all(&frames).unwrap();
 
     let (mut admitted, mut rejected) = (0, 0);
     for _ in 0..8 {
@@ -491,36 +505,217 @@ fn stats_reports_in_flight_and_queue_depths() {
     handle.shutdown();
 }
 
+/// Loads the anti-correlated `anti` dataset on the server at `addr`.  Its
+/// skyline makes each wide box cost about a millisecond in release, so a
+/// batch that holds a worker for long stays small on the wire.
+fn load_anti(addr: SocketAddr) {
+    let anti = SyntheticConfig::new(512, 3, Distribution::AntiCorrelated, 5).generate();
+    Client::connect(addr)
+        .unwrap()
+        .load_dataset("anti", &anti, IndexKind::Quadtree)
+        .unwrap();
+}
+
+/// A `CountBatch` of `boxes` wide boxes on `anti`.
+fn wide(boxes: usize) -> Request {
+    Request::CountBatch {
+        name: "anti".to_string(),
+        boxes: vec![vec![(0.18, 5.67); 2]; boxes],
+    }
+}
+
+/// How many wide boxes hold one worker of the server at `addr` for about
+/// `micros` in this build (timed on 8 boxes), and at least the 65 that are
+/// dispatched rather than run inline.
+fn wide_boxes_for(addr: SocketAddr, micros: u128) -> usize {
+    let mut timer = PipelinedClient::connect(addr, 1).unwrap();
+    let started = Instant::now();
+    timer.call(&wide(8)).unwrap();
+    let per_box = (started.elapsed().as_micros() / 8).max(1);
+    (micros / per_box).clamp(65, 10_000) as usize
+}
+
 /// Graceful shutdown: admitted requests are drained and answered; only then
-/// does the connection close.
+/// does the connection close.  The router drains the same way: what it
+/// admitted is answered while its backend stays up.  Each batch is sized
+/// by timing to outlast the sleep before shutdown, so work is still queued
+/// and running when the drain begins, in debug and release builds alike.
 #[test]
 fn graceful_shutdown_drains_admitted_requests() {
-    let (handle, addr) = spawn_server(ExecutionContext::serial(), queued_config());
+    for routed in [false, true] {
+        let (handle, addr) = spawn_server(ExecutionContext::serial(), queued_config());
+        load_anti(addr);
+        let boxes = wide_boxes_for(addr, 150_000);
+        let router = routed.then(|| {
+            Router::bind(
+                "127.0.0.1:0",
+                RouterConfig {
+                    io_timeout: Duration::from_secs(60),
+                    ..RouterConfig::new([addr.to_string()])
+                },
+            )
+            .unwrap()
+            .spawn()
+            .unwrap()
+        });
+        let target = router.as_ref().map_or(addr, |router| router.addr());
 
-    let mut client = PipelinedClient::connect(addr, 8).unwrap();
-    let ids: Vec<u64> = (0..3)
-        .map(|_| client.submit(&heavy_count("inde")).unwrap())
-        .collect();
-    client.flush().unwrap();
-    // Give the server time to read and admit all three before the drain
-    // begins (the loop parses within microseconds of the flush).
-    std::thread::sleep(Duration::from_millis(30));
+        let mut client = PipelinedClient::connect(target, 8).unwrap();
+        let ids: Vec<u64> = (0..3)
+            .map(|_| client.submit(&wide(boxes)).unwrap())
+            .collect();
+        client.flush().unwrap();
+        // Give the server time to read and admit all three before the drain
+        // begins (the loop parses within microseconds of the flush).
+        std::thread::sleep(Duration::from_millis(30));
 
-    let drainer = std::thread::spawn(move || handle.shutdown());
-    for id in ids {
+        let (drainer, backend) = match router {
+            Some(router) => (std::thread::spawn(move || router.shutdown()), Some(handle)),
+            None => (std::thread::spawn(move || handle.shutdown()), None),
+        };
+        for id in ids {
+            assert!(
+                matches!(client.recv(id).unwrap(), Response::Counts(_)),
+                "routed {routed}: admitted request {id} must be answered during the drain"
+            );
+        }
+        drainer.join().unwrap();
+
+        // After the drain the server is gone: the next call fails typed.
+        let err = client.call(&Request::Ping).unwrap_err();
         assert!(
-            matches!(client.recv(id).unwrap(), Response::Counts(_)),
-            "admitted request {id} must be answered during the drain"
+            matches!(err, ClientError::ConnectionClosed),
+            "routed {routed}: expected ConnectionClosed after drain, got {err:?}"
         );
+        if let Some(backend) = backend {
+            backend.shutdown();
+        }
     }
-    drainer.join().unwrap();
+}
 
-    // After the drain the server is gone: the next call fails typed.
-    let err = client.call(&Request::Ping).unwrap_err();
+/// The router forwards the time left of a client's deadline: a request
+/// that expires while queued on a one-worker backend behind a heavy batch
+/// comes back `Timeout` through the router, and the backend counts it.
+#[test]
+fn deadline_expires_behind_a_heavy_batch_through_the_router() {
+    const DEADLINE_MS: u32 = 50;
+    let (backend, addr) = spawn_server(ExecutionContext::serial(), queued_config());
+    load_anti(addr);
+    // Hold the backend's worker for about half a second, far past the
+    // sleep and the deadline below.
+    let heavy_boxes = wide_boxes_for(addr, 500_000);
+
+    let router = Router::bind(
+        "127.0.0.1:0",
+        RouterConfig {
+            io_timeout: Duration::from_secs(60),
+            ..RouterConfig::new([addr.to_string()])
+        },
+    )
+    .unwrap()
+    .spawn()
+    .unwrap();
+    let mut client = PipelinedClient::connect(router.addr(), 8).unwrap();
+    let heavy = client.submit(&wide(heavy_boxes)).unwrap();
+    client.flush().unwrap();
+    // Let the heavy batch reach the backend's worker first.
+    std::thread::sleep(Duration::from_millis(20));
+    let doomed = client.submit_with_deadline(&wide(1), DEADLINE_MS).unwrap();
+    client.flush().unwrap();
+
+    assert!(matches!(client.recv(heavy).unwrap(), Response::Counts(_)));
+    let err = client.recv(doomed).unwrap_err();
     assert!(
-        matches!(err, ClientError::ConnectionClosed),
-        "expected ConnectionClosed after drain, got {err:?}"
+        matches!(
+            err,
+            ClientError::TimedOut {
+                deadline_ms: DEADLINE_MS
+            }
+        ),
+        "expected the client's deadline back as a typed timeout, got {err:?}"
     );
+    let mut direct = Client::connect(addr).unwrap();
+    assert_eq!(
+        direct.stats().unwrap().timeouts,
+        1,
+        "the backend timed it out"
+    );
+    router.shutdown();
+    backend.shutdown();
+}
+
+/// A replicated write reaches every replica or none: the router checks the
+/// client's deadline once, before the first replica, and then runs the fan
+/// to completion.  An insert whose deadline passes while the second
+/// replica's one worker is busy is still applied there, so both replicas
+/// answer the same and report the same epoch.
+#[test]
+fn replicated_insert_outlives_its_deadline_on_every_replica() {
+    const DEADLINE_MS: u32 = 50;
+    let backends: Vec<(ServerHandle, SocketAddr)> = (0..2)
+        .map(|_| spawn_server(ExecutionContext::serial(), queued_config()))
+        .collect();
+    for (_, addr) in &backends {
+        load_anti(*addr);
+    }
+    let busy_addr = backends[1].1;
+    let heavy_boxes = wide_boxes_for(busy_addr, 500_000);
+    let router = Router::bind(
+        "127.0.0.1:0",
+        RouterConfig {
+            replicated: vec!["anti".to_string()],
+            io_timeout: Duration::from_secs(60),
+            ..RouterConfig::new(backends.iter().map(|(_, addr)| addr.to_string()))
+        },
+    )
+    .unwrap()
+    .spawn()
+    .unwrap();
+
+    // Occupy the second replica's worker directly, then insert through the
+    // router: the first replica applies it at once, the second only after
+    // the heavy batch, long after the deadline.
+    let mut busy = PipelinedClient::connect(busy_addr, 1).unwrap();
+    let heavy = busy.submit(&wide(heavy_boxes)).unwrap();
+    busy.flush().unwrap();
+    std::thread::sleep(Duration::from_millis(20));
+    let mut client = PipelinedClient::connect(router.addr(), 8).unwrap();
+    let insert = Request::Insert {
+        name: "anti".to_string(),
+        coords: vec![0.5; 3],
+    };
+    let id = client.submit_with_deadline(&insert, DEADLINE_MS).unwrap();
+    client.flush().unwrap();
+    let answer = client.recv(id);
+    assert!(
+        matches!(answer, Ok(Response::Mutated { .. })),
+        "a started replicated insert must be applied on every replica, got {answer:?}"
+    );
+    assert!(matches!(busy.recv(heavy).unwrap(), Response::Counts(_)));
+
+    let replica = |addr: SocketAddr| {
+        let mut direct = Client::connect(addr).unwrap();
+        let boxes: Vec<WeightRatioBox> = (0..6).map(probe).collect();
+        let answers = direct.query_batch("anti", &boxes).unwrap();
+        let epoch = direct
+            .stats()
+            .unwrap()
+            .datasets
+            .iter()
+            .find(|d| d.name == "anti")
+            .expect("every replica holds anti")
+            .epoch;
+        (answers, epoch)
+    };
+    assert_eq!(
+        replica(backends[0].1),
+        replica(busy_addr),
+        "the replicas diverged"
+    );
+    router.shutdown();
+    for (backend, _) in backends {
+        backend.shutdown();
+    }
 }
 
 /// Satellite regression: killing the server mid-batch surfaces as the typed
