@@ -45,7 +45,7 @@ use serde::{Deserialize, Serialize};
 use eclipse_geom::approx::EPS;
 use eclipse_geom::cutting::CuttingTreeConfig;
 use eclipse_geom::hyperplane::{min_max_of_row, row_intersects_box};
-use eclipse_geom::point::Point;
+use eclipse_geom::point::{flatten, Point};
 use eclipse_geom::quadtree::QuadtreeConfig;
 
 use crate::error::{EclipseError, Result};
@@ -219,10 +219,15 @@ impl EclipseIndex {
                 });
             }
         }
-        let skyline_ids = eclipse_skyline::dc::skyline_dc_parallel(points, ctx.pool());
-        Ok(Self::from_skyline(dim, &skyline_ids, |id| {
-            points[id].coords()
-        }))
+        Ok(Self::from_rows(dim, &flatten(points), ctx))
+    }
+
+    /// Builds the index over a row-major dataset buffer (`dim` coordinates
+    /// per point, `dim ≥ 2`): the skyline pass runs on the parallel
+    /// divide-and-conquer executor directly over the rows.
+    pub(crate) fn from_rows(dim: usize, rows: &[f64], ctx: &ExecutionContext) -> Self {
+        let skyline_ids = eclipse_skyline::dc::skyline_dc_rows(rows, dim, ctx.pool());
+        Self::from_skyline(dim, &skyline_ids, |id| &rows[id * dim..(id + 1) * dim])
     }
 
     /// The index over the skyline `skyline_ids` (strictly ascending), whose

@@ -6,13 +6,17 @@
 //! convex-hull query, preference-specification lowering, and lazily built,
 //! thread-shareable index for repeated eclipse queries.
 //!
+//! The dataset is one row-major coordinate buffer (`dim` values per point),
+//! so a snapshot restore adopts the decoded buffer and an eviction frees
+//! one block, with no per-point allocation either way.
+//!
 //! # Mutability and epochs
 //!
 //! The dataset is mutable through [`EclipseEngine::insert`] and
 //! [`EclipseEngine::delete`].  Every mutation bumps a monotonically
-//! increasing **epoch**; the point vector and the built index are tagged
+//! increasing **epoch**; the row buffer and the built index are tagged
 //! with the epoch they belong to, and probes read whatever consistent
-//! `(points, index)` version is installed when they start — an in-flight
+//! `(rows, index)` version is installed when they start — an in-flight
 //! probe holding the old `Arc`s keeps answering from the pre-mutation
 //! snapshot while the post-mutation version swaps in atomically behind it.
 //!
@@ -38,9 +42,9 @@
 
 use std::sync::{Arc, Mutex, RwLock};
 
-use eclipse_geom::point::Point;
+use eclipse_geom::point::{flatten, Point};
 use eclipse_persist::{enc, Cursor, SnapshotReader, SnapshotWriter};
-use eclipse_skyline::dominance::dominates;
+use eclipse_skyline::dominance::dominates_coords;
 use eclipse_skyline::knn::{knn_linear_scan, ratio_to_weights, Neighbor};
 
 use crate::algo::baseline::eclipse_baseline;
@@ -106,13 +110,29 @@ pub struct MutationSummary {
     pub len: usize,
 }
 
-/// One immutable version of the dataset: the points and the epoch they
+/// One immutable version of the dataset: its rows and the epoch they
 /// belong to.  Probes clone the `Arc` under a brief read lock; mutations
 /// install the successor version atomically.
 #[derive(Clone)]
 struct DatasetVersion {
-    points: Arc<Vec<Point>>,
+    /// Every point's coordinates in one row-major buffer: point `i` is
+    /// `rows[i * dim..(i + 1) * dim]`.
+    rows: Arc<Vec<f64>>,
     epoch: u64,
+}
+
+/// Appends `row` to a dataset buffer.  A full buffer grows by exactly an
+/// eighth of its rows (at least one) instead of doubling, so a mutated
+/// dataset holds at most about 1.125x the bytes it holds when restored from
+/// a snapshot (exactly sized).  Under doubling that ratio nears 2x, and a
+/// memory budget could no longer tell a few mutated datasets apart from a
+/// larger set of restored ones.
+fn push_row(rows: &mut Vec<f64>, row: &[f64]) {
+    let dim = row.len();
+    if rows.capacity() - rows.len() < dim {
+        rows.reserve_exact((rows.len() / dim / 8).max(1) * dim);
+    }
+    rows.extend_from_slice(row);
 }
 
 /// A built index tagged with the dataset epoch it covers.  A slot whose
@@ -165,9 +185,40 @@ impl EclipseEngine {
                 });
             }
         }
-        Ok(EclipseEngine {
+        Ok(Self::over_rows(dim, flatten(&points)))
+    }
+
+    /// Creates an engine over a row-major coordinate buffer, point `i`
+    /// being `rows[i * dim..(i + 1) * dim]`.  The buffer becomes the
+    /// dataset as it is: no per-point allocation.
+    ///
+    /// # Errors
+    /// * [`EclipseError::EmptyDataset`] for an empty buffer.
+    /// * [`EclipseError::Unsupported`] for `dim < 2`, or a buffer length
+    ///   that is not a multiple of `dim`.
+    pub fn from_rows(dim: usize, rows: Vec<f64>) -> Result<Self> {
+        if rows.is_empty() {
+            return Err(EclipseError::EmptyDataset);
+        }
+        if dim < 2 {
+            return Err(EclipseError::Unsupported(
+                "eclipse queries require d ≥ 2".to_string(),
+            ));
+        }
+        if !rows.len().is_multiple_of(dim) {
+            return Err(EclipseError::Unsupported(format!(
+                "{} coordinates do not form points of dimension {dim}",
+                rows.len()
+            )));
+        }
+        Ok(Self::over_rows(dim, rows))
+    }
+
+    /// The engine over checked rows (`dim ≥ 2`, whole rows, at least one).
+    fn over_rows(dim: usize, rows: Vec<f64>) -> Self {
+        EclipseEngine {
             dataset: RwLock::new(DatasetVersion {
-                points: Arc::new(points),
+                rows: Arc::new(rows),
                 epoch: 0,
             }),
             dim,
@@ -175,7 +226,7 @@ impl EclipseEngine {
             skyline_cache: RwLock::new(None),
             exec: ExecutionContext::default(),
             mutation: Mutex::new(()),
-        })
+        }
     }
 
     /// [`EclipseEngine::new`]; `index_config` is a label the index does not
@@ -188,9 +239,14 @@ impl EclipseEngine {
         Self::new(points)
     }
 
-    /// A consistent `(points, epoch)` snapshot of the current dataset.
+    /// A consistent `(rows, epoch)` snapshot of the current dataset.
     fn version(&self) -> DatasetVersion {
         self.dataset.read().expect("dataset lock poisoned").clone()
+    }
+
+    /// Point `id`'s coordinates in `rows`.
+    fn row<'r>(&self, rows: &'r [f64], id: usize) -> &'r [f64] {
+        &rows[id * self.dim..(id + 1) * self.dim]
     }
 
     /// Replaces the engine's execution context (builder style): the thread
@@ -212,8 +268,9 @@ impl EclipseEngine {
         self.dataset
             .read()
             .expect("dataset lock poisoned")
-            .points
+            .rows
             .len()
+            / self.dim
     }
 
     /// `true` when the dataset is empty (never true — construction rejects
@@ -228,15 +285,22 @@ impl EclipseEngine {
         self.dim
     }
 
-    /// The current dataset version's points — a cheap `Arc` clone, so the
-    /// returned snapshot stays valid (and unchanged) across concurrent
-    /// mutations.
+    /// The current dataset version's points, built afresh from the row
+    /// buffer on every call: `O(n)` allocations (one boxed coordinate slice
+    /// per point) and `O(n·d)` copying.  The returned snapshot stays valid
+    /// (and unchanged) across concurrent mutations.  It feeds the
+    /// algorithms that take `&[Point]` (BASE, TRAN, explanations, kNN, the
+    /// hull and relations); registering, querying, counting, mutating,
+    /// saving, restoring, evicting and statistics never call it.
     pub fn points(&self) -> Arc<Vec<Point>> {
-        self.dataset
-            .read()
-            .expect("dataset lock poisoned")
-            .points
-            .clone()
+        let version = self.version();
+        Arc::new(
+            version
+                .rows
+                .chunks_exact(self.dim)
+                .map(Point::from_slice)
+                .collect(),
+        )
     }
 
     /// The current dataset epoch: 0 at construction, +1 per mutation.
@@ -245,17 +309,21 @@ impl EclipseEngine {
         self.dataset.read().expect("dataset lock poisoned").epoch
     }
 
-    /// Heap bytes owned by the current dataset version: the point vector
-    /// (at capacity) plus every point's boxed coordinate slice.  Points all
-    /// share the engine's dimensionality, so the coordinate payload is
-    /// `len · dim · 8` without walking the points.
+    /// Heap bytes owned by the current dataset version: its one row-major
+    /// buffer at capacity, `8 · dim` bytes per point plus the growth slack
+    /// of mutations (a full buffer grows by an eighth of its rows; a built
+    /// or restored buffer is sized exactly).
     pub fn dataset_heap_bytes(&self) -> usize {
-        let guard = self.dataset.read().expect("dataset lock poisoned");
-        guard.points.capacity() * std::mem::size_of::<Point>()
-            + guard.points.len() * self.dim * std::mem::size_of::<f64>()
+        self.dataset
+            .read()
+            .expect("dataset lock poisoned")
+            .rows
+            .capacity()
+            * std::mem::size_of::<f64>()
     }
 
-    /// Heap bytes owned by the engine: the dataset, the cached index (stale
+    /// Heap bytes owned by the engine: the dataset's row buffer (see
+    /// [`EclipseEngine::dataset_heap_bytes`]), the cached index (stale
     /// or current — a stale slot still occupies memory until the next build
     /// replaces it) and the cached skyline id list.
     /// This is the per-dataset figure the serving layer's memory budget
@@ -284,25 +352,21 @@ impl EclipseEngine {
     /// [`IntersectionIndexKind`]).
     ///
     /// # Errors
-    /// Propagates index-construction errors.
+    /// None: the engine's rows are always a valid index input.
     pub fn build_index(&self, _kind: IntersectionIndexKind) -> Result<Arc<EclipseIndex>> {
-        self.index()
+        Ok(self.index())
     }
 
     /// [`EclipseEngine::build_index`] without the label.
-    fn index(&self) -> Result<Arc<EclipseIndex>> {
+    fn index(&self) -> Arc<EclipseIndex> {
         loop {
             let version = self.version();
             if let Some(s) = self.index.read().expect("index lock poisoned").as_ref() {
                 if s.epoch == version.epoch {
-                    return Ok(Arc::clone(&s.index));
+                    return Arc::clone(&s.index);
                 }
             }
-            let built = Arc::new(EclipseIndex::build_with(
-                &version.points,
-                IndexConfig::default(),
-                &self.exec,
-            )?);
+            let built = Arc::new(EclipseIndex::from_rows(self.dim, &version.rows, &self.exec));
             // Install only if the dataset has not moved on while we built; a
             // racing mutation installs its own maintained index for the new
             // epoch, so a stale build is discarded and retried.
@@ -312,7 +376,7 @@ impl EclipseEngine {
                     epoch: version.epoch,
                     index: Arc::clone(&built),
                 });
-                return Ok(built);
+                return built;
             }
         }
     }
@@ -362,9 +426,7 @@ impl EclipseEngine {
             Algorithm::Transform => {
                 eclipse_transform_with(&self.points(), ratio_box, options.backend, &self.exec)
             }
-            Algorithm::IndexQuadtree | Algorithm::IndexCuttingTree => {
-                self.index()?.query(ratio_box)
-            }
+            Algorithm::IndexQuadtree | Algorithm::IndexCuttingTree => self.index().query(ratio_box),
             Algorithm::Auto => self.eclipse_auto(ratio_box, options.backend),
         }
     }
@@ -404,10 +466,10 @@ impl EclipseEngine {
         }
         match options.algorithm {
             Algorithm::IndexQuadtree | Algorithm::IndexCuttingTree => {
-                self.index()?.query_batch(boxes, &self.exec)
+                self.index().query_batch(boxes, &self.exec)
             }
             Algorithm::Auto if boxes.iter().all(|b| !b.has_unbounded_range()) => {
-                self.index()?.query_batch(boxes, &self.exec)
+                self.index().query_batch(boxes, &self.exec)
             }
             _ => boxes
                 .iter()
@@ -445,10 +507,10 @@ impl EclipseEngine {
         }
         match options.algorithm {
             Algorithm::IndexQuadtree | Algorithm::IndexCuttingTree => {
-                self.index()?.count_batch(boxes, &self.exec)
+                self.index().count_batch(boxes, &self.exec)
             }
             Algorithm::Auto if boxes.iter().all(|b| !b.has_unbounded_range()) => {
-                self.index()?.count_batch(boxes, &self.exec)
+                self.index().count_batch(boxes, &self.exec)
             }
             _ => boxes
                 .iter()
@@ -484,22 +546,20 @@ impl EclipseEngine {
     /// apart from a current one.
     ///
     /// # Errors
-    /// Propagates index-construction errors.
+    /// None: building the index cannot fail.
     pub fn save_snapshot(&self, label: &str, _kind: IntersectionIndexKind) -> Result<Vec<u8>> {
-        // Hold the mutation lock so the encoded (points, epoch, index)
+        // Hold the mutation lock so the encoded (rows, epoch, index)
         // triple is one consistent version.
         let _guard = self.mutation.lock().expect("mutation lock poisoned");
-        let index = self.index()?;
+        let index = self.index();
         let version = self.version();
         let mut writer = SnapshotWriter::new();
         let mut dataset = Vec::new();
         enc::put_str(&mut dataset, label);
         enc::put_u32(&mut dataset, self.dim as u32);
-        enc::put_usize(&mut dataset, version.points.len());
-        for p in version.points.iter() {
-            for &c in p.coords() {
-                enc::put_f64(&mut dataset, c);
-            }
+        enc::put_usize(&mut dataset, version.rows.len() / self.dim);
+        for &c in version.rows.iter() {
+            enc::put_f64(&mut dataset, c);
         }
         // The dataset epoch rides at the end of the section.
         enc::put_u64(&mut dataset, version.epoch);
@@ -572,11 +632,10 @@ impl EclipseEngine {
             });
         }
         let version = self.version();
-        if coords.len() != version.points.len() * self.dim
+        if coords.len() != version.rows.len()
             || !version
-                .points
+                .rows
                 .iter()
-                .flat_map(|p| p.coords().iter())
                 .zip(coords.iter())
                 .all(|(a, b)| a.to_bits() == b.to_bits())
         {
@@ -585,7 +644,7 @@ impl EclipseEngine {
                     "snapshot dataset ({} coordinates) differs from the registered dataset \
                      ({} points of dimension {})",
                     coords.len(),
-                    version.points.len(),
+                    version.rows.len() / self.dim,
                     self.dim
                 ),
             });
@@ -613,7 +672,8 @@ impl EclipseEngine {
     /// engine-level snapshot: the cold-start warm-restore path, paying only
     /// decode cost instead of skyline + hyperplane construction.  Returns
     /// the stored label alongside the engine; the restored index is
-    /// installed in the engine's cache.
+    /// installed in the engine's cache, and the decoded coordinate buffer
+    /// becomes the dataset as it is.
     ///
     /// # Errors
     /// [`EclipseError::Snapshot`] / [`EclipseError::SnapshotMismatch`] on
@@ -630,13 +690,17 @@ impl EclipseEngine {
             )));
         }
         index.validate_against_dataset(dim, &coords)?;
-        let points: Vec<Point> = coords.chunks_exact(dim).map(Point::from_slice).collect();
-        let engine = EclipseEngine::new(points)?;
+        // The decoder checked `dim ≥ 2` and a non-empty whole-row buffer.
+        let mut engine = EclipseEngine::over_rows(dim, coords);
         // Adopt the stored epoch so subsequent saves/restores line up with
         // the mutation history the snapshot captured.
-        engine.dataset.write().expect("dataset lock poisoned").epoch = epoch;
+        engine
+            .dataset
+            .get_mut()
+            .expect("dataset lock poisoned")
+            .epoch = epoch;
         let index = Arc::new(index);
-        *engine.index.write().expect("index lock poisoned") = Some(IndexSlot { epoch, index });
+        *engine.index.get_mut().expect("index lock poisoned") = Some(IndexSlot { epoch, index });
         Ok((label, engine))
     }
 
@@ -758,7 +822,7 @@ impl EclipseEngine {
             .index_at(version.epoch)
             .map(|index| index.skyline_ids().to_vec());
         let sky = Arc::new(from_slot.unwrap_or_else(|| {
-            eclipse_skyline::dc::skyline_dc_parallel(&version.points, self.exec.pool())
+            eclipse_skyline::dc::skyline_dc_rows(&version.rows, self.dim, self.exec.pool())
         }));
         *self.skyline_cache.write().expect("skyline cache poisoned") =
             Some((version.epoch, Arc::clone(&sky)));
@@ -854,8 +918,10 @@ impl EclipseEngine {
     ///   copied over the new skyline's rows.  Answers equal a from-scratch
     ///   build's either way.
     ///
-    /// The point vector is updated in place unless a probe still holds the
-    /// previous version.
+    /// The row buffer is updated in place unless a probe still holds the
+    /// previous version; a full buffer grows by an eighth of its rows (at
+    /// least one), so a dominated insert into spare capacity allocates
+    /// nothing.
     ///
     /// # Errors
     /// [`EclipseError::DimensionMismatch`] when the point's dimensionality
@@ -870,19 +936,23 @@ impl EclipseEngine {
         let _guard = self.mutation.lock().expect("mutation lock poisoned");
         let version = self.version();
         let sky = self.current_skyline(&version);
-        let new_id = version.points.len();
-        if sky.iter().any(|&id| dominates(&version.points[id], &point)) {
+        let new_id = version.rows.len() / self.dim;
+        let row = |id| self.row(&version.rows, id);
+        if sky
+            .iter()
+            .any(|&id| dominates_coords(row(id), point.coords()))
+        {
             // Dominated insert: skyline and index are unchanged — re-tag a
             // built index at the new epoch so probes keep hitting it.
             let built = self.index_at(version.epoch);
-            // Release this call's handle on the points first, so the push
+            // Release this call's handle on the rows first, so the push
             // below appends in place unless a probe still holds them.
             drop(version);
             let mut dataset = self.dataset.write().expect("dataset lock poisoned");
-            Arc::make_mut(&mut dataset.points).push(point);
+            push_row(Arc::make_mut(&mut dataset.rows), point.coords());
             dataset.epoch += 1;
             let epoch = dataset.epoch;
-            let len = dataset.points.len();
+            let len = dataset.rows.len() / self.dim;
             self.install_index(epoch, built);
             *self.skyline_cache.write().expect("skyline cache poisoned") =
                 Some((epoch, Arc::clone(&sky)));
@@ -898,24 +968,24 @@ impl EclipseEngine {
         let mut new_sky: Vec<usize> = sky
             .iter()
             .copied()
-            .filter(|&id| !dominates(&point, &version.points[id]))
+            .filter(|&id| !dominates_coords(point.coords(), row(id)))
             .collect();
         new_sky.push(new_id);
         let maintained = self.maintain_built_index(version.epoch, &new_sky, |id| {
             if id == new_id {
                 point.coords()
             } else {
-                version.points[id].coords()
+                row(id)
             }
         });
         // As for a dominated insert: without this call's handle on the
-        // points, the push happens in place.
+        // rows, the push happens in place.
         drop(version);
         let mut dataset = self.dataset.write().expect("dataset lock poisoned");
-        Arc::make_mut(&mut dataset.points).push(point);
+        push_row(Arc::make_mut(&mut dataset.rows), point.coords());
         dataset.epoch += 1;
         let epoch = dataset.epoch;
-        let len = dataset.points.len();
+        let len = dataset.rows.len() / self.dim;
         self.install_index(epoch, maintained);
         *self.skyline_cache.write().expect("skyline cache poisoned") =
             Some((epoch, Arc::new(new_sky)));
@@ -943,9 +1013,9 @@ impl EclipseEngine {
     ///   survivors.  A remaining bit-identical duplicate promotes nothing.
     ///
     /// Either way a built index is copied over the new skyline's rows (for
-    /// a non-skyline delete, the same rows under shifted ids).  The point
-    /// vector is updated in place unless a probe still holds the previous
-    /// version.
+    /// a non-skyline delete, the same rows under shifted ids).  The row
+    /// buffer is updated in place, the rows above `id` moving down by one,
+    /// unless a probe still holds the previous version.
     ///
     /// # Errors
     /// [`EclipseError::Unsupported`] for an out-of-range `id` or when the
@@ -953,33 +1023,33 @@ impl EclipseEngine {
     pub fn delete(&self, id: usize) -> Result<MutationSummary> {
         let _guard = self.mutation.lock().expect("mutation lock poisoned");
         let version = self.version();
-        if id >= version.points.len() {
+        let n = version.rows.len() / self.dim;
+        if id >= n {
             return Err(EclipseError::Unsupported(format!(
-                "delete id {id} out of range for {} points",
-                version.points.len()
+                "delete id {id} out of range for {n} points"
             )));
         }
-        if version.points.len() == 1 {
+        if n == 1 {
             return Err(EclipseError::Unsupported(
                 "deleting the last point would empty the dataset".to_string(),
             ));
         }
         let sky = self.current_skyline(&version);
+        let row = |q| self.row(&version.rows, q);
         let (outcome, mut new_sky) = match sky.binary_search(&id) {
             // Non-skyline delete: everything `id` dominated is still
             // dominated by `id`'s own dominator, so the skyline point set is
             // unchanged — only ids above `id` shift.
             Err(_) => (MutationOutcome::DeletedNonSkyline, sky.to_vec()),
             Ok(pos) => {
-                let removed = &version.points[id];
+                let removed = row(id);
                 // A remaining bit-identical duplicate still dominates every
                 // candidate the removed member dominated: nothing promotes.
                 let has_duplicate = sky.iter().any(|&s| {
                     s != id
-                        && version.points[s]
-                            .coords()
+                        && row(s)
                             .iter()
-                            .zip(removed.coords().iter())
+                            .zip(removed)
                             .all(|(a, b)| a.to_bits() == b.to_bits())
                 });
                 let promoted: Vec<usize> = if has_duplicate {
@@ -991,19 +1061,18 @@ impl EclipseEngine {
                     // remaining skyline member dominates — a non-candidate
                     // non-skyline dominator is itself dominated by a skyline
                     // member, so checking the skyline suffices.
-                    let survivors: Vec<usize> = (0..version.points.len())
-                        .filter(|&q| q != id && dominates(removed, &version.points[q]))
+                    let survivors: Vec<usize> = (0..n)
+                        .filter(|&q| q != id && dominates_coords(removed, row(q)))
                         .filter(|&q| {
-                            !sky.iter().any(|&s| {
-                                s != id && dominates(&version.points[s], &version.points[q])
-                            })
+                            !sky.iter()
+                                .any(|&s| s != id && dominates_coords(row(s), row(q)))
                         })
                         .collect();
-                    let survivor_points: Vec<Point> = survivors
-                        .iter()
-                        .map(|&q| version.points[q].clone())
-                        .collect();
-                    eclipse_skyline::dc::skyline_dc_parallel(&survivor_points, self.exec.pool())
+                    let mut survivor_rows = Vec::with_capacity(survivors.len() * self.dim);
+                    for &q in &survivors {
+                        survivor_rows.extend_from_slice(row(q));
+                    }
+                    eclipse_skyline::dc::skyline_dc_rows(&survivor_rows, self.dim, self.exec.pool())
                         .into_iter()
                         .map(|local| survivors[local])
                         .collect()
@@ -1025,16 +1094,16 @@ impl EclipseEngine {
             }
         }
         let maintained = self.maintain_built_index(version.epoch, &new_sky, |post| {
-            version.points[if post >= id { post + 1 } else { post }].coords()
+            row(if post >= id { post + 1 } else { post })
         });
         // As for a dominated insert: without this call's handle on the
-        // points, the removal happens in place.
+        // rows, the removal happens in place.
         drop(version);
         let mut dataset = self.dataset.write().expect("dataset lock poisoned");
-        Arc::make_mut(&mut dataset.points).remove(id);
+        Arc::make_mut(&mut dataset.rows).drain(id * self.dim..(id + 1) * self.dim);
         dataset.epoch += 1;
         let epoch = dataset.epoch;
-        let len = dataset.points.len();
+        let len = dataset.rows.len() / self.dim;
         self.install_index(epoch, maintained);
         *self.skyline_cache.write().expect("skyline cache poisoned") =
             Some((epoch, Arc::new(new_sky)));
@@ -1072,7 +1141,7 @@ impl std::fmt::Debug for EclipseEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let version = self.version();
         f.debug_struct("EclipseEngine")
-            .field("points", &version.points.len())
+            .field("points", &(version.rows.len() / self.dim))
             .field("epoch", &version.epoch)
             .field("dim", &self.dim)
             .field(
@@ -1562,54 +1631,60 @@ mod tests {
         assert_eq!(e.skyline(), rebuilt.skyline());
     }
 
+    /// Where the engine's current row buffer lives.
+    fn rows_ptr(e: &EclipseEngine) -> *const f64 {
+        e.version().rows.as_ptr()
+    }
+
     #[test]
     fn absorbed_mutations_update_the_points_in_place() {
         // Spare capacity, so an in-place push keeps the buffer where it is.
-        let mut points = Vec::with_capacity(8);
-        points.extend(paper_points());
-        let e = EclipseEngine::new(points).unwrap();
+        let mut rows = Vec::with_capacity(8 * 2);
+        rows.extend(flatten(&paper_points()));
+        let e = EclipseEngine::from_rows(2, rows).unwrap();
         e.build_index(IntersectionIndexKind::Quadtree).unwrap();
-        let buffer = e.points().as_ptr();
+        let buffer = rows_ptr(&e);
         // A dominated insert and a non-skyline delete leave the skyline
-        // alone and must not copy the point set.
+        // alone and must not copy the rows.
         let summary = e.insert(p(&[5.0, 5.0])).unwrap();
         assert_eq!(summary.outcome, MutationOutcome::InsertedDominated);
-        assert_eq!(
-            e.points().as_ptr(),
-            buffer,
-            "dominated insert copied the points"
-        );
+        assert_eq!(rows_ptr(&e), buffer, "dominated insert copied the rows");
         let summary = e.delete(4).unwrap();
         assert_eq!(summary.outcome, MutationOutcome::DeletedNonSkyline);
-        assert_eq!(
-            e.points().as_ptr(),
-            buffer,
-            "non-skyline delete copied the points"
-        );
+        assert_eq!(rows_ptr(&e), buffer, "non-skyline delete copied the rows");
         // Neither do the skyline-touching paths: (2.0, 3.0) enters the
         // skyline, and deleting it promotes (4.0, 4.0) back.
         let summary = e.insert(p(&[2.0, 3.0])).unwrap();
         assert_eq!(summary.outcome, MutationOutcome::InsertedSkyline);
         assert_eq!(
-            e.points().as_ptr(),
+            rows_ptr(&e),
             buffer,
-            "skyline-entering insert copied the points"
+            "skyline-entering insert copied the rows"
         );
         let summary = e.delete(4).unwrap();
         assert_eq!(summary.outcome, MutationOutcome::DeletedSkyline);
-        assert_eq!(
-            e.points().as_ptr(),
-            buffer,
-            "skyline delete copied the points"
-        );
+        assert_eq!(rows_ptr(&e), buffer, "skyline delete copied the rows");
         assert_eq!(e.points().to_vec(), paper_points());
-        // A probe holding the points still forces a copy: it keeps reading
-        // the version it took.
-        let held = e.points();
+        // A probe holding the version still forces a copy: it keeps
+        // reading the rows it took.
+        let held = e.version();
         e.insert(p(&[5.0, 5.0])).unwrap();
-        assert_eq!(held.len(), 4);
+        assert_eq!(held.rows.len(), 4 * 2);
         assert_eq!(e.len(), 5);
-        assert_ne!(e.points().as_ptr(), held.as_ptr());
+        assert_ne!(rows_ptr(&e), held.rows.as_ptr());
+    }
+
+    #[test]
+    fn rows_constructor_validates_its_buffer() {
+        assert!(matches!(
+            EclipseEngine::from_rows(2, Vec::new()),
+            Err(EclipseError::EmptyDataset)
+        ));
+        assert!(EclipseEngine::from_rows(1, vec![1.0, 2.0]).is_err());
+        assert!(EclipseEngine::from_rows(2, vec![1.0, 2.0, 3.0]).is_err());
+        let e = EclipseEngine::from_rows(2, flatten(&paper_points())).unwrap();
+        assert_eq!(e.points().to_vec(), paper_points());
+        assert_eq!(e.skyline(), paper_engine().skyline());
     }
 
     #[test]

@@ -108,7 +108,7 @@ fn heap_bytes_matches_the_allocator_ground_truth() {
 
         // The rollup decomposes: the dataset share alone is also exact.
         let points_bytes = engine.dataset_heap_bytes();
-        assert!(points_bytes >= n * (std::mem::size_of::<Point>() + dim * 8));
+        assert!(points_bytes >= n * dim * 8);
         assert!(points_bytes < accounted);
         drop(engine);
         let freed = LIVE_BYTES.load(Ordering::Relaxed);
@@ -221,5 +221,47 @@ fn fresh_and_restored_engines_account_the_same_bytes() {
                 );
             }
         }
+    }
+}
+
+/// An insert into a full row buffer (as a snapshot restore leaves it)
+/// grows the accounted dataset bytes by at most an eighth of its rows, and
+/// at least one row, and the allocator sees exactly that growth.
+#[test]
+fn a_full_buffer_grows_by_at_most_an_eighth_of_its_rows() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    for (n, dim) in [(2usize, 2usize), (7, 3), (300, 3), (1024, 3), (250, 4)] {
+        let fresh = EclipseEngine::new(dataset(n, dim, 2024 + n as u64))
+            .unwrap()
+            .with_execution_context(ExecutionContext::serial());
+        let bytes = fresh
+            .save_snapshot("grow", IntersectionIndexKind::Quadtree)
+            .unwrap();
+        let (_, engine) = EclipseEngine::from_snapshot(&bytes).unwrap();
+        assert_eq!(
+            engine.dataset_heap_bytes(),
+            n * dim * 8,
+            "n={n}: sized exactly"
+        );
+        // Cache the skyline first, so the insert allocates for rows only.
+        engine.skyline();
+        let dominated = Point::new(vec![2.0; dim]);
+        let live = LIVE_BYTES.load(Ordering::Relaxed);
+        let summary = engine.insert(dominated).unwrap();
+        let delta = LIVE_BYTES.load(Ordering::Relaxed) as isize - live as isize;
+        assert_eq!(summary.outcome, MutationOutcome::InsertedDominated);
+        let growth = engine.dataset_heap_bytes() - n * dim * 8;
+        let bound = (n / 8).max(1) * dim * 8;
+        assert!(
+            growth > 0 && growth <= bound,
+            "n={n} dim={dim}: grew {growth} B, bound {bound} B"
+        );
+        // The rows grew by `growth` and the inserted point's own box was
+        // freed.
+        assert_eq!(
+            delta,
+            growth as isize - (dim * 8) as isize,
+            "n={n} dim={dim}"
+        );
     }
 }

@@ -188,6 +188,16 @@ impl std::ops::Index<usize> for Point {
     }
 }
 
+/// Every point's coordinates, in order, in one exactly sized row-major
+/// buffer: a dataset's layout without one allocation per point.
+pub fn flatten(points: &[Point]) -> Vec<f64> {
+    let mut rows = Vec::with_capacity(points.iter().map(Point::dim).sum());
+    for p in points {
+        rows.extend_from_slice(p.coords());
+    }
+    rows
+}
+
 /// An axis-aligned bounding box in d dimensions, used by the R-tree, the
 /// line quadtree / hyperplane octree and the cutting tree.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]

@@ -90,6 +90,17 @@ fn index_summary(kind: IndexKind, index: &EclipseIndex) -> IndexSummary {
     }
 }
 
+/// Refuses a dataset holding a non-finite coordinate.
+fn check_finite(coords: &[f64]) -> Result<(), EclipseError> {
+    if coords.iter().all(|c| c.is_finite()) {
+        Ok(())
+    } else {
+        Err(EclipseError::Unsupported(
+            "dataset coordinates must be finite".to_string(),
+        ))
+    }
+}
+
 /// `Stats` counts the intersection hyperplanes crossing `[0, 16]^{d−1}`,
 /// the region of ratio space the paper's trees index by default.
 const CROSSING_REGION_MAX_RATIO: f64 = 16.0;
@@ -349,24 +360,16 @@ impl ServerState {
         Ok(())
     }
 
-    /// Builds an engine over `points`, warms the requested index, and
-    /// registers it under `name` (replacing any previous dataset of that
-    /// name once the new one is fully warm).
+    /// Warms the requested index of a new engine and registers it under
+    /// `name` (replacing any previous dataset of that name once the new one
+    /// is fully warm).
     fn register(
         &self,
         name: &str,
-        points: Vec<Point>,
+        engine: EclipseEngine,
         warm: IndexKind,
     ) -> Result<DatasetSummary, EclipseError> {
-        for p in &points {
-            if p.coords().iter().any(|c| !c.is_finite()) {
-                return Err(EclipseError::Unsupported(
-                    "dataset coordinates must be finite".to_string(),
-                ));
-            }
-        }
-        let engine =
-            Arc::new(EclipseEngine::new(points)?.with_execution_context(self.exec.clone()));
+        let engine = Arc::new(engine.with_execution_context(self.exec.clone()));
         let index = engine.build_index(warm.into())?;
         let summary = DatasetSummary {
             points: engine.len() as u64,
@@ -406,8 +409,9 @@ impl ServerState {
             ))
             .into());
         }
-        let points: Vec<Point> = coords.chunks_exact(dim).map(Point::from_slice).collect();
-        Ok(Response::DatasetLoaded(self.register(name, points, warm)?))
+        check_finite(&coords)?;
+        let engine = EclipseEngine::from_rows(dim, coords)?;
+        Ok(Response::DatasetLoaded(self.register(name, engine, warm)?))
     }
 
     fn build_index(&self, name: &str, kind: IndexKind) -> Result<Response, ServeError> {
@@ -995,7 +999,10 @@ impl Server {
         points: Vec<Point>,
         warm: IndexKind,
     ) -> Result<DatasetSummary, EclipseError> {
-        self.state.register(name, points, warm)
+        for p in &points {
+            check_finite(p.coords())?;
+        }
+        self.state.register(name, EclipseEngine::new(points)?, warm)
     }
 
     /// A memory budget is enforced by evicting datasets into snapshots, so

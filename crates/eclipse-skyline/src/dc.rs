@@ -24,7 +24,7 @@
 use std::collections::HashMap;
 
 use eclipse_exec::ThreadPool;
-use eclipse_geom::point::Point;
+use eclipse_geom::point::{flatten, Point};
 
 use crate::dominance::skyline_naive;
 use crate::sweep::skyline_2d;
@@ -52,29 +52,51 @@ pub fn skyline_dc_parallel(points: &[Point], pool: &ThreadPool) -> Vec<usize> {
     skyline_dc_impl(points, Some((pool, DEFAULT_FORK_CUTOFF)))
 }
 
-/// Shared entry: `par` carries the pool plus the minimum subproblem size
-/// worth forking (exposed crate-internally so the executor layer can lower
-/// the cutoff in tests).
+/// [`skyline_dc_parallel`] over a row-major coordinate buffer: point `i` is
+/// `rows[i * dim..(i + 1) * dim]`.  The entry for callers that store their
+/// dataset as one buffer; the `&[Point]` entries flatten their input once
+/// and run this same core, so both answer identically.
+///
+/// # Panics
+/// Panics when `dim` is zero or `rows.len()` is not a multiple of `dim`.
+pub fn skyline_dc_rows(rows: &[f64], dim: usize, pool: &ThreadPool) -> Vec<usize> {
+    dc_rows(rows, dim, Some((pool, DEFAULT_FORK_CUTOFF)))
+}
+
+/// Shared `&[Point]` entry: `par` carries the pool plus the minimum
+/// subproblem size worth forking (exposed crate-internally so the executor
+/// layer can lower the cutoff in tests).
 pub(crate) fn skyline_dc_impl(points: &[Point], par: Option<(&ThreadPool, usize)>) -> Vec<usize> {
-    if points.is_empty() {
+    let Some(first) = points.first() else {
         return Vec::new();
-    }
-    let d = points[0].dim();
+    };
+    let d = first.dim();
     assert!(
         points.iter().all(|p| p.dim() == d),
         "all points must share the same dimensionality"
     );
+    dc_rows(&flatten(points), d, par)
+}
+
+/// The row-major core of every entry.
+fn dc_rows(rows: &[f64], d: usize, par: Option<(&ThreadPool, usize)>) -> Vec<usize> {
+    assert!(
+        d > 0 && rows.len().is_multiple_of(d),
+        "{} coordinates do not form rows of dimension {d}",
+        rows.len()
+    );
+    let row = |i: usize| &rows[i * d..(i + 1) * d];
 
     // Deduplicate exact coordinate vectors; representatives carry all their
     // duplicate original indices.
     let mut groups: HashMap<Vec<u64>, Vec<usize>> = HashMap::new();
-    for (i, p) in points.iter().enumerate() {
-        let key: Vec<u64> = p.coords().iter().map(|c| c.to_bits()).collect();
+    for (i, r) in rows.chunks_exact(d).enumerate() {
+        let key: Vec<u64> = r.iter().map(|c| c.to_bits()).collect();
         groups.entry(key).or_default().push(i);
     }
     let mut reps: Vec<usize> = groups.values().map(|g| g[0]).collect();
     reps.sort_unstable();
-    let rep_points: Vec<Point> = reps.iter().map(|&i| points[i].clone()).collect();
+    let rep_points: Vec<Point> = reps.iter().map(|&i| Point::from_slice(row(i))).collect();
 
     let par = par.filter(|&(pool, _)| pool.threads() > 1);
     let surviving = dc_recursive(
@@ -86,12 +108,7 @@ pub(crate) fn skyline_dc_impl(points: &[Point], par: Option<(&ThreadPool, usize)
 
     let mut out = Vec::new();
     for local in surviving {
-        let original = reps[local];
-        let key: Vec<u64> = points[original]
-            .coords()
-            .iter()
-            .map(|c| c.to_bits())
-            .collect();
+        let key: Vec<u64> = row(reps[local]).iter().map(|c| c.to_bits()).collect();
         out.extend_from_slice(&groups[&key]);
     }
     out.sort_unstable();
@@ -396,6 +413,52 @@ mod tests {
     #[should_panic(expected = "same dimensionality")]
     fn rejects_mixed_dimensionality() {
         let _ = skyline_dc(&[p(&[1.0, 2.0]), p(&[1.0, 2.0, 3.0])]);
+    }
+
+    #[test]
+    fn rows_entry_matches_the_points_entry() {
+        // The inputs of the property tests above: small random sets at
+        // d = 2..6, discrete grids full of ties and duplicates, and large
+        // random sets that take the forked path at 4 threads.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let mut inputs: Vec<Vec<Point>> = Vec::new();
+        for d in 2..=6usize {
+            for _ in 0..4 {
+                let n = rng.gen_range(1..150);
+                inputs.push(
+                    (0..n)
+                        .map(|_| Point::new((0..d).map(|_| rng.gen_range(0.0..1.0)).collect()))
+                        .collect(),
+                );
+            }
+        }
+        for d in 2..=4usize {
+            inputs.push(
+                (0..400)
+                    .map(|_| Point::new((0..d).map(|_| rng.gen_range(0..5) as f64).collect()))
+                    .collect(),
+            );
+            inputs.push(
+                (0..3000)
+                    .map(|_| Point::new((0..d).map(|_| rng.gen_range(0.0..1.0)).collect()))
+                    .collect(),
+            );
+        }
+        for threads in [1usize, 4] {
+            let pool = eclipse_exec::ThreadPool::with_threads(threads);
+            for pts in &inputs {
+                let d = pts[0].dim();
+                let rows = flatten(pts);
+                let want = skyline_dc(pts);
+                assert_eq!(
+                    skyline_dc_rows(&rows, d, &pool),
+                    want,
+                    "d = {d}, n = {}, threads = {threads}",
+                    pts.len()
+                );
+                assert_eq!(skyline_dc_parallel(pts, &pool), want);
+            }
+        }
     }
 
     #[test]

@@ -34,13 +34,22 @@ pub enum DominanceOrdering {
 /// # Panics
 /// Panics if the points have different dimensionality.
 pub fn dominates(p: &Point, q: &Point) -> bool {
-    assert_eq!(p.dim(), q.dim(), "dimension mismatch in dominates");
+    dominates_coords(p.coords(), q.coords())
+}
+
+/// [`dominates`] over two coordinate slices, for callers that keep their
+/// points as rows of one buffer.
+///
+/// # Panics
+/// Panics if the slices have different lengths.
+pub fn dominates_coords(p: &[f64], q: &[f64]) -> bool {
+    assert_eq!(p.len(), q.len(), "dimension mismatch in dominates");
     let mut strictly_better = false;
-    for i in 0..p.dim() {
-        if p.coord(i) > q.coord(i) {
+    for (a, b) in p.iter().zip(q) {
+        if a > b {
             return false;
         }
-        if p.coord(i) < q.coord(i) {
+        if a < b {
             strictly_better = true;
         }
     }

@@ -55,7 +55,7 @@ pub mod sfs;
 pub mod sweep;
 
 pub use bnl::skyline_bnl;
-pub use dc::{skyline_dc, skyline_dc_parallel};
+pub use dc::{skyline_dc, skyline_dc_parallel, skyline_dc_rows};
 pub use dominance::{dominates, strictly_dominates, DominanceOrdering};
 pub use exec::{
     ParallelBnl, ParallelDc, ParallelSfs, SerialBnl, SerialDc, SerialSfs, SkylineExecutor,

@@ -170,9 +170,9 @@ fn lru_evicts_the_coldest_dataset() {
     handle.shutdown();
 }
 
-/// The accounted bytes of a dataset as the server registers it (points plus
-/// the warm quadtree), and the growth of its first dominated insert (the
-/// point vector's capacity doubles, and the skyline gets cached).
+/// The accounted bytes of a dataset as the server registers it (rows plus
+/// the warm index), and the growth of its first dominated insert (the row
+/// buffer grows by an eighth of its rows, and the skyline gets cached).
 fn registered_bytes_and_insert_growth(points: &[Point]) -> (u64, u64) {
     let engine = EclipseEngine::new(points.to_vec())
         .unwrap()

@@ -201,9 +201,9 @@ fn inde3d_1k() -> Vec<Point> {
 #[test]
 fn fresh_build_heap_bytes_are_pinned() {
     let pinned: [(&str, Vec<Point>, usize, usize); 3] = [
-        ("hotels", paper_hotels(), 72, 200),
-        ("inde", inde3d(), 96, 576),
-        ("inde-1k", inde3d_1k(), 928, 41_888),
+        ("hotels", paper_hotels(), 72, 136),
+        ("inde", inde3d(), 96, 384),
+        ("inde-1k", inde3d_1k(), 928, 25_504),
     ];
     for (label, points, index_bytes, engine_bytes) in pinned {
         for kind in KINDS {
