@@ -168,12 +168,19 @@ fn assert_probes_match(
     assert_eq!(batched, expected, "{label}, batched");
 }
 
-/// Regression: a score gap within ulps of `EPS` must not let a point escape
-/// its dominator.  Point 2 dominates points 0 and 1 over the whole box,
-/// while 0 and 1 score `EPS` apart at the lower corner and swap inside it.
+/// Regressions for ties the index must break as BASE does.
+///
+/// A score gap within ulps of `EPS` must not let a point escape its
+/// dominator.  Point 2 dominates points 0 and 1 over the whole box, while 0
+/// and 1 score `EPS` apart at the lower corner and swap inside it.
 /// Counting that pair by one corner test and taking the count back by
 /// another once cancelled 2's domination of 1, and the index reported
 /// `[1, 2]`.
+///
+/// A `-0.0` row and its `+0.0` twin are equal, so neither dominates the
+/// other.  The skyline under an engine's index once told them apart by
+/// their bits and kept one of each pair: the index reported 50 of BASE's
+/// 100 ids.
 #[test]
 fn an_eps_tie_at_the_lower_corner_keeps_a_dominated_point_out() {
     let points = vec![
@@ -186,4 +193,16 @@ fn an_eps_tie_at_the_lower_corner_keeps_a_dominated_point_out() {
     assert_eq!(want, vec![2]);
     let idx = EclipseIndex::build(&points, IndexConfig::default()).unwrap();
     assert_probes_match(&idx, &[b], &[want], "eps tie");
+
+    let twin = |i: usize, zero: f64| Point::new(vec![i as f64, 99.0 - i as f64, zero]);
+    let mut twins: Vec<Point> = (0..50).map(|i| twin(i, -0.0)).collect();
+    twins.extend((0..50).map(|i| twin(i, 0.0)));
+    let b = WeightRatioBox::uniform(3, 0.5, 2.0).unwrap();
+    let want = eclipse_baseline(&twins, &b).unwrap();
+    assert_eq!(want.len(), 100);
+    let engine = EclipseEngine::new(twins).unwrap();
+    let built = engine
+        .build_index(IntersectionIndexKind::default())
+        .unwrap();
+    assert_probes_match(&built, &[b], &[want], "signed-zero twins");
 }

@@ -1,35 +1,41 @@
 //! Multidimensional divide-and-conquer skyline (the ECDF-style algorithm of
 //! Bentley \[3\] cited by the paper for its O(n log^{d−1} n) bound).
 //!
-//! Structure:
+//! The core works on `u32` row ids into one row-major coordinate buffer,
+//! sorts once and recurses in place; it builds no `Point`:
 //!
-//! 1. exact duplicates are factored out first (duplicates never dominate each
-//!    other, so each duplicate of a surviving representative survives);
-//! 2. the point set is sorted by the last dimension and split at the median
-//!    index into a "low" half `L` and a "high" half `H`;
-//! 3. both halves are solved recursively;
-//! 4. a *marriage* (filter) step removes from `skyline(H)` every point weakly
-//!    dominated by a point of `skyline(L)` **on the first d−1 dimensions
-//!    only** — correct because every point of `L` has a last coordinate no
-//!    larger than every point of `H`, and exact duplicates were removed up
-//!    front (see the correctness notes inline);
-//! 5. the filter itself is a recursive divide-and-conquer on one fewer
-//!    dimension with 1-D / 2-D sweep base cases.
+//! 1. one sort orders the ids by the last dimension, then
+//!    lexicographically.  Equal rows end up next to each other, and each
+//!    run's first row stands for the run (duplicates never dominate each
+//!    other, so they share their representative's fate).  The order also
+//!    puts every row after all rows that dominate it;
+//! 2. the recursion splits its slice of sorted representatives at the
+//!    median index into a "low" half `L` and a "high" half `H`, solves
+//!    both halves (forking them on the pool above a size cutoff) and gets
+//!    each half's survivors back compacted to its front;
+//! 3. a *marriage* (filter) step removes from `skyline(H)` every row weakly
+//!    dominated by a row of `skyline(L)` **on the first d−1 dimensions
+//!    only** — correct because every row of `L` has a last coordinate no
+//!    larger than every row of `H`, and no two representatives are equal;
+//! 4. the filter itself is a divide-and-conquer on one fewer dimension,
+//!    partitioning both id slices in place around a median, with 1-D / 2-D
+//!    sweep base cases.
 //!
-//! The implementation favours clarity and correctness on degenerate inputs
-//! (ties, duplicated coordinates, tiny inputs) over squeezing constants; the
-//! benchmarks in `eclipse-bench` compare it against BNL/SFS on the paper's
-//! workloads.
+//! Small subproblems are swept in sorted order instead: a row survives
+//! unless a survivor before it weakly dominates it.
+//!
+//! **Signed zeros.**  `−0.0` and `+0.0` are the same value here, as in
+//! [`dominates_coords`](crate::dominance::dominates_coords): the sort
+//! compares `c + 0.0` (which maps `−0.0` to `+0.0`) and the dedup compares
+//! rows with `==`, so a `−0.0` row and its `+0.0` twin form one run and
+//! survive or fall together.
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
 
 use eclipse_exec::ThreadPool;
 use eclipse_geom::point::{flatten, Point};
 
-use crate::dominance::skyline_naive;
-use crate::sweep::skyline_2d;
-
-/// Inputs at or below this size are handled by the naive skyline.
+/// Inputs at or below this size are swept in sorted order.
 const SMALL_INPUT: usize = 48;
 /// Filter subproblems at or below this many pairs are handled brute-force.
 const SMALL_FILTER: usize = 512;
@@ -78,237 +84,230 @@ pub(crate) fn skyline_dc_impl(points: &[Point], par: Option<(&ThreadPool, usize)
     dc_rows(&flatten(points), d, par)
 }
 
-/// The row-major core of every entry.
-fn dc_rows(rows: &[f64], d: usize, par: Option<(&ThreadPool, usize)>) -> Vec<usize> {
-    assert!(
-        d > 0 && rows.len().is_multiple_of(d),
-        "{} coordinates do not form rows of dimension {d}",
-        rows.len()
-    );
-    let row = |i: usize| &rows[i * d..(i + 1) * d];
+/// One row-major buffer of `d`-wide rows, addressed by `u32` row id.
+#[derive(Clone, Copy)]
+struct Rows<'a> {
+    buf: &'a [f64],
+    d: usize,
+}
 
-    // Deduplicate exact coordinate vectors; representatives carry all their
-    // duplicate original indices.
-    let mut groups: HashMap<Vec<u64>, Vec<usize>> = HashMap::new();
-    for (i, r) in rows.chunks_exact(d).enumerate() {
-        let key: Vec<u64> = r.iter().map(|c| c.to_bits()).collect();
-        groups.entry(key).or_default().push(i);
+impl<'a> Rows<'a> {
+    fn row(self, i: u32) -> &'a [f64] {
+        let at = i as usize * self.d;
+        &self.buf[at..at + self.d]
     }
-    let mut reps: Vec<usize> = groups.values().map(|g| g[0]).collect();
-    reps.sort_unstable();
-    let rep_points: Vec<Point> = reps.iter().map(|&i| Point::from_slice(row(i))).collect();
+
+    fn c(self, i: u32, j: usize) -> f64 {
+        self.buf[i as usize * self.d + j]
+    }
+
+    /// Row `p` is `≤` row `q` on each of the first `k` dimensions.
+    fn weakly_below(self, p: u32, q: u32, k: usize) -> bool {
+        let (p, q) = (self.row(p), self.row(q));
+        p[..k].iter().zip(&q[..k]).all(|(a, b)| a <= b)
+    }
+}
+
+/// The one sort order: by the last coordinate, then lexicographically, with
+/// `−0.0` equal to `+0.0`.
+fn row_order(a: &[f64], b: &[f64]) -> Ordering {
+    let cmp = |x: &f64, y: &f64| (x + 0.0).total_cmp(&(y + 0.0));
+    cmp(&a[a.len() - 1], &b[b.len() - 1]).then_with(|| {
+        let mut pairs = a.iter().zip(b).map(|(x, y)| cmp(x, y));
+        pairs.find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
+    })
+}
+
+/// The row-major core of every entry.
+fn dc_rows(buf: &[f64], d: usize, par: Option<(&ThreadPool, usize)>) -> Vec<usize> {
+    assert!(
+        d > 0 && buf.len().is_multiple_of(d),
+        "{} coordinates do not form rows of dimension {d}",
+        buf.len()
+    );
+    let n = buf.len() / d;
+    let rows = Rows { buf, d };
+    let mut ids: Vec<u32> = (0..u32::try_from(n).expect("at most u32::MAX rows")).collect();
+    ids.sort_unstable_by(|&a, &b| row_order(rows.row(a), rows.row(b)));
+    let same = |a: u32, b: u32| rows.row(a) == rows.row(b);
+    let mut reps = ids.clone();
+    reps.dedup_by(|b, a| same(*a, *b));
 
     let par = par.filter(|&(pool, _)| pool.threads() > 1);
-    let surviving = dc_recursive(
-        &rep_points,
-        &(0..rep_points.len()).collect::<Vec<_>>(),
-        d,
-        par,
-    );
-
-    let mut out = Vec::new();
-    for local in surviving {
-        let key: Vec<u64> = row(reps[local]).iter().map(|c| c.to_bits()).collect();
-        out.extend_from_slice(&groups[&key]);
+    let kept = dc(rows, &mut reps, par, &mut Vec::new());
+    let mut keep = vec![false; n];
+    for &r in &reps[..kept] {
+        keep[r as usize] = true;
     }
-    out.sort_unstable();
-    out
+    // A duplicate shares the fate of the first row of its run.
+    for pair in ids.windows(2) {
+        if same(pair[0], pair[1]) {
+            keep[pair[1] as usize] = keep[pair[0] as usize];
+        }
+    }
+    (0..n).filter(|&i| keep[i]).collect()
 }
 
-/// Recursively computes the skyline of the subset `ids` (indices into
-/// `points`, all unique coordinate vectors) considering the first `d`
-/// dimensions.  Returns surviving ids.  With `par` set, divide steps on
-/// subproblems above the fork cutoff run as fork-join branches on the pool;
-/// the recursion itself is pure, so forking cannot change the result.
-fn dc_recursive(
-    points: &[Point],
-    ids: &[usize],
-    d: usize,
+/// Computes the skyline of `ids` (distinct rows in the sort order) in
+/// place: the survivors end up at the front, and their count is returned.
+/// With `par` set, the halves of subproblems above the fork cutoff run as
+/// fork-join branches; each branch touches only its own half, so forking
+/// cannot change the result.
+fn dc(
+    rows: Rows,
+    ids: &mut [u32],
     par: Option<(&ThreadPool, usize)>,
-) -> Vec<usize> {
-    if ids.len() <= 1 {
-        return ids.to_vec();
+    scratch: &mut Vec<f64>,
+) -> usize {
+    if ids.len() <= 1 || rows.d == 1 {
+        // Distinct 1-D rows in ascending order: only the first survives.
+        return ids.len().min(1);
     }
-    if d == 1 {
-        // Keep every point attaining the minimum value (ties cannot strictly
-        // dominate each other).
-        let min = ids
-            .iter()
-            .map(|&i| points[i].coord(0))
-            .fold(f64::INFINITY, f64::min);
-        return ids
-            .iter()
-            .copied()
-            .filter(|&i| points[i].coord(0) == min)
-            .collect();
+    if rows.d == 2 {
+        // By ascending y: a row survives iff its x beats every earlier x.
+        let mut best_x = rows.c(ids[0], 0);
+        return 1 + partition(&mut ids[1..], |q| {
+            let x = rows.c(q, 0);
+            let kept = x < best_x;
+            if kept {
+                best_x = x;
+            }
+            kept
+        });
     }
     if ids.len() <= SMALL_INPUT {
-        let sub: Vec<Point> = ids.iter().map(|&i| truncate(points, i, d)).collect();
-        return skyline_naive(&sub).into_iter().map(|k| ids[k]).collect();
-    }
-    if d == 2 {
-        let sub: Vec<Point> = ids.iter().map(|&i| truncate(points, i, 2)).collect();
-        return skyline_2d(&sub).into_iter().map(|k| ids[k]).collect();
+        let mut kept = 0;
+        for i in 0..ids.len() {
+            let q = ids[i];
+            if !ids[..kept].iter().any(|&p| rows.weakly_below(p, q, rows.d)) {
+                ids.swap(kept, i);
+                kept += 1;
+            }
+        }
+        return kept;
     }
 
-    // Sort by the last considered dimension and split at the median index.
-    let mut order = ids.to_vec();
-    order.sort_by(|&a, &b| {
-        points[a]
-            .coord(d - 1)
-            .total_cmp(&points[b].coord(d - 1))
-            .then_with(|| points[a].lex_cmp(&points[b]))
-    });
-    let mid = order.len() / 2;
-    let (low, high) = order.split_at(mid);
-
-    let (sl, sh) = match par {
-        Some((pool, cutoff)) if ids.len() > cutoff => pool.join(
-            || dc_recursive(points, low, d, par),
-            || dc_recursive(points, high, d, par),
+    let (len, mid) = (ids.len(), ids.len() / 2);
+    let (low, high) = ids.split_at_mut(mid);
+    let (kept_low, kept_high) = match par {
+        Some((pool, cutoff)) if len > cutoff => pool.join(
+            || dc(rows, low, par, &mut Vec::new()),
+            || dc(rows, high, par, scratch),
         ),
-        _ => (
-            dc_recursive(points, low, d, par),
-            dc_recursive(points, high, d, par),
-        ),
+        _ => (dc(rows, low, par, scratch), dc(rows, high, par, scratch)),
     };
-    // Every point of `low` has coord(d-1) <= every point of `high`; after
-    // deduplication a point of `sh` is dominated (in d dims) by a point of
-    // `sl` exactly when it is weakly dominated on the first d-1 dimensions.
-    let sh_survivors = filter_weakly_dominated(points, &sl, &sh, d - 1);
-
-    let mut out = sl;
-    out.extend(sh_survivors);
-    out
+    // Every row of `low` has a last coordinate no larger than every row of
+    // `high`, and no two rows are equal, so a row of `high` is dominated by
+    // a row of `low` exactly when it is weakly dominated on the first d-1
+    // dimensions.
+    let kept_high = filter(
+        rows,
+        &mut low[..kept_low],
+        &mut high[..kept_high],
+        rows.d - 1,
+        scratch,
+    );
+    ids.copy_within(mid..mid + kept_high, kept_low);
+    kept_low + kept_high
 }
 
-/// Removes from `b_ids` every point weakly dominated (`≤` on every one of the
-/// first `k` dimensions) by some point of `a_ids`.  Returns the survivors.
-fn filter_weakly_dominated(
-    points: &[Point],
-    a_ids: &[usize],
-    b_ids: &[usize],
-    k: usize,
-) -> Vec<usize> {
-    if a_ids.is_empty() || b_ids.is_empty() {
-        return b_ids.to_vec();
+/// Removes from `b` every row weakly dominated (`≤` on each of the first
+/// `k` dimensions) by a row of `a`: the survivors end up at the front of
+/// `b`, and their count is returned.  Both slices are reordered in place.
+fn filter(rows: Rows, a: &mut [u32], b: &mut [u32], k: usize, scratch: &mut Vec<f64>) -> usize {
+    if a.is_empty() || b.is_empty() {
+        return b.len();
     }
     if k == 0 {
         // Weak dominance over zero dimensions always holds.
-        return Vec::new();
+        return 0;
     }
     if k == 1 {
-        let min_a = a_ids
+        let min_a = a
             .iter()
-            .map(|&i| points[i].coord(0))
+            .map(|&p| rows.c(p, 0))
             .fold(f64::INFINITY, f64::min);
-        return b_ids
-            .iter()
-            .copied()
-            .filter(|&b| points[b].coord(0) < min_a)
-            .collect();
+        return partition(b, |q| rows.c(q, 0) < min_a);
     }
-    if a_ids.len() * b_ids.len() <= SMALL_FILTER {
-        return filter_brute_force(points, a_ids, b_ids, k);
+    if a.len() * b.len() <= SMALL_FILTER {
+        return partition(b, |q| !a.iter().any(|&p| rows.weakly_below(p, q, k)));
     }
     if k == 2 {
-        return filter_2d(points, a_ids, b_ids);
+        // Sweep both sides by x: a row of `b` is dominated iff the least y
+        // among the rows of `a` with an x no larger than its own is `≤` its y.
+        let by_x =
+            |s: &mut [u32]| s.sort_unstable_by(|&p, &q| rows.c(p, 0).total_cmp(&rows.c(q, 0)));
+        by_x(a);
+        by_x(b);
+        let (mut seen, mut best_y) = (0, f64::INFINITY);
+        return partition(b, |q| {
+            while seen < a.len() && rows.c(a[seen], 0) <= rows.c(q, 0) {
+                best_y = best_y.min(rows.c(a[seen], 1));
+                seen += 1;
+            }
+            seen == 0 || best_y > rows.c(q, 1)
+        });
     }
 
-    // Split on dimension k-1.
-    let mut values: Vec<f64> = a_ids
+    // Split on dimension k-1 at the median of both sides' values.
+    scratch.clear();
+    scratch.extend(a.iter().chain(b.iter()).map(|&i| rows.c(i, k - 1)));
+    let (min_v, max_v) = scratch
         .iter()
-        .chain(b_ids.iter())
-        .map(|&i| points[i].coord(k - 1))
-        .collect();
-    values.sort_by(|a, b| a.total_cmp(b));
-    let min_v = values[0];
-    let max_v = values[values.len() - 1];
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
+            (lo.min(v), hi.max(v))
+        });
     if min_v == max_v {
         // The dimension is uninformative (all equal): weak dominance on it is
         // automatic; recurse with one fewer dimension.
-        return filter_weakly_dominated(points, a_ids, b_ids, k - 1);
+        return filter(rows, a, b, k - 1, scratch);
     }
-    let mut split = values[values.len() / 2];
+    let median = scratch.len() / 2;
+    let mut split = *scratch.select_nth_unstable_by(median, f64::total_cmp).1;
     // Guarantee progress: `lo` (<= split) and `hi` (> split) must both be
-    // non-empty; fall back to the midpoint when the median equals the max.
+    // non-empty; fall back to the midpoint when the median equals the max,
+    // and to the min when the midpoint rounds up to the max.
     if split == max_v {
         split = 0.5 * (min_v + max_v);
+        if split == max_v {
+            split = min_v;
+        }
     }
+    let a_low = partition(a, |p| rows.c(p, k - 1) <= split);
+    let b_low = partition(b, |q| rows.c(q, k - 1) <= split);
+    let (a_lo, a_hi) = a.split_at_mut(a_low);
+    let (b_lo, b_hi) = b.split_at_mut(b_low);
 
-    let (a_lo, a_hi): (Vec<usize>, Vec<usize>) = a_ids
-        .iter()
-        .copied()
-        .partition(|&i| points[i].coord(k - 1) <= split);
-    let (b_lo, b_hi): (Vec<usize>, Vec<usize>) = b_ids
-        .iter()
-        .copied()
-        .partition(|&i| points[i].coord(k - 1) <= split);
-
-    // Low B points can only be dominated by low A points (high A points have
-    // a strictly larger coord(k-1)).
-    let b_lo_survivors = filter_weakly_dominated(points, &a_lo, &b_lo, k);
-    // High B points: compare against high A points in full k dimensions, and
-    // against low A points in k-1 dimensions (their coord(k-1) is already
+    // Low B rows can only be dominated by low A rows (high A rows have a
+    // strictly larger coordinate k-1).
+    let kept_lo = filter(rows, a_lo, b_lo, k, scratch);
+    // High B rows: compare against high A rows in full k dimensions, and
+    // against low A rows in k-1 dimensions (their coordinate k-1 is already
     // strictly smaller).
-    let b_hi_vs_hi = filter_weakly_dominated(points, &a_hi, &b_hi, k);
-    let b_hi_survivors = filter_weakly_dominated(points, &a_lo, &b_hi_vs_hi, k - 1);
-
-    let mut out = b_lo_survivors;
-    out.extend(b_hi_survivors);
-    out
+    let kept_hi = filter(rows, a_hi, b_hi, k, scratch);
+    let kept_hi = filter(rows, a_lo, &mut b_hi[..kept_hi], k - 1, scratch);
+    b.copy_within(b_low..b_low + kept_hi, kept_lo);
+    kept_lo + kept_hi
 }
 
-/// Brute-force weak-dominance filter on the first `k` dimensions.
-fn filter_brute_force(points: &[Point], a_ids: &[usize], b_ids: &[usize], k: usize) -> Vec<usize> {
-    b_ids
-        .iter()
-        .copied()
-        .filter(|&b| {
-            !a_ids
-                .iter()
-                .any(|&a| (0..k).all(|j| points[a].coord(j) <= points[b].coord(j)))
-        })
-        .collect()
-}
-
-/// Sweep-based weak-dominance filter for k = 2: sort the A points by the
-/// first coordinate and keep prefix minima of the second; a B point is
-/// dominated iff the best A second-coordinate among `a[0] ≤ b[0]` is `≤ b[1]`.
-fn filter_2d(points: &[Point], a_ids: &[usize], b_ids: &[usize]) -> Vec<usize> {
-    let mut a_sorted: Vec<usize> = a_ids.to_vec();
-    a_sorted.sort_by(|&x, &y| points[x].coord(0).total_cmp(&points[y].coord(0)));
-    let xs: Vec<f64> = a_sorted.iter().map(|&i| points[i].coord(0)).collect();
-    let mut prefix_min_y: Vec<f64> = Vec::with_capacity(a_sorted.len());
-    let mut best = f64::INFINITY;
-    for &i in &a_sorted {
-        best = best.min(points[i].coord(1));
-        prefix_min_y.push(best);
+/// Moves the ids that satisfy `keep` to the front of `ids`, in their order,
+/// and returns how many there are; the others follow in some order.
+fn partition(ids: &mut [u32], mut keep: impl FnMut(u32) -> bool) -> usize {
+    let mut kept = 0;
+    for i in 0..ids.len() {
+        if keep(ids[i]) {
+            ids.swap(kept, i);
+            kept += 1;
+        }
     }
-    b_ids
-        .iter()
-        .copied()
-        .filter(|&b| {
-            let bx = points[b].coord(0);
-            // Number of A points with a[0] <= b[0].
-            let cnt = xs.partition_point(|&x| x <= bx);
-            if cnt == 0 {
-                return true;
-            }
-            prefix_min_y[cnt - 1] > points[b].coord(1)
-        })
-        .collect()
-}
-
-/// Projects point `i` onto its first `d` dimensions.
-fn truncate(points: &[Point], i: usize, d: usize) -> Point {
-    Point::new(points[i].coords()[..d].to_vec())
+    kept
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bnl::skyline_bnl;
+    use crate::dominance::skyline_naive;
     use rand::{Rng, SeedableRng};
 
     fn p(c: &[f64]) -> Point {
@@ -407,6 +406,54 @@ mod tests {
             .map(|i| p(&[i as f64, i as f64 + 1.0, i as f64 + 2.0]))
             .collect();
         assert_eq!(skyline_dc(&pts), vec![0]);
+    }
+
+    #[test]
+    fn signed_zero_twins_survive_together() {
+        // Each row with -0.0 has a +0.0 twin; the two are equal, so neither
+        // dominates the other and all 100 rows are on the skyline.  Told
+        // apart by their bits, the twins were once split into two groups
+        // and the filter dropped one of each pair as weakly dominated.
+        let mut pts: Vec<Point> = (0..50)
+            .map(|i| p(&[i as f64, 99.0 - i as f64, -0.0]))
+            .collect();
+        pts.extend((0..50).map(|i| p(&[i as f64, 99.0 - i as f64, 0.0])));
+        let want = skyline_naive(&pts);
+        assert_eq!(want.len(), 100);
+        assert_eq!(skyline_dc(&pts), want);
+        let pool = eclipse_exec::ThreadPool::with_threads(4);
+        assert_eq!(skyline_dc_impl(&pts, Some((&pool, 8))), want);
+        // Signed zeros on every axis, mixed with duplicates.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(10);
+        for d in 2..=5usize {
+            let pts: Vec<Point> = (0..300)
+                .map(|_| {
+                    Point::new(
+                        (0..d)
+                            .map(|_| [-0.0, 0.0, 1.0][rng.gen_range(0..3)])
+                            .collect(),
+                    )
+                })
+                .collect();
+            assert_eq!(skyline_dc(&pts), skyline_naive(&pts), "d = {d}");
+        }
+    }
+
+    #[test]
+    fn a_median_on_the_upper_of_two_adjacent_floats_still_splits() {
+        // On dimension 2 most rows sit on `hi`, the float right after `lo`,
+        // where the midpoint of the two rounds up to `hi`: the filter must
+        // still split both sides instead of recursing on the same input.
+        let lo = 1.0 + f64::EPSILON;
+        let hi = f64::from_bits(lo.to_bits() + 1);
+        assert_eq!(0.5 * (lo + hi), hi);
+        let pts: Vec<Point> = (0..200)
+            .map(|i| {
+                let c2 = if i % 5 == 0 { lo } else { hi };
+                p(&[i as f64, 200.0 - i as f64, c2, (i % 7) as f64])
+            })
+            .collect();
+        assert_eq!(skyline_dc(&pts), skyline_naive(&pts));
     }
 
     #[test]

@@ -15,8 +15,9 @@ use eclipse_skyline::exec::{
     ParallelBnl, ParallelDc, ParallelSfs, SerialBnl, SerialDc, SerialSfs, SkylineExecutor,
 };
 
-/// Random dataset: continuous uniform coordinates, or a 0..4 integer grid
-/// (lots of exact duplicates and per-dimension ties) when `grid` is set.
+/// Random dataset: continuous uniform coordinates, or a grid over
+/// {−0.0, 0.0, 1, 2, 3} (lots of exact duplicates, per-dimension ties and
+/// signed-zero twins, which are equal) when `grid` is set.
 fn random_points(seed: u64, n: usize, d: usize, grid: bool) -> Vec<Point> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     (0..n)
@@ -25,7 +26,7 @@ fn random_points(seed: u64, n: usize, d: usize, grid: bool) -> Vec<Point> {
                 (0..d)
                     .map(|_| {
                         if grid {
-                            rng.gen_range(0..4) as f64
+                            [-0.0, 0.0, 1.0, 2.0, 3.0][rng.gen_range(0..5)]
                         } else {
                             rng.gen_range(0.0..1.0)
                         }
